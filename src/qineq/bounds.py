@@ -15,10 +15,20 @@ gives exp(beta |log|z - a||^gamma) with
 
     beta = alpha / ((alpha+1)^{1+1/alpha} log^{1/alpha}(1/q)),
     gamma = (alpha+1)/alpha.
+
+Each envelope is a constant times a closed form in |z|.  The constants that
+do not depend on |z| (constant_c and (q^l;q)_inf, (q;q)_inf, the theta
+weighted constant, beta and gamma) are computed once per parameter set and
+kept in bounded, thread-safe least-recently-used caches keyed on the frozen
+parameter objects, so tabulating an envelope over many moduli pays for them
+once.  Values are unchanged: the per-|z| arithmetic runs in the same order
+on the same constants.  Exceptions are not cached, so invalid parameters
+raise on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -26,10 +36,11 @@ from typing import Callable
 
 from .errors import InvalidArgumentError, NonConvergentError
 from .qcore import QBase, multishifted, pochhammer_infinite
-from .series import ConfluentParams, PhiParams, phi_to_f
+from .series import ConfluentParams, PhiParams, PhiReduction, phi_to_f
 
 _POCH_TOL = 1e-16
 _MAX_LOG = math.log(sys.float_info.max)
+_CACHE_SIZE = 256
 WEIGHTED_SUM_CAP = 100_000
 
 
@@ -116,6 +127,26 @@ def term_peak(abs_z: float, l: float, q: QBase) -> float:
     return 0.5 * lz - 0.25 * l * lq - lz * lz / (4.0 * l * lq)
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _entire_constants(params: ConfluentParams) -> tuple[float, float]:
+    """(constant_c, (q^l;q)_inf) of the entire class, cached per parameter set."""
+    q = params.q
+    return constant_c(params), pochhammer_infinite(q.q**params.l, q, _POCH_TOL).value
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _phi_constants(params: PhiParams) -> tuple[PhiReduction, float, float]:
+    """phi_to_f reduction plus the entire-class constants of the reduced params."""
+    reduction = phi_to_f(params)
+    return (reduction, *_entire_constants(reduction.params))
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _aq_constant(q: QBase) -> float:
+    """(q;q)_inf, cached per base."""
+    return pochhammer_infinite(q.q, q, _POCH_TOL).value
+
+
 def envelope_entire(params: ConfluentParams, abs_z: float) -> EnvelopeResult:
     """Envelope of the Gaussian-weighted entire class on the circle |z| = abs_z.
 
@@ -123,9 +154,8 @@ def envelope_entire(params: ConfluentParams, abs_z: float) -> EnvelopeResult:
     valid for every nonzero z of that modulus.
     """
     abs_z = _require_positive(abs_z, "abs_z")
-    c = constant_c(params)
+    c, ql_poch = _entire_constants(params)
     q = params.q
-    ql_poch = pochhammer_infinite(q.q ** params.l, q, _POCH_TOL).value
     lz = math.log(abs_z)
     lq = q.log_q
     prefactor_log = -math.log(ql_poch) + 0.5 * lz - 0.25 * params.l * lq
@@ -160,14 +190,11 @@ def envelope_phi_routes(params: PhiParams, abs_z: float) -> tuple[EnvelopeResult
     Returns (direct closed form, composition through phi_to_f).
     """
     abs_z = _require_positive(abs_z, "abs_z")
-    reduction = phi_to_f(params)
+    reduction, c, ql_poch = _phi_constants(params)
     composed = envelope_entire(reduction.params, abs_z * abs(reduction.scale))
 
     m = params.confluence_order
-    l = m / 2.0
     q = params.q
-    c = constant_c(reduction.params)
-    ql_poch = pochhammer_infinite(q.q**l, q, _POCH_TOL).value
     lz = math.log(abs_z)
     lq = q.log_q
     prefactor_log = -math.log(ql_poch) + 0.5 * lz + (3.0 * (-m) / 8.0) * lq
@@ -184,7 +211,7 @@ def envelope_aq_gaussian(q: QBase, abs_z: float) -> EnvelopeResult:
     here from its own closed form so the two code paths stay independent.
     """
     abs_z = _require_positive(abs_z, "abs_z")
-    poch = pochhammer_infinite(q.q, q, _POCH_TOL).value
+    poch = _aq_constant(q)
     lz = math.log(abs_z)
     lq = q.log_q
     prefactor_log = -math.log(poch) + 0.5 * math.log(abs_z / math.sqrt(q.q))
@@ -239,6 +266,18 @@ def theta_weighted_constant(alpha: float, q: QBase, tol: float) -> float:
     raise NonConvergentError(f"weighted constant did not settle within {WEIGHTED_SUM_CAP} terms")
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _meromorphic_params(alpha: float, q: QBase) -> MeromorphicBoundParams:
+    """meromorphic_bound_params, cached per (alpha, q)."""
+    return meromorphic_bound_params(alpha, q)
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _theta_constant(alpha: float, q: QBase, tol: float) -> float:
+    """theta_weighted_constant, cached per (alpha, q, tol)."""
+    return theta_weighted_constant(alpha, q, tol)
+
+
 def laurent_weighted_constant(
     coeff: Callable[[int], complex],
     alpha: float,
@@ -291,8 +330,8 @@ def envelope_theta(alpha: float, q: QBase, abs_z: float, tol: float = 1e-15) -> 
     Symmetric under abs_z -> 1/abs_z since only |log abs_z| enters.
     """
     abs_z = _require_positive(abs_z, "abs_z")
-    c = theta_weighted_constant(alpha, q, tol)
-    params = meromorphic_bound_params(alpha, q)
+    c = _theta_constant(alpha, q, tol)
+    params = _meromorphic_params(alpha, q)
     return envelope_meromorphic(params, c, abs_z)
 
 
@@ -308,7 +347,7 @@ def envelope_theta_as_printed(
     abs_z = _require_positive(abs_z, "abs_z")
     if not 0.0 < alpha < 1.0:
         raise InvalidArgumentError(f"alpha must lie in (0, 1), got {alpha!r}")
-    c = theta_weighted_constant(alpha, q, tol)
+    c = _theta_constant(alpha, q, tol)
     lz = math.log(abs_z)
     exponent_term = lz * lz / (alpha * q.log_inv_q)
     return _assemble(c, 0.0, exponent_term)

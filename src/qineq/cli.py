@@ -8,8 +8,8 @@ for byte for a fixed seed.
 
 Exit codes: 0 success with all audits passing, 1 at least one audit record
 failed, 2 usage or validation errors.  QINEQ_THREADS, when set, must be a
-positive integer; it caps worker parallelism (audits currently run on a
-single worker, which every cap admits).
+positive integer; it is validated but not yet effective (audits always run on
+a single worker).
 """
 
 from __future__ import annotations

@@ -175,22 +175,26 @@ def _certified_sum(
     term: complex = 1.0 + 0.0j
     partial = term
     k = 0
-    while k <= TERM_CAP:
-        nxt = term * ratio(k)
-        if not abs(nxt) < math.inf:
-            raise NonConvergentError("series term left the double range")
-        if force_terms is not None:
-            if k + 1 >= force_terms:
-                return partial, k + 1, 0.0
-        elif k >= MIN_STOP_INDEX:
-            bound = rho(k)
-            if bound < 1.0:
-                tail = abs(nxt) / (1.0 - bound)
-                if tail <= tol * max(1.0, abs(partial)):
-                    return partial, k + 1, tail
-        partial += nxt
-        term = nxt
-        k += 1
+    try:
+        while k <= TERM_CAP:
+            nxt = term * ratio(k)
+            if not abs(nxt) < math.inf:
+                raise NonConvergentError("series term left the double range")
+            if force_terms is not None:
+                if k + 1 >= force_terms:
+                    return partial, k + 1, 0.0
+            elif k >= MIN_STOP_INDEX:
+                bound = rho(k)
+                if bound < 1.0:
+                    tail = abs(nxt) / (1.0 - bound)
+                    if tail <= tol * max(1.0, abs(partial)):
+                        return partial, k + 1, tail
+            partial += nxt
+            term = nxt
+            k += 1
+    except OverflowError as exc:
+        # abs() of a complex with finite parts raises once its modulus overflows.
+        raise NonConvergentError("series term left the double range") from exc
     raise NonConvergentError(f"no certified stop within {TERM_CAP} terms")
 
 

@@ -41,7 +41,6 @@ DEFAULT_SLACK = 1e-12
 DEFAULT_TOL = 1e-14
 L_CHOICES = (0.5, 1.0, 1.5, 2.5)
 _TWO_PI = 2.0 * math.pi
-_MAX_LOG = 709.0
 
 
 def log_grid(lo: float, hi: float, count: int) -> tuple[float, ...]:
@@ -141,9 +140,8 @@ def _digest_confluent(params: ConfluentParams) -> str:
 
 
 def _entire_envelope_log(params: ConfluentParams) -> Callable[[float], float]:
-    log_c = math.log(bounds.constant_c(params))
-    ql_poch = pochhammer_infinite(params.q.q**params.l, params.q, 1e-16).value
-    offset = log_c - math.log(ql_poch)
+    c, ql_poch = bounds._entire_constants(params)
+    offset = math.log(c) - math.log(ql_poch)
     l, q = params.l, params.q
     return lambda abs_z: offset + bounds.term_peak(abs_z, l, q)
 
@@ -197,9 +195,8 @@ def audit_target(function_tag: str, fixed_params) -> AuditTarget:
         )
     if function_tag == "theta":
         theta_q, alpha = fixed_params
-        c = bounds.theta_weighted_constant(alpha, theta_q, 1e-15)
-        mp = bounds.meromorphic_bound_params(alpha, theta_q)
-        log_c = math.log(c)
+        log_c = math.log(bounds._theta_constant(alpha, theta_q, 1e-15))
+        merom = bounds._meromorphic_params(alpha, theta_q)
         return AuditTarget(
             function_tag=function_tag,
             q=theta_q.q,
@@ -207,11 +204,11 @@ def audit_target(function_tag: str, fixed_params) -> AuditTarget:
             param_digest=f"alpha={float(alpha)!r}",
             center=0.0 + 0.0j,
             evaluate=lambda z, tol: eval_theta(theta_q, z, tol),
-            envelope_log=lambda abs_z: log_c + mp.beta * abs(math.log(abs_z)) ** mp.gamma,
+            envelope_log=lambda abs_z: log_c + merom.beta * abs(math.log(abs_z)) ** merom.gamma,
         )
     if function_tag == "laurent":
         spec: LaurentSpec = fixed_params
-        mp = bounds.meromorphic_bound_params(spec.alpha, spec.q)
+        merom = bounds._meromorphic_params(spec.alpha, spec.q)
         log_c = math.log(spec.c_weighted)
         return AuditTarget(
             function_tag=function_tag,
@@ -220,7 +217,7 @@ def audit_target(function_tag: str, fixed_params) -> AuditTarget:
             param_digest=f"alpha={spec.alpha!r};c_weighted={spec.c_weighted!r}",
             center=spec.center,
             evaluate=lambda z, tol: eval_laurent(spec, z, tol),
-            envelope_log=lambda dist: log_c + mp.beta * abs(math.log(dist)) ** mp.gamma,
+            envelope_log=lambda dist: log_c + merom.beta * abs(math.log(dist)) ** merom.gamma,
         )
     raise InvalidArgumentError(f"unknown function tag {function_tag!r}; expected {FUNCTION_TAGS}")
 
@@ -253,7 +250,7 @@ def _record(
         ratio = 0.0
     else:
         log_value = math.log(abs_value)
-        ratio = math.exp(min(log_value - envelope_log, _MAX_LOG))
+        ratio = math.exp(min(log_value - envelope_log, bounds._MAX_LOG))
     return AuditRecord(
         function_tag=target.function_tag,
         q=target.q,
@@ -392,7 +389,7 @@ def tightness_search(
         abs_value = abs(target.evaluate(z, tol).value)
         if abs_value == 0.0:
             return 0.0
-        return math.exp(min(math.log(abs_value) - target.envelope_log(abs_z), _MAX_LOG))
+        return math.exp(min(math.log(abs_value) - target.envelope_log(abs_z), bounds._MAX_LOG))
 
     best_ratio = -1.0
     best_r = radii[0]

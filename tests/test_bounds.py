@@ -23,9 +23,11 @@ from qineq import (
     eval_theta,
     laurent_weighted_constant,
     meromorphic_bound_params,
+    pochhammer_infinite,
     term_peak,
     theta_weighted_constant,
 )
+from qineq import bounds
 
 import oracles
 
@@ -335,3 +337,106 @@ class TestEnvelopeTheta:
         assert printed.exponent_term != certified.exponent_term
         want = math.log(10.0) ** 2 / (0.5 * math.log(2.0))
         assert math.isclose(printed.exponent_term, want, rel_tol=1e-13)
+
+
+# (cache, call that fills it for the i-th distinct parameter set)
+CACHED_ENVELOPES = (
+    (bounds._entire_constants, lambda i: envelope_entire(_entire(0.5, l=1.0 + i / 1024), 2.0)),
+    (bounds._phi_constants, lambda i: envelope_phi(PhiParams((), (0.5 * i / 1024,), QBase(0.5)), 2.0)),
+    (bounds._aq_constant, lambda i: envelope_aq_gaussian(QBase(0.5 + i / 4096), 2.0)),
+    (bounds._theta_constant, lambda i: envelope_theta(0.25 + i / 4096, QBase(0.5), 2.0)),
+    (bounds._meromorphic_params, lambda i: envelope_theta(0.25 + i / 4096, QBase(0.5), 2.0)),
+)
+MODULI = (1e-6, 0.3, 1.0, 2.0, 7.5, 1e4, 1e6)
+
+
+def _bits(env):
+    return tuple(float.hex(x) for x in (env.log_bound, env.constant_c, env.prefactor_log, env.exponent_term))
+
+
+class TestConstantCache:
+    def test_entire_warm_cache_matches_direct_constants(self):
+        params = _entire(0.9, l=1.5, a=(1 + 1j, -0.5), b=(0.2, 0.6))
+        for abs_z in MODULI:
+            envelope_entire(params, abs_z)
+        c = constant_c(params)
+        ql_poch = pochhammer_infinite(params.q.q**params.l, params.q, 1e-16).value
+        lq = params.q.log_q
+        for abs_z in MODULI:
+            lz = math.log(abs_z)
+            prefactor_log = -math.log(ql_poch) + 0.5 * lz - 0.25 * params.l * lq
+            exponent_term = -lz * lz / (4.0 * params.l * lq)
+            want = bounds._assemble(c, prefactor_log, exponent_term)
+            assert _bits(envelope_entire(params, abs_z)) == _bits(want)
+
+    def test_phi_warm_cache_matches_direct_constants(self):
+        params = PhiParams(a_list=(0.5,), b_list=(0.3, 0.6), q=QBase(0.9))
+        for abs_z in MODULI:
+            envelope_phi(params, abs_z)
+        reduced = _entire(0.9, l=1.0, a=(0.5,), b=(0.3, 0.6))
+        c = constant_c(reduced)
+        ql_poch = pochhammer_infinite(0.9**1.0, params.q, 1e-16).value
+        lq = params.q.log_q
+        for abs_z in MODULI:
+            lz = math.log(abs_z)
+            prefactor_log = -math.log(ql_poch) + 0.5 * lz + (3.0 * -2 / 8.0) * lq
+            shifted = lz + (-2 / 2.0) * lq
+            exponent_term = shifted * shifted / (2.0 * -2 * lq)
+            want = bounds._assemble(c, prefactor_log, exponent_term)
+            assert _bits(envelope_phi(params, abs_z)) == _bits(want)
+
+    def test_aq_and_theta_warm_cache_match_direct_constants(self):
+        base = QBase(0.9)
+        for abs_z in MODULI:
+            envelope_aq_gaussian(base, abs_z)
+            envelope_theta(0.25, base, abs_z)
+        poch = pochhammer_infinite(0.9, base, 1e-16).value
+        c = theta_weighted_constant(0.25, base, 1e-15)
+        shape = meromorphic_bound_params(0.25, base)
+        for abs_z in MODULI:
+            lz = math.log(abs_z)
+            prefactor_log = -math.log(poch) + 0.5 * math.log(abs_z / math.sqrt(0.9))
+            exponent_term = -lz * lz / (4.0 * base.log_q)
+            want = bounds._assemble(1.0, prefactor_log, exponent_term)
+            assert _bits(envelope_aq_gaussian(base, abs_z)) == _bits(want)
+            want = bounds._assemble(c, 0.0, shape.beta * abs(lz) ** shape.gamma)
+            assert _bits(envelope_theta(0.25, base, abs_z)) == _bits(want)
+
+    @pytest.mark.parametrize("cache,fill", CACHED_ENVELOPES)
+    def test_equal_parameter_objects_share_an_entry(self, cache, fill):
+        cache.cache_clear()
+        fill(3)
+        fill(3)  # rebuilds equal but distinct parameter objects
+        info = cache.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+    @pytest.mark.parametrize("cache,fill", CACHED_ENVELOPES)
+    def test_cache_stays_at_its_fixed_size(self, cache, fill):
+        cache.cache_clear()
+        maxsize = cache.cache_info().maxsize
+        for i in range(maxsize + 40):
+            fill(i)
+        info = cache.cache_info()
+        assert info.maxsize == maxsize == 256
+        assert info.currsize == maxsize
+        assert info.misses == maxsize + 40
+
+    def test_invalid_parameters_raise_on_every_call(self):
+        bounds._theta_constant.cache_clear()
+        for _ in range(2):
+            with pytest.raises(InvalidArgumentError):
+                envelope_theta(1.5, QBase(0.5), 2.0)
+        assert bounds._theta_constant.cache_info().currsize == 0
+
+    def test_phi_route_disagreement_still_raises(self, monkeypatch):
+        params = PhiParams(a_list=(0.4,), b_list=(0.1, 0.6), q=QBase(0.6))
+        envelope_phi(params, 3.0)  # warm cache, routes agree
+        real_entire = bounds.envelope_entire
+
+        def shifted_entire(p, abs_z):
+            env = real_entire(p, abs_z)
+            return bounds._assemble(env.constant_c, env.prefactor_log, env.exponent_term + 1.0)
+
+        monkeypatch.setattr(bounds, "envelope_entire", shifted_entire)
+        with pytest.raises(NonConvergentError):
+            envelope_phi(params, 3.0)

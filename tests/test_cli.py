@@ -186,6 +186,18 @@ class TestAuditCommand:
         assert code == 1
         assert "failed=" in capsys.readouterr().err
 
+    def test_phi_overflow_region_reports_error_records(self, capsys):
+        code = run(
+            ["audit", "--function", "phi", "--q", "0.99", "--a=0.5", "--b", "0.3",
+             "--grid", "1e-4:1e6:41", "--angles", "8"]
+        )
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "records=328 passed=176 failed=0 errors=152" in captured.err
+        rows = list(csv.DictReader(captured.out.splitlines()))
+        assert len(rows) == 328
+        assert sum(row["abs_value"] == "nan" for row in rows) == 152
+
     def test_draws_rejected_for_theta(self, capsys):
         code = run(
             ["audit", "--function", "theta", "--q", "0.3", "--alpha", "0.5",

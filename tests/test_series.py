@@ -127,6 +127,12 @@ class TestPhi:
         with pytest.raises(InvalidArgumentError):
             PhiParams(a_list=(0.1, 0.2), b_list=(0.3,), q=QBase(0.5))
 
+    def test_overflowing_complex_modulus_raises_typed_error(self):
+        # Both parts of a term stay finite while its modulus overflows.
+        params = PhiParams(a_list=(0.5,), b_list=(0.3,), q=QBase(0.99))
+        with pytest.raises(NonConvergentError):
+            eval_phi(params, 39.7635364383525 + 39.7635364383525j, 1e-14)
+
     def test_agrees_with_direct_oracle(self, rng):
         for _ in range(100):
             m = rng.choice((1, 2, 3))

@@ -3,8 +3,10 @@ import math
 import pytest
 
 from qineq import (
+    ConfluentParams,
     InvalidArgumentError,
     LaurentSpec,
+    PhiParams,
     QBase,
     SweepPlan,
     audit_envelope,
@@ -20,6 +22,8 @@ from qineq import (
     theta_weighted_constant,
     tightness_search,
 )
+from qineq import bounds, verify
+from qineq.cli import run
 from qineq.verify import coarse_layout
 
 import oracles
@@ -166,6 +170,65 @@ class TestAuditEnvelope:
     def test_unknown_tag_rejected(self):
         with pytest.raises(InvalidArgumentError):
             audit_target("bessel", QBase(0.5))
+
+
+class TestSharedEnvelopeConstants:
+    def test_targets_read_cached_constants(self, monkeypatch):
+        base = QBase(0.5)
+        targets = (
+            ("confluent_f", ConfluentParams((0.3 + 0.1j,), (0.2,), 1.5, QBase(0.7))),
+            ("phi", PhiParams((0.5,), (0.3, 0.6), QBase(0.9))),
+            ("aq", QBase(0.7)),
+            ("theta", (QBase(0.3), 0.5)),
+            ("laurent", LaurentSpec(0.0, lambda k: base.q ** (k * k), 0.5, base, 3.5)),
+        )
+        moduli = (1e-3, 0.5, 2.0, 1e3)
+        first = [[audit_target(tag, p).envelope_log(r) for r in moduli] for tag, p in targets]
+
+        def recomputed(*args, **kwargs):
+            raise AssertionError("an envelope constant was recomputed")
+
+        for name in ("constant_c", "pochhammer_infinite", "theta_weighted_constant",
+                     "meromorphic_bound_params"):
+            monkeypatch.setattr(bounds, name, recomputed)
+        monkeypatch.setattr(verify, "pochhammer_infinite", recomputed)
+        again = [[audit_target(tag, p).envelope_log(r) for r in moduli] for tag, p in targets]
+        assert again == first
+        plan = SweepPlan(abs_z_grid=log_grid(1e-2, 1e2, 5), angle_count=4)
+        assert audit_summary(audit_envelope(plan, "aq", QBase(0.7)))["passed"] == 20
+
+    def test_cli_audit_bytes_survive_cache_clear(self, capsys):
+        grid = ["--grid", "1e-4:1e6:21", "--angles", "4"]
+        argvs = (
+            ["audit", "--function", "aq", "--q", "0.9", *grid],
+            ["audit", "--function", "theta", "--q", "0.3", "--alpha", "0.5", *grid],
+            ["audit", "--function", "f", "--q", "0.9", "--l", "1", "--a=1+1i", "--b", "0.2", *grid],
+            ["audit", "--function", "phi", "--q", "0.5", "--a=0.5", "--b", "0.3", "--b", "0.6", *grid],
+            ["audit", "--function", "laurent", "--q", "0.5", "--alpha", "0.5", *grid],
+            ["audit", "--function", "f", "--q", "0.5", "--l", "1", "--grid", "1e-3:1e3:2",
+             "--draws", "300", "--seed", "7"],
+            ["audit", "--function", "phi", "--q", "0.5", "--grid", "1e-3:1e3:2",
+             "--draws", "300", "--seed", "7", "--format", "json"],
+        )
+
+        def outputs():
+            got = []
+            for argv in argvs:
+                rc = run(argv)
+                got.append((rc, capsys.readouterr().out))
+            return got
+
+        def clear_caches():
+            for cache in (bounds._entire_constants, bounds._phi_constants, bounds._aq_constant,
+                          bounds._theta_constant, bounds._meromorphic_params):
+                cache.cache_clear()
+
+        clear_caches()
+        cold = outputs()
+        warm = outputs()
+        clear_caches()
+        assert outputs() == warm == cold
+        assert all(rc == 0 and out.count("\n") > 20 for rc, out in cold)
 
 
 class TestTightnessSearch:
