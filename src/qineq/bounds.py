@@ -36,12 +36,13 @@ from typing import Callable
 
 from .errors import InvalidArgumentError, NonConvergentError
 from .qcore import QBase, multishifted, pochhammer_infinite
-from .series import ConfluentParams, PhiParams, PhiReduction, phi_to_f
+from .series import ConfluentParams, PhiParams, phi_to_f
 
 _POCH_TOL = 1e-16
 _MAX_LOG = math.log(sys.float_info.max)
 _CACHE_SIZE = 256
 WEIGHTED_SUM_CAP = 100_000
+THETA_CONSTANT_TOL = 1e-15
 
 
 def _as_linear(log_bound: float) -> float:
@@ -135,10 +136,9 @@ def _entire_constants(params: ConfluentParams) -> tuple[float, float]:
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _phi_constants(params: PhiParams) -> tuple[PhiReduction, float, float]:
-    """phi_to_f reduction plus the entire-class constants of the reduced params."""
-    reduction = phi_to_f(params)
-    return (reduction, *_entire_constants(reduction.params))
+def _phi_constants(params: PhiParams) -> tuple[float, float]:
+    """Entire-class constants of the phi_to_f reduction, cached per parameter set."""
+    return _entire_constants(phi_to_f(params).params)
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -166,33 +166,16 @@ def envelope_entire(params: ConfluentParams, abs_z: float) -> EnvelopeResult:
 def envelope_phi(params: PhiParams, abs_z: float) -> EnvelopeResult:
     """Envelope of the confluent hypergeometric sum on the circle |z| = abs_z.
 
-    Two independent routes are computed: composing envelope_entire with the
-    argument rescaling from phi_to_f, and the direct closed form
+    Returns the direct closed form
 
         (|z|^2 q^{3(r-s-1)/2})^{1/4} exp(log^2[|z| q^{(r-s-1)/2}] / (2(r-s-1) log q))
 
-    times the constant ratio.  They agree algebraically; a defensive check
-    enforces it numerically and the direct form is returned.
-    """
-    direct, composed = envelope_phi_routes(params, abs_z)
-    scale = max(1.0, abs(direct.log_bound))
-    if abs(direct.log_bound - composed.log_bound) > 1e-8 * scale:
-        raise NonConvergentError(
-            "envelope routes disagree: "
-            f"direct {direct.log_bound!r} vs composed {composed.log_bound!r}"
-        )
-    return direct
-
-
-def envelope_phi_routes(params: PhiParams, abs_z: float) -> tuple[EnvelopeResult, EnvelopeResult]:
-    """Both envelope routes for the confluent hypergeometric sum.
-
-    Returns (direct closed form, composition through phi_to_f).
+    times the constant ratio.  It equals envelope_entire composed with the
+    argument rescaling from phi_to_f; envelope_phi_routes returns both routes
+    so tests can check that they agree.
     """
     abs_z = _require_positive(abs_z, "abs_z")
-    reduction, c, ql_poch = _phi_constants(params)
-    composed = envelope_entire(reduction.params, abs_z * abs(reduction.scale))
-
+    c, ql_poch = _phi_constants(params)
     m = params.confluence_order
     q = params.q
     lz = math.log(abs_z)
@@ -200,8 +183,17 @@ def envelope_phi_routes(params: PhiParams, abs_z: float) -> tuple[EnvelopeResult
     prefactor_log = -math.log(ql_poch) + 0.5 * lz + (3.0 * (-m) / 8.0) * lq
     shifted = lz + (-m / 2.0) * lq
     exponent_term = shifted * shifted / (2.0 * (-m) * lq)
-    direct = _assemble(c, prefactor_log, exponent_term)
-    return direct, composed
+    return _assemble(c, prefactor_log, exponent_term)
+
+
+def envelope_phi_routes(params: PhiParams, abs_z: float) -> tuple[EnvelopeResult, EnvelopeResult]:
+    """Both envelope routes for the confluent hypergeometric sum.
+
+    Returns (envelope_phi, envelope_entire composed through phi_to_f).
+    """
+    direct = envelope_phi(params, abs_z)
+    reduction = phi_to_f(params)
+    return direct, envelope_entire(reduction.params, abs_z * abs(reduction.scale))
 
 
 def envelope_aq_gaussian(q: QBase, abs_z: float) -> EnvelopeResult:
@@ -324,7 +316,9 @@ def laurent_weighted_constant(
     raise NonConvergentError(f"weighted constant did not settle within |k| <= {k_cap}")
 
 
-def envelope_theta(alpha: float, q: QBase, abs_z: float, tol: float = 1e-15) -> EnvelopeResult:
+def envelope_theta(
+    alpha: float, q: QBase, abs_z: float, tol: float = THETA_CONSTANT_TOL
+) -> EnvelopeResult:
     """Certified theta envelope c(alpha, q) exp(beta |log|z||^gamma).
 
     Symmetric under abs_z -> 1/abs_z since only |log abs_z| enters.
@@ -336,7 +330,7 @@ def envelope_theta(alpha: float, q: QBase, abs_z: float, tol: float = 1e-15) -> 
 
 
 def envelope_theta_as_printed(
-    alpha: float, q: QBase, abs_z: float, tol: float = 1e-15
+    alpha: float, q: QBase, abs_z: float, tol: float = THETA_CONSTANT_TOL
 ) -> EnvelopeResult:
     """Display variant c(alpha, q) exp(log^2|z| / (alpha log(1/q))).
 

@@ -7,9 +7,8 @@ output is CSV (default) or JSON with a fixed column order, reproducible byte
 for byte for a fixed seed.
 
 Exit codes: 0 success with all audits passing, 1 at least one audit record
-failed, 2 usage or validation errors.  QINEQ_THREADS, when set, must be a
-positive integer; it is validated but not yet effective (audits always run on
-a single worker).
+failed, 2 usage or validation errors or an output file that cannot be
+written.
 """
 
 from __future__ import annotations
@@ -17,13 +16,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 from . import bounds
 from .errors import InvalidArgumentError, QSeriesError
 from .qcore import QBase
 from .series import (
+    LAURENT_K_CAP,
     ConfluentParams,
     LaurentSpec,
     PhiParams,
@@ -34,6 +33,8 @@ from .series import (
     eval_theta,
 )
 from .verify import (
+    DEFAULT_SLACK,
+    DEFAULT_TOL,
     SweepPlan,
     audit_envelope,
     audit_summary,
@@ -112,8 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", type=float, default=None, help="decay exponent (theta, laurent)")
         p.add_argument("--c-weighted", type=float, default=None,
                        help="override the weighted-coefficient constant (laurent)")
-        p.add_argument("--k-cap", type=int, default=10_000, help="Laurent index cap")
-        p.add_argument("--tol", type=float, default=1e-14)
+        p.add_argument("--k-cap", type=int, default=LAURENT_K_CAP, help="Laurent index cap")
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     p_eval = sub.add_parser("eval", help="evaluate a function at one point")
     add_common(p_eval, with_z=True)
@@ -134,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--draws", type=int, default=0,
                          help="random parameter draws instead of fixed parameters (f, phi)")
     p_audit.add_argument("--seed", type=int, default=0)
-    p_audit.add_argument("--slack", type=float, default=1e-12)
+    p_audit.add_argument("--slack", type=float, default=DEFAULT_SLACK)
     p_audit.add_argument("--out", default=None, help="output path (default: stdout)")
     p_audit.add_argument("--format", choices=("csv", "json"), default="csv")
     p_audit.set_defaults(handler=_cmd_audit)
@@ -146,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ident.add_argument("--z", type=parse_complex, default=None)
     p_ident.add_argument("--a", type=parse_complex, default=None)
     p_ident.add_argument("--l", type=float, default=None)
-    p_ident.add_argument("--tol", type=float, default=1e-14)
+    p_ident.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_ident.set_defaults(handler=_cmd_identity)
 
     return parser
@@ -177,7 +178,7 @@ def _laurent_from_args(args, qb: QBase) -> LaurentSpec:
     alpha = _need(args, "alpha", "--alpha", "--function laurent")
     c = args.c_weighted
     if c is None:
-        c = bounds.theta_weighted_constant(alpha, qb, 1e-15)
+        c = bounds.theta_weighted_constant(alpha, qb, bounds.THETA_CONSTANT_TOL)
     return LaurentSpec(
         center=0.0 + 0.0j,
         coeff=_theta_stream(qb),
@@ -315,16 +316,12 @@ def _cmd_audit(args) -> int:
     else:
         records = audit_envelope(plan, "laurent", _laurent_from_args(args, qb))
 
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            if args.format == "csv":
-                _write_csv(records, handle)
-            else:
-                _write_json(records, handle)
-    elif args.format == "csv":
-        _write_csv(records, sys.stdout)
+    write = _write_csv if args.format == "csv" else _write_json
+    if args.out is None:
+        write(records, sys.stdout)
     else:
-        _write_json(records, sys.stdout)
+        with open(args.out, "w", encoding="utf-8", newline="") as handle:
+            write(records, handle)
 
     summary = audit_summary(records)
     print(
@@ -360,16 +357,9 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    threads = os.environ.get("QINEQ_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            return _usage_error(f"QINEQ_THREADS must be a positive integer, got {threads!r}")
     try:
         return args.handler(args)
-    except QSeriesError as exc:
+    except (QSeriesError, OSError) as exc:
         return _usage_error(str(exc))
 
 

@@ -31,6 +31,7 @@ from .qcore import QBase
 MIN_STOP_INDEX = 8
 TERM_CAP = 100_000
 TWO_SIDED_CAP = 1_000_000
+LAURENT_K_CAP = 10_000
 _LOG_HALF = math.log(0.5)
 
 
@@ -115,12 +116,11 @@ class EvalResult:
 class PhiReduction:
     """Rewrite of a confluent hypergeometric sum as a Gaussian-weighted series.
 
-    ``argument_map`` sends the original argument to the one the reduced
-    series must be evaluated at; ``scale`` is the constant it multiplies by.
+    phi(z) = f(scale * z), where f is the series with ``params``.  A plain
+    value: reductions of equal parameter sets compare equal.
     """
 
     params: ConfluentParams
-    argument_map: Callable[[complex], complex]
     scale: complex
 
 
@@ -139,7 +139,7 @@ class LaurentSpec:
     alpha: float
     q: QBase
     c_weighted: float
-    k_cap: int = 10_000
+    k_cap: int = LAURENT_K_CAP
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
@@ -198,6 +198,51 @@ def _certified_sum(
     raise NonConvergentError(f"no certified stop within {TERM_CAP} terms")
 
 
+def _eval_gaussian(
+    a_list: tuple[complex, ...],
+    b_list: tuple[float, ...],
+    q: float,
+    l: float,
+    shift: int,
+    z: complex,
+    tol: float,
+    force_terms: int | None,
+) -> EvalResult:
+    """Sum the one-sided series whose term ratio is
+
+        prod_i (1 - a_i q^k) q^{l(2k+shift)} z / ((1 - q^{k+1}) prod_j (1 - b_j q^k)),
+
+    certifying the tail through the same weight q^{l(2K+shift)} in rho_K.
+    """
+    _require_pos_tol(tol)
+    z = complex(z)
+    if z == 0:
+        return EvalResult(value=1.0 + 0.0j, terms_used=1, tail_bound=0.0, converged=True)
+    abs_z = abs(z)
+    num_cap = 1.0
+    for a in a_list:
+        num_cap *= 1.0 + abs(a)
+    den_floor = 1.0
+    for b in b_list:
+        den_floor *= 1.0 - b
+
+    def ratio(k: int) -> complex:
+        qk = q**k
+        num: complex = 1.0 + 0.0j
+        for a in a_list:
+            num *= 1.0 - a * qk
+        den: complex = 1.0 - q ** (k + 1)
+        for b in b_list:
+            den *= 1.0 - b * qk
+        return num * q ** (l * (2 * k + shift)) * z / den
+
+    def rho(k: int) -> float:
+        return q ** (l * (2 * k + shift)) * abs_z * num_cap / ((1.0 - q ** (k + 1)) * den_floor)
+
+    value, used, tail = _certified_sum(ratio, rho, tol, force_terms)
+    return EvalResult(value=value, terms_used=used, tail_bound=tail, converged=True)
+
+
 def eval_confluent_f(
     params: ConfluentParams,
     z: complex,
@@ -212,35 +257,7 @@ def eval_confluent_f(
 
     which decreases to 0 because of the q^{l k^2} weight.
     """
-    _require_pos_tol(tol)
-    z = complex(z)
-    if z == 0:
-        return EvalResult(value=1.0 + 0.0j, terms_used=1, tail_bound=0.0, converged=True)
-    q = params.q.q
-    l = params.l
-    abs_z = abs(z)
-    num_cap = 1.0
-    for a in params.a_list:
-        num_cap *= 1.0 + abs(a)
-    den_floor = 1.0
-    for b in params.b_list:
-        den_floor *= 1.0 - b
-
-    def ratio(k: int) -> complex:
-        qk = q**k
-        num: complex = 1.0 + 0.0j
-        for a in params.a_list:
-            num *= 1.0 - a * qk
-        den: complex = 1.0 - q ** (k + 1)
-        for b in params.b_list:
-            den *= 1.0 - b * qk
-        return num * q ** (l * (2 * k + 1)) * z / den
-
-    def rho(k: int) -> float:
-        return q ** (l * (2 * k + 1)) * abs_z * num_cap / ((1.0 - q ** (k + 1)) * den_floor)
-
-    value, used, tail = _certified_sum(ratio, rho, tol, _force_terms)
-    return EvalResult(value=value, terms_used=used, tail_bound=tail, converged=True)
+    return _eval_gaussian(params.a_list, params.b_list, params.q.q, params.l, 1, z, tol, _force_terms)
 
 
 def eval_phi(
@@ -252,38 +269,15 @@ def eval_phi(
     """Evaluate the confluent basic hypergeometric sum at z by direct summation.
 
     term_k = prod_i (a_i;q)_k / (prod_j (b_j;q)_k (q;q)_k) z^k (-1)^{km} q^{m k(k-1)/2}
-    with m = s + 1 - r.  Same truncation contract as eval_confluent_f.
+    with m = s + 1 - r, so the term ratio carries q^{mk} (-1)^m z: the one-sided
+    kernel with weight m/2 and shift 0 at (-1)^m z.  Same truncation contract
+    as eval_confluent_f.
     """
-    _require_pos_tol(tol)
-    z = complex(z)
-    if z == 0:
-        return EvalResult(value=1.0 + 0.0j, terms_used=1, tail_bound=0.0, converged=True)
-    q = params.q.q
     m = params.confluence_order
-    sign = -1.0 if m % 2 else 1.0
-    abs_z = abs(z)
-    num_cap = 1.0
-    for a in params.a_list:
-        num_cap *= 1.0 + abs(a)
-    den_floor = 1.0
-    for b in params.b_list:
-        den_floor *= 1.0 - b
-
-    def ratio(k: int) -> complex:
-        qk = q**k
-        num: complex = 1.0 + 0.0j
-        for a in params.a_list:
-            num *= 1.0 - a * qk
-        den: complex = 1.0 - q ** (k + 1)
-        for b in params.b_list:
-            den *= 1.0 - b * qk
-        return num * sign * q ** (m * k) * z / den
-
-    def rho(k: int) -> float:
-        return q ** (m * k) * abs_z * num_cap / ((1.0 - q ** (k + 1)) * den_floor)
-
-    value, used, tail = _certified_sum(ratio, rho, tol, _force_terms)
-    return EvalResult(value=value, terms_used=used, tail_bound=tail, converged=True)
+    z = complex(z)
+    if m % 2:
+        z = -z
+    return _eval_gaussian(params.a_list, params.b_list, params.q.q, m / 2.0, 0, z, tol, _force_terms)
 
 
 def phi_to_f(params: PhiParams) -> PhiReduction:
@@ -300,11 +294,7 @@ def phi_to_f(params: PhiParams) -> PhiReduction:
     l = m / 2.0
     scale = ((-1.0) ** m) * params.q.q ** (-l)
     reduced = ConfluentParams(a_list=params.a_list, b_list=params.b_list, l=l, q=params.q)
-
-    def argument_map(w: complex) -> complex:
-        return scale * complex(w)
-
-    return PhiReduction(params=reduced, argument_map=argument_map, scale=scale)
+    return PhiReduction(params=reduced, scale=scale)
 
 
 def eval_ramanujan_aq(q: QBase, z: complex, tol: float) -> EvalResult:

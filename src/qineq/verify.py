@@ -7,8 +7,7 @@ dominate, so all-pass is the expected outcome; failures are collected rather
 than raised, and records whose evaluation errored are marked and excluded
 from pass statistics.
 
-Sweep points are independent and could be processed concurrently; records are
-produced in plan order either way, so output is reproducible byte for byte
+Records are produced in plan order, so output is reproducible byte for byte
 for a fixed seed.
 """
 
@@ -195,7 +194,7 @@ def audit_target(function_tag: str, fixed_params) -> AuditTarget:
         )
     if function_tag == "theta":
         theta_q, alpha = fixed_params
-        log_c = math.log(bounds._theta_constant(alpha, theta_q, 1e-15))
+        log_c = math.log(bounds._theta_constant(alpha, theta_q, bounds.THETA_CONSTANT_TOL))
         merom = bounds._meromorphic_params(alpha, theta_q)
         return AuditTarget(
             function_tag=function_tag,

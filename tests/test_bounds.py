@@ -148,6 +148,16 @@ class TestEnvelopePhi:
             value = eval_phi(params, z, 1e-14).value
             assert _log_abs(value) <= env.log_bound + LOG_SLACK
 
+    def test_direct_route_does_not_compose(self, monkeypatch):
+        params = PhiParams(a_list=(0.4,), b_list=(0.1, 0.6), q=QBase(0.6))
+        want = [_bits(envelope_phi(params, abs_z)) for abs_z in MODULI]
+
+        def no_entire(p, abs_z):
+            raise AssertionError("envelope_phi composed through envelope_entire")
+
+        monkeypatch.setattr(bounds, "envelope_entire", no_entire)
+        assert [_bits(envelope_phi(params, abs_z)) for abs_z in MODULI] == want
+
     def test_routes_agree_sampled(self, rng):
         for _ in range(100):
             m = rng.choice((1, 2, 3))
@@ -427,16 +437,3 @@ class TestConstantCache:
             with pytest.raises(InvalidArgumentError):
                 envelope_theta(1.5, QBase(0.5), 2.0)
         assert bounds._theta_constant.cache_info().currsize == 0
-
-    def test_phi_route_disagreement_still_raises(self, monkeypatch):
-        params = PhiParams(a_list=(0.4,), b_list=(0.1, 0.6), q=QBase(0.6))
-        envelope_phi(params, 3.0)  # warm cache, routes agree
-        real_entire = bounds.envelope_entire
-
-        def shifted_entire(p, abs_z):
-            env = real_entire(p, abs_z)
-            return bounds._assemble(env.constant_c, env.prefactor_log, env.exponent_term + 1.0)
-
-        monkeypatch.setattr(bounds, "envelope_entire", shifted_entire)
-        with pytest.raises(NonConvergentError):
-            envelope_phi(params, 3.0)

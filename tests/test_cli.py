@@ -205,6 +205,19 @@ class TestAuditCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_unwritable_output_is_a_usage_error(self, tmp_path, capsys, fmt):
+        out = tmp_path / "missing" / "x.csv"
+        code = run(
+            ["audit", "--function", "aq", "--q", "0.5", "--grid", "1e-1:1e1:3",
+             "--format", fmt, "--out", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and str(out) in err
+        assert not out.parent.exists()
+
     def test_csv_rows_reevaluate(self, tmp_path):
         out = tmp_path / "draws.csv"
         code = run(
@@ -273,15 +286,6 @@ class TestIdentityCommand:
 
 
 class TestEnvironment:
-    def test_bad_thread_cap_rejected(self, capsys, monkeypatch):
-        monkeypatch.setenv("QINEQ_THREADS", "zero")
-        assert run(["eval", "--function", "aq", "--q", "0.5", "--z", "1+0i"]) == 2
-        assert "QINEQ_THREADS" in capsys.readouterr().err
-
-    def test_valid_thread_cap_accepted(self, monkeypatch):
-        monkeypatch.setenv("QINEQ_THREADS", "4")
-        assert run(["eval", "--function", "aq", "--q", "0.5", "--z", "1+0i"]) == 0
-
     def test_module_entry_point(self):
         env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
         proc = subprocess.run(

@@ -154,8 +154,14 @@ class TestPhiReduction:
     def test_basic_shape(self):
         red = phi_to_f(PhiParams((), (), QBase(0.5)))
         assert red.params.l == 0.5
-        assert cmath.isclose(red.argument_map(1.0), -(0.5**-0.5))
-        assert cmath.isclose(red.argument_map(2.0j), -(0.5**-0.5) * 2.0j)
+        assert cmath.isclose(red.scale * 1.0, -(0.5**-0.5))
+        assert cmath.isclose(red.scale * 2.0j, -(0.5**-0.5) * 2.0j)
+
+    def test_equal_parameters_give_equal_reductions(self):
+        params = PhiParams(a_list=(0.4 + 0.1j,), b_list=(0.1, 0.6), q=QBase(0.6))
+        again = PhiParams(params.a_list, params.b_list, params.q)
+        assert again is not params
+        assert phi_to_f(params) == phi_to_f(again)
 
     def test_weight_from_shape(self):
         params = PhiParams(a_list=(0.1,), b_list=(0.2, 0.3), q=QBase(0.5))
@@ -166,7 +172,7 @@ class TestPhiReduction:
         red = phi_to_f(params)
         z = 0.7 + 0.1j
         lhs = eval_phi(params, z, 1e-14).value
-        rhs = eval_confluent_f(red.params, red.argument_map(z), 1e-14).value
+        rhs = eval_confluent_f(red.params, red.scale * z, 1e-14).value
         assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(lhs))
 
     def test_pointwise_equality_sampled(self, rng):
@@ -183,7 +189,7 @@ class TestPhiReduction:
             red = phi_to_f(params)
             z = _rand_point(rng, 1e-3, 10.0)
             lhs = eval_phi(params, z, 1e-14).value
-            rhs = eval_confluent_f(red.params, red.argument_map(z), 1e-14).value
+            rhs = eval_confluent_f(red.params, red.scale * z, 1e-14).value
             assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(lhs))
 
 
