@@ -16,6 +16,11 @@ gives exp(beta |log|z - a||^gamma) with
     beta = alpha / ((alpha+1)^{1+1/alpha} log^{1/alpha}(1/q)),
     gamma = (alpha+1)/alpha.
 
+The last pieces are written once, in term_peak and
+MeromorphicBoundParams.exponent; verify.audit_target calls the same two, so
+an audit certifies exactly the log_bound that envelope_entire and
+envelope_meromorphic report.
+
 Each envelope is a constant times a closed form in |z|.  The constants that
 do not depend on |z| (constant_c and (q^l;q)_inf, (q;q)_inf, the theta
 weighted constant, beta and gamma) are computed once per parameter set and
@@ -82,15 +87,17 @@ def _assemble(constant_c: float, prefactor_log: float, exponent_term: float) -> 
 class MeromorphicBoundParams:
     """Derived exponent data for the two-sided envelope.
 
-    gamma = (alpha+1)/alpha > 1 and beta > 0 always; ``c_weighted`` stays
-    unset until a coefficient stream supplies it.
+    gamma = (alpha+1)/alpha > 1 and beta > 0 always.
     """
 
     alpha: float
     q: QBase
     beta: float
     gamma: float
-    c_weighted: float | None = None
+
+    def exponent(self, dist: float) -> float:
+        """Log of the closed-form term maximum, beta |log dist|^gamma."""
+        return self.beta * abs(math.log(dist)) ** self.gamma
 
 
 def _require_positive(value: float, name: str) -> float:
@@ -151,16 +158,11 @@ def envelope_entire(params: ConfluentParams, abs_z: float) -> EnvelopeResult:
     """Envelope of the Gaussian-weighted entire class on the circle |z| = abs_z.
 
     log bound = log(constant_c) - log((q^l;q)_inf) + term_peak(abs_z, l, q),
-    valid for every nonzero z of that modulus.
+    valid for every nonzero z of that modulus; prefactor_log is
+    -log((q^l;q)_inf) and exponent_term is the term peak.
     """
-    abs_z = _require_positive(abs_z, "abs_z")
     c, ql_poch = _entire_constants(params)
-    q = params.q
-    lz = math.log(abs_z)
-    lq = q.log_q
-    prefactor_log = -math.log(ql_poch) + 0.5 * lz - 0.25 * params.l * lq
-    exponent_term = -lz * lz / (4.0 * params.l * lq)
-    return _assemble(c, prefactor_log, exponent_term)
+    return _assemble(c, -math.log(ql_poch), term_peak(abs_z, params.l, params.q))
 
 
 def envelope_phi(params: PhiParams, abs_z: float) -> EnvelopeResult:
@@ -234,8 +236,7 @@ def envelope_meromorphic(
     """Two-sided envelope c_weighted exp(beta |log dist|^gamma) at |z - a| = dist."""
     c_weighted = _require_positive(c_weighted, "c_weighted")
     dist = _require_positive(dist, "dist")
-    exponent_term = params.beta * abs(math.log(dist)) ** params.gamma
-    return _assemble(c_weighted, 0.0, exponent_term)
+    return _assemble(c_weighted, 0.0, params.exponent(dist))
 
 
 def theta_weighted_constant(alpha: float, q: QBase, tol: float) -> float:
@@ -339,8 +340,6 @@ def envelope_theta_as_printed(
     kept for comparison only and excluded from certification sweeps.
     """
     abs_z = _require_positive(abs_z, "abs_z")
-    if not 0.0 < alpha < 1.0:
-        raise InvalidArgumentError(f"alpha must lie in (0, 1), got {alpha!r}")
     c = _theta_constant(alpha, q, tol)
     lz = math.log(abs_z)
     exponent_term = lz * lz / (alpha * q.log_inv_q)

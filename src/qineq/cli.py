@@ -4,7 +4,7 @@ Complex literals use the shell-safe form <re>[+|-]<im>i (a plain real is
 accepted as zero-imaginary); pass negatives as --z=-1+0i so the leading dash
 is not read as a flag.  Modulus grids are log-spaced lo:hi:count.  Audit
 output is CSV (default) or JSON with a fixed column order, reproducible byte
-for byte for a fixed seed.
+for byte for a fixed seed; errored records have null measurements in JSON.
 
 Exit codes: 0 success with all audits passing, 1 at least one audit record
 failed, 2 usage or validation errors or an output file that cannot be
@@ -275,16 +275,16 @@ def _write_json(records, stream) -> None:
             "param_digest": r.param_digest,
             "re_z": r.z.real,
             "im_z": r.z.imag,
-            "abs_value": r.abs_value,
-            "envelope_log": r.envelope_log,
-            "ratio": r.ratio,
+            "abs_value": None if r.error else r.abs_value,
+            "envelope_log": None if r.error else r.envelope_log,
+            "ratio": None if r.error else r.ratio,
             "pass": r.passed,
             "terms_used": r.terms_used,
-            "tail_bound": r.tail_bound,
+            "tail_bound": None if r.error else r.tail_bound,
         }
         for r in records
     ]
-    json.dump(payload, stream, indent=2)
+    json.dump(payload, stream, indent=2, allow_nan=False)
     stream.write("\n")
 
 

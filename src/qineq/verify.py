@@ -203,7 +203,7 @@ def audit_target(function_tag: str, fixed_params) -> AuditTarget:
             param_digest=f"alpha={float(alpha)!r}",
             center=0.0 + 0.0j,
             evaluate=lambda z, tol: eval_theta(theta_q, z, tol),
-            envelope_log=lambda abs_z: log_c + merom.beta * abs(math.log(abs_z)) ** merom.gamma,
+            envelope_log=lambda abs_z: log_c + merom.exponent(abs_z),
         )
     if function_tag == "laurent":
         spec: LaurentSpec = fixed_params
@@ -216,9 +216,23 @@ def audit_target(function_tag: str, fixed_params) -> AuditTarget:
             param_digest=f"alpha={spec.alpha!r};c_weighted={spec.c_weighted!r}",
             center=spec.center,
             evaluate=lambda z, tol: eval_laurent(spec, z, tol),
-            envelope_log=lambda dist: log_c + merom.beta * abs(math.log(dist)) ** merom.gamma,
+            envelope_log=lambda dist: log_c + merom.exponent(dist),
         )
     raise InvalidArgumentError(f"unknown function tag {function_tag!r}; expected {FUNCTION_TAGS}")
+
+
+def _measure(
+    target: AuditTarget, z: complex, abs_z: float, tol: float
+) -> tuple[EvalResult, float, float, float, float]:
+    """(result, |value|, envelope_log, log|value|, clamped ratio) of the target at z."""
+    result = target.evaluate(z, tol)
+    envelope_log = target.envelope_log(abs_z)
+    abs_value = abs(result.value)
+    if abs_value == 0.0:
+        return result, abs_value, envelope_log, -math.inf, 0.0
+    log_value = math.log(abs_value)
+    ratio = math.exp(min(log_value - envelope_log, bounds._MAX_LOG))
+    return result, abs_value, envelope_log, log_value, ratio
 
 
 def _record(
@@ -226,8 +240,7 @@ def _record(
 ) -> AuditRecord:
     z = target.center + abs_z * complex(math.cos(angle), math.sin(angle))
     try:
-        result = target.evaluate(z, tol)
-        envelope_log = target.envelope_log(abs_z)
+        result, abs_value, envelope_log, log_value, ratio = _measure(target, z, abs_z, tol)
     except QSeriesError as exc:
         return AuditRecord(
             function_tag=target.function_tag,
@@ -243,13 +256,6 @@ def _record(
             tail_bound=math.nan,
             error=str(exc) or exc.__class__.__name__,
         )
-    abs_value = abs(result.value)
-    if abs_value == 0.0:
-        log_value = -math.inf
-        ratio = 0.0
-    else:
-        log_value = math.log(abs_value)
-        ratio = math.exp(min(log_value - envelope_log, bounds._MAX_LOG))
     return AuditRecord(
         function_tag=target.function_tag,
         q=target.q,
@@ -385,48 +391,42 @@ def tightness_search(
 
     def ratio_at(abs_z: float, angle: float) -> float:
         z = target.center + abs_z * complex(math.cos(angle), math.sin(angle))
-        abs_value = abs(target.evaluate(z, tol).value)
-        if abs_value == 0.0:
-            return 0.0
-        return math.exp(min(math.log(abs_value) - target.envelope_log(abs_z), bounds._MAX_LOG))
+        return _measure(target, z, abs_z, tol)[4]
 
     best_ratio = -1.0
     best_r = radii[0]
     best_angle = angles[0]
-    spent = 0
     for r in radii:
         for ang in angles:
             rho = ratio_at(r, ang)
-            spent += 1
             if rho > best_ratio:
                 best_ratio, best_r, best_angle = rho, r, ang
     i = radii.index(best_r)
     a = math.log(radii[max(0, i - 1)])
     b = math.log(radii[min(len(radii) - 1, i + 1)])
-    remaining = budget - spent
+    remaining = budget - len(radii) * len(angles)
     if remaining >= 2 and b > a:
         invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        x1 = b - invphi * (b - a)
-        x2 = a + invphi * (b - a)
-        f1 = ratio_at(math.exp(x1), best_angle)
-        f2 = ratio_at(math.exp(x2), best_angle)
-        remaining -= 2
-        for x, f in ((x1, f1), (x2, f2)):
+
+        def probe(x: float) -> float:
+            nonlocal best_ratio, best_r
+            f = ratio_at(math.exp(x), best_angle)
             if f > best_ratio:
                 best_ratio, best_r = f, math.exp(x)
+            return f
+
+        x1, x2 = b - invphi * (b - a), a + invphi * (b - a)
+        f1, f2 = probe(x1), probe(x2)
+        remaining -= 2
         while remaining > 0:
             if f1 < f2:
                 a, x1, f1 = x1, x2, f2
                 x2 = a + invphi * (b - a)
-                f2 = ratio_at(math.exp(x2), best_angle)
-                if f2 > best_ratio:
-                    best_ratio, best_r = f2, math.exp(x2)
+                f2 = probe(x2)
             else:
                 b, x2, f2 = x2, x1, f1
                 x1 = b - invphi * (b - a)
-                f1 = ratio_at(math.exp(x1), best_angle)
-                if f1 > best_ratio:
-                    best_ratio, best_r = f1, math.exp(x1)
+                f1 = probe(x1)
             remaining -= 1
     return best_r, best_angle, best_ratio
 

@@ -9,6 +9,7 @@ from qineq import (
     PhiParams,
     QBase,
     constant_c,
+    draw_confluent_params,
     envelope_aq_exponential,
     envelope_aq_gaussian,
     envelope_entire,
@@ -113,6 +114,15 @@ class TestEnvelopeEntire:
     def test_component_breakdown(self):
         env = envelope_entire(_entire(0.3, l=1.5, b=(0.4,)), 7.0)
         assert env.log_bound == math.log(env.constant_c) + env.prefactor_log + env.exponent_term
+
+    def test_exponent_term_is_term_peak(self, rng):
+        for _ in range(500):
+            params = draw_confluent_params(rng)
+            for _ in range(4):
+                r = math.exp(rng.uniform(math.log(1e-6), math.log(1e8)))
+                env = envelope_entire(params, r)
+                assert env.exponent_term.hex() == term_peak(r, params.l, params.q).hex()
+                assert env.prefactor_log.hex() == (-math.log(bounds._entire_constants(params)[1])).hex()
 
     def test_overflow_marker(self):
         env = envelope_entire(_entire(0.5), 1e300)
@@ -237,7 +247,6 @@ class TestMeromorphicParams:
             params = meromorphic_bound_params(rng.uniform(1e-3, 10.0), QBase(rng.uniform(0.05, 0.95)))
             assert params.beta > 0.0
             assert params.gamma > 1.0
-            assert params.c_weighted is None
 
 
 class TestEnvelopeMeromorphic:
@@ -371,12 +380,8 @@ class TestConstantCache:
             envelope_entire(params, abs_z)
         c = constant_c(params)
         ql_poch = pochhammer_infinite(params.q.q**params.l, params.q, 1e-16).value
-        lq = params.q.log_q
         for abs_z in MODULI:
-            lz = math.log(abs_z)
-            prefactor_log = -math.log(ql_poch) + 0.5 * lz - 0.25 * params.l * lq
-            exponent_term = -lz * lz / (4.0 * params.l * lq)
-            want = bounds._assemble(c, prefactor_log, exponent_term)
+            want = bounds._assemble(c, -math.log(ql_poch), term_peak(abs_z, params.l, params.q))
             assert _bits(envelope_entire(params, abs_z)) == _bits(want)
 
     def test_phi_warm_cache_matches_direct_constants(self):

@@ -198,6 +198,23 @@ class TestAuditCommand:
         assert len(rows) == 328
         assert sum(row["abs_value"] == "nan" for row in rows) == 152
 
+        code = run(
+            ["audit", "--function", "phi", "--q", "0.99", "--a=0.5", "--b", "0.3",
+             "--grid", "1e-4:1e6:41", "--angles", "8", "--format", "json"]
+        )
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert len(payload) == 328
+        errored = [row for row in payload if row["abs_value"] is None]
+        assert len(errored) == 152
+        for row in errored:
+            assert row["envelope_log"] is None and row["ratio"] is None
+            assert row["tail_bound"] is None and row["pass"] is False
+
     def test_draws_rejected_for_theta(self, capsys):
         code = run(
             ["audit", "--function", "theta", "--q", "0.3", "--alpha", "0.5",

@@ -231,6 +231,45 @@ class TestSharedEnvelopeConstants:
         assert all(rc == 0 and out.count("\n") > 20 for rc, out in cold)
 
 
+def _draw_public_envelope(tag, rng):
+    """Random fixed parameters for ``tag`` and the public envelope's log_bound at a modulus."""
+    if tag == "confluent_f":
+        params = draw_confluent_params(rng)
+        return params, lambda r: bounds.envelope_entire(params, r).log_bound
+    if tag == "phi":
+        params = draw_phi_params(rng)
+        return params, lambda r: bounds.envelope_phi_routes(params, r)[1].log_bound
+    base = QBase(rng.uniform(0.05, 0.99))
+    if tag == "aq":
+        return base, lambda r: bounds.envelope_aq_gaussian(base, r).log_bound
+    if tag == "theta":
+        alpha = rng.uniform(0.05, 0.95)
+        return (base, alpha), lambda r: bounds.envelope_theta(alpha, base, r).log_bound
+    spec = LaurentSpec(
+        center=0.0,
+        coeff=lambda k: base.q ** (k * k),
+        alpha=rng.uniform(0.1, 3.0),
+        q=base,
+        c_weighted=math.exp(rng.uniform(-3.0, 3.0)),
+    )
+    merom = bounds.meromorphic_bound_params(spec.alpha, base)
+    return spec, lambda r: bounds.envelope_meromorphic(merom, spec.c_weighted, r).log_bound
+
+
+class TestAuditCertifiesPublicEnvelope:
+    @pytest.mark.parametrize("tag", verify.FUNCTION_TAGS)
+    def test_envelope_log_is_the_public_log_bound(self, rng, tag):
+        # 250 parameter sets x 8 moduli = 2000 (params, |z|) pairs per tag.
+        mismatches = 0
+        for _ in range(250):
+            params, public_log_bound = _draw_public_envelope(tag, rng)
+            target = audit_target(tag, params)
+            for _ in range(8):
+                r = math.exp(rng.uniform(math.log(1e-6), math.log(1e8)))
+                mismatches += target.envelope_log(r).hex() != public_log_bound(r).hex()
+        assert mismatches == 0
+
+
 class TestTightnessSearch:
     def test_constant_stream_attains_equality(self):
         best_r, best_angle, best_ratio = tightness_search(
