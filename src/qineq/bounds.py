@@ -17,18 +17,18 @@ gives exp(beta |log|z - a||^gamma) with
     gamma = (alpha+1)/alpha.
 
 The last pieces are written once, in term_peak and
-MeromorphicBoundParams.exponent; verify.audit_target calls the same two, so
-an audit certifies exactly the log_bound that envelope_entire and
-envelope_meromorphic report.
+MeromorphicBoundParams.exponent.  envelope_phi is the entire-class envelope
+of its phi_to_f reduction at the rescaled modulus, and verify.audit_target
+calls the same functions on the same cached constants, so an audit certifies
+exactly the log_bound that every public envelope reports.
 
 Each envelope is a constant times a closed form in |z|.  The constants that
-do not depend on |z| (constant_c and (q^l;q)_inf, (q;q)_inf, the theta
-weighted constant, beta and gamma) are computed once per parameter set and
-kept in bounded, thread-safe least-recently-used caches keyed on the frozen
-parameter objects, so tabulating an envelope over many moduli pays for them
-once.  Values are unchanged: the per-|z| arithmetic runs in the same order
-on the same constants.  Exceptions are not cached, so invalid parameters
-raise on every call.
+do not depend on |z| (constant_c and (q^l;q)_inf, the phi reduction's l and
+|scale|, (q;q)_inf, the theta weighted constant, beta and gamma) are
+computed once per parameter set and kept in bounded, thread-safe
+least-recently-used caches keyed on the frozen parameter objects, so
+tabulating an envelope over many moduli pays for them once.  Exceptions are
+not cached, so invalid parameters raise on every call.
 """
 
 from __future__ import annotations
@@ -87,11 +87,10 @@ def _assemble(constant_c: float, prefactor_log: float, exponent_term: float) -> 
 class MeromorphicBoundParams:
     """Derived exponent data for the two-sided envelope.
 
-    gamma = (alpha+1)/alpha > 1 and beta > 0 always.
+    Built by meromorphic_bound_params from alpha and q: gamma =
+    (alpha+1)/alpha > 1 and beta > 0 always.
     """
 
-    alpha: float
-    q: QBase
     beta: float
     gamma: float
 
@@ -143,9 +142,14 @@ def _entire_constants(params: ConfluentParams) -> tuple[float, float]:
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _phi_constants(params: PhiParams) -> tuple[float, float]:
-    """Entire-class constants of the phi_to_f reduction, cached per parameter set."""
-    return _entire_constants(phi_to_f(params).params)
+def _phi_constants(params: PhiParams) -> tuple[float, float, float, float]:
+    """(constant_c, (q^l;q)_inf, l, |scale|) of the phi_to_f reduction.
+
+    Cached per parameter set.
+    """
+    reduction = phi_to_f(params)
+    c, ql_poch = _entire_constants(reduction.params)
+    return c, ql_poch, reduction.params.l, abs(reduction.scale)
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -168,32 +172,36 @@ def envelope_entire(params: ConfluentParams, abs_z: float) -> EnvelopeResult:
 def envelope_phi(params: PhiParams, abs_z: float) -> EnvelopeResult:
     """Envelope of the confluent hypergeometric sum on the circle |z| = abs_z.
 
-    Returns the direct closed form
-
-        (|z|^2 q^{3(r-s-1)/2})^{1/4} exp(log^2[|z| q^{(r-s-1)/2}] / (2(r-s-1) log q))
-
-    times the constant ratio.  It equals envelope_entire composed with the
-    argument rescaling from phi_to_f; envelope_phi_routes returns both routes
-    so tests can check that they agree.
+    With phi(z) = f(scale * z) from phi_to_f, this is the entire-class
+    envelope of the reduction at |scale| abs_z: prefactor_log is
+    -log((q^l;q)_inf) and exponent_term is term_peak(|scale| abs_z, l, q).
+    It is the arithmetic an audit certifies, read from cached constants.
     """
     abs_z = _require_positive(abs_z, "abs_z")
-    c, ql_poch = _phi_constants(params)
-    m = params.confluence_order
-    q = params.q
-    lz = math.log(abs_z)
-    lq = q.log_q
-    prefactor_log = -math.log(ql_poch) + 0.5 * lz + (3.0 * (-m) / 8.0) * lq
-    shifted = lz + (-m / 2.0) * lq
-    exponent_term = shifted * shifted / (2.0 * (-m) * lq)
-    return _assemble(c, prefactor_log, exponent_term)
+    c, ql_poch, l, scale = _phi_constants(params)
+    return _assemble(c, -math.log(ql_poch), term_peak(abs_z * scale, l, params.q))
 
 
 def envelope_phi_routes(params: PhiParams, abs_z: float) -> tuple[EnvelopeResult, EnvelopeResult]:
-    """Both envelope routes for the confluent hypergeometric sum.
+    """Two independent envelope routes for the confluent hypergeometric sum.
 
-    Returns (envelope_phi, envelope_entire composed through phi_to_f).
+    Returns (direct, composed).  The direct route is the closed form
+
+        (|z|^2 q^{3(r-s-1)/2})^{1/4} exp(log^2[|z| q^{(r-s-1)/2}] / (2(r-s-1) log q))
+
+    times the constant ratio; the composed route is envelope_entire of the
+    phi_to_f reduction at |scale| abs_z, which envelope_phi reports bit for
+    bit.  Tests compare the two.
     """
-    direct = envelope_phi(params, abs_z)
+    abs_z = _require_positive(abs_z, "abs_z")
+    c, ql_poch, _, _ = _phi_constants(params)
+    m = params.confluence_order
+    lz = math.log(abs_z)
+    lq = params.q.log_q
+    prefactor_log = -math.log(ql_poch) + 0.5 * lz + (3.0 * (-m) / 8.0) * lq
+    shifted = lz + (-m / 2.0) * lq
+    exponent_term = shifted * shifted / (2.0 * (-m) * lq)
+    direct = _assemble(c, prefactor_log, exponent_term)
     reduction = phi_to_f(params)
     return direct, envelope_entire(reduction.params, abs_z * abs(reduction.scale))
 
@@ -227,7 +235,7 @@ def meromorphic_bound_params(alpha: float, q: QBase) -> MeromorphicBoundParams:
     alpha = _require_positive(alpha, "alpha")
     beta = alpha / ((alpha + 1.0) ** (1.0 + 1.0 / alpha) * q.log_inv_q ** (1.0 / alpha))
     gamma = (alpha + 1.0) / alpha
-    return MeromorphicBoundParams(alpha=alpha, q=q, beta=beta, gamma=gamma)
+    return MeromorphicBoundParams(beta=beta, gamma=gamma)
 
 
 def envelope_meromorphic(
@@ -266,9 +274,9 @@ def _meromorphic_params(alpha: float, q: QBase) -> MeromorphicBoundParams:
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _theta_constant(alpha: float, q: QBase, tol: float) -> float:
-    """theta_weighted_constant, cached per (alpha, q, tol)."""
-    return theta_weighted_constant(alpha, q, tol)
+def _theta_constant(alpha: float, q: QBase) -> float:
+    """theta_weighted_constant at THETA_CONSTANT_TOL, cached per (alpha, q)."""
+    return theta_weighted_constant(alpha, q, THETA_CONSTANT_TOL)
 
 
 def laurent_weighted_constant(
@@ -317,30 +325,28 @@ def laurent_weighted_constant(
     raise NonConvergentError(f"weighted constant did not settle within |k| <= {k_cap}")
 
 
-def envelope_theta(
-    alpha: float, q: QBase, abs_z: float, tol: float = THETA_CONSTANT_TOL
-) -> EnvelopeResult:
+def envelope_theta(alpha: float, q: QBase, abs_z: float) -> EnvelopeResult:
     """Certified theta envelope c(alpha, q) exp(beta |log|z||^gamma).
 
-    Symmetric under abs_z -> 1/abs_z since only |log abs_z| enters.
+    c is theta_weighted_constant summed to THETA_CONSTANT_TOL.  Symmetric
+    under abs_z -> 1/abs_z since only |log abs_z| enters.
     """
     abs_z = _require_positive(abs_z, "abs_z")
-    c = _theta_constant(alpha, q, tol)
+    c = _theta_constant(alpha, q)
     params = _meromorphic_params(alpha, q)
     return envelope_meromorphic(params, c, abs_z)
 
 
-def envelope_theta_as_printed(
-    alpha: float, q: QBase, abs_z: float, tol: float = THETA_CONSTANT_TOL
-) -> EnvelopeResult:
+def envelope_theta_as_printed(alpha: float, q: QBase, abs_z: float) -> EnvelopeResult:
     """Display variant c(alpha, q) exp(log^2|z| / (alpha log(1/q))).
 
-    Unlike envelope_theta, this exponent is not produced by the
-    term-domination argument, so no domination certificate backs it; it is
-    kept for comparison only and excluded from certification sweeps.
+    c is the same constant as in envelope_theta.  Unlike envelope_theta's,
+    this exponent is not produced by the term-domination argument, so no
+    domination certificate backs it; it is kept for comparison only and
+    excluded from certification sweeps.
     """
     abs_z = _require_positive(abs_z, "abs_z")
-    c = _theta_constant(alpha, q, tol)
+    c = _theta_constant(alpha, q)
     lz = math.log(abs_z)
     exponent_term = lz * lz / (alpha * q.log_inv_q)
     return _assemble(c, 0.0, exponent_term)

@@ -6,9 +6,11 @@ is not read as a flag.  Modulus grids are log-spaced lo:hi:count.  Audit
 output is CSV (default) or JSON with a fixed column order, reproducible byte
 for byte for a fixed seed; errored records have null measurements in JSON.
 
-Exit codes: 0 success with all audits passing, 1 at least one audit record
-failed, 2 usage or validation errors or an output file that cannot be
-written.
+Exit codes: 0 success, and for audit that no record violated its envelope;
+1 at least one audit record failed; 2 usage or validation errors or an
+output file that cannot be written.  Audit records whose evaluation errored
+are neither passes nor failures: they leave the exit code alone and are
+counted in the summary line on stderr.
 """
 
 from __future__ import annotations
@@ -100,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_z: bool) -> None:
+    def add_common(p: argparse.ArgumentParser, with_z: bool, evaluates: bool) -> None:
         p.add_argument("--function", required=True, choices=("f", "phi", "aq", "theta", "laurent"))
         p.add_argument("--q", type=float, required=True, help="base, 0 < q < 1")
         if with_z:
@@ -113,15 +115,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", type=float, default=None, help="decay exponent (theta, laurent)")
         p.add_argument("--c-weighted", type=float, default=None,
                        help="override the weighted-coefficient constant (laurent)")
-        p.add_argument("--k-cap", type=int, default=LAURENT_K_CAP, help="Laurent index cap")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+        if evaluates:
+            p.add_argument("--k-cap", type=int, default=LAURENT_K_CAP, help="Laurent index cap")
+            p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     p_eval = sub.add_parser("eval", help="evaluate a function at one point")
-    add_common(p_eval, with_z=True)
+    add_common(p_eval, with_z=True, evaluates=True)
     p_eval.set_defaults(handler=_cmd_eval)
 
     p_env = sub.add_parser("envelope", help="closed-form envelope at one modulus")
-    add_common(p_env, with_z=False)
+    add_common(p_env, with_z=False, evaluates=False)
     p_env.add_argument("--abs-z", type=float, required=True, help="modulus |z| > 0")
     p_env.add_argument("--variant", choices=("gaussian", "exponential", "certified", "as-printed"),
                        default=None,
@@ -129,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_env.set_defaults(handler=_cmd_envelope)
 
     p_audit = sub.add_parser("audit", help="sweep a grid and certify domination")
-    add_common(p_audit, with_z=False)
+    add_common(p_audit, with_z=False, evaluates=True)
     p_audit.add_argument("--grid", type=parse_grid, required=True, help="log grid lo:hi:count")
     p_audit.add_argument("--angles", type=int, default=8)
     p_audit.add_argument("--draws", type=int, default=0,
@@ -174,11 +177,17 @@ def _phi_from_args(args, qb: QBase) -> PhiParams:
     return PhiParams(a_list=tuple(args.a or ()), b_list=tuple(args.b or ()), q=qb)
 
 
-def _laurent_from_args(args, qb: QBase) -> LaurentSpec:
+def _laurent_constant(args, qb: QBase) -> tuple[float, float]:
+    """(alpha, c_weighted); c_weighted defaults to the theta stream's constant."""
     alpha = _need(args, "alpha", "--alpha", "--function laurent")
     c = args.c_weighted
     if c is None:
         c = bounds.theta_weighted_constant(alpha, qb, bounds.THETA_CONSTANT_TOL)
+    return alpha, c
+
+
+def _laurent_from_args(args, qb: QBase) -> LaurentSpec:
+    alpha, c = _laurent_constant(args, qb)
     return LaurentSpec(
         center=0.0 + 0.0j,
         coeff=_theta_stream(qb),
@@ -205,7 +214,6 @@ def _cmd_eval(args) -> int:
     print(f"value = {format_complex(result.value)}")
     print(f"terms_used = {result.terms_used}")
     print(f"tail_bound = {result.tail_bound!r}")
-    print(f"converged = {'true' if result.converged else 'false'}")
     return 0
 
 
@@ -229,9 +237,9 @@ def _cmd_envelope(args) -> int:
         else:
             env = bounds.envelope_theta(alpha, qb, abs_z)
     else:
-        spec = _laurent_from_args(args, qb)
-        params = bounds.meromorphic_bound_params(spec.alpha, qb)
-        env = bounds.envelope_meromorphic(params, spec.c_weighted, abs_z)
+        alpha, c = _laurent_constant(args, qb)
+        params = bounds.meromorphic_bound_params(alpha, qb)
+        env = bounds.envelope_meromorphic(params, c, abs_z)
     print(f"bound = {env.bound!r}")
     print(f"log_bound = {env.log_bound!r}")
     print(f"constant_c = {env.constant_c!r}")

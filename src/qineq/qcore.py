@@ -22,31 +22,26 @@ FACTOR_CAP = 1_000_000
 
 @dataclass(frozen=True)
 class QBase:
-    """Validated base with 0 < q < 1.
+    """Validated base with 0 < q <= DEFAULT_MAX_Q < 1.
 
-    ``max_q`` guards against bases so close to 1 that factor counts explode;
-    it can be raised per instance but never to 1 or beyond.
+    The guard DEFAULT_MAX_Q rejects bases so close to 1 that factor counts
+    explode.
     """
 
     q: float
-    max_q: float = DEFAULT_MAX_Q
 
     def __post_init__(self) -> None:
         try:
             q = float(self.q)
-            max_q = float(self.max_q)
         except (TypeError, ValueError) as exc:
             raise InvalidArgumentError(f"base must be a real number, got {self.q!r}") from exc
         if not 0.0 < q < 1.0:
             raise InvalidArgumentError(f"base must satisfy 0 < q < 1, got {q!r}")
-        if not 0.0 < max_q < 1.0:
-            raise InvalidArgumentError(f"max_q must lie in (0, 1), got {max_q!r}")
-        if q > max_q:
+        if q > DEFAULT_MAX_Q:
             raise InvalidArgumentError(
-                f"base {q!r} exceeds the slow-convergence guard max_q={max_q!r}"
+                f"base {q!r} exceeds the slow-convergence guard max_q={DEFAULT_MAX_Q!r}"
             )
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "max_q", max_q)
 
     @property
     def log_q(self) -> float:
@@ -63,21 +58,14 @@ class QBase:
 class PochhammerValue:
     """A finite or truncated-infinite q-shifted factorial.
 
-    ``n_factors`` is the factor count of the defining product (``math.inf``
-    for the infinite product); ``factors_used`` is the count actually
-    multiplied, which equals ``n_factors`` in the finite case.
+    ``factors_used`` is the count of factors actually multiplied;
     ``tail_log_bound`` certifies |log(true / computed)| and is 0 for finite
     products.
     """
 
     value: complex | float
-    n_factors: int | float
     factors_used: int
     tail_log_bound: float = 0.0
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.n_factors == math.inf
 
 
 def pochhammer_finite(a: complex | float, q: QBase, n: int) -> PochhammerValue:
@@ -88,7 +76,7 @@ def pochhammer_finite(a: complex | float, q: QBase, n: int) -> PochhammerValue:
     value: complex | float = 1.0
     for k in range(n):
         value = value * (1.0 - a * qq**k)
-    return PochhammerValue(value=value, n_factors=n, factors_used=n)
+    return PochhammerValue(value=value, factors_used=n)
 
 
 def pochhammer_infinite(a: complex | float, q: QBase, tol: float) -> PochhammerValue:
@@ -131,9 +119,7 @@ def pochhammer_infinite(a: complex | float, q: QBase, tol: float) -> PochhammerV
         raise NonConvergentError("infinite product overflowed the double range")
     a_qn = abs_a * qq**n_trunc
     tail = a_qn / ((1.0 - qq) * (1.0 - a_qn))
-    return PochhammerValue(
-        value=value, n_factors=math.inf, factors_used=n_trunc, tail_log_bound=tail
-    )
+    return PochhammerValue(value=value, factors_used=n_trunc, tail_log_bound=tail)
 
 
 def multishifted(
@@ -160,12 +146,7 @@ def multishifted(
         used = max(used, part.factors_used)
     if not infinite:
         used = n if a_list else 0
-    return PochhammerValue(
-        value=value,
-        n_factors=math.inf if infinite else n,
-        factors_used=used,
-        tail_log_bound=tail,
-    )
+    return PochhammerValue(value=value, factors_used=used, tail_log_bound=tail)
 
 
 def q_binomial(n: int, k: int, q: QBase) -> float:

@@ -102,14 +102,13 @@ class PhiParams:
 class EvalResult:
     """A computed value plus its truncation certificate.
 
-    ``tail_bound`` bounds the modulus of everything omitted; ``converged``
-    records that the bound met tol * max(1, |value|).
+    ``tail_bound`` bounds the modulus of everything omitted.  It covers
+    truncation only, not rounding in the summation.
     """
 
     value: complex
     terms_used: int
     tail_bound: float
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -217,7 +216,7 @@ def _eval_gaussian(
     _require_pos_tol(tol)
     z = complex(z)
     if z == 0:
-        return EvalResult(value=1.0 + 0.0j, terms_used=1, tail_bound=0.0, converged=True)
+        return EvalResult(value=1.0 + 0.0j, terms_used=1, tail_bound=0.0)
     abs_z = abs(z)
     num_cap = 1.0
     for a in a_list:
@@ -240,7 +239,7 @@ def _eval_gaussian(
         return q ** (l * (2 * k + shift)) * abs_z * num_cap / ((1.0 - q ** (k + 1)) * den_floor)
 
     value, used, tail = _certified_sum(ratio, rho, tol, force_terms)
-    return EvalResult(value=value, terms_used=used, tail_bound=tail, converged=True)
+    return EvalResult(value=value, terms_used=used, tail_bound=tail)
 
 
 def eval_confluent_f(
@@ -356,7 +355,7 @@ def eval_theta(
         value += plus + minus
     if not abs(value) < math.inf:
         raise NonConvergentError("theta sum overflowed the double range")
-    return EvalResult(value=value, terms_used=2 * k_stop + 1, tail_bound=tail, converged=True)
+    return EvalResult(value=value, terms_used=2 * k_stop + 1, tail_bound=tail)
 
 
 def eval_laurent(
@@ -404,9 +403,7 @@ def eval_laurent(
             raise NonConvergentError("Laurent sum overflowed the double range")
         if _force_k is not None:
             if k >= _force_k:
-                return EvalResult(
-                    value=partial, terms_used=2 * k + 1, tail_bound=0.0, converged=True
-                )
+                return EvalResult(value=partial, terms_used=2 * k + 1, tail_bound=0.0)
             continue
         decay = ap1 * k**alpha * lq
         if decay + log_m > _LOG_HALF:
@@ -422,8 +419,5 @@ def eval_laurent(
         tail_log = log_c + hi + math.log1p(math.exp(min(wing_logs) - hi))
         if tail_log <= math.log(tol * max(1.0, abs(partial))):
             return EvalResult(
-                value=partial,
-                terms_used=2 * k + 1,
-                tail_bound=math.exp(tail_log),
-                converged=True,
+                value=partial, terms_used=2 * k + 1, tail_bound=math.exp(tail_log)
             )

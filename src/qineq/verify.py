@@ -194,7 +194,7 @@ def audit_target(function_tag: str, fixed_params) -> AuditTarget:
         )
     if function_tag == "theta":
         theta_q, alpha = fixed_params
-        log_c = math.log(bounds._theta_constant(alpha, theta_q, bounds.THETA_CONSTANT_TOL))
+        log_c = math.log(bounds._theta_constant(alpha, theta_q))
         merom = bounds._meromorphic_params(alpha, theta_q)
         return AuditTarget(
             function_tag=function_tag,
@@ -277,10 +277,10 @@ def _draw_disk(rng: random.Random, radius: float) -> complex:
     return complex(r * math.cos(ang), r * math.sin(ang))
 
 
-def draw_confluent_params(rng: random.Random, q: QBase | None = None) -> ConfluentParams:
-    """One random parameter set: a_i on the disk |a| <= 2, b_j in [0, 0.95],
-    l from {0.5, 1, 1.5, 2.5} and q uniform on [0.05, 0.95] unless given."""
-    qb = q if q is not None else QBase(rng.uniform(0.05, 0.95))
+def draw_confluent_params(rng: random.Random) -> ConfluentParams:
+    """One random parameter set: q uniform on [0.05, 0.95], a_i on the disk
+    |a| <= 2, b_j in [0, 0.95] and l from {0.5, 1, 1.5, 2.5}."""
+    qb = QBase(rng.uniform(0.05, 0.95))
     r = rng.randint(0, 2)
     s = rng.randint(0, 3)
     a = tuple(_draw_disk(rng, 2.0) for _ in range(r))
@@ -288,15 +288,12 @@ def draw_confluent_params(rng: random.Random, q: QBase | None = None) -> Conflue
     return ConfluentParams(a_list=a, b_list=b, l=rng.choice(L_CHOICES), q=qb)
 
 
-def draw_phi_params(
-    rng: random.Random,
-    q: QBase | None = None,
-    order_choices: tuple[int, ...] = (1, 2, 3),
-) -> PhiParams:
-    """One random confluent hypergeometric parameter set with
-    s + 1 - r drawn from order_choices and r <= 2, s <= 3."""
-    qb = q if q is not None else QBase(rng.uniform(0.05, 0.95))
-    m = rng.choice(order_choices)
+def draw_phi_params(rng: random.Random) -> PhiParams:
+    """One random confluent hypergeometric parameter set: q uniform on
+    [0.05, 0.95], s + 1 - r from {1, 2, 3}, r <= 2, s <= 3, a_i on the disk
+    |a| <= 2 and b_j in [0, 0.95]."""
+    qb = QBase(rng.uniform(0.05, 0.95))
+    m = rng.choice((1, 2, 3))
     r = rng.randint(0, min(2, 4 - m))
     s = r + m - 1
     a = tuple(_draw_disk(rng, 2.0) for _ in range(r))
@@ -374,9 +371,10 @@ def tightness_search(
     fixed_params,
     abs_z_range: tuple[float, float],
     budget: int,
-    tol: float = DEFAULT_TOL,
 ) -> tuple[float, float, float]:
     """Largest observed |value| / envelope ratio over moduli and angles.
+
+    Each point is evaluated at DEFAULT_TOL, the default audit tolerance.
 
     A coarse log-grid scan locates the best cell, then golden-section
     refinement in log-modulus at the best angle spends the remaining budget.
@@ -391,7 +389,7 @@ def tightness_search(
 
     def ratio_at(abs_z: float, angle: float) -> float:
         z = target.center + abs_z * complex(math.cos(angle), math.sin(angle))
-        return _measure(target, z, abs_z, tol)[4]
+        return _measure(target, z, abs_z, DEFAULT_TOL)[4]
 
     best_ratio = -1.0
     best_r = radii[0]
@@ -532,7 +530,7 @@ def identity_theta_triple_product(q: QBase, z: complex, tol: float) -> float:
     if z == 0:
         raise InvalidArgumentError("the theta sum requires a nonzero argument")
     theta = eval_theta(q, z, tol).value
-    q2 = QBase(q.q * q.q, max_q=q.max_q)
+    q2 = QBase(q.q * q.q)
     product = (
         pochhammer_infinite(q2.q, q2, tol).value
         * pochhammer_infinite(-z * q.q, q2, tol).value

@@ -388,16 +388,13 @@ class TestConstantCache:
         params = PhiParams(a_list=(0.5,), b_list=(0.3, 0.6), q=QBase(0.9))
         for abs_z in MODULI:
             envelope_phi(params, abs_z)
+        # m = s + 1 - r = 2, so the reduction has l = 1 and scale q^{-1}.
         reduced = _entire(0.9, l=1.0, a=(0.5,), b=(0.3, 0.6))
         c = constant_c(reduced)
         ql_poch = pochhammer_infinite(0.9**1.0, params.q, 1e-16).value
-        lq = params.q.log_q
+        scale = 0.9**-1.0
         for abs_z in MODULI:
-            lz = math.log(abs_z)
-            prefactor_log = -math.log(ql_poch) + 0.5 * lz + (3.0 * -2 / 8.0) * lq
-            shifted = lz + (-2 / 2.0) * lq
-            exponent_term = shifted * shifted / (2.0 * -2 * lq)
-            want = bounds._assemble(c, prefactor_log, exponent_term)
+            want = bounds._assemble(c, -math.log(ql_poch), term_peak(abs_z * scale, 1.0, params.q))
             assert _bits(envelope_phi(params, abs_z)) == _bits(want)
 
     def test_aq_and_theta_warm_cache_match_direct_constants(self):

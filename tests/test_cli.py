@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qineq import ConfluentParams, QBase, audit_target
+from qineq import ConfluentParams, QBase, audit_target, eval_ramanujan_aq
 from qineq.cli import CSV_COLUMNS, parse_complex, parse_grid, run
 
 import oracles
@@ -52,10 +52,12 @@ class TestParsers:
 class TestEvalCommand:
     def test_aq_value(self, capsys):
         assert run(["eval", "--function", "aq", "--q", "0.5", "--z", "1+0i"]) == 0
-        out = capsys.readouterr().out
-        assert f"value = {oracles.AQ_HALF_AT_ONE!r}+0.0i" in out
-        assert "terms_used = 9" in out
-        assert "converged = true" in out
+        tail = eval_ramanujan_aq(QBase(0.5), 1.0, 1e-14).tail_bound
+        assert capsys.readouterr().out.splitlines() == [
+            f"value = {oracles.AQ_HALF_AT_ONE!r}+0.0i",
+            "terms_used = 9",
+            f"tail_bound = {tail!r}",
+        ]
 
     def test_entire_function_requires_weight(self, capsys):
         assert run(["eval", "--function", "f", "--q", "0.5", "--z", "1+0i"]) == 2
@@ -126,6 +128,13 @@ class TestEnvelopeCommand:
     def test_theta_requires_alpha(self, capsys):
         assert run(["envelope", "--function", "theta", "--q", "0.5", "--abs-z", "1"]) == 2
         assert "--alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--tol", "1e-10"], ["--k-cap", "3"]])
+    def test_rejects_evaluation_flags(self, capsys, flag):
+        code = run(["envelope", "--function", "laurent", "--q", "0.5", "--abs-z", "2",
+                    "--alpha", "0.5", *flag])
+        assert code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 class TestAuditCommand:

@@ -27,11 +27,6 @@ class TestQBase:
         assert QBase(1e-9).q == 1e-9
         assert QBase(0.999999).q == 0.999999
 
-    def test_guard_is_configurable(self):
-        assert QBase(0.9999995, max_q=0.99999999).q == 0.9999995
-        with pytest.raises(InvalidArgumentError):
-            QBase(0.5, max_q=0.3)
-
     def test_log_helpers(self):
         q = QBase(0.5)
         assert q.log_q == math.log(0.5)
@@ -73,7 +68,6 @@ class TestPochhammerInfinite:
         value = pochhammer_infinite(0.0, QBase(0.5), 1e-14)
         assert value.value == 1.0
         assert value.tail_log_bound == 0.0
-        assert value.is_infinite
 
     def test_half_half(self):
         got = pochhammer_infinite(0.5, QBase(0.5), 1e-14)

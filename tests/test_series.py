@@ -96,7 +96,6 @@ class TestConfluentF:
             doubled = eval_confluent_f(params, z, 1e-14, _force_terms=2 * first.terms_used)
             change = abs(doubled.value - first.value)
             assert change <= first.tail_bound + 1e-14 * abs(first.value)
-            assert first.converged
             assert first.tail_bound <= 1e-14 * max(1.0, abs(first.value))
 
     def test_overflowing_argument_raises(self):

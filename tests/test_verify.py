@@ -34,7 +34,7 @@ def _constant_spec(c_weighted=1.0):
         center=0.0,
         coeff=lambda k: 1.0 if k == 0 else 0.0,
         alpha=1.0,
-        q=QBase(1.0 / math.e, max_q=0.999999),
+        q=QBase(1.0 / math.e),
         c_weighted=c_weighted,
     )
 
@@ -238,7 +238,7 @@ def _draw_public_envelope(tag, rng):
         return params, lambda r: bounds.envelope_entire(params, r).log_bound
     if tag == "phi":
         params = draw_phi_params(rng)
-        return params, lambda r: bounds.envelope_phi_routes(params, r)[1].log_bound
+        return params, lambda r: bounds.envelope_phi(params, r).log_bound
     base = QBase(rng.uniform(0.05, 0.99))
     if tag == "aq":
         return base, lambda r: bounds.envelope_aq_gaussian(base, r).log_bound
