@@ -17,6 +17,16 @@ Every evaluator stops only once a computable geometric majorant certifies the
 omitted tail, and reports that bound in the result.  One-sided sums never stop
 before eight terms so that parameter choices that zero out early terms cannot
 trigger a premature exit.
+
+Each family has a prepared series, built once per parameter set:
+prepare_confluent_f and prepare_phi build a GaussianSeries, and ThetaSeries
+and LaurentSeries take a base and a LaurentSpec.  Its evaluate(z, tol)
+tabulates the terms' z-independent factors the first time an evaluation
+needs them and reuses them at every later point, so a sweep over many z pays
+for them once.  Each eval_* prepares a series and evaluates it once: one code
+path, and the same bits either way.  A table grows by publishing an extended
+copy with one assignment, so a prepared series may be shared between threads
+without locks.
 """
 
 from __future__ import annotations
@@ -129,8 +139,12 @@ class LaurentSpec:
 
     ``c_weighted`` must bound sum_k |coeff(k)| q^{-|k|^(alpha+1)}; the tail
     certificate uses the implied majorant |coeff(k)| <= c_weighted
-    q^{|k|^(alpha+1)}.  ``coeff`` must be safe for concurrent invocation; the
-    library adds no synchronization of its own.
+    q^{|k|^(alpha+1)}.  ``coeff`` must be a pure function of k: a prepared
+    series (LaurentSeries, and the audit target of a spec) calls it at
+    most once per index and reuses the value at every later point, except
+    that threads growing one table at the same moment may each call it.
+    ``coeff`` must be safe for concurrent invocation; the library adds no
+    synchronization of its own.
     """
 
     center: complex
@@ -157,89 +171,121 @@ def _require_pos_tol(tol: float) -> None:
         raise InvalidArgumentError(f"tol must be positive, got {tol!r}")
 
 
-def _certified_sum(
-    ratio: Callable[[int], complex],
-    rho: Callable[[int], float],
-    tol: float,
-    force_terms: int | None = None,
-) -> tuple[complex, int, float]:
-    """Sum term_0 = 1, term_{k+1} = term_k ratio(k) with a certified stop.
+class GaussianSeries:
+    """A prepared one-sided sum with term_0 = 1 and term ratio
 
-    ``rho(K)`` must bound |ratio(k)| for every k >= K and be nonincreasing;
-    the sum stops at the first index K >= MIN_STOP_INDEX where rho(K) < 1 and
-    |term_{K+1}| / (1 - rho(K)) <= tol max(1, |partial|).  ``force_terms``
-    bypasses the stop rule and sums exactly that many terms (used by the
-    truncation-certificate checks).
+        r_k = prod_i (1 - a_i q^k) q^{l(2k+shift)} z / ((1 - q^{k+1}) prod_j (1 - b_j q^k)).
+
+    The z-independent factors of r_k and of its tail bound are tabulated per
+    k the first time an evaluation reaches k, and later evaluations reuse
+    them.  An evaluation stops at the first K >= MIN_STOP_INDEX where
+
+        rho_K = q^{l(2K+shift)} |z| prod_i (1+|a_i|) / ((1-q^{K+1}) prod_j (1-b_j)),
+
+    a nonincreasing bound on |r_k| for every k >= K, is below 1 and
+    |term_{K+1}| / (1 - rho_K) <= tol max(1, |partial|).  With ``negate`` the
+    series is evaluated at -z.
     """
-    term: complex = 1.0 + 0.0j
-    partial = term
-    k = 0
-    try:
-        while k <= TERM_CAP:
-            nxt = term * ratio(k)
-            if not abs(nxt) < math.inf:
-                raise NonConvergentError("series term left the double range")
-            if force_terms is not None:
-                if k + 1 >= force_terms:
-                    return partial, k + 1, 0.0
-            elif k >= MIN_STOP_INDEX:
-                bound = rho(k)
-                if bound < 1.0:
-                    tail = abs(nxt) / (1.0 - bound)
-                    if tail <= tol * max(1.0, abs(partial)):
-                        return partial, k + 1, tail
-            partial += nxt
-            term = nxt
-            k += 1
-    except OverflowError as exc:
-        # abs() of a complex with finite parts raises once its modulus overflows.
-        raise NonConvergentError("series term left the double range") from exc
-    raise NonConvergentError(f"no certified stop within {TERM_CAP} terms")
 
+    __slots__ = ("_a_list", "_b_list", "_q", "_l", "_shift", "_negate", "_num_cap",
+                 "_den_floor", "_rows")
 
-def _eval_gaussian(
-    a_list: tuple[complex, ...],
-    b_list: tuple[float, ...],
-    q: float,
-    l: float,
-    shift: int,
-    z: complex,
-    tol: float,
-    force_terms: int | None,
-) -> EvalResult:
-    """Sum the one-sided series whose term ratio is
-
-        prod_i (1 - a_i q^k) q^{l(2k+shift)} z / ((1 - q^{k+1}) prod_j (1 - b_j q^k)),
-
-    certifying the tail through the same weight q^{l(2K+shift)} in rho_K.
-    """
-    _require_pos_tol(tol)
-    z = complex(z)
-    if z == 0:
-        return EvalResult(value=1.0 + 0.0j, terms_used=1, tail_bound=0.0)
-    abs_z = abs(z)
-    num_cap = 1.0
-    for a in a_list:
-        num_cap *= 1.0 + abs(a)
-    den_floor = 1.0
-    for b in b_list:
-        den_floor *= 1.0 - b
-
-    def ratio(k: int) -> complex:
-        qk = q**k
-        num: complex = 1.0 + 0.0j
+    def __init__(
+        self,
+        a_list: tuple[complex, ...],
+        b_list: tuple[float, ...],
+        q: float,
+        l: float,
+        shift: int,
+        negate: bool,
+    ) -> None:
+        self._a_list = a_list
+        self._b_list = b_list
+        self._q = q
+        self._l = l
+        self._shift = shift
+        self._negate = negate
+        num_cap = 1.0
         for a in a_list:
-            num *= 1.0 - a * qk
-        den: complex = 1.0 - q ** (k + 1)
+            num_cap *= 1.0 + abs(a)
+        den_floor = 1.0
         for b in b_list:
-            den *= 1.0 - b * qk
-        return num * q ** (l * (2 * k + shift)) * z / den
+            den_floor *= 1.0 - b
+        self._num_cap = num_cap
+        self._den_floor = den_floor
+        # Row k: (num_k w_k, den_k, w_k, (1 - q^{k+1}) den_floor) with
+        # w_k = q^{l(2k+shift)}.  An evaluation that needs more rows extends a
+        # private copy and publishes it with one assignment, so a concurrent
+        # reader never sees a half-grown table.
+        self._rows: list[tuple[complex, float, float, float]] = []
 
-    def rho(k: int) -> float:
-        return q ** (l * (2 * k + shift)) * abs_z * num_cap / ((1.0 - q ** (k + 1)) * den_floor)
+    def evaluate(self, z: complex, tol: float, _force_terms: int | None = None) -> EvalResult:
+        """The sum at z with its certified tail.  ``_force_terms`` bypasses the
+        stop rule and sums exactly that many terms (used by the
+        truncation-certificate checks)."""
+        _require_pos_tol(tol)
+        z = complex(z)
+        if self._negate:
+            z = -z
+        if z == 0:
+            return EvalResult(value=1.0 + 0.0j, terms_used=1, tail_bound=0.0)
+        num_cap = self._num_cap
+        rows = self._rows
+        size = len(rows)
+        grown = False
+        term: complex = 1.0 + 0.0j
+        partial = term
+        k = 0
+        try:
+            abs_z = abs(z)
+            while k <= TERM_CAP:
+                if k == size:
+                    # Extend a private copy; the finally clause publishes it.
+                    if not grown:
+                        rows = list(rows)
+                        q, a_list, b_list = self._q, self._a_list, self._b_list
+                        grown = True
+                    qk = q**k
+                    num: complex = 1.0 + 0.0j
+                    for a in a_list:
+                        num *= 1.0 - a * qk
+                    one_minus = 1.0 - q ** (k + 1)
+                    den = one_minus
+                    for b in b_list:
+                        den *= 1.0 - b * qk
+                    w = q ** (self._l * (2 * k + self._shift))
+                    rows.append((num * w, den, w, one_minus * self._den_floor))
+                    size += 1
+                nw, den, w, dd = rows[k]
+                nxt = term * (nw * z / den)
+                abs_nxt = abs(nxt)
+                if not abs_nxt < math.inf:
+                    raise NonConvergentError("series term left the double range")
+                if _force_terms is not None:
+                    if k + 1 >= _force_terms:
+                        return EvalResult(value=partial, terms_used=k + 1, tail_bound=0.0)
+                elif k >= MIN_STOP_INDEX:
+                    bound = w * abs_z * num_cap / dd
+                    if bound < 1.0:
+                        tail = abs_nxt / (1.0 - bound)
+                        if tail <= tol * max(1.0, abs(partial)):
+                            return EvalResult(value=partial, terms_used=k + 1, tail_bound=tail)
+                partial += nxt
+                term = nxt
+                k += 1
+        except OverflowError as exc:
+            # abs() of a complex with finite parts raises once its modulus overflows.
+            raise NonConvergentError("series term left the double range") from exc
+        finally:
+            if grown:
+                self._rows = rows
+        raise NonConvergentError(f"no certified stop within {TERM_CAP} terms")
 
-    value, used, tail = _certified_sum(ratio, rho, tol, force_terms)
-    return EvalResult(value=value, terms_used=used, tail_bound=tail)
+
+def prepare_confluent_f(params: ConfluentParams) -> GaussianSeries:
+    """The Gaussian-weighted entire series of ``params``, prepared for
+    evaluation at many points; see eval_confluent_f."""
+    return GaussianSeries(params.a_list, params.b_list, params.q.q, params.l, 1, False)
 
 
 def eval_confluent_f(
@@ -254,9 +300,18 @@ def eval_confluent_f(
 
         rho_K = q^{l(2K+1)} |z| prod_i (1+|a_i|) / ((1-q^{K+1}) prod_j (1-b_j)),
 
-    which decreases to 0 because of the q^{l k^2} weight.
+    which decreases to 0 because of the q^{l k^2} weight.  This is
+    prepare_confluent_f(params).evaluate(z, tol); evaluating one prepared
+    series at many points reuses its tabulated factors.
     """
-    return _eval_gaussian(params.a_list, params.b_list, params.q.q, params.l, 1, z, tol, _force_terms)
+    return prepare_confluent_f(params).evaluate(z, tol, _force_terms)
+
+
+def prepare_phi(params: PhiParams) -> GaussianSeries:
+    """The confluent basic hypergeometric sum of ``params``, prepared for
+    evaluation at many points; see eval_phi."""
+    m = params.confluence_order
+    return GaussianSeries(params.a_list, params.b_list, params.q.q, m / 2.0, 0, bool(m % 2))
 
 
 def eval_phi(
@@ -269,14 +324,10 @@ def eval_phi(
 
     term_k = prod_i (a_i;q)_k / (prod_j (b_j;q)_k (q;q)_k) z^k (-1)^{km} q^{m k(k-1)/2}
     with m = s + 1 - r, so the term ratio carries q^{mk} (-1)^m z: the one-sided
-    kernel with weight m/2 and shift 0 at (-1)^m z.  Same truncation contract
-    as eval_confluent_f.
+    series with weight m/2 and shift 0 at (-1)^m z.  Same truncation contract
+    as eval_confluent_f.  This is prepare_phi(params).evaluate(z, tol).
     """
-    m = params.confluence_order
-    z = complex(z)
-    if m % 2:
-        z = -z
-    return _eval_gaussian(params.a_list, params.b_list, params.q.q, m / 2.0, 0, z, tol, _force_terms)
+    return prepare_phi(params).evaluate(z, tol, _force_terms)
 
 
 def phi_to_f(params: PhiParams) -> PhiReduction:
@@ -302,6 +353,102 @@ def eval_ramanujan_aq(q: QBase, z: complex, tol: float) -> EvalResult:
     return eval_confluent_f(params, -complex(z), tol)
 
 
+def _theta_stop_index(lq: float, log_m: float, log_tol: float) -> int:
+    """Smallest K >= 1 with q^{2K+1} M <= 1/2 and
+    q^{K^2} M^K / (1 - q^{2K+1} M) <= tol, from lq = log q, log_m = log M and
+    log_tol = log tol.
+
+    Once the first condition holds it holds for every larger K, and each step
+    in K lowers the log of the second left side by more than log 2, so the
+    test fails below the answer and passes from it on.  The search starts at
+    the larger of the first condition's root and the root of the quadratic
+    K^2 lq + K log_m = log_tol (the second condition without its log1p term),
+    then walks to the first passing index.
+    """
+
+    def stops(k: int) -> bool:
+        ratio_log = (2 * k + 1) * lq + log_m
+        if ratio_log > _LOG_HALF:
+            return False
+        rho = math.exp(ratio_log)
+        return k * k * lq + k * log_m - math.log1p(-rho) <= log_tol
+
+    guess = ((_LOG_HALF - log_m) / lq - 1.0) / 2.0
+    disc = log_m * log_m + 4.0 * lq * log_tol
+    if disc >= 0.0:
+        guess = max(guess, (log_m + math.sqrt(disc)) / (-2.0 * lq))
+    k = max(1, math.ceil(min(guess, TWO_SIDED_CAP)))
+    while not stops(k):
+        k += 1
+        if k > TWO_SIDED_CAP:
+            raise NonConvergentError(f"no certified stop within |k| <= {TWO_SIDED_CAP}")
+    while k > 1 and stops(k - 1):
+        k -= 1
+    return k
+
+
+class ThetaSeries:
+    """A prepared theta sum sum_{k in Z} q^{k^2} z^k.
+
+    The factors q^{2k-1} that step both wings are tabulated up to the largest
+    index any evaluation has needed, and later evaluations reuse them.
+    """
+
+    __slots__ = ("_q", "_lq", "_powers")
+
+    def __init__(self, q: QBase) -> None:
+        self._q = q.q
+        self._lq = math.log(q.q)
+        # q^{2k-1} at index k - 1.  A longer list is built whole and published
+        # with one assignment; a published list is never modified.
+        self._powers: list[float] = []
+
+    def evaluate(self, z: complex, tol: float, _force_k: int | None = None) -> EvalResult:
+        """The sum at z with its certified tail; ``_force_k`` sums exactly
+        |k| <= _force_k."""
+        _require_pos_tol(tol)
+        z = complex(z)
+        if z == 0:
+            raise InvalidArgumentError("theta sum requires a nonzero argument")
+        lq = self._lq
+        try:
+            abs_z = abs(z)
+        except OverflowError as exc:
+            raise NonConvergentError("theta sum overflowed the double range") from exc
+        if not math.isfinite(abs_z):
+            raise InvalidArgumentError(f"argument must be finite, got {z!r}")
+        log_m = abs(math.log(abs_z))
+        if _force_k is None:
+            k_stop = _theta_stop_index(lq, log_m, math.log(tol))
+        else:
+            k_stop = _force_k
+
+        rho2 = math.exp(min((2 * k_stop + 3) * lq + log_m, _LOG_HALF))
+        tail = 2.0 * math.exp((k_stop + 1) ** 2 * lq + (k_stop + 1) * log_m) / (1.0 - rho2)
+
+        powers = self._powers
+        if len(powers) < k_stop:
+            qq = self._q
+            powers = powers + [qq ** (2 * k - 1) for k in range(len(powers) + 1, k_stop + 1)]
+            self._powers = powers
+        value: complex = 1.0 + 0.0j
+        plus: complex = 1.0 + 0.0j
+        minus: complex = 1.0 + 0.0j
+        z_inv = 1.0 / z
+        for f in powers[:k_stop]:
+            plus *= f * z
+            minus *= f * z_inv
+            value += plus + minus
+        try:
+            abs_value = abs(value)
+        except OverflowError:
+            # Both parts finite, modulus beyond the double range.
+            abs_value = math.inf
+        if not abs_value < math.inf:
+            raise NonConvergentError("theta sum overflowed the double range")
+        return EvalResult(value=value, terms_used=2 * k_stop + 1, tail_bound=tail)
+
+
 def eval_theta(
     q: QBase,
     z: complex,
@@ -313,49 +460,110 @@ def eval_theta(
     K is the smallest index with q^{2K+1} M <= 1/2 and
     q^{K^2} M^K / (1 - q^{2K+1} M) <= tol, where M = max(|z|, 1/|z|); the
     reported tail_bound is the rigorous two-wing geometric remainder, which
-    the stop rule keeps below tol.
+    the stop rule keeps below tol.  Raises NonConvergentError when K would
+    exceed TWO_SIDED_CAP or the sum leaves the double range.  This is
+    ThetaSeries(q).evaluate(z, tol).
     """
-    _require_pos_tol(tol)
-    z = complex(z)
-    if z == 0:
-        raise InvalidArgumentError("theta sum requires a nonzero argument")
-    qq = q.q
-    lq = math.log(qq)
-    abs_z = abs(z)
-    if not math.isfinite(abs_z):
-        raise InvalidArgumentError(f"argument must be finite, got {z!r}")
-    log_m = abs(math.log(abs_z))
-    log_tol = math.log(tol)
+    return ThetaSeries(q).evaluate(z, tol, _force_k)
 
-    if _force_k is not None:
-        k_stop = _force_k
-    else:
-        k_stop = 1
-        while True:
-            ratio_log = (2 * k_stop + 1) * lq + log_m
-            if ratio_log <= _LOG_HALF:
-                rho = math.exp(ratio_log)
-                if k_stop * k_stop * lq + k_stop * log_m - math.log1p(-rho) <= log_tol:
-                    break
-            k_stop += 1
-            if k_stop > TWO_SIDED_CAP:
-                raise NonConvergentError(f"no certified stop within |k| <= {TWO_SIDED_CAP}")
 
-    rho2 = math.exp(min((2 * k_stop + 3) * lq + log_m, _LOG_HALF))
-    tail = 2.0 * math.exp((k_stop + 1) ** 2 * lq + (k_stop + 1) * log_m) / (1.0 - rho2)
+class LaurentSeries:
+    """A prepared two-sided expansion of a LaurentSpec.
 
-    value: complex = 1.0 + 0.0j
-    plus: complex = 1.0 + 0.0j
-    minus: complex = 1.0 + 0.0j
-    z_inv = 1.0 / z
-    for k in range(1, k_stop + 1):
-        f = qq ** (2 * k - 1)
-        plus *= f * z
-        minus *= f * z_inv
-        value += plus + minus
-    if not abs(value) < math.inf:
-        raise NonConvergentError("theta sum overflowed the double range")
-    return EvalResult(value=value, terms_used=2 * k_stop + 1, tail_bound=tail)
+    coeff(k), coeff(-k) and the weights of the stop rule are tabulated per
+    index the first time an evaluation reaches it, and later evaluations
+    reuse them, so coeff is called once per index.
+    """
+
+    __slots__ = ("_spec", "_lq", "_ap1", "_log_c", "_c0", "_rows")
+
+    def __init__(self, spec: LaurentSpec) -> None:
+        self._spec = spec
+        self._lq = math.log(spec.q.q)
+        self._ap1 = spec.alpha + 1.0
+        self._log_c = math.log(spec.c_weighted)
+        self._c0: complex | None = None
+        # Row k - 1: (coeff(k), coeff(-k), (alpha+1) k^alpha log q,
+        # (k+1)^(alpha+1) log q).  An evaluation that needs more rows extends a
+        # private copy and publishes it with one assignment.
+        self._rows: list[tuple[complex, complex, float, float]] = []
+
+    def evaluate(self, z: complex, tol: float, _force_k: int | None = None) -> EvalResult:
+        """The expansion at z with its certified tail; ``_force_k`` sums
+        exactly |k| <= _force_k."""
+        _require_pos_tol(tol)
+        spec = self._spec
+        z = complex(z)
+        w = z - spec.center
+        if w == 0:
+            raise CenterPoleError(f"evaluation point equals the expansion center {spec.center!r}")
+        try:
+            abs_w = abs(w)
+        except OverflowError as exc:
+            raise NonConvergentError("Laurent sum overflowed the double range") from exc
+        law = math.log(abs_w)
+        log_m = abs(law)
+        log_c = self._log_c
+
+        c0 = self._c0
+        if c0 is None:
+            c0 = self._c0 = complex(spec.coeff(0))
+        partial = c0
+        rows = self._rows
+        size = len(rows)
+        grown = False
+        plus: complex = 1.0 + 0.0j
+        minus: complex = 1.0 + 0.0j
+        w_inv = 1.0 / w
+        k = 0
+        try:
+            while True:
+                k += 1
+                if k > spec.k_cap:
+                    raise NonConvergentError(
+                        f"weighted tail did not meet tol within |k| <= {spec.k_cap}"
+                    )
+                if k > size:
+                    # Extend a private copy; the finally clause publishes it.
+                    if not grown:
+                        rows = list(rows)
+                        coeff, alpha, ap1, lq = spec.coeff, spec.alpha, self._ap1, self._lq
+                        grown = True
+                    rows.append(
+                        (coeff(k), coeff(-k), ap1 * k**alpha * lq, (k + 1) ** ap1 * lq)
+                    )
+                    size += 1
+                up, down, decay, next_weight = rows[k - 1]
+                plus *= w
+                minus *= w_inv
+                partial += up * plus + down * minus
+                try:
+                    abs_partial = abs(partial)
+                except OverflowError:
+                    abs_partial = math.inf
+                if not abs_partial < math.inf:
+                    raise NonConvergentError("Laurent sum overflowed the double range")
+                if _force_k is not None:
+                    if k >= _force_k:
+                        return EvalResult(value=partial, terms_used=2 * k + 1, tail_bound=0.0)
+                    continue
+                if decay + log_m > _LOG_HALF:
+                    continue
+                # The majorant term just past the current index can still exceed
+                # the double range, so the wing tails are compared in log space.
+                wing_logs = []
+                for sgn in (1.0, -1.0):
+                    wing_rho = math.exp(decay + sgn * law)
+                    wing_logs.append(next_weight + sgn * (k + 1) * law - math.log1p(-wing_rho))
+                hi = max(wing_logs)
+                tail_log = log_c + hi + math.log1p(math.exp(min(wing_logs) - hi))
+                if tail_log <= math.log(tol * max(1.0, abs_partial)):
+                    return EvalResult(
+                        value=partial, terms_used=2 * k + 1, tail_bound=math.exp(tail_log)
+                    )
+        finally:
+            if grown:
+                self._rows = rows
 
 
 def eval_laurent(
@@ -369,55 +577,8 @@ def eval_laurent(
     The omitted indices |k| > K are bounded wing by wing through
     |coeff(k)| <= c_weighted q^{|k|^(alpha+1)}, using the superlinear growth
     of |k|^(alpha+1) to certify a geometric remainder.  Raises
-    NonConvergentError if k_cap is hit before the tail meets tol.
+    NonConvergentError if k_cap is hit before the tail meets tol, or if the
+    partial sum leaves the double range.  This is
+    LaurentSeries(spec).evaluate(z, tol).
     """
-    _require_pos_tol(tol)
-    z = complex(z)
-    w = z - spec.center
-    if w == 0:
-        raise CenterPoleError(f"evaluation point equals the expansion center {spec.center!r}")
-    qq = spec.q.q
-    lq = math.log(qq)
-    alpha = spec.alpha
-    ap1 = alpha + 1.0
-    abs_w = abs(w)
-    law = math.log(abs_w)
-    log_m = abs(law)
-    log_c = math.log(spec.c_weighted)
-
-    partial = complex(spec.coeff(0))
-    plus: complex = 1.0 + 0.0j
-    minus: complex = 1.0 + 0.0j
-    w_inv = 1.0 / w
-    k = 0
-    while True:
-        k += 1
-        if k > spec.k_cap:
-            raise NonConvergentError(
-                f"weighted tail did not meet tol within |k| <= {spec.k_cap}"
-            )
-        plus *= w
-        minus *= w_inv
-        partial += spec.coeff(k) * plus + spec.coeff(-k) * minus
-        if not abs(partial) < math.inf:
-            raise NonConvergentError("Laurent sum overflowed the double range")
-        if _force_k is not None:
-            if k >= _force_k:
-                return EvalResult(value=partial, terms_used=2 * k + 1, tail_bound=0.0)
-            continue
-        decay = ap1 * k**alpha * lq
-        if decay + log_m > _LOG_HALF:
-            continue
-        # The majorant term just past the current index can still exceed the
-        # double range, so the wing tails are compared in log space.
-        next_weight = (k + 1) ** ap1 * lq
-        wing_logs = []
-        for sgn in (1.0, -1.0):
-            wing_rho = math.exp(decay + sgn * law)
-            wing_logs.append(next_weight + sgn * (k + 1) * law - math.log1p(-wing_rho))
-        hi = max(wing_logs)
-        tail_log = log_c + hi + math.log1p(math.exp(min(wing_logs) - hi))
-        if tail_log <= math.log(tol * max(1.0, abs(partial))):
-            return EvalResult(
-                value=partial, terms_used=2 * k + 1, tail_bound=math.exp(tail_log)
-            )
+    return LaurentSeries(spec).evaluate(z, tol, _force_k)

@@ -26,14 +26,22 @@ from .qcore import QBase, pochhammer_infinite
 from .series import (
     ConfluentParams,
     EvalResult,
+    LaurentSeries,
     LaurentSpec,
     PhiParams,
+    ThetaSeries,
     eval_confluent_f,
     eval_laurent,
     eval_phi,
     eval_theta,
     phi_to_f,
+    prepare_confluent_f,
+    prepare_phi,
 )
+
+# Audits evaluate through prepared series, so eval_confluent_f, eval_phi and
+# eval_laurent are not called here; perfbench/tracing.py rebinds all four
+# eval_* names in this module and needs them to stay importable.
 
 FUNCTION_TAGS = ("confluent_f", "phi", "aq", "theta", "laurent")
 DEFAULT_SLACK = 1e-12
@@ -154,6 +162,12 @@ def audit_target(function_tag: str, fixed_params) -> AuditTarget:
     Gaussian-weight series itself, i.e. the entire function at -z of
     Ramanujan's normalization; its envelope depends on |z| only, so the sweep
     coverage is the same.
+
+    ``evaluate`` is the method of a prepared series (GaussianSeries,
+    ThetaSeries or LaurentSeries) that the target holds, so every point of a
+    sweep reuses the z-independent term factors that earlier points
+    tabulated.  The table lives and dies with the target and holds only what
+    its evaluations needed, so a target used once pays nothing extra.
     """
     if function_tag == "confluent_f":
         params: ConfluentParams = fixed_params
@@ -163,7 +177,7 @@ def audit_target(function_tag: str, fixed_params) -> AuditTarget:
             l=params.l,
             param_digest=f"{_digest_confluent(params)};l={params.l!r}",
             center=0.0 + 0.0j,
-            evaluate=lambda z, tol: eval_confluent_f(params, z, tol),
+            evaluate=prepare_confluent_f(params).evaluate,
             envelope_log=_entire_envelope_log(params),
         )
     if function_tag == "phi":
@@ -177,7 +191,7 @@ def audit_target(function_tag: str, fixed_params) -> AuditTarget:
             l=reduction.params.l,
             param_digest=_digest_confluent(reduction.params),
             center=0.0 + 0.0j,
-            evaluate=lambda z, tol: eval_phi(phi_params, z, tol),
+            evaluate=prepare_phi(phi_params).evaluate,
             envelope_log=lambda abs_z: inner(abs_z * scale),
         )
     if function_tag == "aq":
@@ -189,7 +203,7 @@ def audit_target(function_tag: str, fixed_params) -> AuditTarget:
             l=1.0,
             param_digest="",
             center=0.0 + 0.0j,
-            evaluate=lambda z, tol: eval_confluent_f(aq_params, z, tol),
+            evaluate=prepare_confluent_f(aq_params).evaluate,
             envelope_log=lambda abs_z: bounds.envelope_aq_gaussian(qb, abs_z).log_bound,
         )
     if function_tag == "theta":
@@ -202,7 +216,7 @@ def audit_target(function_tag: str, fixed_params) -> AuditTarget:
             l=None,
             param_digest=f"alpha={float(alpha)!r}",
             center=0.0 + 0.0j,
-            evaluate=lambda z, tol: eval_theta(theta_q, z, tol),
+            evaluate=ThetaSeries(theta_q).evaluate,
             envelope_log=lambda abs_z: log_c + merom.exponent(abs_z),
         )
     if function_tag == "laurent":
@@ -215,7 +229,7 @@ def audit_target(function_tag: str, fixed_params) -> AuditTarget:
             l=None,
             param_digest=f"alpha={spec.alpha!r};c_weighted={spec.c_weighted!r}",
             center=spec.center,
-            evaluate=lambda z, tol: eval_laurent(spec, z, tol),
+            evaluate=LaurentSeries(spec).evaluate,
             envelope_log=lambda dist: log_c + merom.exponent(dist),
         )
     raise InvalidArgumentError(f"unknown function tag {function_tag!r}; expected {FUNCTION_TAGS}")

@@ -289,6 +289,35 @@ class TestAuditCommand:
             )
 
 
+# Both parts finite, modulus beyond the double range: the theta sum at this
+# point, and the argument itself at 1.5e308+1.5e308i.
+_THETA_OVERFLOW_Z = "1.277810357463823e+19+1.2880739494306163e+19i"
+_HUGE_Z = "1.5e308+1.5e308i"
+
+
+class TestModulusOverflow:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["eval", "--function", "theta", "--q", "0.5", "--z", _THETA_OVERFLOW_Z],
+             "theta sum overflowed the double range"),
+            (["identity", "--which", "triple", "--q", "0.5", "--z", _THETA_OVERFLOW_Z],
+             "theta sum overflowed the double range"),
+            (["eval", "--function", "theta", "--q", "0.5", "--z", _HUGE_Z],
+             "theta sum overflowed the double range"),
+            (["eval", "--function", "f", "--q", "0.5", "--l", "1", "--z", _HUGE_Z],
+             "series term left the double range"),
+            (["eval", "--function", "phi", "--q", "0.5", "--z", _HUGE_Z],
+             "series term left the double range"),
+            (["eval", "--function", "laurent", "--q", "0.5", "--alpha", "0.5", "--z", _HUGE_Z],
+             "Laurent sum overflowed the double range"),
+        ],
+    )
+    def test_is_a_typed_error(self, capsys, argv, message):
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestIdentityCommand:
     def test_euler(self, capsys):
         assert run(["identity", "--which", "euler", "--q", "0.5", "--z", "0.5"]) == 0

@@ -335,6 +335,18 @@ class TestLaurent:
         with pytest.raises(CenterPoleError):
             eval_laurent(spec, 1.0 + 1.0j, 1e-14)
 
+    def test_partial_sum_modulus_overflow_raises(self):
+        # Both parts of coeff(0) are finite; |partial| is not.
+        spec = LaurentSpec(
+            center=0.0,
+            coeff=lambda k: 1.5e308 + 1.5e308j if k == 0 else 0.0,
+            alpha=0.5,
+            q=QBase(0.5),
+            c_weighted=1.0,
+        )
+        with pytest.raises(NonConvergentError, match="Laurent sum overflowed the double range"):
+            eval_laurent(spec, 1.0, 1e-14)
+
     def test_k_cap_guard(self):
         spec = LaurentSpec(
             center=0.0,
