@@ -48,6 +48,7 @@ _MAX_LOG = math.log(sys.float_info.max)
 _CACHE_SIZE = 256
 WEIGHTED_SUM_CAP = 100_000
 THETA_CONSTANT_TOL = 1e-15
+_LAURENT_CONSTANT_TOL = 1e-15
 
 
 def _as_linear(log_bound: float) -> float:
@@ -279,29 +280,21 @@ def _theta_constant(alpha: float, q: QBase) -> float:
     return theta_weighted_constant(alpha, q, THETA_CONSTANT_TOL)
 
 
-def laurent_weighted_constant(
-    coeff: Callable[[int], complex],
-    alpha: float,
-    q: QBase,
-    tol: float = 1e-15,
-    k_cap: int = WEIGHTED_SUM_CAP,
-) -> float:
+def laurent_weighted_constant(coeff: Callable[[int], complex], alpha: float, q: QBase) -> float:
     """Weighted constant sum_k |coeff(k)| q^{-|k|^(alpha+1)} for a coefficient stream.
 
     The stream is a black box, so convergence cannot be proved here: the sum
-    stops only after 8 consecutive sub-tol terms, raises NonConvergentError
-    when 64 consecutive terms fail to decline or a weighted term overflows,
-    and gives up at k_cap.
+    stops only after 8 consecutive terms below 1e-15, raises
+    NonConvergentError when 64 consecutive terms fail to decline or a
+    weighted term overflows, and gives up at |k| = WEIGHTED_SUM_CAP.
     """
     alpha = _require_positive(alpha, "alpha")
-    if not tol > 0.0:
-        raise InvalidArgumentError(f"tol must be positive, got {tol!r}")
     linv = q.log_inv_q
     total = abs(coeff(0))
     previous = math.inf
     grow_streak = 0
     below_streak = 0
-    for k in range(1, k_cap + 1):
+    for k in range(1, WEIGHTED_SUM_CAP + 1):
         mags = abs(coeff(k)) + abs(coeff(-k))
         if mags == 0.0:
             term = 0.0
@@ -318,11 +311,11 @@ def laurent_weighted_constant(
             raise NonConvergentError(
                 f"weighted terms stopped declining near |k| = {k}; the stream looks divergent"
             )
-        below_streak = below_streak + 1 if term < tol else 0
+        below_streak = below_streak + 1 if term < _LAURENT_CONSTANT_TOL else 0
         if below_streak >= 8:
             return total
         previous = term
-    raise NonConvergentError(f"weighted constant did not settle within |k| <= {k_cap}")
+    raise NonConvergentError(f"weighted constant did not settle within |k| <= {WEIGHTED_SUM_CAP}")
 
 
 def envelope_theta(alpha: float, q: QBase, abs_z: float) -> EnvelopeResult:

@@ -219,10 +219,8 @@ class GaussianSeries:
         # reader never sees a half-grown table.
         self._rows: list[tuple[complex, float, float, float]] = []
 
-    def evaluate(self, z: complex, tol: float, _force_terms: int | None = None) -> EvalResult:
-        """The sum at z with its certified tail.  ``_force_terms`` bypasses the
-        stop rule and sums exactly that many terms (used by the
-        truncation-certificate checks)."""
+    def evaluate(self, z: complex, tol: float) -> EvalResult:
+        """The sum at z with its certified tail; see eval_confluent_f."""
         _require_pos_tol(tol)
         z = complex(z)
         if self._negate:
@@ -261,14 +259,14 @@ class GaussianSeries:
                 abs_nxt = abs(nxt)
                 if not abs_nxt < math.inf:
                     raise NonConvergentError("series term left the double range")
-                if _force_terms is not None:
-                    if k + 1 >= _force_terms:
-                        return EvalResult(value=partial, terms_used=k + 1, tail_bound=0.0)
-                elif k >= MIN_STOP_INDEX:
+                if k >= MIN_STOP_INDEX:
                     bound = w * abs_z * num_cap / dd
                     if bound < 1.0:
                         tail = abs_nxt / (1.0 - bound)
-                        if tail <= tol * max(1.0, abs(partial)):
+                        abs_partial = abs(partial)
+                        if not abs_partial < math.inf:
+                            raise NonConvergentError("series term left the double range")
+                        if tail <= tol * max(1.0, abs_partial):
                             return EvalResult(value=partial, terms_used=k + 1, tail_bound=tail)
                 partial += nxt
                 term = nxt
@@ -288,23 +286,20 @@ def prepare_confluent_f(params: ConfluentParams) -> GaussianSeries:
     return GaussianSeries(params.a_list, params.b_list, params.q.q, params.l, 1, False)
 
 
-def eval_confluent_f(
-    params: ConfluentParams,
-    z: complex,
-    tol: float,
-    _force_terms: int | None = None,
-) -> EvalResult:
+def eval_confluent_f(params: ConfluentParams, z: complex, tol: float) -> EvalResult:
     """Evaluate the Gaussian-weighted entire series at z.
 
     The stop rule certifies the tail through the term-ratio bound
 
         rho_K = q^{l(2K+1)} |z| prod_i (1+|a_i|) / ((1-q^{K+1}) prod_j (1-b_j)),
 
-    which decreases to 0 because of the q^{l k^2} weight.  This is
+    which decreases to 0 because of the q^{l k^2} weight.  Raises
+    NonConvergentError when a term or the partial sum leaves the double
+    range, or when no stop is certified within TERM_CAP terms.  This is
     prepare_confluent_f(params).evaluate(z, tol); evaluating one prepared
     series at many points reuses its tabulated factors.
     """
-    return prepare_confluent_f(params).evaluate(z, tol, _force_terms)
+    return prepare_confluent_f(params).evaluate(z, tol)
 
 
 def prepare_phi(params: PhiParams) -> GaussianSeries:
@@ -314,12 +309,7 @@ def prepare_phi(params: PhiParams) -> GaussianSeries:
     return GaussianSeries(params.a_list, params.b_list, params.q.q, m / 2.0, 0, bool(m % 2))
 
 
-def eval_phi(
-    params: PhiParams,
-    z: complex,
-    tol: float,
-    _force_terms: int | None = None,
-) -> EvalResult:
+def eval_phi(params: PhiParams, z: complex, tol: float) -> EvalResult:
     """Evaluate the confluent basic hypergeometric sum at z by direct summation.
 
     term_k = prod_i (a_i;q)_k / (prod_j (b_j;q)_k (q;q)_k) z^k (-1)^{km} q^{m k(k-1)/2}
@@ -327,7 +317,7 @@ def eval_phi(
     series with weight m/2 and shift 0 at (-1)^m z.  Same truncation contract
     as eval_confluent_f.  This is prepare_phi(params).evaluate(z, tol).
     """
-    return prepare_phi(params).evaluate(z, tol, _force_terms)
+    return prepare_phi(params).evaluate(z, tol)
 
 
 def phi_to_f(params: PhiParams) -> PhiReduction:
@@ -403,9 +393,8 @@ class ThetaSeries:
         # with one assignment; a published list is never modified.
         self._powers: list[float] = []
 
-    def evaluate(self, z: complex, tol: float, _force_k: int | None = None) -> EvalResult:
-        """The sum at z with its certified tail; ``_force_k`` sums exactly
-        |k| <= _force_k."""
+    def evaluate(self, z: complex, tol: float) -> EvalResult:
+        """The sum at z with its certified tail; see eval_theta."""
         _require_pos_tol(tol)
         z = complex(z)
         if z == 0:
@@ -418,10 +407,7 @@ class ThetaSeries:
         if not math.isfinite(abs_z):
             raise InvalidArgumentError(f"argument must be finite, got {z!r}")
         log_m = abs(math.log(abs_z))
-        if _force_k is None:
-            k_stop = _theta_stop_index(lq, log_m, math.log(tol))
-        else:
-            k_stop = _force_k
+        k_stop = _theta_stop_index(lq, log_m, math.log(tol))
 
         rho2 = math.exp(min((2 * k_stop + 3) * lq + log_m, _LOG_HALF))
         tail = 2.0 * math.exp((k_stop + 1) ** 2 * lq + (k_stop + 1) * log_m) / (1.0 - rho2)
@@ -449,12 +435,7 @@ class ThetaSeries:
         return EvalResult(value=value, terms_used=2 * k_stop + 1, tail_bound=tail)
 
 
-def eval_theta(
-    q: QBase,
-    z: complex,
-    tol: float,
-    _force_k: int | None = None,
-) -> EvalResult:
+def eval_theta(q: QBase, z: complex, tol: float) -> EvalResult:
     """Two-sided theta sum over k in [-K, K] with a certified symmetric tail.
 
     K is the smallest index with q^{2K+1} M <= 1/2 and
@@ -464,7 +445,7 @@ def eval_theta(
     exceed TWO_SIDED_CAP or the sum leaves the double range.  This is
     ThetaSeries(q).evaluate(z, tol).
     """
-    return ThetaSeries(q).evaluate(z, tol, _force_k)
+    return ThetaSeries(q).evaluate(z, tol)
 
 
 class LaurentSeries:
@@ -488,9 +469,8 @@ class LaurentSeries:
         # private copy and publishes it with one assignment.
         self._rows: list[tuple[complex, complex, float, float]] = []
 
-    def evaluate(self, z: complex, tol: float, _force_k: int | None = None) -> EvalResult:
-        """The expansion at z with its certified tail; ``_force_k`` sums
-        exactly |k| <= _force_k."""
+    def evaluate(self, z: complex, tol: float) -> EvalResult:
+        """The expansion at z with its certified tail; see eval_laurent."""
         _require_pos_tol(tol)
         spec = self._spec
         z = complex(z)
@@ -543,10 +523,6 @@ class LaurentSeries:
                     abs_partial = math.inf
                 if not abs_partial < math.inf:
                     raise NonConvergentError("Laurent sum overflowed the double range")
-                if _force_k is not None:
-                    if k >= _force_k:
-                        return EvalResult(value=partial, terms_used=2 * k + 1, tail_bound=0.0)
-                    continue
                 if decay + log_m > _LOG_HALF:
                     continue
                 # The majorant term just past the current index can still exceed
@@ -566,19 +542,14 @@ class LaurentSeries:
                 self._rows = rows
 
 
-def eval_laurent(
-    spec: LaurentSpec,
-    z: complex,
-    tol: float,
-    _force_k: int | None = None,
-) -> EvalResult:
+def eval_laurent(spec: LaurentSpec, z: complex, tol: float) -> EvalResult:
     """Evaluate a two-sided expansion around its center with a majorant tail.
 
     The omitted indices |k| > K are bounded wing by wing through
     |coeff(k)| <= c_weighted q^{|k|^(alpha+1)}, using the superlinear growth
     of |k|^(alpha+1) to certify a geometric remainder.  Raises
-    NonConvergentError if k_cap is hit before the tail meets tol, or if the
+    NonConvergentError if spec.k_cap is hit before the tail meets tol, or if the
     partial sum leaves the double range.  This is
     LaurentSeries(spec).evaluate(z, tol).
     """
-    return LaurentSeries(spec).evaluate(z, tol, _force_k)
+    return LaurentSeries(spec).evaluate(z, tol)

@@ -474,6 +474,18 @@ def _series_sum_mp(multiplier: Callable[[int], "mp.mpc"], rho: Callable[[int], f
     raise NonConvergentError(f"identity series did not settle within {_SERIES_CAP} terms")
 
 
+def _series_side_modulus(z: complex) -> float:
+    """|z|, which the series side of an identity needs below 1."""
+    try:
+        abs_z = abs(z)
+    except OverflowError:
+        # Both parts finite, modulus beyond the double range.
+        abs_z = math.inf
+    if not abs_z < 1.0:
+        raise InvalidArgumentError(f"the series side needs |z| < 1, got |z| = {abs_z!r}")
+    return abs_z
+
+
 def identity_euler(q: QBase, z: complex, tol: float) -> float:
     """Residual |(z;q)_inf sum_k z^k/(q;q)_k - 1| from two independent routes.
 
@@ -482,11 +494,9 @@ def identity_euler(q: QBase, z: complex, tol: float) -> float:
     extended precision.
     """
     z = complex(z)
-    if not abs(z) < 1.0:
-        raise InvalidArgumentError(f"the series side needs |z| < 1, got |z| = {abs(z)!r}")
+    abs_z = _series_side_modulus(z)
     product = pochhammer_infinite(z, q, tol).value
     qq = q.q
-    abs_z = abs(z)
     with mp.workdps(_SERIES_DPS):
         z_mp = mp.mpc(z.real, z.imag)
         q_mp = mp.mpf(qq)
@@ -505,11 +515,10 @@ def identity_qbinomial_theorem(a: complex, q: QBase, z: complex, tol: float) -> 
     """
     a = complex(a)
     z = complex(z)
-    if not abs(z) < 1.0:
-        raise InvalidArgumentError(f"the series side needs |z| < 1, got |z| = {abs(z)!r}")
+    abs_z = _series_side_modulus(z)
     lhs = pochhammer_infinite(a * z, q, tol).value / pochhammer_infinite(z, q, tol).value
     qq = q.q
-    abs_a, abs_z = abs(a), abs(z)
+    abs_a = abs(a)
     with mp.workdps(_SERIES_DPS):
         a_mp = mp.mpc(a.real, a.imag)
         z_mp = mp.mpc(z.real, z.imag)

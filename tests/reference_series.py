@@ -6,6 +6,10 @@ is found by a walk up from K = 1.  The prepared evaluators must reproduce
 them bit for bit.  The one deliberate difference is the error raised when a
 complex modulus overflows: these loops let ``abs()``'s OverflowError escape,
 where the prepared evaluators raise NonConvergentError.
+
+The ``force_*`` parameters bypass the stop rule and sum exactly that many
+terms (or indices |k| <= force_k) with a tail bound of 0; the
+truncation-certificate tests take their doubled-depth sums from them.
 """
 
 from __future__ import annotations
@@ -51,6 +55,8 @@ def _certified_sum(
                 bound = rho(k)
                 if bound < 1.0:
                     tail = abs(nxt) / (1.0 - bound)
+                    if not abs(partial) < math.inf:
+                        raise NonConvergentError("series term left the double range")
                     if tail <= tol * max(1.0, abs(partial)):
                         return partial, k + 1, tail
             partial += nxt

@@ -311,6 +311,10 @@ class TestModulusOverflow:
              "series term left the double range"),
             (["eval", "--function", "laurent", "--q", "0.5", "--alpha", "0.5", "--z", _HUGE_Z],
              "Laurent sum overflowed the double range"),
+            (["identity", "--which", "euler", "--q", "0.5", "--z", _HUGE_Z],
+             "the series side needs |z| < 1, got |z| = inf"),
+            (["identity", "--which", "qbinomial", "--q", "0.5", "--a=0.5", "--z", _HUGE_Z],
+             "the series side needs |z| < 1, got |z| = inf"),
         ],
     )
     def test_is_a_typed_error(self, capsys, argv, message):

@@ -99,6 +99,21 @@ def _compare(family, prepared, reference, points, tol):
     assert not mismatches, mismatches[:3]
 
 
+def _walk(prepared, reference, z, tols):
+    """Evaluate one prepared series at z for each tol in turn, requiring the
+    reference outcome each time; returns the terms used.
+
+    The first tol grows the table, the second needs a shorter prefix and the
+    third grows the table again; the callers pin the terms to show it.
+    """
+    terms = []
+    for tol in tols:
+        got = _outcome(prepared.evaluate, z, tol)
+        assert got == _outcome(reference, z, tol), tol
+        terms.append(got[2])
+    return terms
+
+
 class TestGaussianMatchesReference:
     def test_confluent_f(self, rng):
         for q in QS:
@@ -143,14 +158,17 @@ class TestGaussianMatchesReference:
                 1e-14,
             )
 
-    def test_forced_terms(self, rng):
+    def test_tol_walk(self):
         params = ConfluentParams(a_list=(0.5 + 0.5j,), b_list=(0.3,), l=1.0, q=QBase(0.9))
         prepared = prepare_confluent_f(params)
         z = 30.0 - 7.0j
-        # 40 grows the table, 3 and 1 reuse a prefix, 120 grows it again.
-        for n in (40, 3, 1, 120, 17):
-            want = _outcome(ref.eval_gaussian, params.a_list, params.b_list, 0.9, 1.0, 1, z, 1e-14, n)
-            assert _outcome(prepared.evaluate, z, 1e-14, n) == want
+        terms = _walk(
+            prepared,
+            lambda z, tol: ref.eval_gaussian(params.a_list, params.b_list, 0.9, 1.0, 1, z, tol),
+            z,
+            (1e-8, 1e-2, 1e-300, 1e-14, 0.5),
+        )
+        assert terms == [30, 24, 98, 34, 22]
         assert _outcome(prepared.evaluate, 0.0, 1e-14) == _outcome(
             ref.eval_gaussian, params.a_list, params.b_list, 0.9, 1.0, 1, 0.0, 1e-14
         )
@@ -169,11 +187,15 @@ class TestThetaMatchesReference:
                     tol,
                 )
 
-    def test_forced_index(self):
+    def test_tol_walk(self):
         prepared = ThetaSeries(QBase(0.7))
-        z = 3.0 + 4.0j
-        for k in (30, 4, 0, 90, 31):
-            assert _outcome(prepared.evaluate, z, 1e-14, k) == _outcome(ref.eval_theta, 0.7, z, 1e-14, k)
+        terms = _walk(
+            prepared,
+            lambda z, tol: ref.eval_theta(0.7, z, tol),
+            3.0 + 4.0j,
+            (1e-8, 1e-1, 1e-300, 1e-14, 10.0),
+        )
+        assert terms == [21, 13, 95, 27, 7]
 
     def test_stop_index_matches_linear_walk(self):
         rng = random.Random(606)
@@ -220,12 +242,15 @@ class TestLaurentMatchesReference:
                     1e-12,
                 )
 
-    def test_forced_index(self):
+    def test_tol_walk(self):
         spec = _theta_spec(0.4, 0.75)
-        prepared = LaurentSeries(spec)
-        z = 2.0 - 1.0j
-        for k in (20, 2, 1, 60, 21):
-            assert _outcome(prepared.evaluate, z, 1e-12, k) == _outcome(ref.eval_laurent, spec, z, 1e-12, k)
+        terms = _walk(
+            LaurentSeries(spec),
+            lambda z, tol: ref.eval_laurent(spec, z, tol),
+            2.0 - 1.0j,
+            (1e-8, 1e-2, 1e-300, 1e-12, 1.0),
+        )
+        assert terms == [13, 7, 91, 15, 3]
 
     def test_coeff_called_once_per_index(self):
         calls = []

@@ -22,6 +22,7 @@ from qineq import (
 )
 
 import oracles
+import reference_series as ref
 
 
 def _entire(q, l=1.0, a=(), b=()):
@@ -93,7 +94,10 @@ class TestConfluentF:
             )
             z = _rand_point(rng)
             first = eval_confluent_f(params, z, 1e-14)
-            doubled = eval_confluent_f(params, z, 1e-14, _force_terms=2 * first.terms_used)
+            doubled = ref.eval_gaussian(
+                params.a_list, params.b_list, params.q.q, params.l, 1, z, 1e-14,
+                force_terms=2 * first.terms_used,
+            )
             change = abs(doubled.value - first.value)
             assert change <= first.tail_bound + 1e-14 * abs(first.value)
             assert first.tail_bound <= 1e-14 * max(1.0, abs(first.value))
@@ -101,6 +105,18 @@ class TestConfluentF:
     def test_overflowing_argument_raises(self):
         with pytest.raises(NonConvergentError):
             eval_confluent_f(_entire(0.95, l=0.5), 1e300, 1e-14)
+
+    def test_infinite_partial_sum_raises(self):
+        # Every term stays finite, but the partial sum reaches inf before the
+        # stop test, where tol * |partial| would then accept any tail.
+        params = ConfluentParams(
+            a_list=(0.43325517667644764 - 0.38810104978804066j,),
+            b_list=(0.34692774254662256, 0.33917142965382097),
+            l=1.0,
+            q=QBase(0.9631614843347716),
+        )
+        with pytest.raises(NonConvergentError, match="series term left the double range"):
+            eval_confluent_f(params, 20634.951624499743 + 2784.315869689865j, 1e-14)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(InvalidArgumentError):
@@ -217,10 +233,11 @@ class TestRamanujanAq:
     def test_truncation_certificate(self, rng):
         for _ in range(100):
             base = QBase(rng.uniform(0.05, 0.95))
-            params = ConfluentParams(a_list=(), b_list=(), l=1.0, q=base)
             z = _rand_point(rng)
             first = eval_ramanujan_aq(base, z, 1e-14)
-            doubled = eval_confluent_f(params, -z, 1e-14, _force_terms=2 * first.terms_used)
+            doubled = ref.eval_gaussian(
+                (), (), base.q, 1.0, 1, -z, 1e-14, force_terms=2 * first.terms_used
+            )
             assert abs(doubled.value - first.value) <= first.tail_bound + 1e-14 * abs(first.value)
 
 
@@ -279,7 +296,7 @@ class TestTheta:
             z = _rand_point(rng)
             first = eval_theta(base, z, 1e-14)
             k_used = (first.terms_used - 1) // 2
-            doubled = eval_theta(base, z, 1e-14, _force_k=2 * k_used)
+            doubled = ref.eval_theta(base.q, z, 1e-14, force_k=2 * k_used)
             assert abs(doubled.value - first.value) <= first.tail_bound + 1e-14 * abs(first.value)
 
 
@@ -372,5 +389,5 @@ class TestLaurent:
             z = _rand_point(rng, 0.05, 20.0)
             first = eval_laurent(spec, z, 1e-12)
             k_used = (first.terms_used - 1) // 2
-            doubled = eval_laurent(spec, z, 1e-12, _force_k=2 * k_used)
+            doubled = ref.eval_laurent(spec, z, 1e-12, force_k=2 * k_used)
             assert abs(doubled.value - first.value) <= first.tail_bound + 1e-12 * abs(first.value)
