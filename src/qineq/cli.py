@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -136,7 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--grid", type=parse_grid, required=True, help="log grid lo:hi:count")
     p_audit.add_argument("--angles", type=int, default=8)
     p_audit.add_argument("--draws", type=int, default=0,
-                         help="random parameter draws instead of fixed parameters (f, phi)")
+                         help="random parameter draws instead of fixed parameters "
+                              "(f, phi; not with --l, --a, --b)")
     p_audit.add_argument("--seed", type=int, default=0)
     p_audit.add_argument("--slack", type=float, default=DEFAULT_SLACK)
     p_audit.add_argument("--out", default=None, help="output path (default: stdout)")
@@ -310,6 +312,8 @@ def _cmd_audit(args) -> int:
     if args.draws > 0:
         if fn not in ("f", "phi"):
             return _usage_error("--draws requires --function f or phi")
+        if args.l is not None or args.a is not None or args.b is not None:
+            return _usage_error("--draws draws its own parameters; drop --l, --a and --b")
         tag = "confluent_f" if fn == "f" else "phi"
         records = audit_envelope(plan, tag)
     elif fn == "f":
@@ -359,10 +363,20 @@ def _cmd_identity(args) -> int:
     return 0
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
+    """Run one command line and return its exit code.
+
+    The parser is built on the first call and reused by every later call in
+    the process: parsing leaves it unchanged, and repeatable options collect
+    into a fresh list per call, so one run's arguments never reach the next.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -45,12 +45,20 @@ LAURENT_K_CAP = 10_000
 _LOG_HALF = math.log(0.5)
 
 
+def _require_finite_moduli(a_list: tuple[complex, ...]) -> None:
+    # math.hypot, unlike abs(complex), returns inf instead of raising when
+    # both parts are finite but the modulus is beyond the double range.
+    for a in a_list:
+        if not math.isfinite(math.hypot(a.real, a.imag)):
+            raise InvalidArgumentError(f"numerator parameters must have a finite modulus, got {a!r}")
+
+
 @dataclass(frozen=True)
 class ConfluentParams:
     """Parameters of the Gaussian-weighted entire class.
 
-    ``a_list`` may be complex; ``b_list`` entries must lie in [0, 1) and the
-    weight exponent ``l`` must be positive.
+    ``a_list`` may be complex, each with a finite modulus; ``b_list`` entries
+    must lie in [0, 1) and the weight exponent ``l`` must be positive.
     """
 
     a_list: tuple[complex, ...]
@@ -65,6 +73,7 @@ class ConfluentParams:
             l = float(self.l)
         except (TypeError, ValueError) as exc:
             raise InvalidArgumentError(f"malformed parameters: {exc}") from exc
+        _require_finite_moduli(a_list)
         for b in b_list:
             if not 0.0 <= b < 1.0:
                 raise InvalidArgumentError(f"denominator parameters must lie in [0, 1), got {b!r}")
@@ -79,7 +88,8 @@ class ConfluentParams:
 class PhiParams:
     """Numerator/denominator parameters of a confluent basic hypergeometric sum.
 
-    Requires s + 1 - r > 0 (the confluence condition) and b_j in [0, 1).
+    Requires s + 1 - r > 0 (the confluence condition), a finite modulus for
+    each a_i and b_j in [0, 1).
     """
 
     a_list: tuple[complex, ...]
@@ -92,6 +102,7 @@ class PhiParams:
             b_list = tuple(float(b) for b in self.b_list)
         except (TypeError, ValueError) as exc:
             raise InvalidArgumentError(f"malformed parameters: {exc}") from exc
+        _require_finite_moduli(a_list)
         for b in b_list:
             if not 0.0 <= b < 1.0:
                 raise InvalidArgumentError(f"denominator parameters must lie in [0, 1), got {b!r}")

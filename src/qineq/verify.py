@@ -9,6 +9,10 @@ from pass statistics.
 
 Records are produced in plan order, so output is reproducible byte for byte
 for a fixed seed.
+
+Only the extended-precision series sides of identity_euler and
+identity_qbinomial_theorem use mpmath, and they import it when called;
+importing this module, the package or the CLI does not load it.
 """
 
 from __future__ import annotations
@@ -16,9 +20,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable
-
-import mpmath as mp
+from typing import TYPE_CHECKING, Callable
 
 from . import bounds
 from .errors import InvalidArgumentError, NonConvergentError, QSeriesError
@@ -38,6 +40,9 @@ from .series import (
     prepare_confluent_f,
     prepare_phi,
 )
+
+if TYPE_CHECKING:
+    import mpmath as mp
 
 # Audits evaluate through prepared series, so eval_confluent_f, eval_phi and
 # eval_laurent are not called here; perfbench/tracing.py rebinds all four
@@ -444,7 +449,9 @@ def tightness_search(
 
 
 _SERIES_DPS = 40
-_SERIES_STOP = mp.mpf("1e-28")
+# A double, so no mpmath number is built at import: it equals mpmath's
+# 53-bit mpf("1e-28") exactly, and the stop test scales it at _SERIES_DPS.
+_SERIES_STOP = 1e-28
 _SERIES_CAP = 200_000
 
 
@@ -458,6 +465,8 @@ def _series_sum_mp(multiplier: Callable[[int], "mp.mpc"], rho: Callable[[int], f
     ``rho(k)`` must bound the term ratio for indices >= k, as in the
     double-precision evaluators.
     """
+    import mpmath as mp
+
     term = mp.mpc(1)
     partial = mp.mpc(1)
     k = 0
@@ -493,6 +502,8 @@ def identity_euler(q: QBase, z: complex, tol: float) -> float:
     doubles through pochhammer_infinite at the given tol; the series side in
     extended precision.
     """
+    import mpmath as mp
+
     z = complex(z)
     abs_z = _series_side_modulus(z)
     product = pochhammer_infinite(z, q, tol).value
@@ -513,6 +524,8 @@ def identity_qbinomial_theorem(a: complex, q: QBase, z: complex, tol: float) -> 
     Requires |z| < 1.  The series stop uses the sharpened term-ratio bound
     (1 + |a| q^K)|z| / (1 - q^{K+1}), which tends to |z| < 1.
     """
+    import mpmath as mp
+
     a = complex(a)
     z = complex(z)
     abs_z = _series_side_modulus(z)

@@ -8,8 +8,16 @@ from pathlib import Path
 
 import pytest
 
-from qineq import ConfluentParams, QBase, audit_target, eval_ramanujan_aq
-from qineq.cli import CSV_COLUMNS, parse_complex, parse_grid, run
+from qineq import (
+    ConfluentParams,
+    QBase,
+    audit_target,
+    eval_confluent_f,
+    eval_ramanujan_aq,
+    format_complex,
+)
+from qineq import cli
+from qineq.cli import CSV_COLUMNS, build_parser, parse_complex, parse_grid, run
 
 import oracles
 
@@ -181,7 +189,7 @@ class TestAuditCommand:
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["audit", "--function", "f", "--q", "0.5", "--grid", "1e-3:1e3:2",
-                "--angles", "1", "--draws", "150", "--seed", "42", "--l", "1"]
+                "--angles", "1", "--draws", "150", "--seed", "42"]
         assert run(argv + ["--out", str(a)]) == 0
         assert run(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
@@ -231,6 +239,18 @@ class TestAuditCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("function", ["f", "phi"])
+    @pytest.mark.parametrize("flag", [["--l", "1"], ["--a=0.5"], ["--b", "0.3"]])
+    def test_draws_reject_fixed_parameters(self, capsys, function, flag):
+        code = run(
+            ["audit", "--function", function, "--q", "0.5", "--grid", "1e-1:1e1:3",
+             "--draws", "5", *flag]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: --draws draws its own parameters; drop --l, --a and --b\n"
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_unwritable_output_is_a_usage_error(self, tmp_path, capsys, fmt):
         out = tmp_path / "missing" / "x.csv"
@@ -248,8 +268,7 @@ class TestAuditCommand:
         out = tmp_path / "draws.csv"
         code = run(
             ["audit", "--function", "f", "--q", "0.5", "--grid", "1e-2:1e2:2",
-             "--angles", "1", "--draws", "40", "--seed", "7", "--l", "1",
-             "--out", str(out)]
+             "--angles", "1", "--draws", "40", "--seed", "7", "--out", str(out)]
         )
         assert code == 0
         rows = list(csv.DictReader(out.read_text().splitlines()))
@@ -290,9 +309,10 @@ class TestAuditCommand:
 
 
 # Both parts finite, modulus beyond the double range: the theta sum at this
-# point, and the argument itself at 1.5e308+1.5e308i.
+# point, and the argument or numerator parameter itself at 1.5e308+1.5e308i.
 _THETA_OVERFLOW_Z = "1.277810357463823e+19+1.2880739494306163e+19i"
 _HUGE_Z = "1.5e308+1.5e308i"
+_HUGE_A_MESSAGE = "numerator parameters must have a finite modulus, got (1.5e+308+1.5e+308j)"
 
 
 class TestModulusOverflow:
@@ -315,6 +335,22 @@ class TestModulusOverflow:
              "the series side needs |z| < 1, got |z| = inf"),
             (["identity", "--which", "qbinomial", "--q", "0.5", "--a=0.5", "--z", _HUGE_Z],
              "the series side needs |z| < 1, got |z| = inf"),
+            (["eval", "--function", "f", "--q", "0.5", "--l", "1", f"--a={_HUGE_Z}", "--z", "1"],
+             _HUGE_A_MESSAGE),
+            (["eval", "--function", "phi", "--q", "0.5", f"--a={_HUGE_Z}", "--b", "0.3", "--z", "1"],
+             _HUGE_A_MESSAGE),
+            (["envelope", "--function", "f", "--q", "0.5", "--l", "1", f"--a={_HUGE_Z}",
+              "--abs-z", "1"],
+             _HUGE_A_MESSAGE),
+            (["envelope", "--function", "phi", "--q", "0.5", f"--a={_HUGE_Z}", "--b", "0.3",
+              "--abs-z", "1"],
+             _HUGE_A_MESSAGE),
+            (["audit", "--function", "f", "--q", "0.5", "--l", "1", f"--a={_HUGE_Z}",
+              "--grid", "1:2:2", "--angles", "1"],
+             _HUGE_A_MESSAGE),
+            (["audit", "--function", "phi", "--q", "0.5", f"--a={_HUGE_Z}", "--b", "0.3",
+              "--grid", "1:2:2", "--angles", "1"],
+             _HUGE_A_MESSAGE),
         ],
     )
     def test_is_a_typed_error(self, capsys, argv, message):
@@ -358,3 +394,59 @@ class TestEnvironment:
 
     def test_usage_error_exit_code(self):
         assert run(["eval", "--function", "nope", "--q", "0.5", "--z", "1"]) == 2
+
+    def test_only_identity_residuals_load_mpmath(self):
+        script = (
+            "import sys, qineq, qineq.cli\n"
+            "print('mpmath' in sys.modules)\n"
+            "from qineq import QBase\n"
+            "print(qineq.identity_euler(QBase(0.9), -0.85+0.2j, 1e-14).hex())\n"
+            "print(qineq.identity_qbinomial_theorem(1.5-0.5j, QBase(0.7), -0.6+0.3j, 1e-14).hex())\n"
+            "print('mpmath' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, env=env, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "False", "0x1.7f72e6137a46ep-47", "0x1.8154be2773526p-48", "True",
+        ]
+
+
+class TestParserReuse:
+    def test_parameters_do_not_leak_into_the_next_run(self, capsys, monkeypatch):
+        built = []
+
+        def counting_build_parser():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        cli._shared_parser.cache_clear()
+        try:
+            with_params = ["eval", "--function", "f", "--q", "0.5", "--l", "1",
+                           "--a=0.3+0.1i", "--b", "0.2", "--z", "2+0i"]
+            without = ["eval", "--function", "f", "--q", "0.5", "--l", "1", "--z", "2+0i"]
+            assert run(with_params) == 0
+            capsys.readouterr()
+            assert run(without) == 0
+            assert capsys.readouterr().out == _eval_lines(
+                eval_confluent_f(ConfluentParams((), (), 1.0, QBase(0.5)), 2.0, 1e-14)
+            )
+            assert run(with_params) == 0
+            assert capsys.readouterr().out == _eval_lines(
+                eval_confluent_f(ConfluentParams((0.3 + 0.1j,), (0.2,), 1.0, QBase(0.5)),
+                                 2.0, 1e-14)
+            )
+        finally:
+            cli._shared_parser.cache_clear()
+        assert len(built) == 1
+
+
+def _eval_lines(result) -> str:
+    return (
+        f"value = {format_complex(result.value)}\n"
+        f"terms_used = {result.terms_used}\n"
+        f"tail_bound = {result.tail_bound!r}\n"
+    )

@@ -205,7 +205,7 @@ class TestSharedEnvelopeConstants:
             ["audit", "--function", "f", "--q", "0.9", "--l", "1", "--a=1+1i", "--b", "0.2", *grid],
             ["audit", "--function", "phi", "--q", "0.5", "--a=0.5", "--b", "0.3", "--b", "0.6", *grid],
             ["audit", "--function", "laurent", "--q", "0.5", "--alpha", "0.5", *grid],
-            ["audit", "--function", "f", "--q", "0.5", "--l", "1", "--grid", "1e-3:1e3:2",
+            ["audit", "--function", "f", "--q", "0.5", "--grid", "1e-3:1e3:2",
              "--draws", "300", "--seed", "7"],
             ["audit", "--function", "phi", "--q", "0.5", "--grid", "1e-3:1e3:2",
              "--draws", "300", "--seed", "7", "--format", "json"],
