@@ -4,7 +4,10 @@ Complex literals use the shell-safe form <re>[+|-]<im>i (a plain real is
 accepted as zero-imaginary); pass negatives as --z=-1+0i so the leading dash
 is not read as a flag.  Modulus grids are log-spaced lo:hi:count.  Audit
 output is CSV (default) or JSON with a fixed column order, reproducible byte
-for byte for a fixed seed; errored records have null measurements in JSON.
+for byte for a fixed seed; errored records have null measurements in JSON,
+and the last column, error, says why (empty in CSV and null in JSON when
+the record has no error).  An option that does not apply to --function is a
+usage error, never silently ignored.
 
 Exit codes: 0 success, and for audit that no record violated its envelope;
 1 at least one audit record failed; 2 usage or validation errors or an
@@ -18,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import sys
 
@@ -62,6 +66,7 @@ CSV_COLUMNS = (
     "pass",
     "terms_used",
     "tail_bound",
+    "error",
 )
 
 
@@ -117,7 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--c-weighted", type=float, default=None,
                        help="override the weighted-coefficient constant (laurent)")
         if evaluates:
-            p.add_argument("--k-cap", type=int, default=LAURENT_K_CAP, help="Laurent index cap")
+            p.add_argument("--k-cap", type=int, default=None,
+                           help=f"Laurent index cap (default {LAURENT_K_CAP}; laurent)")
             p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     p_eval = sub.add_parser("eval", help="evaluate a function at one point")
@@ -170,6 +176,37 @@ def _need(args, attr: str, flag: str, context: str):
     return value
 
 
+# Each function-specific option: (attribute, flag, the functions it applies to).
+_FUNCTION_OPTIONS = (
+    ("a", "--a", ("f", "phi")),
+    ("b", "--b", ("f", "phi")),
+    ("l", "--l", ("f",)),
+    ("alpha", "--alpha", ("theta", "laurent")),
+    ("c_weighted", "--c-weighted", ("laurent",)),
+    ("k_cap", "--k-cap", ("laurent",)),
+)
+_VARIANT_FUNCTION = {
+    "gaussian": "aq", "exponential": "aq", "certified": "theta", "as-printed": "theta",
+}
+
+
+def _reject_inapplicable(args) -> None:
+    """Raise InvalidArgumentError naming every given option that does not
+    apply to --function, so that none is silently ignored."""
+    fn = args.function
+    flags = [
+        flag
+        for attr, flag, functions in _FUNCTION_OPTIONS
+        if getattr(args, attr, None) is not None and fn not in functions
+    ]
+    variant = getattr(args, "variant", None)
+    if variant is not None and _VARIANT_FUNCTION[variant] != fn:
+        flags.append(f"--variant {variant}")
+    if flags:
+        verb = "does" if len(flags) == 1 else "do"
+        raise InvalidArgumentError(f"{', '.join(flags)} {verb} not apply to --function {fn}")
+
+
 def _confluent_from_args(args, qb: QBase) -> ConfluentParams:
     l = _need(args, "l", "--l", "--function f")
     return ConfluentParams(a_list=tuple(args.a or ()), b_list=tuple(args.b or ()), l=l, q=qb)
@@ -196,12 +233,13 @@ def _laurent_from_args(args, qb: QBase) -> LaurentSpec:
         alpha=alpha,
         q=qb,
         c_weighted=c,
-        k_cap=args.k_cap,
+        k_cap=LAURENT_K_CAP if args.k_cap is None else args.k_cap,
     )
 
 
 def _cmd_eval(args) -> int:
     qb = QBase(args.q)
+    _reject_inapplicable(args)
     fn = args.function
     if fn == "f":
         result = eval_confluent_f(_confluent_from_args(args, qb), args.z, args.tol)
@@ -221,6 +259,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_envelope(args) -> int:
     qb = QBase(args.q)
+    _reject_inapplicable(args)
     fn = args.function
     abs_z = args.abs_z
     if fn == "f":
@@ -255,25 +294,40 @@ def _csv_cell_l(l: float | None) -> str:
 
 
 def _write_csv(records, stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    """Write the report in one piece.
+
+    The function, q, l and param_digest cells repeat across a sweep, so each
+    distinct run of them is rendered through ``csv`` once (a digest such as
+    b=0.2,0.6 needs quoting), and so is each distinct error message (a
+    message can hold a comma).  The other cells are float reprs, true/false
+    and ints, which never need quoting, and are joined directly.
+    """
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+
+    def render(cells) -> str:
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow(cells)
+        return buffer.getvalue()[:-1]
+
+    lines = [render(CSV_COLUMNS)]
+    key = prefix = None
+    error_cells = {"": ""}
     for r in records:
-        writer.writerow(
-            (
-                r.function_tag,
-                repr(r.q),
-                _csv_cell_l(r.l),
-                r.param_digest,
-                repr(r.z.real),
-                repr(r.z.imag),
-                repr(r.abs_value),
-                repr(r.envelope_log),
-                repr(r.ratio),
-                "true" if r.passed else "false",
-                str(r.terms_used),
-                repr(r.tail_bound),
-            )
+        if (r.function_tag, r.q, r.l, r.param_digest) != key:
+            key = (r.function_tag, r.q, r.l, r.param_digest)
+            prefix = render((r.function_tag, repr(r.q), _csv_cell_l(r.l), r.param_digest))
+        error = error_cells.get(r.error)
+        if error is None:
+            error = error_cells[r.error] = render((r.error,))
+        z = r.z
+        lines.append(
+            f"{prefix},{z.real!r},{z.imag!r},{r.abs_value!r},{r.envelope_log!r},{r.ratio!r},"
+            f"{'true' if r.passed else 'false'},{r.terms_used},{r.tail_bound!r},{error}"
         )
+    lines.append("")
+    stream.write("\n".join(lines))
 
 
 def _write_json(records, stream) -> None:
@@ -291,6 +345,7 @@ def _write_json(records, stream) -> None:
             "pass": r.passed,
             "terms_used": r.terms_used,
             "tail_bound": None if r.error else r.tail_bound,
+            "error": r.error or None,
         }
         for r in records
     ]
@@ -314,8 +369,9 @@ def _cmd_audit(args) -> int:
             return _usage_error("--draws requires --function f or phi")
         if args.l is not None or args.a is not None or args.b is not None:
             return _usage_error("--draws draws its own parameters; drop --l, --a and --b")
-        tag = "confluent_f" if fn == "f" else "phi"
-        records = audit_envelope(plan, tag)
+    _reject_inapplicable(args)
+    if args.draws > 0:
+        records = audit_envelope(plan, "confluent_f" if fn == "f" else "phi")
     elif fn == "f":
         records = audit_envelope(plan, "confluent_f", _confluent_from_args(args, qb))
     elif fn == "phi":

@@ -43,6 +43,8 @@ TERM_CAP = 100_000
 TWO_SIDED_CAP = 1_000_000
 LAURENT_K_CAP = 10_000
 _LOG_HALF = math.log(0.5)
+# Terms theta sums between two checks that its parts are still finite.
+_THETA_CHECK_EVERY = 32
 
 
 def _require_finite_moduli(a_list: tuple[complex, ...]) -> None:
@@ -392,7 +394,10 @@ class ThetaSeries:
     """A prepared theta sum sum_{k in Z} q^{k^2} z^k.
 
     The factors q^{2k-1} that step both wings are tabulated up to the largest
-    index any evaluation has needed, and later evaluations reuse them.
+    index any evaluation has needed, and later evaluations reuse them.  The
+    running sum is checked every 32 terms, so a sum that leaves the double
+    range raises as soon as one of its parts is not finite instead of after
+    the last term.
     """
 
     __slots__ = ("_q", "_lq", "_powers")
@@ -432,10 +437,16 @@ class ThetaSeries:
         plus: complex = 1.0 + 0.0j
         minus: complex = 1.0 + 0.0j
         z_inv = 1.0 / z
-        for f in powers[:k_stop]:
-            plus *= f * z
-            minus *= f * z_inv
-            value += plus + minus
+        for lo in range(0, k_stop, _THETA_CHECK_EVERY):
+            for f in powers[lo:min(lo + _THETA_CHECK_EVERY, k_stop)]:
+                plus *= f * z
+                minus *= f * z_inv
+                value += plus + minus
+            # Complex addition works part by part, and an inf or nan part
+            # never becomes finite again, so this rejects exactly the sums
+            # that the final check below would reject, only sooner.
+            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+                raise NonConvergentError("theta sum overflowed the double range")
         try:
             abs_value = abs(value)
         except OverflowError:
@@ -464,7 +475,10 @@ class LaurentSeries:
 
     coeff(k), coeff(-k) and the weights of the stop rule are tabulated per
     index the first time an evaluation reaches it, and later evaluations
-    reuse them, so coeff is called once per index.
+    reuse them, so coeff is called once per index.  The log-space tail test
+    is screened by a lower bound on its left side that costs one addition;
+    the full test runs only at indices where the screen cannot rule it out,
+    and the screen never changes its verdict.
     """
 
     __slots__ = ("_spec", "_lq", "_ap1", "_log_c", "_c0", "_rows")
@@ -536,6 +550,16 @@ class LaurentSeries:
                     raise NonConvergentError("Laurent sum overflowed the double range")
                 if decay + log_m > _LOG_HALF:
                     continue
+                target_log = math.log(tol * max(1.0, abs_partial))
+                # Screen: the wing whose sign is that of law computes exactly
+                # next_weight + (k + 1) * log_m and then subtracts
+                # log1p(-wing_rho) <= 0; hi is at least that wing, the
+                # log1p(exp(min - hi)) term below is >= 0, and rounding is
+                # monotone.  So log_c + (next_weight + (k + 1) * log_m) is a
+                # lower bound on the tail_log computed below, and while it
+                # exceeds target_log the tail test cannot pass.
+                if log_c + (next_weight + (k + 1) * log_m) > target_log:
+                    continue
                 # The majorant term just past the current index can still exceed
                 # the double range, so the wing tails are compared in log space.
                 wing_logs = []
@@ -544,7 +568,7 @@ class LaurentSeries:
                     wing_logs.append(next_weight + sgn * (k + 1) * law - math.log1p(-wing_rho))
                 hi = max(wing_logs)
                 tail_log = log_c + hi + math.log1p(math.exp(min(wing_logs) - hi))
-                if tail_log <= math.log(tol * max(1.0, abs_partial)):
+                if tail_log <= target_log:
                     return EvalResult(
                         value=partial, terms_used=2 * k + 1, tail_bound=math.exp(tail_log)
                     )

@@ -1,11 +1,11 @@
 """Sweep harness, identity oracles and tightness search for the envelopes.
 
 An audit walks a deterministic set of complex points, evaluates the tagged
-function and its envelope at each, and emits one record per point with the
-ratio |value| / envelope computed in log space.  Every proved envelope must
-dominate, so all-pass is the expected outcome; failures are collected rather
-than raised, and records whose evaluation errored are marked and excluded
-from pass statistics.
+function at each and its envelope once per modulus, and emits one record per
+point with the ratio |value| / envelope computed in log space.  Every proved
+envelope must dominate, so all-pass is the expected outcome; failures are
+collected rather than raised, and records whose evaluation errored are
+marked and excluded from pass statistics.
 
 Records are produced in plan order, so output is reproducible byte for byte
 for a fixed seed.
@@ -240,54 +240,83 @@ def audit_target(function_tag: str, fixed_params) -> AuditTarget:
     raise InvalidArgumentError(f"unknown function tag {function_tag!r}; expected {FUNCTION_TAGS}")
 
 
-def _measure(
-    target: AuditTarget, z: complex, abs_z: float, tol: float
-) -> tuple[EvalResult, float, float, float, float]:
-    """(result, |value|, envelope_log, log|value|, clamped ratio) of the target at z."""
-    result = target.evaluate(z, tol)
-    envelope_log = target.envelope_log(abs_z)
+def _ratio(result: EvalResult, envelope_log: float) -> tuple[float, float, float]:
+    """(|value|, log|value|, clamped ratio) of a result against its envelope."""
     abs_value = abs(result.value)
     if abs_value == 0.0:
-        return result, abs_value, envelope_log, -math.inf, 0.0
+        return abs_value, -math.inf, 0.0
     log_value = math.log(abs_value)
-    ratio = math.exp(min(log_value - envelope_log, bounds._MAX_LOG))
-    return result, abs_value, envelope_log, log_value, ratio
+    return abs_value, log_value, math.exp(min(log_value - envelope_log, bounds._MAX_LOG))
 
 
-def _record(
-    target: AuditTarget, abs_z: float, angle: float, tol: float, log_slack: float
-) -> AuditRecord:
-    z = target.center + abs_z * complex(math.cos(angle), math.sin(angle))
-    try:
-        result, abs_value, envelope_log, log_value, ratio = _measure(target, z, abs_z, tol)
-    except QSeriesError as exc:
-        return AuditRecord(
-            function_tag=target.function_tag,
-            q=target.q,
-            l=target.l,
-            param_digest=target.param_digest,
-            z=z,
-            abs_value=math.nan,
-            envelope_log=math.nan,
-            ratio=math.nan,
-            passed=False,
-            terms_used=0,
-            tail_bound=math.nan,
-            error=str(exc) or exc.__class__.__name__,
-        )
+def _error_record(target: AuditTarget, z: complex, exc: QSeriesError) -> AuditRecord:
     return AuditRecord(
         function_tag=target.function_tag,
         q=target.q,
         l=target.l,
         param_digest=target.param_digest,
         z=z,
-        abs_value=abs_value,
-        envelope_log=envelope_log,
-        ratio=ratio,
-        passed=log_value <= envelope_log + log_slack,
-        terms_used=result.terms_used,
-        tail_bound=result.tail_bound,
+        abs_value=math.nan,
+        envelope_log=math.nan,
+        ratio=math.nan,
+        passed=False,
+        terms_used=0,
+        tail_bound=math.nan,
+        error=str(exc) or exc.__class__.__name__,
     )
+
+
+def _records_at(
+    target: AuditTarget,
+    abs_z: float,
+    units: tuple[complex, ...],
+    tol: float,
+    log_slack: float,
+    records: list[AuditRecord],
+) -> None:
+    """Append the records of the target at abs_z times each unit, in order.
+
+    Each point is evaluated first; an evaluation error is that record's
+    error.  The envelope depends on |z| only, so it is computed once, when
+    the first evaluation at this modulus succeeds, and an envelope error
+    becomes the error of every record here whose evaluation succeeded.
+    """
+    envelope: float | QSeriesError | None = None
+    for unit in units:
+        z = target.center + abs_z * unit
+        try:
+            result = target.evaluate(z, tol)
+        except QSeriesError as exc:
+            records.append(_error_record(target, z, exc))
+            continue
+        if envelope is None:
+            try:
+                envelope = target.envelope_log(abs_z)
+            except QSeriesError as exc:
+                envelope = exc
+        if isinstance(envelope, QSeriesError):
+            records.append(_error_record(target, z, envelope))
+            continue
+        abs_value, log_value, ratio = _ratio(result, envelope)
+        records.append(
+            AuditRecord(
+                function_tag=target.function_tag,
+                q=target.q,
+                l=target.l,
+                param_digest=target.param_digest,
+                z=z,
+                abs_value=abs_value,
+                envelope_log=envelope,
+                ratio=ratio,
+                passed=log_value <= envelope + log_slack,
+                terms_used=result.terms_used,
+                tail_bound=result.tail_bound,
+            )
+        )
+
+
+def _unit(angle: float) -> complex:
+    return complex(math.cos(angle), math.sin(angle))
 
 
 def _draw_disk(rng: random.Random, radius: float) -> complex:
@@ -325,7 +354,12 @@ def audit_envelope(
 ) -> list[AuditRecord]:
     """Run one sweep and return its records in plan order.
 
-    With ``fixed_params`` set, the sweep walks the full grid x angle lattice.
+    With ``fixed_params`` set, the sweep walks the full grid x angle lattice
+    and computes the envelope once per grid modulus, since it depends on |z|
+    only: at the first angle whose evaluation succeeds, which is where a
+    per-point audit would first compute it.  An evaluation error is its
+    record's error; an envelope error is the error of every record at that
+    modulus whose evaluation succeeded.
     With ``fixed_params=None`` (supported for "confluent_f" and "phi"), each
     of ``plan.parameter_draws`` records gets freshly drawn parameters, a
     modulus log-uniform between the grid extremes and a uniform angle.
@@ -334,10 +368,9 @@ def audit_envelope(
     records: list[AuditRecord] = []
     if fixed_params is not None:
         target = audit_target(function_tag, fixed_params)
+        units = tuple(_unit(_TWO_PI * j / plan.angle_count) for j in range(plan.angle_count))
         for abs_z in plan.abs_z_grid:
-            for j in range(plan.angle_count):
-                angle = _TWO_PI * j / plan.angle_count
-                records.append(_record(target, abs_z, angle, plan.tol, log_slack))
+            _records_at(target, abs_z, units, plan.tol, log_slack, records)
         return records
     if function_tag not in ("confluent_f", "phi"):
         raise InvalidArgumentError(
@@ -354,7 +387,7 @@ def audit_envelope(
         target = audit_target(function_tag, params)
         abs_z = math.exp(rng.uniform(llo, lhi))
         angle = rng.uniform(0.0, _TWO_PI)
-        records.append(_record(target, abs_z, angle, plan.tol, log_slack))
+        _records_at(target, abs_z, (_unit(angle),), plan.tol, log_slack, records)
     return records
 
 
@@ -407,8 +440,8 @@ def tightness_search(
     radii, angles = coarse_layout(budget, abs_z_range)
 
     def ratio_at(abs_z: float, angle: float) -> float:
-        z = target.center + abs_z * complex(math.cos(angle), math.sin(angle))
-        return _measure(target, z, abs_z, DEFAULT_TOL)[4]
+        result = target.evaluate(target.center + abs_z * _unit(angle), DEFAULT_TOL)
+        return _ratio(result, target.envelope_log(abs_z))[2]
 
     best_ratio = -1.0
     best_r = radii[0]

@@ -182,9 +182,9 @@ class TestAuditCommand:
         assert len(payload) == 20
         assert list(payload[0].keys()) == list(CSV_COLUMNS[:4]) + [
             "re_z", "im_z", "abs_value", "envelope_log", "ratio", "pass",
-            "terms_used", "tail_bound",
+            "terms_used", "tail_bound", "error",
         ]
-        assert all(rec["pass"] is True for rec in payload)
+        assert all(rec["pass"] is True and rec["error"] is None for rec in payload)
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -356,6 +356,65 @@ class TestModulusOverflow:
     def test_is_a_typed_error(self, capsys, argv, message):
         assert run(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+class TestInapplicableOptions:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["eval", "--function", "f", "--q", "0.5", "--l", "1", "--z", "1", "--alpha", "3",
+              "--c-weighted", "5"],
+             "--alpha, --c-weighted do not apply to --function f"),
+            (["eval", "--function", "aq", "--q", "0.5", "--z", "1", "--a=0.5"],
+             "--a does not apply to --function aq"),
+            (["eval", "--function", "theta", "--q", "0.5", "--z", "1", "--b", "0.3"],
+             "--b does not apply to --function theta"),
+            (["eval", "--function", "laurent", "--q", "0.5", "--z", "2", "--alpha", "0.5",
+              "--l", "1"],
+             "--l does not apply to --function laurent"),
+            (["eval", "--function", "phi", "--q", "0.5", "--z", "1", "--l", "1"],
+             "--l does not apply to --function phi"),
+            (["eval", "--function", "theta", "--q", "0.5", "--z", "1", "--k-cap", "3"],
+             "--k-cap does not apply to --function theta"),
+            (["eval", "--function", "theta", "--q", "0.5", "--z", "1", "--c-weighted", "2"],
+             "--c-weighted does not apply to --function theta"),
+            (["envelope", "--function", "aq", "--q", "0.5", "--abs-z", "1",
+              "--variant", "as-printed"],
+             "--variant as-printed does not apply to --function aq"),
+            (["envelope", "--function", "theta", "--q", "0.5", "--alpha", "0.5", "--abs-z", "1",
+              "--variant", "exponential"],
+             "--variant exponential does not apply to --function theta"),
+            (["envelope", "--function", "f", "--q", "0.5", "--l", "1", "--abs-z", "1",
+              "--variant", "gaussian"],
+             "--variant gaussian does not apply to --function f"),
+            (["audit", "--function", "aq", "--q", "0.5", "--grid", "1:2:2", "--l", "2",
+              "--k-cap", "4"],
+             "--l, --k-cap do not apply to --function aq"),
+            (["audit", "--function", "f", "--q", "0.5", "--grid", "1:2:2", "--draws", "5",
+              "--alpha", "0.5"],
+             "--alpha does not apply to --function f"),
+        ],
+    )
+    def test_exit_two_with_one_error_line(self, capsys, argv, message):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["envelope", "--function", "aq", "--q", "0.5", "--abs-z", "1", "--variant", "gaussian"],
+            ["envelope", "--function", "theta", "--q", "0.5", "--alpha", "0.5", "--abs-z", "1",
+             "--variant", "certified"],
+            ["eval", "--function", "laurent", "--q", "0.5", "--z", "2", "--alpha", "0.5",
+             "--c-weighted", "2", "--k-cap", "50"],
+            ["audit", "--function", "phi", "--q", "0.5", "--grid", "1:2:2", "--draws", "3"],
+        ],
+    )
+    def test_applicable_options_still_accepted(self, capsys, argv):
+        assert run(argv) == 0
+        assert not capsys.readouterr().err.startswith("error:")
 
 
 class TestIdentityCommand:

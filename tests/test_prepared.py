@@ -21,9 +21,11 @@ from qineq import (
     PhiParams,
     QBase,
     QSeriesError,
+    log_grid,
     theta_weighted_constant,
 )
 from qineq.series import (
+    LAURENT_K_CAP,
     TWO_SIDED_CAP,
     LaurentSeries,
     ThetaSeries,
@@ -90,13 +92,17 @@ def _theta_spec(q, alpha, k_cap=2000):
 
 
 def _compare(family, prepared, reference, points, tol):
+    """Require the reference outcome at every point; returns how many were errors."""
     mismatches = []
+    errors = 0
     for z in points:
         want = _expected(family, reference, z, tol)
         got = _outcome(prepared.evaluate, z, tol)
         if got != want:
             mismatches.append((z, want, got))
+        errors += len(want) == 2
     assert not mismatches, mismatches[:3]
+    return errors
 
 
 def _walk(prepared, reference, z, tols):
@@ -265,6 +271,39 @@ class TestLaurentMatchesReference:
         for z in (2.0, 0.5j, 40.0, 1.0, 300.0 - 1.0j):
             prepared.evaluate(z, 1e-12)
         assert len(calls) == len(set(calls))
+
+
+def _dense_points(moduli, angles=3):
+    """Each modulus, and modulus 1 exactly, at ``angles`` directions."""
+    phases = [0.3 + 2.0 * math.pi * j / angles for j in range(angles)]
+    return [mod * complex(math.cos(a), math.sin(a)) for mod in (*moduli, 1.0) for a in phases]
+
+
+class TestStopPathsOnDenseGrids:
+    """Theta's early overflow exit and Laurent's screened tail test change no
+    outcome: every value, term count, tail bound and error is the
+    reference's, on dense modulus grids that reach the overflow region."""
+
+    TOLS = (1e-14, 1e-9, 1e-4)
+
+    @pytest.mark.parametrize("q", [0.95, 0.99, 0.999])
+    def test_theta(self, q):
+        prepared = ThetaSeries(QBase(q))
+        points = _dense_points(log_grid(1e-8, 1e8, 81))
+        reference = lambda z, tol: ref.eval_theta(q, z, tol)  # noqa: E731
+        errors = sum(_compare("theta", prepared, reference, points, tol) for tol in self.TOLS)
+        assert 0 < errors < len(points) * len(self.TOLS)
+
+    @pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
+    def test_laurent(self, q):
+        spec = _theta_spec(q, 0.5, k_cap=LAURENT_K_CAP)
+        points = _dense_points((*log_grid(1e-3, 1e3, 49), *log_grid(0.5, 2.0, 48)))
+        prepared = LaurentSeries(spec)
+        reference = lambda z, tol: ref.eval_laurent(spec, z, tol)  # noqa: E731
+        errors = sum(_compare("laurent", prepared, reference, points, tol) for tol in self.TOLS)
+        assert errors < len(points) * len(self.TOLS)
+        if q >= 0.9:
+            assert errors > 0
 
 
 def test_shared_targets_under_thread_contention():
