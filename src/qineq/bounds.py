@@ -40,11 +40,15 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import InvalidArgumentError, NonConvergentError
-from .qcore import QBase, multishifted, pochhammer_infinite
+from .qcore import QBase, _truncated_products
+# Not called here since the constants come from one table per base, but
+# perfbench/tracing.py rebinds both names in this module.
+from .qcore import multishifted, pochhammer_infinite  # noqa: F401
 from .series import ConfluentParams, PhiParams, phi_to_f
 
 _POCH_TOL = 1e-16
 _MAX_LOG = math.log(sys.float_info.max)
+_MIN_NORMAL = sys.float_info.min
 _CACHE_SIZE = 256
 WEIGHTED_SUM_CAP = 100_000
 THETA_CONSTANT_TOL = 1e-15
@@ -62,8 +66,10 @@ class EnvelopeResult:
     """An envelope value with its constant-factor breakdown.
 
     log_bound == log(constant_c) + prefactor_log + exponent_term holds by
-    construction; ``bound`` is exp(log_bound) or math.inf when that
-    overflows.
+    construction wherever constant_c and the products behind it are normal
+    doubles.  Elsewhere log_bound is assembled from log constant_c taken in
+    log space, and constant_c is its exp, or math.inf when that overflows;
+    ``bound`` is exp(log_bound) or math.inf when that overflows.
     """
 
     log_bound: float
@@ -73,8 +79,12 @@ class EnvelopeResult:
     exponent_term: float
 
 
-def _assemble(constant_c: float, prefactor_log: float, exponent_term: float) -> EnvelopeResult:
-    log_bound = math.log(constant_c) + prefactor_log + exponent_term
+def _assemble(
+    constant_c: float, prefactor_log: float, exponent_term: float, log_c: float | None = None
+) -> EnvelopeResult:
+    if log_c is None:
+        log_c = math.log(constant_c)
+    log_bound = log_c + prefactor_log + exponent_term
     return EnvelopeResult(
         log_bound=log_bound,
         bound=_as_linear(log_bound),
@@ -111,11 +121,10 @@ def constant_c(params: ConfluentParams) -> float:
     """Parameter constant (-|a_1|,...,-|a_r|;q)_inf / (b_1,...,b_s;q)_inf.
 
     Equals 1 for empty parameter lists and is >= 1 in general, since every
-    numerator factor is >= 1 and every denominator factor is <= 1.
+    numerator factor is >= 1 and every denominator factor is <= 1.  It is
+    math.inf where it overflows; see _entire_logs.
     """
-    num = multishifted([-abs(a) for a in params.a_list], params.q, math.inf, tol=_POCH_TOL)
-    den = multishifted(list(params.b_list), params.q, math.inf, tol=_POCH_TOL)
-    return num.value / den.value
+    return _entire_logs(params)[0]
 
 
 def term_peak(abs_z: float, l: float, q: QBase) -> float:
@@ -135,28 +144,68 @@ def term_peak(abs_z: float, l: float, q: QBase) -> float:
     return 0.5 * lz - 0.25 * l * lq - lz * lz / (4.0 * l * lq)
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _entire_constants(params: ConfluentParams) -> tuple[float, float]:
-    """(constant_c, (q^l;q)_inf) of the entire class, cached per parameter set."""
-    q = params.q
-    return constant_c(params), pochhammer_infinite(q.q**params.l, q, _POCH_TOL).value
+def _product_log(xs: list, counts: list[int], values: list, qq: float) -> tuple[float, float]:
+    """The product of truncated (x;q)_inf ``values``, combined as
+    multishifted combines them, and its log.
+
+    A product that is not a normal double has lost its bits to underflow or
+    overflow: its log is then math.fsum of log1p(-x q^k) over the same
+    factors, the ``counts`` of _truncated_products.
+    """
+    value = 1.0
+    for part in values:
+        value = value * part
+    if _MIN_NORMAL <= value < math.inf:
+        return value, math.log(value)
+    return value, math.fsum([math.log1p(-x * qq**k) for x, n in zip(xs, counts) for k in range(n)])
+
+
+def _entire_logs(params: ConfluentParams) -> tuple[float, float, float]:
+    """(constant_c, log constant_c, log (q^l;q)_inf) of the entire class.
+
+    One qcore table of q**k at _POCH_TOL serves every product.  Where the
+    numerator, the denominator and their quotient are normal doubles this is
+    (c, math.log(c), math.log((q^l;q)_inf)) with c = num / den, the bits of
+    constant_c over multishifted; elsewhere the logs are taken in log space
+    (see _product_log) and c is exp(log c), math.inf when that overflows.
+    """
+    qq = params.q.q
+    r = len(params.a_list)
+    xs = [-abs(a) for a in params.a_list] + list(params.b_list) + [qq**params.l]
+    counts, values, error = _truncated_products(xs, params.q, _POCH_TOL)
+    if error is not None:
+        raise error
+    num, log_num = _product_log(xs[:r], counts[:r], values[:r], qq)
+    den, log_den = _product_log(xs[r:-1], counts[r:-1], values[r:-1], qq)
+    log_ql = _product_log(xs[-1:], counts[-1:], values[-1:], qq)[1]
+    if num < math.inf and den >= _MIN_NORMAL and num / den < math.inf:
+        c = num / den
+        return c, math.log(c), log_ql
+    log_c = log_num - log_den
+    return _as_linear(log_c), log_c, log_ql
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _phi_constants(params: PhiParams) -> tuple[float, float, float, float]:
-    """(constant_c, (q^l;q)_inf, l, |scale|) of the phi_to_f reduction.
+def _entire_constants(params: ConfluentParams) -> tuple[float, float, float]:
+    """_entire_logs, cached per parameter set."""
+    return _entire_logs(params)
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _phi_constants(params: PhiParams) -> tuple[float, float, float, float, float]:
+    """(constant_c, log constant_c, log (q^l;q)_inf, l, |scale|) of the
+    phi_to_f reduction.
 
     Cached per parameter set.
     """
     reduction = phi_to_f(params)
-    c, ql_poch = _entire_constants(reduction.params)
-    return c, ql_poch, reduction.params.l, abs(reduction.scale)
+    return (*_entire_constants(reduction.params), reduction.params.l, abs(reduction.scale))
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _aq_constant(q: QBase) -> float:
-    """(q;q)_inf, cached per base."""
-    return pochhammer_infinite(q.q, q, _POCH_TOL).value
+    """log (q;q)_inf, the l = 1 (q^l;q)_inf of _entire_logs; cached per base."""
+    return _entire_logs(ConfluentParams(a_list=(), b_list=(), l=1.0, q=q))[2]
 
 
 def envelope_entire(params: ConfluentParams, abs_z: float) -> EnvelopeResult:
@@ -166,8 +215,8 @@ def envelope_entire(params: ConfluentParams, abs_z: float) -> EnvelopeResult:
     valid for every nonzero z of that modulus; prefactor_log is
     -log((q^l;q)_inf) and exponent_term is the term peak.
     """
-    c, ql_poch = _entire_constants(params)
-    return _assemble(c, -math.log(ql_poch), term_peak(abs_z, params.l, params.q))
+    c, log_c, log_ql = _entire_constants(params)
+    return _assemble(c, -log_ql, term_peak(abs_z, params.l, params.q), log_c)
 
 
 def envelope_phi(params: PhiParams, abs_z: float) -> EnvelopeResult:
@@ -179,8 +228,8 @@ def envelope_phi(params: PhiParams, abs_z: float) -> EnvelopeResult:
     It is the arithmetic an audit certifies, read from cached constants.
     """
     abs_z = _require_positive(abs_z, "abs_z")
-    c, ql_poch, l, scale = _phi_constants(params)
-    return _assemble(c, -math.log(ql_poch), term_peak(abs_z * scale, l, params.q))
+    c, log_c, log_ql, l, scale = _phi_constants(params)
+    return _assemble(c, -log_ql, term_peak(abs_z * scale, l, params.q), log_c)
 
 
 def envelope_phi_routes(params: PhiParams, abs_z: float) -> tuple[EnvelopeResult, EnvelopeResult]:
@@ -195,14 +244,14 @@ def envelope_phi_routes(params: PhiParams, abs_z: float) -> tuple[EnvelopeResult
     bit.  Tests compare the two.
     """
     abs_z = _require_positive(abs_z, "abs_z")
-    c, ql_poch, _, _ = _phi_constants(params)
+    c, log_c, log_ql, _, _ = _phi_constants(params)
     m = params.confluence_order
     lz = math.log(abs_z)
     lq = params.q.log_q
-    prefactor_log = -math.log(ql_poch) + 0.5 * lz + (3.0 * (-m) / 8.0) * lq
+    prefactor_log = -log_ql + 0.5 * lz + (3.0 * (-m) / 8.0) * lq
     shifted = lz + (-m / 2.0) * lq
     exponent_term = shifted * shifted / (2.0 * (-m) * lq)
-    direct = _assemble(c, prefactor_log, exponent_term)
+    direct = _assemble(c, prefactor_log, exponent_term, log_c)
     reduction = phi_to_f(params)
     return direct, envelope_entire(reduction.params, abs_z * abs(reduction.scale))
 
@@ -214,10 +263,10 @@ def envelope_aq_gaussian(q: QBase, abs_z: float) -> EnvelopeResult:
     here from its own closed form so the two code paths stay independent.
     """
     abs_z = _require_positive(abs_z, "abs_z")
-    poch = _aq_constant(q)
+    log_poch = _aq_constant(q)
     lz = math.log(abs_z)
     lq = q.log_q
-    prefactor_log = -math.log(poch) + 0.5 * math.log(abs_z / math.sqrt(q.q))
+    prefactor_log = -log_poch + 0.5 * math.log(abs_z / math.sqrt(q.q))
     exponent_term = -lz * lz / (4.0 * lq)
     return _assemble(1.0, prefactor_log, exponent_term)
 

@@ -43,7 +43,9 @@ TERM_CAP = 100_000
 TWO_SIDED_CAP = 1_000_000
 LAURENT_K_CAP = 10_000
 _LOG_HALF = math.log(0.5)
-# Terms theta sums between two checks that its parts are still finite.
+_LN2 = math.log(2.0)
+# Steps between two checks that theta's running sum, or the powers of w that
+# the Laurent overflow probe forms, are still finite.
 _THETA_CHECK_EVERY = 32
 
 
@@ -255,17 +257,21 @@ class GaussianSeries:
                     if not grown:
                         rows = list(rows)
                         q, a_list, b_list = self._q, self._a_list, self._b_list
+                        qk = q**k
                         grown = True
-                    qk = q**k
+                    # Rows grow one index at a time, so row k's q^{k+1} is
+                    # row k + 1's q^k.
+                    qk1 = q ** (k + 1)
                     num: complex = 1.0 + 0.0j
                     for a in a_list:
                         num *= 1.0 - a * qk
-                    one_minus = 1.0 - q ** (k + 1)
+                    one_minus = 1.0 - qk1
                     den = one_minus
                     for b in b_list:
                         den *= 1.0 - b * qk
                     w = q ** (self._l * (2 * k + self._shift))
                     rows.append((num * w, den, w, one_minus * self._den_floor))
+                    qk = qk1
                     size += 1
                 nw, den, w, dd = rows[k]
                 nxt = term * (nw * z / den)
@@ -394,10 +400,12 @@ class ThetaSeries:
     """A prepared theta sum sum_{k in Z} q^{k^2} z^k.
 
     The factors q^{2k-1} that step both wings are tabulated up to the largest
-    index any evaluation has needed, and later evaluations reuse them.  The
+    index any evaluation has reached, and later evaluations reuse them.  The
     running sum is checked every 32 terms, so a sum that leaves the double
     range raises as soon as one of its parts is not finite instead of after
-    the last term.
+    the last term.  The table grows 32 entries at a time with the sum and is
+    published once, on return or on raise, so a sum that overflows early
+    tabulates only the indices it reached.
     """
 
     __slots__ = ("_q", "_lq", "_powers")
@@ -405,8 +413,9 @@ class ThetaSeries:
     def __init__(self, q: QBase) -> None:
         self._q = q.q
         self._lq = math.log(q.q)
-        # q^{2k-1} at index k - 1.  A longer list is built whole and published
-        # with one assignment; a published list is never modified.
+        # q^{2k-1} at index k - 1.  A longer list is built in a private copy
+        # and published with one assignment; a published list is never
+        # modified.
         self._powers: list[float] = []
 
     def evaluate(self, z: complex, tol: float) -> EvalResult:
@@ -429,24 +438,33 @@ class ThetaSeries:
         tail = 2.0 * math.exp((k_stop + 1) ** 2 * lq + (k_stop + 1) * log_m) / (1.0 - rho2)
 
         powers = self._powers
-        if len(powers) < k_stop:
-            qq = self._q
-            powers = powers + [qq ** (2 * k - 1) for k in range(len(powers) + 1, k_stop + 1)]
-            self._powers = powers
+        size = len(powers)
         value: complex = 1.0 + 0.0j
         plus: complex = 1.0 + 0.0j
         minus: complex = 1.0 + 0.0j
         z_inv = 1.0 / z
-        for lo in range(0, k_stop, _THETA_CHECK_EVERY):
-            for f in powers[lo:min(lo + _THETA_CHECK_EVERY, k_stop)]:
-                plus *= f * z
-                minus *= f * z_inv
-                value += plus + minus
-            # Complex addition works part by part, and an inf or nan part
-            # never becomes finite again, so this rejects exactly the sums
-            # that the final check below would reject, only sooner.
-            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-                raise NonConvergentError("theta sum overflowed the double range")
+        try:
+            for lo in range(0, k_stop, _THETA_CHECK_EVERY):
+                hi = min(lo + _THETA_CHECK_EVERY, k_stop)
+                if hi > len(powers):
+                    # Extend a private copy chunk by chunk with the sum; the
+                    # finally clause publishes it.
+                    if len(powers) == size:
+                        powers = list(powers)
+                    qq = self._q
+                    powers += [qq ** (2 * k - 1) for k in range(len(powers) + 1, hi + 1)]
+                for f in powers[lo:hi]:
+                    plus *= f * z
+                    minus *= f * z_inv
+                    value += plus + minus
+                # Complex addition works part by part, and an inf or nan part
+                # never becomes finite again, so this rejects exactly the sums
+                # that the final check below would reject, only sooner.
+                if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+                    raise NonConvergentError("theta sum overflowed the double range")
+        finally:
+            if len(powers) > size:
+                self._powers = powers
         try:
             abs_value = abs(value)
         except OverflowError:
@@ -479,15 +497,36 @@ class LaurentSeries:
     is screened by a lower bound on its left side that costs one addition;
     the full test runs only at indices where the screen cannot rule it out,
     and the screen never changes its verdict.
+
+    Before summing, an evaluation whose stop rule stays blocked past the
+    index where w^k or w^-k can leave the double range runs those powers
+    alone, exactly as the sum forms them.  If one has a non-finite part
+    before the stop rule can pass and within k_cap, the sum would raise
+    "Laurent sum overflowed the double range" by then, so that error is
+    raised at once and coeff is not called for any k >= 1.
     """
 
-    __slots__ = ("_spec", "_lq", "_ap1", "_log_c", "_c0", "_rows")
+    __slots__ = ("_spec", "_lq", "_ap1", "_log_c", "_c0", "_rows", "_probe_cap",
+                 "_probe_from", "_probe_screen")
 
     def __init__(self, spec: LaurentSpec) -> None:
         self._spec = spec
         self._lq = math.log(spec.q.q)
         self._ap1 = spec.alpha + 1.0
         self._log_c = math.log(spec.c_weighted)
+        # The overflow probe looks no further than this cap; a cap beyond
+        # 2^53 only shortens the probe, which stays exact.  A point is probed
+        # only if k0 = floor(700 / log_m) < cap, that is log_m > 700 / cap,
+        # and the ratio test is still blocked at k0: c k0^alpha < log_m + log 2
+        # with c = (alpha + 1) log(1/q).  For log 2 <= log_m <= 350,
+        # k0 >= 350 / log_m and log_m + log 2 <= 2 log_m, so that needs
+        # log_m^(alpha+1) > c 350^alpha / 2; up to the root of that,
+        # evaluate skips the test.  A skip never changes an outcome.
+        self._probe_cap = min(spec.k_cap, 1 << 53)
+        self._probe_from = 700.0 / self._probe_cap
+        c = self._ap1 * -self._lq
+        log_root = (math.log(c / 2.0) + spec.alpha * math.log(350.0)) / self._ap1
+        self._probe_screen = min(350.0, math.exp(log_root))
         self._c0: complex | None = None
         # Row k - 1: (coeff(k), coeff(-k), (alpha+1) k^alpha log q,
         # (k+1)^(alpha+1) log q).  An evaluation that needs more rows extends a
@@ -520,6 +559,13 @@ class LaurentSeries:
         plus: complex = 1.0 + 0.0j
         minus: complex = 1.0 + 0.0j
         w_inv = 1.0 / w
+        if log_m > self._probe_from and not _LN2 <= log_m <= self._probe_screen:
+            k0 = int(700.0 / log_m)
+            # Probe only if the ratio test is still blocked at k0 (the row's
+            # decay expression); below k0 neither power can reach e^700.
+            if (self._ap1 * k0**spec.alpha * self._lq + log_m > _LOG_HALF
+                    and self._powers_overflow(w, w_inv, log_m, k0)):
+                raise NonConvergentError("Laurent sum overflowed the double range")
         k = 0
         try:
             while True:
@@ -575,6 +621,49 @@ class LaurentSeries:
         finally:
             if grown:
                 self._rows = rows
+
+    def _powers_overflow(self, w: complex, w_inv: complex, log_m: float, k0: int) -> bool:
+        """Whether w^k or w^-k, formed as the sum forms them, has a non-finite
+        part at some k <= min(kf - 1, k_cap), where kf > k0 is the first index
+        whose decay passes the stop rule's ratio test.
+
+        Below kf the sum only continues, and a non-finite power makes every
+        later power and the running sum non-finite, so the sum then raises
+        its overflow error by that k.  The powers are checked every
+        _THETA_CHECK_EVERY steps and at the last index.  evaluate calls this
+        only where the test is still blocked at k0 = floor(700 / log_m) <
+        k_cap: below k0 neither power can reach e^700, so elsewhere a probe
+        would seldom find what the sum does not find as fast, and skipping it
+        changes no outcome.
+        """
+        alpha, ap1, lq, cap = self._spec.alpha, self._ap1, self._lq, self._probe_cap
+
+        def blocked(k: int) -> bool:
+            # The row's decay expression; it falls as k grows.
+            return ap1 * k**alpha * lq + log_m > _LOG_HALF
+
+        # kf from the root of ap1 k^alpha log q = log(1/2) - log_m, taken in
+        # log space so that the power 1/alpha cannot overflow, then a walk.
+        log_root = math.log((log_m - _LOG_HALF) / (ap1 * -lq)) / alpha
+        if log_root >= math.log(cap + 1):
+            k = cap + 1
+        else:
+            k = max(k0 + 1, math.ceil(math.exp(log_root)))
+        while k <= cap and blocked(k):
+            k += 1
+        while k > k0 + 1 and not blocked(k - 1):
+            k -= 1
+        last = k - 1
+        plus: complex = 1.0 + 0.0j
+        minus: complex = 1.0 + 0.0j
+        for lo in range(0, last, _THETA_CHECK_EVERY):
+            for _ in range(min(_THETA_CHECK_EVERY, last - lo)):
+                plus *= w
+                minus *= w_inv
+            if not (math.isfinite(plus.real) and math.isfinite(plus.imag)
+                    and math.isfinite(minus.real) and math.isfinite(minus.imag)):
+                return True
+        return False
 
 
 def eval_laurent(spec: LaurentSpec, z: complex, tol: float) -> EvalResult:

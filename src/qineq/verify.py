@@ -152,8 +152,8 @@ def _digest_confluent(params: ConfluentParams) -> str:
 
 
 def _entire_envelope_log(params: ConfluentParams) -> Callable[[float], float]:
-    c, ql_poch = bounds._entire_constants(params)
-    offset = math.log(c) - math.log(ql_poch)
+    _, log_c, log_ql = bounds._entire_constants(params)
+    offset = log_c - log_ql
     l, q = params.l, params.q
     return lambda abs_z: offset + bounds.term_peak(abs_z, l, q)
 

@@ -10,8 +10,9 @@ Each line is ``<sha256>  <label>``.  The digest covers the exit code, stdout
 and stderr of one ``qineq`` command line, run in process through
 ``qineq.cli.run``.  The outputs are the benchmark's lattice sweeps (and the
 phi q=0.99 sweep) in CSV and JSON, f and phi draw audits, dense theta,
-Laurent and aq sweeps out to q = 0.999999, and eval, envelope and identity
-commands, error paths included; a command that lets an exception escape
+Laurent and aq sweeps out to q = 0.999999 (Laurent also at k_cap 50), and
+eval, envelope and identity commands, error paths included, with envelopes
+whose constants leave the normal double range; a command that lets an exception escape
 prints ``raised <exception>`` in place of a digest.  ``outputs()`` and
 ``run()`` are importable, for comparisons that first transform an output.
 """
@@ -56,6 +57,10 @@ _EDGE_SWEEPS = (
     *(["aq", q, "--grid", "1e-3:1e6:37", "--angles", "8"]
       for q in ("0.99", "0.999", "0.99999", "0.999999")),
     ["aq", "0.999999", "--grid", "1e-3:1:2", "--angles", "2"],
+    *(["laurent", q, "--alpha", "0.5", "--grid", "1e-3:1e3:25", "--angles", "8", "--k-cap", "50"]
+      for q in ("0.9", "0.99", "0.999")),
+    *(["laurent", "0.999", "--alpha", alpha, "--grid", "1e-4:1e6:41", "--angles", "8"]
+      for alpha in ("0.25", "0.9")),
 )
 
 _SINGLE = (
@@ -87,6 +92,14 @@ _SINGLE = (
     ["identity", "--which", "qlsum", "--q", "0.5", "--l", "1"],
     ["identity", "--which", "triple", "--q", "0.5", "--z", "1+0i"],
     ["identity", "--which", "euler", "--q", "0.5", "--z", "2+0i"],
+    # Envelope constants whose products leave the normal range.
+    *(["envelope", "--function", fn, "--q", q, *rest, "--abs-z", "1"]
+      for q in ("0.9977", "0.998", "0.999")
+      for fn, *rest in (["aq"], ["f", "--l", "1"], ["f", "--l", "1", "--b", "0.9"],
+                        ["phi", "--b", "0.9"])),
+    # 0.562 e^{0.7i}: the sum overflows near k = 1235 of 634,396.
+    ["eval", "--function", "theta", "--q", "0.999999",
+     "--z", "0.4298413092538826+0.36205034022758237i"],
 )
 
 

@@ -1,5 +1,7 @@
 import math
+import random
 
+import mpmath as mp
 import pytest
 
 from qineq import (
@@ -10,6 +12,7 @@ from qineq import (
     QBase,
     constant_c,
     draw_confluent_params,
+    draw_phi_params,
     envelope_aq_exponential,
     envelope_aq_gaussian,
     envelope_entire,
@@ -31,6 +34,7 @@ from qineq import (
 from qineq import bounds
 
 import oracles
+import reference_qcore as ref
 
 LOG_SLACK = math.log1p(1e-12)
 
@@ -122,7 +126,7 @@ class TestEnvelopeEntire:
                 r = math.exp(rng.uniform(math.log(1e-6), math.log(1e8)))
                 env = envelope_entire(params, r)
                 assert env.exponent_term.hex() == term_peak(r, params.l, params.q).hex()
-                assert env.prefactor_log.hex() == (-math.log(bounds._entire_constants(params)[1])).hex()
+                assert env.prefactor_log.hex() == (-bounds._entire_constants(params)[2]).hex()
 
     def test_overflow_marker(self):
         env = envelope_entire(_entire(0.5), 1e300)
@@ -439,3 +443,80 @@ class TestConstantCache:
             with pytest.raises(InvalidArgumentError):
                 envelope_theta(1.5, QBase(0.5), 2.0)
         assert bounds._theta_constant.cache_info().currsize == 0
+
+
+class TestConstantsMatchReference:
+    """The envelope constants come from one table of q**k per base; wherever
+    the products are normal doubles they have the bits of the per-factor
+    reference loops in tests/reference_qcore.py."""
+
+    def test_draws(self):
+        rng = random.Random(4_000)
+        normal = 0
+        for i in range(4_000):
+            if i % 2:
+                params = bounds.phi_to_f(draw_phi_params(rng)).params
+            else:
+                params = draw_confluent_params(rng)
+            c, ql_poch = ref.entire_constants(params)
+            got = bounds._entire_logs(params)
+            assert type(got[0]) is float
+            assert got[0].hex() == constant_c(params).hex() == c.hex()
+            assert got[1].hex() == math.log(c).hex()
+            assert got[2].hex() == math.log(ql_poch).hex()
+            normal += 1
+        assert normal == 4_000
+
+    def test_products_below_the_normal_range_are_taken_in_log_space(self):
+        mp.mp.dps = 30
+        try:
+            for q in (0.9977, 0.998, 0.999):
+                # Dedekind's eta transformation: with q = e^-t,
+                # log (q;q)_inf = log(2 pi / t) / 2 - pi^2 / (6 t) + t / 24
+                # up to log (e^(-4 pi^2 / t); e^(-4 pi^2 / t))_inf, below e^-39000 here.
+                t = -mp.log(mp.mpf(q))
+                want = float(mp.log(2 * mp.pi / t) / 2 - mp.pi**2 / (6 * t) + t / 24)
+                assert math.isclose(bounds._aq_constant(QBase(q)), want, rel_tol=1e-14)
+                assert math.isclose(bounds._entire_logs(_entire(q))[2], want, rel_tol=1e-14)
+            # (0.9;q)_inf at q = 0.9985 has log -867.0; as a double product it
+            # stalls at a subnormal whose log is -743.7.  Here
+            # log (b;q)_inf = -sum_n b^n / (n (1 - q^n)).
+            qq = mp.mpf(0.9985)
+            b = mp.mpf(0.9)
+            want = mp.fsum(b**n / (n * (1 - qq**n)) for n in range(1, 1000))
+            c, log_c, _ = bounds._entire_logs(_entire(0.9985, b=(0.9,)))
+            assert c == math.inf
+            assert math.isclose(log_c, float(want), rel_tol=1e-14)
+        finally:
+            mp.mp.dps = 15
+
+    @pytest.mark.parametrize("q", [0.9977, 0.998, 0.999])
+    def test_envelopes_near_the_guard_are_finite_logs(self, q):
+        base = QBase(q)
+        aq = envelope_aq_gaussian(base, 1.0)
+        entire = envelope_entire(_entire(q), 1.0)
+        assert math.isfinite(aq.log_bound) and math.isfinite(entire.log_bound)
+        want = -bounds._aq_constant(base) + 0.5 * math.log(1.0 / math.sqrt(q))
+        assert aq.prefactor_log.hex() == want.hex()
+        assert entire.prefactor_log.hex() == (-bounds._entire_constants(_entire(q))[2]).hex()
+        phi = envelope_phi(PhiParams((), (0.9,), base), 1.0)
+        log_c = bounds._phi_constants(PhiParams((), (0.9,), base))[1]
+        assert math.isclose(phi.constant_c, bounds._as_linear(log_c), rel_tol=1e-12)
+        assert math.isfinite(phi.log_bound)
+        direct, composed = envelope_phi_routes(PhiParams((), (0.9,), base), 1.0)
+        assert math.isclose(direct.log_bound, composed.log_bound, rel_tol=1e-12)
+
+    def test_numerator_overflow_reports_an_infinite_constant(self):
+        params = _entire(0.5, a=(1e300,))
+        c, log_c, _ = bounds._entire_logs(params)
+        assert c == constant_c(params) == math.inf
+        mp.mp.dps = 30
+        try:
+            want = mp.fsum(mp.log1p(mp.mpf(1e300) * mp.mpf(0.5) ** k) for k in range(1200))
+        finally:
+            mp.mp.dps = 15
+        assert math.isclose(log_c, float(want), rel_tol=1e-14)
+        env = envelope_entire(params, 1.0)
+        assert env.constant_c == math.inf and math.isfinite(env.log_bound)
+        with pytest.raises(NonConvergentError):
+            ref.constant_c(params)

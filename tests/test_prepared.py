@@ -203,6 +203,17 @@ class TestThetaMatchesReference:
         )
         assert terms == [21, 13, 95, 27, 7]
 
+    def test_overflowing_sum_tabulates_only_the_indices_it_reached(self):
+        # The stop index is 634,396, and the sum stops being finite near
+        # k = 1235: the table grows with the sum and is published on raise.
+        prepared = ThetaSeries(QBase(0.999999))
+        z = 0.562 * complex(math.cos(0.7), math.sin(0.7))
+        with pytest.raises(NonConvergentError, match="theta sum overflowed the double range"):
+            prepared.evaluate(z, 1e-14)
+        size = len(prepared._powers)
+        assert 1235 <= size <= 2048
+        assert prepared._powers == [0.999999 ** (2 * k - 1) for k in range(1, size + 1)]
+
     def test_stop_index_matches_linear_walk(self):
         rng = random.Random(606)
         tols = (1e-300, 1e-14, 1e-8, 1e-3, 0.5, 10.0)
@@ -304,6 +315,79 @@ class TestStopPathsOnDenseGrids:
         assert errors < len(points) * len(self.TOLS)
         if q >= 0.9:
             assert errors > 0
+
+
+class TestLaurentOverflowProbe:
+    """An evaluation whose powers of w leave the double range before the stop
+    rule can pass raises without summing, with the reference's outcome."""
+
+    @pytest.mark.parametrize("k_cap", [3, 50, LAURENT_K_CAP])
+    @pytest.mark.parametrize("q", [0.5, 0.9, 0.99, 0.999])
+    def test_dense_grids(self, q, k_cap):
+        points = _dense_points(log_grid(1e-4, 1e4, 49), angles=2)
+        for alpha in (0.25, 0.5, 0.9):
+            spec = _theta_spec(q, alpha, k_cap=k_cap)
+            prepared = LaurentSeries(spec)
+            reference = lambda z, tol: ref.eval_laurent(spec, z, tol)  # noqa: E731
+            for tol in (1e-12, 1e100):
+                _compare("laurent", prepared, reference, points, tol)
+
+    @pytest.mark.parametrize("log_w", [5.0, -5.0])
+    def test_returns_at_the_first_passing_index_while_the_next_power_overflows(self, log_w):
+        # q = e^-0.32, alpha = 1/2 and |log|w|| = 5: the ratio test first
+        # passes at kf = 141, where a huge tol lets the sum stop, and
+        # w^{+-142} is the first power that overflows.  A probe that looked
+        # one index past kf would reject this point.
+        q = math.exp(-0.32)
+        spec = LaurentSpec(0.0, lambda k: complex(q ** (k * k)), 0.5, QBase(q), 3.0)
+        w = math.exp(log_w) * complex(math.cos(0.3), math.sin(0.3))
+        power = 1.0 + 0.0j
+        for _ in range(141):
+            power *= w if log_w > 0 else 1.0 / w
+        assert math.isfinite(abs(power))
+        power *= w if log_w > 0 else 1.0 / w
+        assert not math.isfinite(power.imag)
+        want = _outcome(ref.eval_laurent, spec, w, 1e100)
+        assert want[2] == 2 * 141 + 1
+        assert _outcome(LaurentSeries(spec).evaluate, w, 1e100) == want
+
+    def test_cap_comes_before_an_overflow_one_index_later(self):
+        # w^10000 is finite and w^10001 overflows; the sum stops at the cap.
+        spec = _theta_spec(0.999, 0.25, k_cap=LAURENT_K_CAP)
+        w = complex(math.exp(709.7827 / (LAURENT_K_CAP + 0.5)), 0.0)
+        want = _outcome(ref.eval_laurent, spec, w, 1e-12)
+        assert want == ("NonConvergentError",
+                        f"weighted tail did not meet tol within |k| <= {LAURENT_K_CAP}")
+        assert _outcome(LaurentSeries(spec).evaluate, w, 1e-12) == want
+
+    def test_screened_points_are_never_blocked_at_k0(self):
+        # evaluate skips the probe's skip test for log 2 <= log_m <= the
+        # screen; there the ratio test must already pass at floor(700 / log_m).
+        for q in (1e-12, 0.1, 0.5, 0.9, 0.99, 0.999999):
+            for alpha in (0.05, 0.25, 0.5, 0.9, 3.0):
+                screen = LaurentSeries(LaurentSpec(0.0, complex, alpha, QBase(q), 1.0))._probe_screen
+                lq, ap1 = math.log(q), alpha + 1.0
+                for i in range(201):
+                    log_m = math.log(2.0) + (screen - math.log(2.0)) * i / 200
+                    if not math.log(2.0) <= log_m <= screen:
+                        continue
+                    k0 = int(700.0 / log_m)
+                    assert not ap1 * k0**alpha * lq + log_m > math.log(0.5), (q, alpha, log_m)
+
+    @pytest.mark.parametrize("w", [1e6 + 0j, -1e6j, 1e-6 + 0j])
+    def test_rejected_evaluation_calls_no_coefficient(self, w):
+        calls = []
+
+        def coeff(k):
+            calls.append(k)
+            return complex(0.99 ** (k * k))
+
+        spec = LaurentSpec(0.0, coeff, 0.5, QBase(0.99), 3.0)
+        with pytest.raises(NonConvergentError, match="Laurent sum overflowed the double range"):
+            LaurentSeries(spec).evaluate(w, 1e-12)
+        assert calls == [0]
+        with pytest.raises(NonConvergentError, match="Laurent sum overflowed the double range"):
+            ref.eval_laurent(spec, w, 1e-12)
 
 
 def test_shared_targets_under_thread_contention():

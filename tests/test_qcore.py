@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +9,7 @@ from qineq import (
     InvalidArgumentError,
     NonConvergentError,
     QBase,
+    QSeriesError,
     multishifted,
     pochhammer_finite,
     pochhammer_infinite,
@@ -15,6 +17,7 @@ from qineq import (
 )
 
 import oracles
+import reference_qcore as ref
 
 
 class TestQBase:
@@ -150,3 +153,98 @@ class TestQBinomial:
     def test_rejects_k_above_n(self):
         with pytest.raises(InvalidArgumentError):
             q_binomial(3, 4, QBase(0.5))
+
+
+# Parameters the fuzz below draws besides random ones: huge, infinite, nan,
+# zero and unit moduli, and q^{-j}, which zeroes factor j exactly.
+_SPECIAL = (0.0, 1.0, -1.0, 1e300, -1e300, 1e-300, math.inf, -math.inf, math.nan,
+            complex(math.inf, 1.0), complex(0.0, math.nan), complex(1e300, 1e300), 1j)
+_FUZZ_TOLS = (1e-16, 1e-14, 1e-8, 1e-3)
+
+
+def _bits(value):
+    if isinstance(value, complex):
+        return "complex", value.real.hex(), value.imag.hex()
+    return type(value).__name__, float(value).hex()
+
+
+def _outcome(call, *args):
+    """The exact result of a call: value bits and type, factor count and tail
+    bound, or the exception's type and message."""
+    try:
+        got = call(*args)
+    except (QSeriesError, OverflowError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return _bits(got.value), got.factors_used, _bits(got.tail_log_bound)
+
+
+def _fuzz_parameter(rng, q):
+    pick = rng.random()
+    if pick < 0.15:
+        return rng.choice(_SPECIAL)
+    if pick < 0.2:
+        return q ** -rng.randrange(0, 8)
+    modulus = math.exp(rng.uniform(math.log(1e-3), math.log(1e3)))
+    if pick < 0.6:
+        return rng.choice((1.0, -1.0)) * modulus
+    return modulus * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+
+
+def _fuzz_base(rng):
+    pick = rng.random()
+    if pick < 0.005:
+        return rng.choice((0.999, 0.999999))
+    if pick < 0.025:
+        return rng.uniform(0.9, 0.99)
+    return rng.uniform(1e-3, 0.9)
+
+
+class TestSharedTableMatchesReference:
+    """Every product of one base comes from one table of q**k; the values,
+    counts, tails and errors are those of the per-factor reference loops in
+    tests/reference_qcore.py, bit for bit and type for type."""
+
+    def test_fuzzed_products(self):
+        rng = random.Random(20_000)
+        mismatches = []
+        previous = 0.5
+        for _ in range(20_000):
+            q = _fuzz_base(rng)
+            base = QBase(q)
+            a = _fuzz_parameter(rng, q)
+            n = rng.choice((0, 0, 1, rng.randrange(0, 40), rng.randrange(0, 400)))
+            tol = rng.choice(_FUZZ_TOLS)
+            pair = [a, previous] if rng.random() < 0.5 else [previous, a]
+            cases = (
+                ("finite", pochhammer_finite, ref.pochhammer_finite, (a, base, n)),
+                ("infinite", pochhammer_infinite, ref.pochhammer_infinite, (a, base, tol)),
+                ("multi", multishifted, ref.multishifted, (pair, base, n)),
+                ("multi-inf", multishifted, ref.multishifted, (pair, base, math.inf, tol)),
+            )
+            # Lists at about every fourth draw, single parameters at every draw.
+            for name, call, want, args in cases if rng.random() < 0.25 else cases[:2]:
+                got = _outcome(call, *args)
+                if got != _outcome(want, *args):
+                    mismatches.append((name, args, got))
+            previous = a
+        assert not mismatches, mismatches[:5]
+
+    def test_empty_products_are_float_one(self):
+        base = QBase(0.5)
+        for got in (pochhammer_finite(2.0 + 1j, base, 0), pochhammer_infinite(0.0, base, 1e-14),
+                    multishifted([], base, 4), multishifted([], base, math.inf),
+                    multishifted([0.0, 0j], base, math.inf)):
+            assert type(got.value) is float and got.value == 1.0
+
+    def test_overflow_is_raised_before_a_later_count_error(self):
+        # The first product overflows and the second parameter needs more
+        # than FACTOR_CAP factors: a parameter-by-parameter loop raised the
+        # overflow, so the shared table must too.
+        base = QBase(0.9999)
+        args = ([1e20, 1e30], base, math.inf, 1e-16)
+        want = _outcome(ref.multishifted, *args)
+        assert want == ("NonConvergentError", "infinite product overflowed the double range")
+        assert _outcome(multishifted, *args) == want
+        args = ([1e30, 1e20], base, math.inf, 1e-16)
+        assert _outcome(multishifted, *args) == _outcome(ref.multishifted, *args)
+        assert _outcome(multishifted, *args)[0] == "NonConvergentError"
