@@ -37,7 +37,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import InvalidArgumentError, NonConvergentError
 from .qcore import QBase, _truncated_products
@@ -61,8 +61,7 @@ def _as_linear(log_bound: float) -> float:
     return math.exp(log_bound)
 
 
-@dataclass(frozen=True)
-class EnvelopeResult:
+class EnvelopeResult(NamedTuple):
     """An envelope value with its constant-factor breakdown.
 
     log_bound == log(constant_c) + prefactor_log + exponent_term holds by
@@ -86,11 +85,7 @@ def _assemble(
         log_c = math.log(constant_c)
     log_bound = log_c + prefactor_log + exponent_term
     return EnvelopeResult(
-        log_bound=log_bound,
-        bound=_as_linear(log_bound),
-        constant_c=constant_c,
-        prefactor_log=prefactor_log,
-        exponent_term=exponent_term,
+        log_bound, _as_linear(log_bound), constant_c, prefactor_log, exponent_term
     )
 
 

@@ -12,14 +12,16 @@ list of parameters at one base (multishifted, or the envelope constants in
 bounds) thus pays for each power once, and each product has the bits of the
 plain loop value = value * (1 - x * q**k) however many share the table.
 
-Everything here is pure and reentrant, and the returned values are frozen;
-concurrent use needs no coordination.
+Everything here is pure and reentrant.  QBase is a frozen dataclass and
+PochhammerValue an immutable named tuple, so concurrent use needs no
+coordination.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import InvalidArgumentError, NonConvergentError, QSeriesError
 
@@ -32,10 +34,14 @@ class QBase:
     """Validated base with 0 < q <= DEFAULT_MAX_Q < 1.
 
     The guard DEFAULT_MAX_Q rejects bases so close to 1 that factor counts
-    explode.
+    explode.  ``log_q`` (log q, always negative) and ``log_inv_q`` (log(1/q),
+    always positive) are computed once, here; they take no part in repr,
+    equality or hashing, which depend on q alone.
     """
 
     q: float
+    log_q: float = field(init=False, repr=False, compare=False)
+    log_inv_q: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         try:
@@ -49,20 +55,11 @@ class QBase:
                 f"base {q!r} exceeds the slow-convergence guard max_q={DEFAULT_MAX_Q!r}"
             )
         object.__setattr__(self, "q", q)
-
-    @property
-    def log_q(self) -> float:
-        """log q, always negative."""
-        return math.log(self.q)
-
-    @property
-    def log_inv_q(self) -> float:
-        """log(1/q), always positive."""
-        return -math.log(self.q)
+        object.__setattr__(self, "log_q", math.log(q))
+        object.__setattr__(self, "log_inv_q", -math.log(q))
 
 
-@dataclass(frozen=True)
-class PochhammerValue:
+class PochhammerValue(NamedTuple):
     """A finite or truncated-infinite q-shifted factorial.
 
     ``factors_used`` is the count of factors actually multiplied;
@@ -132,8 +129,7 @@ def _truncated_products(
     raised first.  Each value is pochhammer_finite(x_i, q, N_i).value; no
     value is checked here.
     """
-    qq = q.q
-    lq = math.log(qq)
+    qq, lq = q.q, q.log_q
     counts: list[int] = []
     error = None
     for x in xs:
@@ -159,7 +155,7 @@ def _infinite_parts(xs: list | tuple, q: QBase, tol: float) -> list[PochhammerVa
             raise NonConvergentError("infinite product overflowed the double range")
         a_qn = abs(x) * qq**n
         tail = a_qn / ((1.0 - qq) * (1.0 - a_qn))
-        parts.append(PochhammerValue(value=value, factors_used=n, tail_log_bound=tail))
+        parts.append(PochhammerValue(value, n, tail))
     if error is not None:
         raise error
     return parts
@@ -169,7 +165,7 @@ def pochhammer_finite(a: complex | float, q: QBase, n: int) -> PochhammerValue:
     """Product of the n factors (1 - a q^k), k = 0..n-1; the empty product is 1."""
     if not isinstance(n, int) or n < 0:
         raise InvalidArgumentError(f"factor count must be a nonnegative integer, got {n!r}")
-    return PochhammerValue(value=_products((a,), q.q, [n])[0], factors_used=n)
+    return PochhammerValue(_products((a,), q.q, [n])[0], n)
 
 
 def pochhammer_infinite(a: complex | float, q: QBase, tol: float) -> PochhammerValue:
@@ -207,7 +203,7 @@ def multishifted(
         parts = _infinite_parts(a_list, q, tol)
     else:
         values = _products(a_list, q.q, [n] * len(a_list))
-        parts = [PochhammerValue(value=value, factors_used=n) for value in values]
+        parts = [PochhammerValue(value, n) for value in values]
     value: complex | float = 1.0
     tail = 0.0
     used = 0
@@ -215,7 +211,7 @@ def multishifted(
         value = value * part.value
         tail += part.tail_log_bound
         used = max(used, part.factors_used)
-    return PochhammerValue(value=value, factors_used=used, tail_log_bound=tail)
+    return PochhammerValue(value, used, tail)
 
 
 def q_binomial(n: int, k: int, q: QBase) -> float:

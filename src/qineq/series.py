@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import CenterPoleError, InvalidArgumentError, NonConvergentError
 from .qcore import QBase
@@ -123,8 +123,7 @@ class PhiParams:
         return len(self.b_list) + 1 - len(self.a_list)
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(NamedTuple):
     """A computed value plus its truncation certificate.
 
     ``tail_bound`` bounds the modulus of everything omitted.  It covers
@@ -241,7 +240,7 @@ class GaussianSeries:
         if self._negate:
             z = -z
         if z == 0:
-            return EvalResult(value=1.0 + 0.0j, terms_used=1, tail_bound=0.0)
+            return EvalResult(1.0 + 0.0j, 1, 0.0)
         num_cap = self._num_cap
         rows = self._rows
         size = len(rows)
@@ -286,7 +285,7 @@ class GaussianSeries:
                         if not abs_partial < math.inf:
                             raise NonConvergentError("series term left the double range")
                         if tail <= tol * max(1.0, abs_partial):
-                            return EvalResult(value=partial, terms_used=k + 1, tail_bound=tail)
+                            return EvalResult(partial, k + 1, tail)
                 partial += nxt
                 term = nxt
                 k += 1
@@ -412,7 +411,7 @@ class ThetaSeries:
 
     def __init__(self, q: QBase) -> None:
         self._q = q.q
-        self._lq = math.log(q.q)
+        self._lq = q.log_q
         # q^{2k-1} at index k - 1.  A longer list is built in a private copy
         # and published with one assignment; a published list is never
         # modified.
@@ -472,7 +471,7 @@ class ThetaSeries:
             abs_value = math.inf
         if not abs_value < math.inf:
             raise NonConvergentError("theta sum overflowed the double range")
-        return EvalResult(value=value, terms_used=2 * k_stop + 1, tail_bound=tail)
+        return EvalResult(value, 2 * k_stop + 1, tail)
 
 
 def eval_theta(q: QBase, z: complex, tol: float) -> EvalResult:
@@ -511,7 +510,7 @@ class LaurentSeries:
 
     def __init__(self, spec: LaurentSpec) -> None:
         self._spec = spec
-        self._lq = math.log(spec.q.q)
+        self._lq = spec.q.log_q
         self._ap1 = spec.alpha + 1.0
         self._log_c = math.log(spec.c_weighted)
         # The overflow probe looks no further than this cap; a cap beyond
@@ -615,9 +614,7 @@ class LaurentSeries:
                 hi = max(wing_logs)
                 tail_log = log_c + hi + math.log1p(math.exp(min(wing_logs) - hi))
                 if tail_log <= target_log:
-                    return EvalResult(
-                        value=partial, terms_used=2 * k + 1, tail_bound=math.exp(tail_log)
-                    )
+                    return EvalResult(partial, 2 * k + 1, math.exp(tail_log))
         finally:
             if grown:
                 self._rows = rows

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import bounds
 from .errors import InvalidArgumentError, NonConvergentError, QSeriesError
@@ -102,8 +102,7 @@ class SweepPlan:
         object.__setattr__(self, "abs_z_grid", grid)
 
 
-@dataclass(frozen=True)
-class AuditRecord:
+class AuditRecord(NamedTuple):
     """One sweep sample: input point, |value|, envelope and the pass verdict.
 
     ``passed`` is equivalent to log|value| <= envelope_log + log1p(slack);
@@ -251,18 +250,8 @@ def _ratio(result: EvalResult, envelope_log: float) -> tuple[float, float, float
 
 def _error_record(target: AuditTarget, z: complex, exc: QSeriesError) -> AuditRecord:
     return AuditRecord(
-        function_tag=target.function_tag,
-        q=target.q,
-        l=target.l,
-        param_digest=target.param_digest,
-        z=z,
-        abs_value=math.nan,
-        envelope_log=math.nan,
-        ratio=math.nan,
-        passed=False,
-        terms_used=0,
-        tail_bound=math.nan,
-        error=str(exc) or exc.__class__.__name__,
+        target.function_tag, target.q, target.l, target.param_digest, z,
+        math.nan, math.nan, math.nan, False, 0, math.nan, str(exc) or exc.__class__.__name__,
     )
 
 
@@ -300,17 +289,9 @@ def _records_at(
         abs_value, log_value, ratio = _ratio(result, envelope)
         records.append(
             AuditRecord(
-                function_tag=target.function_tag,
-                q=target.q,
-                l=target.l,
-                param_digest=target.param_digest,
-                z=z,
-                abs_value=abs_value,
-                envelope_log=envelope,
-                ratio=ratio,
-                passed=log_value <= envelope + log_slack,
-                terms_used=result.terms_used,
-                tail_bound=result.tail_bound,
+                target.function_tag, target.q, target.l, target.param_digest, z,
+                abs_value, envelope, ratio, log_value <= envelope + log_slack,
+                result.terms_used, result.tail_bound,
             )
         )
 

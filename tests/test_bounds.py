@@ -374,7 +374,9 @@ MODULI = (1e-6, 0.3, 1.0, 2.0, 7.5, 1e4, 1e6)
 
 
 def _bits(env):
-    return tuple(float.hex(x) for x in (env.log_bound, env.constant_c, env.prefactor_log, env.exponent_term))
+    # The type too: a named tuple compares equal to any tuple with its fields.
+    fields = (env.log_bound, env.constant_c, env.prefactor_log, env.exponent_term)
+    return (type(env),) + tuple(float.hex(x) for x in fields)
 
 
 class TestConstantCache:

@@ -52,7 +52,13 @@ def _outcome(call, *args):
         res = call(*args)
     except (QSeriesError, OverflowError) as exc:
         return type(exc).__name__, str(exc)
-    return (res.value.real.hex(), res.value.imag.hex(), res.terms_used, float(res.tail_bound).hex())
+    return (
+        res.value.real.hex(),
+        res.value.imag.hex(),
+        res.terms_used,
+        float(res.tail_bound).hex(),
+        type(res),
+    )
 
 
 def _expected(family, call, *args):

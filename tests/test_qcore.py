@@ -169,13 +169,13 @@ def _bits(value):
 
 
 def _outcome(call, *args):
-    """The exact result of a call: value bits and type, factor count and tail
-    bound, or the exception's type and message."""
+    """The exact result of a call: value bits and type, factor count, tail
+    bound and result type, or the exception's type and message."""
     try:
         got = call(*args)
     except (QSeriesError, OverflowError, ValueError) as exc:
         return type(exc).__name__, str(exc)
-    return _bits(got.value), got.factors_used, _bits(got.tail_log_bound)
+    return _bits(got.value), got.factors_used, _bits(got.tail_log_bound), type(got)
 
 
 def _fuzz_parameter(rng, q):

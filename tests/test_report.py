@@ -93,11 +93,11 @@ class TestCsvWriterMatchesReference:
         base = audit_envelope(SweepPlan(abs_z_grid=(0.5, 2.0), angle_count=2), "aq", QBase(0.5))[0]
         records = [
             base,
-            dataclasses.replace(base, param_digest='note="a,b"\nc', l=None),
-            dataclasses.replace(base, error='bad, "quoted"\r\nline', z=complex(-0.0, math.inf)),
-            dataclasses.replace(base, error=" leading space", abs_value=math.nan),
-            dataclasses.replace(base, error="plain"),
-            dataclasses.replace(base, function_tag="theta", param_digest=""),
+            base._replace(param_digest='note="a,b"\nc', l=None),
+            base._replace(error='bad, "quoted"\r\nline', z=complex(-0.0, math.inf)),
+            base._replace(error=" leading space", abs_value=math.nan),
+            base._replace(error="plain"),
+            base._replace(function_tag="theta", param_digest=""),
         ]
         _assert_matches_reference(records)
         assert len(list(csv.reader(io.StringIO(_written(_write_csv, records))))) == 7

@@ -1,0 +1,144 @@
+"""The per-call result types and QBase: field layout, repr text, immutability,
+equality, hashing and pickling.
+
+EnvelopeResult, EvalResult, AuditRecord and PochhammerValue are named tuples;
+the repr strings below are the ones their earlier frozen-dataclass form
+printed, so the text of every report that shows them is unchanged.  QBase
+stays a frozen dataclass whose log q and log(1/q) are computed once.
+"""
+
+import dataclasses
+import math
+import pickle
+import random
+
+import pytest
+
+from qineq import AuditRecord, EnvelopeResult, EvalResult, PochhammerValue, QBase
+
+# (instance builder, field names in order, repr printed by the dataclass form).
+# The PochhammerValue(0.75, 3) and first AuditRecord reprs also pin the
+# defaults tail_log_bound=0.0 and error=''.
+CASES = (
+    (
+        lambda: EnvelopeResult(1.5, 4.4816890703380645, 2.0, -0.25, 0.8068528194400547),
+        ("log_bound", "bound", "constant_c", "prefactor_log", "exponent_term"),
+        "EnvelopeResult(log_bound=1.5, bound=4.4816890703380645, constant_c=2.0, "
+        "prefactor_log=-0.25, exponent_term=0.8068528194400547)",
+    ),
+    (
+        lambda: EnvelopeResult(1e300, math.inf, math.inf, 0.0, 3.0),
+        ("log_bound", "bound", "constant_c", "prefactor_log", "exponent_term"),
+        "EnvelopeResult(log_bound=1e+300, bound=inf, constant_c=inf, prefactor_log=0.0, "
+        "exponent_term=3.0)",
+    ),
+    (
+        lambda: EvalResult(1 + 2j, 9, 1e-15),
+        ("value", "terms_used", "tail_bound"),
+        "EvalResult(value=(1+2j), terms_used=9, tail_bound=1e-15)",
+    ),
+    (
+        lambda: AuditRecord("theta", 0.5, None, "alpha=0.5", complex(-0.0, 2.5), 1.25, 3.0,
+                            0.125, True, 17, 2e-16),
+        ("function_tag", "q", "l", "param_digest", "z", "abs_value", "envelope_log", "ratio",
+         "passed", "terms_used", "tail_bound", "error"),
+        "AuditRecord(function_tag='theta', q=0.5, l=None, param_digest='alpha=0.5', "
+        "z=(-0+2.5j), abs_value=1.25, envelope_log=3.0, ratio=0.125, passed=True, "
+        "terms_used=17, tail_bound=2e-16, error='')",
+    ),
+    (
+        lambda: AuditRecord("confluent_f", 0.9, 1.5, "a=(1+1j);b=0.2", 3j, math.nan, math.nan,
+                            math.nan, False, 0, math.nan, "boom"),
+        ("function_tag", "q", "l", "param_digest", "z", "abs_value", "envelope_log", "ratio",
+         "passed", "terms_used", "tail_bound", "error"),
+        "AuditRecord(function_tag='confluent_f', q=0.9, l=1.5, param_digest='a=(1+1j);b=0.2', "
+        "z=3j, abs_value=nan, envelope_log=nan, ratio=nan, passed=False, terms_used=0, "
+        "tail_bound=nan, error='boom')",
+    ),
+    (
+        lambda: PochhammerValue(0.75, 3),
+        ("value", "factors_used", "tail_log_bound"),
+        "PochhammerValue(value=0.75, factors_used=3, tail_log_bound=0.0)",
+    ),
+    (
+        lambda: PochhammerValue(0.5 - 0.25j, 31, 1.1e-17),
+        ("value", "factors_used", "tail_log_bound"),
+        "PochhammerValue(value=(0.5-0.25j), factors_used=31, tail_log_bound=1.1e-17)",
+    ),
+)
+
+
+def _same_bits(a, b):
+    # repr tells nan, -0.0 and every float apart, and is what reports print.
+    return type(a) is type(b) and repr(a) == repr(b)
+
+
+@pytest.mark.parametrize("build,names,text", CASES)
+class TestResultTypes:
+    def test_field_names_and_order(self, build, names, text):
+        assert type(build())._fields == names
+
+    def test_repr_matches_the_dataclass_text(self, build, names, text):
+        assert repr(build()) == text
+
+    def test_fields_cannot_be_assigned(self, build, names, text):
+        result = build()
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(result, name, 0)
+        with pytest.raises(AttributeError):
+            result.extra = 0
+
+    def test_equal_instances_are_equal_and_hash_alike(self, build, names, text):
+        # The nan records compare equal through the one math.nan object, as
+        # the dataclass form's field tuples did.
+        a, b = build(), build()
+        assert a is not b and a == b and hash(a) == hash(b)
+
+    def test_pickle_round_trips(self, build, names, text):
+        result = build()
+        back = pickle.loads(pickle.dumps(result))
+        assert type(back) is type(result)
+        assert all(_same_bits(x, y) for x, y in zip(back, result))
+        assert repr(back) == text
+
+
+class TestQBase:
+    def test_logs_computed_once_have_the_bits_of_math_log(self):
+        rng = random.Random(20_061)
+        for _ in range(50):
+            q = rng.uniform(1e-6, 0.999999)
+            base = QBase(q)
+            assert float.hex(base.log_q) == float.hex(math.log(q))
+            assert float.hex(base.log_inv_q) == float.hex(-math.log(q))
+
+    def test_repr_shows_q_alone(self):
+        assert repr(QBase(0.5)) == "QBase(q=0.5)"
+
+    def test_only_q_is_a_constructor_or_compared_field(self):
+        fields = dataclasses.fields(QBase)
+        assert [f.name for f in fields if f.init] == ["q"]
+        assert [f.name for f in fields if f.compare] == ["q"]
+        with pytest.raises(TypeError):
+            QBase(0.5, math.log(0.5))
+
+    def test_equality_and_hash_depend_on_q_alone(self):
+        a, b = QBase(0.5), QBase(0.5)
+        # Changing the stored logs behind the frozen guard leaves both alone.
+        object.__setattr__(b, "log_q", 0.0)
+        object.__setattr__(b, "log_inv_q", 0.0)
+        assert a == b and hash(a) == hash(b)
+        assert QBase(0.5) != QBase(0.25)
+
+    def test_fields_cannot_be_assigned(self):
+        base = QBase(0.5)
+        for name in ("q", "log_q", "log_inv_q"):
+            with pytest.raises(AttributeError):
+                setattr(base, name, 0.25)
+
+    def test_pickle_round_trips(self):
+        base = QBase(0.3)
+        back = pickle.loads(pickle.dumps(base))
+        assert back == base and hash(back) == hash(base)
+        assert float.hex(back.log_q) == float.hex(math.log(0.3))
+        assert float.hex(back.log_inv_q) == float.hex(-math.log(0.3))
