@@ -227,30 +227,6 @@ def envelope_phi(params: PhiParams, abs_z: float) -> EnvelopeResult:
     return _assemble(c, -log_ql, term_peak(abs_z * scale, l, params.q), log_c)
 
 
-def envelope_phi_routes(params: PhiParams, abs_z: float) -> tuple[EnvelopeResult, EnvelopeResult]:
-    """Two independent envelope routes for the confluent hypergeometric sum.
-
-    Returns (direct, composed).  The direct route is the closed form
-
-        (|z|^2 q^{3(r-s-1)/2})^{1/4} exp(log^2[|z| q^{(r-s-1)/2}] / (2(r-s-1) log q))
-
-    times the constant ratio; the composed route is envelope_entire of the
-    phi_to_f reduction at |scale| abs_z, which envelope_phi reports bit for
-    bit.  Tests compare the two.
-    """
-    abs_z = _require_positive(abs_z, "abs_z")
-    c, log_c, log_ql, _, _ = _phi_constants(params)
-    m = params.confluence_order
-    lz = math.log(abs_z)
-    lq = params.q.log_q
-    prefactor_log = -log_ql + 0.5 * lz + (3.0 * (-m) / 8.0) * lq
-    shifted = lz + (-m / 2.0) * lq
-    exponent_term = shifted * shifted / (2.0 * (-m) * lq)
-    direct = _assemble(c, prefactor_log, exponent_term, log_c)
-    reduction = phi_to_f(params)
-    return direct, envelope_entire(reduction.params, abs_z * abs(reduction.scale))
-
-
 def envelope_aq_gaussian(q: QBase, abs_z: float) -> EnvelopeResult:
     """Gaussian envelope (|z|/sqrt(q))^{1/2} exp(-log^2|z|/(4 log q)) / (q;q)_inf.
 

@@ -43,10 +43,11 @@ TERM_CAP = 100_000
 TWO_SIDED_CAP = 1_000_000
 LAURENT_K_CAP = 10_000
 _LOG_HALF = math.log(0.5)
-_LN2 = math.log(2.0)
-# Steps between two checks that theta's running sum, or the powers of w that
-# the Laurent overflow probe forms, are still finite.
+# Steps between two checks that theta's running sum is still finite.
 _THETA_CHECK_EVERY = 32
+# Largest index at which LaurentSeries trusts its rounding argument for a
+# certain overflow; see LaurentSeries.evaluate.
+_OVERFLOW_K_MAX = 1 << 40
 
 
 def _require_finite_moduli(a_list: tuple[complex, ...]) -> None:
@@ -497,35 +498,20 @@ class LaurentSeries:
     the full test runs only at indices where the screen cannot rule it out,
     and the screen never changes its verdict.
 
-    Before summing, an evaluation whose stop rule stays blocked past the
-    index where w^k or w^-k can leave the double range runs those powers
-    alone, exactly as the sum forms them.  If one has a non-finite part
-    before the stop rule can pass and within k_cap, the sum would raise
-    "Laurent sum overflowed the double range" by then, so that error is
-    raised at once and coeff is not called for any k >= 1.
+    Before summing, an evaluation whose stop rule is still blocked where
+    w^k or w^-k certainly leaves the double range raises "Laurent sum
+    overflowed the double range" at once, without calling coeff for any
+    k >= 1: the sum would raise that error by then.
     """
 
-    __slots__ = ("_spec", "_lq", "_ap1", "_log_c", "_c0", "_rows", "_probe_cap",
-                 "_probe_from", "_probe_screen")
+    __slots__ = ("_spec", "_lq", "_ap1", "_log_c", "_c0", "_rows", "_overflow_cap")
 
     def __init__(self, spec: LaurentSpec) -> None:
         self._spec = spec
         self._lq = spec.q.log_q
         self._ap1 = spec.alpha + 1.0
         self._log_c = math.log(spec.c_weighted)
-        # The overflow probe looks no further than this cap; a cap beyond
-        # 2^53 only shortens the probe, which stays exact.  A point is probed
-        # only if k0 = floor(700 / log_m) < cap, that is log_m > 700 / cap,
-        # and the ratio test is still blocked at k0: c k0^alpha < log_m + log 2
-        # with c = (alpha + 1) log(1/q).  For log 2 <= log_m <= 350,
-        # k0 >= 350 / log_m and log_m + log 2 <= 2 log_m, so that needs
-        # log_m^(alpha+1) > c 350^alpha / 2; up to the root of that,
-        # evaluate skips the test.  A skip never changes an outcome.
-        self._probe_cap = min(spec.k_cap, 1 << 53)
-        self._probe_from = 700.0 / self._probe_cap
-        c = self._ap1 * -self._lq
-        log_root = (math.log(c / 2.0) + spec.alpha * math.log(350.0)) / self._ap1
-        self._probe_screen = min(350.0, math.exp(log_root))
+        self._overflow_cap = min(spec.k_cap, _OVERFLOW_K_MAX)
         self._c0: complex | None = None
         # Row k - 1: (coeff(k), coeff(-k), (alpha+1) k^alpha log q,
         # (k+1)^(alpha+1) log q).  An evaluation that needs more rows extends a
@@ -558,12 +544,23 @@ class LaurentSeries:
         plus: complex = 1.0 + 0.0j
         minus: complex = 1.0 + 0.0j
         w_inv = 1.0 / w
-        if log_m > self._probe_from and not _LN2 <= log_m <= self._probe_screen:
-            k0 = int(700.0 / log_m)
-            # Probe only if the ratio test is still blocked at k0 (the row's
-            # decay expression); below k0 neither power can reach e^700.
-            if (self._ap1 * k0**spec.alpha * self._lq + log_m > _LOG_HALF
-                    and self._powers_overflow(w, w_inv, log_m, k0)):
+        # Certain overflow, in closed form.  Each complex product loses at
+        # most sqrt(5) u of relative modulus (Brent, Percival and Zimmermann,
+        # Math. Comp. 76, 2007), and 1.0 / w is within a few u of 1/w (a
+        # subnormal w coarsens that only where k_ovf <= 2), so for k <= 2^40
+        # the k-th power that the sum forms keeps all but a factor e^-0.001
+        # of |w|^k or |w|^-k.  At k_ovf = ceil(711 / log_m) the growing wing
+        # is then above sqrt(2) DBL_MAX = e^710.13, so it has a non-finite
+        # part, and so does every later power and partial sum.  The row's
+        # ratio expression falls as k grows, so a sum still blocked at
+        # k_ovf - 1 cannot have returned before k_ovf <= k_cap; it raises
+        # there, before its stop test, unless it raised the same error
+        # sooner.  An infinite log_m gives k_ovf = 1; log_m = 0 or nan skips
+        # the test, and the sum runs as before.
+        if log_m > 0.0:
+            k_ovf = max(1, math.ceil(711.0 / log_m))
+            if k_ovf <= self._overflow_cap and (
+                    self._ap1 * (k_ovf - 1) ** spec.alpha * self._lq + log_m > _LOG_HALF):
                 raise NonConvergentError("Laurent sum overflowed the double range")
         k = 0
         try:
@@ -618,49 +615,6 @@ class LaurentSeries:
         finally:
             if grown:
                 self._rows = rows
-
-    def _powers_overflow(self, w: complex, w_inv: complex, log_m: float, k0: int) -> bool:
-        """Whether w^k or w^-k, formed as the sum forms them, has a non-finite
-        part at some k <= min(kf - 1, k_cap), where kf > k0 is the first index
-        whose decay passes the stop rule's ratio test.
-
-        Below kf the sum only continues, and a non-finite power makes every
-        later power and the running sum non-finite, so the sum then raises
-        its overflow error by that k.  The powers are checked every
-        _THETA_CHECK_EVERY steps and at the last index.  evaluate calls this
-        only where the test is still blocked at k0 = floor(700 / log_m) <
-        k_cap: below k0 neither power can reach e^700, so elsewhere a probe
-        would seldom find what the sum does not find as fast, and skipping it
-        changes no outcome.
-        """
-        alpha, ap1, lq, cap = self._spec.alpha, self._ap1, self._lq, self._probe_cap
-
-        def blocked(k: int) -> bool:
-            # The row's decay expression; it falls as k grows.
-            return ap1 * k**alpha * lq + log_m > _LOG_HALF
-
-        # kf from the root of ap1 k^alpha log q = log(1/2) - log_m, taken in
-        # log space so that the power 1/alpha cannot overflow, then a walk.
-        log_root = math.log((log_m - _LOG_HALF) / (ap1 * -lq)) / alpha
-        if log_root >= math.log(cap + 1):
-            k = cap + 1
-        else:
-            k = max(k0 + 1, math.ceil(math.exp(log_root)))
-        while k <= cap and blocked(k):
-            k += 1
-        while k > k0 + 1 and not blocked(k - 1):
-            k -= 1
-        last = k - 1
-        plus: complex = 1.0 + 0.0j
-        minus: complex = 1.0 + 0.0j
-        for lo in range(0, last, _THETA_CHECK_EVERY):
-            for _ in range(min(_THETA_CHECK_EVERY, last - lo)):
-                plus *= w
-                minus *= w_inv
-            if not (math.isfinite(plus.real) and math.isfinite(plus.imag)
-                    and math.isfinite(minus.real) and math.isfinite(minus.imag)):
-                return True
-        return False
 
 
 def eval_laurent(spec: LaurentSpec, z: complex, tol: float) -> EvalResult:

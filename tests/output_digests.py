@@ -11,8 +11,9 @@ and stderr of one ``qineq`` command line, run in process through
 ``qineq.cli.run``.  The outputs are the benchmark's lattice sweeps (and the
 phi q=0.99 sweep) in CSV and JSON, f and phi draw audits, dense theta,
 Laurent and aq sweeps out to q = 0.999999 (Laurent also at k_cap 50), and
-eval, envelope and identity commands, error paths included, with envelopes
-whose constants leave the normal double range; a command that lets an exception escape
+eval, envelope and identity commands, error paths included (audits that fail
+while building their target among them), with envelopes whose constants leave
+the normal double range; a command that lets an exception escape
 prints ``raised <exception>`` in place of a digest.  ``outputs()`` and
 ``run()`` are importable, for comparisons that first transform an output.
 """
@@ -100,6 +101,14 @@ _SINGLE = (
     # 0.562 e^{0.7i}: the sum overflows near k = 1235 of 634,396.
     ["eval", "--function", "theta", "--q", "0.999999",
      "--z", "0.4298413092538826+0.36205034022758237i"],
+    # An infinite argument, and audits that fail while building their target.
+    ["eval", "--function", "laurent", "--q", "0.5", "--alpha", "0.5", "--z", "1e309"],
+    ["audit", "--function", "theta", "--q", "0.5", "--alpha", "1.5", "--grid", "1e-3:1e3:3",
+     "--angles", "2"],
+    ["audit", "--function", "f", "--q", "0.999999", "--l", "1", "--grid", "1e-3:1e3:3",
+     "--angles", "2"],
+    ["audit", "--function", "phi", "--q", "0.999999", "--b", "0.3", "--grid", "1e-3:1e3:3",
+     "--angles", "2"],
 )
 
 

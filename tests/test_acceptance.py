@@ -20,7 +20,6 @@ from qineq import (
     audit_summary,
     envelope_aq_gaussian,
     envelope_entire,
-    envelope_phi_routes,
     eval_confluent_f,
     eval_laurent,
     eval_phi,
@@ -39,6 +38,7 @@ from qineq import (
 from qineq.cli import run
 
 import oracles
+from reference_bounds import envelope_phi_routes
 
 LOG_SLACK = math.log1p(1e-12)
 TWO_PI = 2.0 * math.pi

@@ -18,7 +18,6 @@ from qineq import (
     envelope_entire,
     envelope_meromorphic,
     envelope_phi,
-    envelope_phi_routes,
     envelope_theta,
     envelope_theta_as_printed,
     eval_confluent_f,
@@ -35,6 +34,7 @@ from qineq import bounds
 
 import oracles
 import reference_qcore as ref
+from reference_bounds import envelope_phi_routes
 
 LOG_SLACK = math.log1p(1e-12)
 

@@ -351,11 +351,47 @@ class TestModulusOverflow:
             (["audit", "--function", "phi", "--q", "0.5", f"--a={_HUGE_Z}", "--b", "0.3",
               "--grid", "1:2:2", "--angles", "1"],
              _HUGE_A_MESSAGE),
+            (["eval", "--function", "laurent", "--q", "0.5", "--alpha", "0.5", "--z", "1e309"],
+             "Laurent sum overflowed the double range"),
         ],
     )
     def test_is_a_typed_error(self, capsys, argv, message):
         assert run(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+class TestAuditBuildErrors:
+    """Errors raised while an audit builds its target and envelope stay usage
+    errors; errors of single points stay error records."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["audit", "--function", "theta", "--q", "0.5", "--alpha", "1.5",
+              "--grid", "1e-3:1e3:3", "--angles", "2"],
+             "alpha must lie in (0, 1), got 1.5"),
+            (["audit", "--function", "f", "--q", "0.999999", "--l", "1",
+              "--grid", "1e-3:1e3:3", "--angles", "2"],
+             "infinite product needs 50656846 factors, beyond the cap 1000000"),
+            (["audit", "--function", "phi", "--q", "0.999999", "--b", "0.3",
+              "--grid", "1e-3:1e3:3", "--angles", "2"],
+             "infinite product needs 49452875 factors, beyond the cap 1000000"),
+        ],
+    )
+    def test_exit_two_with_one_error_line(self, capsys, argv, message):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_point_errors_stay_records(self, capsys):
+        code = run(["audit", "--function", "aq", "--q", "0.999999", "--grid", "1e-3:1:2",
+                    "--angles", "2"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == "records=4 passed=0 failed=0 errors=4\n"
+        rows = list(csv.DictReader(captured.out.splitlines()))
+        assert [row["error"] for row in rows] == ["series term left the double range"] * 4
 
 
 class TestInapplicableOptions:

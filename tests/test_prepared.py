@@ -366,20 +366,6 @@ class TestLaurentOverflowProbe:
                         f"weighted tail did not meet tol within |k| <= {LAURENT_K_CAP}")
         assert _outcome(LaurentSeries(spec).evaluate, w, 1e-12) == want
 
-    def test_screened_points_are_never_blocked_at_k0(self):
-        # evaluate skips the probe's skip test for log 2 <= log_m <= the
-        # screen; there the ratio test must already pass at floor(700 / log_m).
-        for q in (1e-12, 0.1, 0.5, 0.9, 0.99, 0.999999):
-            for alpha in (0.05, 0.25, 0.5, 0.9, 3.0):
-                screen = LaurentSeries(LaurentSpec(0.0, complex, alpha, QBase(q), 1.0))._probe_screen
-                lq, ap1 = math.log(q), alpha + 1.0
-                for i in range(201):
-                    log_m = math.log(2.0) + (screen - math.log(2.0)) * i / 200
-                    if not math.log(2.0) <= log_m <= screen:
-                        continue
-                    k0 = int(700.0 / log_m)
-                    assert not ap1 * k0**alpha * lq + log_m > math.log(0.5), (q, alpha, log_m)
-
     @pytest.mark.parametrize("w", [1e6 + 0j, -1e6j, 1e-6 + 0j])
     def test_rejected_evaluation_calls_no_coefficient(self, w):
         calls = []
@@ -394,6 +380,75 @@ class TestLaurentOverflowProbe:
         assert calls == [0]
         with pytest.raises(NonConvergentError, match="Laurent sum overflowed the double range"):
             ref.eval_laurent(spec, w, 1e-12)
+
+    def test_overflow_at_the_first_unblocked_index_calls_no_coefficient(self):
+        # q = 0.999, alpha = 2 and log|w| = 11.2366: the ratio test is blocked
+        # up to k = 63 and passes at 64, and w^64 is the first power that
+        # overflows.  The sum raises at k = 64; evaluate raises before it.
+        calls = []
+
+        def coeff(k):
+            calls.append(k)
+            return 1.0 + 0.0j
+
+        spec = LaurentSpec(0.0, coeff, 2.0, QBase(0.999), 1.0)
+        w = math.exp(11.2366)
+        got = _outcome(LaurentSeries(spec).evaluate, w, 1e-12)
+        assert calls == [0]
+        calls.clear()
+        want = _outcome(ref.eval_laurent, spec, w, 1e-12)
+        assert want == ("NonConvergentError", "Laurent sum overflowed the double range")
+        assert max(calls) == 64
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "w",
+        [complex(math.inf, 0.0), complex(0.0, -math.inf), complex(math.nan, 0.0),
+         complex(math.inf, math.nan)],
+    )
+    def test_non_finite_argument_is_a_typed_error(self, w):
+        spec = _theta_spec(0.5, 0.5)
+        want = ("NonConvergentError", "Laurent sum overflowed the double range")
+        assert _outcome(LaurentSeries(spec).evaluate, w, 1e-12) == want
+        assert _expected("laurent", ref.eval_laurent, spec, w, 1e-12) == want
+
+    def test_powers_are_not_finite_at_the_certain_overflow_index(self):
+        # The rounding argument in LaurentSeries.evaluate: at
+        # k_ovf = ceil(711 / log_m) the power that the sum forms, by
+        # "*= w" or "*= 1.0 / w", has a non-finite part.  log_m is drawn
+        # log-uniformly from [0.5, 745], so that long products are common.
+        def part(log_mod, c):
+            # c e^log_mod, inf past the double range and 0 below it.
+            if c == 0.0:
+                return 0.0
+            try:
+                mod = math.exp(log_mod + math.log(abs(c)))
+            except OverflowError:
+                mod = math.inf
+            return math.copysign(mod, c)
+
+        rng = random.Random(1729)
+        checked = {1.0: 0, -1.0: 0}
+        while min(checked.values()) < 2000:
+            log_mod = math.exp(rng.uniform(math.log(0.5), math.log(745.0)))
+            ang = rng.uniform(0.0, 2.0 * math.pi)
+            for sgn in checked:
+                w = complex(part(sgn * log_mod, math.cos(ang)), part(sgn * log_mod, math.sin(ang)))
+                if w == 0:
+                    continue
+                try:
+                    log_m = abs(math.log(abs(w)))
+                except OverflowError:
+                    # Finite parts, modulus beyond the double range: evaluate
+                    # raises the overflow error before its test.
+                    continue
+                k_ovf = max(1, math.ceil(711.0 / log_m))
+                step = w if sgn > 0 else 1.0 / w
+                power = 1.0 + 0.0j
+                for _ in range(k_ovf):
+                    power *= step
+                assert not (math.isfinite(power.real) and math.isfinite(power.imag)), (w, k_ovf)
+                checked[sgn] += 1
 
 
 def test_shared_targets_under_thread_contention():
