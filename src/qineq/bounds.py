@@ -16,19 +16,18 @@ gives exp(beta |log|z - a||^gamma) with
     beta = alpha / ((alpha+1)^{1+1/alpha} log^{1/alpha}(1/q)),
     gamma = (alpha+1)/alpha.
 
-The last pieces are written once, in term_peak and
-MeromorphicBoundParams.exponent.  envelope_phi is the entire-class envelope
-of its phi_to_f reduction at the rescaled modulus, and verify.audit_target
-calls the same functions on the same cached constants, so an audit certifies
-exactly the log_bound that every public envelope reports.
-
-Each envelope is a constant times a closed form in |z|.  The constants that
-do not depend on |z| (constant_c and (q^l;q)_inf, the phi reduction's l and
-|scale|, (q;q)_inf, the theta weighted constant, beta and gamma) are
-computed once per parameter set and kept in bounded, thread-safe
-least-recently-used caches keyed on the frozen parameter objects, so
-tabulating an envelope over many moduli pays for them once.  Exceptions are
-not cached, so invalid parameters raise on every call.
+Each envelope is a constant times a closed form in |z|, written once, in
+the ``result`` method of a prepared envelope: an immutable named tuple of
+what does not depend on |z| (the constant and its log, -log (q^l;q)_inf, l,
+log q, |scale|, sqrt(q), beta, gamma).  _EntireEnvelope serves
+envelope_entire and envelope_phi (the entire envelope of its phi_to_f
+reduction at |scale| |z|), _AqEnvelope envelope_aq_gaussian, and
+_MeromorphicEnvelope envelope_theta and envelope_meromorphic.  Each is built
+once per parameter set by _entire_constants, _phi_constants, _aq_constant,
+_theta_constant or _meromorphic_constants, bounded thread-safe LRU caches
+keyed on the frozen parameter objects, so each envelope_* is one cache
+lookup and one method call.  verify.audit_target certifies the log_bound
+method of the same prepared envelope.  Exceptions are not cached.
 """
 
 from __future__ import annotations
@@ -53,12 +52,8 @@ _CACHE_SIZE = 256
 WEIGHTED_SUM_CAP = 100_000
 THETA_CONSTANT_TOL = 1e-15
 _LAURENT_CONSTANT_TOL = 1e-15
-
-
-def _as_linear(log_bound: float) -> float:
-    if log_bound > _MAX_LOG:
-        return math.inf
-    return math.exp(log_bound)
+# Makes a named tuple with no Python frame; result methods inline _assemble.
+_new_tuple = tuple.__new__
 
 
 class EnvelopeResult(NamedTuple):
@@ -79,14 +74,92 @@ class EnvelopeResult(NamedTuple):
 
 
 def _assemble(
-    constant_c: float, prefactor_log: float, exponent_term: float, log_c: float | None = None
+    constant_c: float, log_c: float, prefactor_log: float, exponent_term: float
 ) -> EnvelopeResult:
-    if log_c is None:
-        log_c = math.log(constant_c)
     log_bound = log_c + prefactor_log + exponent_term
-    return EnvelopeResult(
-        log_bound, _as_linear(log_bound), constant_c, prefactor_log, exponent_term
-    )
+    bound = math.inf if log_bound > _MAX_LOG else math.exp(log_bound)
+    return _new_tuple(EnvelopeResult, (log_bound, bound, constant_c, prefactor_log, exponent_term))
+
+
+def _require_positive(value: float, name: str) -> float:
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise InvalidArgumentError(f"{name} must be positive and finite, got {value!r}")
+    return value
+
+
+def _log_bound(envelope, abs_z: float) -> float:
+    return envelope.result(abs_z)[0]
+
+
+class _EntireEnvelope(NamedTuple):
+    """Prepared entire-class envelope at |scale| |z|: scale is 1 for f and
+    that of the phi_to_f reduction for phi; prefactor_log = -log (q^l;q)_inf."""
+
+    constant_c: float
+    log_c: float
+    prefactor_log: float
+    l: float
+    log_q: float
+    scale: float
+
+    def result(self, abs_z: float) -> EnvelopeResult:
+        # abs_z is checked first, then the product.
+        abs_z = float(abs_z)
+        x = abs_z * self.scale
+        if not 0.0 < x < math.inf:
+            _require_positive(abs_z, "abs_z")
+            _require_positive(x, "abs_z")
+        c, log_c, prefactor_log, l, lq, _ = self
+        lz = math.log(x)
+        exponent_term = 0.5 * lz - 0.25 * l * lq - lz * lz / (4.0 * l * lq)
+        log_bound = log_c + prefactor_log + exponent_term
+        bound = math.inf if log_bound > _MAX_LOG else math.exp(log_bound)
+        return _new_tuple(EnvelopeResult, (log_bound, bound, c, prefactor_log, exponent_term))
+
+    log_bound = _log_bound
+
+
+class _AqEnvelope(NamedTuple):
+    """Prepared envelope_aq_gaussian; neg_log_poch is -log (q;q)_inf."""
+
+    neg_log_poch: float
+    sqrt_q: float
+    log_q: float
+
+    def result(self, abs_z: float) -> EnvelopeResult:
+        abs_z = float(abs_z)
+        if not 0.0 < abs_z < math.inf:
+            _require_positive(abs_z, "abs_z")
+        lz = math.log(abs_z)
+        prefactor_log = self.neg_log_poch + 0.5 * math.log(abs_z / self.sqrt_q)
+        exponent_term = -lz * lz / (4.0 * self.log_q)
+        log_bound = 0.0 + prefactor_log + exponent_term
+        bound = math.inf if log_bound > _MAX_LOG else math.exp(log_bound)
+        return _new_tuple(EnvelopeResult, (log_bound, bound, 1.0, prefactor_log, exponent_term))
+
+    log_bound = _log_bound
+
+
+class _MeromorphicEnvelope(NamedTuple):
+    """Prepared c exp(beta |log dist|^gamma); modulus_name names dist in errors."""
+
+    constant_c: float
+    log_c: float
+    beta: float
+    gamma: float
+    modulus_name: str
+
+    def result(self, dist: float) -> EnvelopeResult:
+        dist = float(dist)
+        if not 0.0 < dist < math.inf:
+            _require_positive(dist, self.modulus_name)
+        exponent_term = self.beta * abs(math.log(dist)) ** self.gamma
+        log_bound = self.log_c + 0.0 + exponent_term
+        bound = math.inf if log_bound > _MAX_LOG else math.exp(log_bound)
+        return _new_tuple(EnvelopeResult, (log_bound, bound, self.constant_c, 0.0, exponent_term))
+
+    log_bound = _log_bound
 
 
 @dataclass(frozen=True)
@@ -101,15 +174,8 @@ class MeromorphicBoundParams:
     gamma: float
 
     def exponent(self, dist: float) -> float:
-        """Log of the closed-form term maximum, beta |log dist|^gamma."""
-        return self.beta * abs(math.log(dist)) ** self.gamma
-
-
-def _require_positive(value: float, name: str) -> float:
-    value = float(value)
-    if not (math.isfinite(value) and value > 0.0):
-        raise InvalidArgumentError(f"{name} must be positive and finite, got {value!r}")
-    return value
+        """Log of the closed-form term maximum, beta |log dist|^gamma, dist > 0."""
+        return _MeromorphicEnvelope(1.0, 0.0, self.beta, self.gamma, "dist").result(dist)[4]
 
 
 def constant_c(params: ConfluentParams) -> float:
@@ -134,9 +200,7 @@ def term_peak(abs_z: float, l: float, q: QBase) -> float:
     """
     abs_z = _require_positive(abs_z, "abs_z")
     l = _require_positive(l, "l")
-    lz = math.log(abs_z)
-    lq = q.log_q
-    return 0.5 * lz - 0.25 * l * lq - lz * lz / (4.0 * l * lq)
+    return _EntireEnvelope(1.0, 0.0, 0.0, l, q.log_q, 1.0).result(abs_z)[4]
 
 
 def _product_log(xs: list, counts: list[int], values: list, qq: float) -> tuple[float, float]:
@@ -177,30 +241,26 @@ def _entire_logs(params: ConfluentParams) -> tuple[float, float, float]:
         c = num / den
         return c, math.log(c), log_ql
     log_c = log_num - log_den
-    return _as_linear(log_c), log_c, log_ql
+    return (math.inf if log_c > _MAX_LOG else math.exp(log_c)), log_c, log_ql
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _entire_constants(params: ConfluentParams) -> tuple[float, float, float]:
-    """_entire_logs, cached per parameter set."""
-    return _entire_logs(params)
+def _entire_constants(params: ConfluentParams) -> _EntireEnvelope:
+    c, log_c, log_ql = _entire_logs(params)
+    return _EntireEnvelope(c, log_c, -log_ql, params.l, params.q.log_q, 1.0)
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _phi_constants(params: PhiParams) -> tuple[float, float, float, float, float]:
-    """(constant_c, log constant_c, log (q^l;q)_inf, l, |scale|) of the
-    phi_to_f reduction.
-
-    Cached per parameter set.
-    """
+def _phi_constants(params: PhiParams) -> _EntireEnvelope:
     reduction = phi_to_f(params)
-    return (*_entire_constants(reduction.params), reduction.params.l, abs(reduction.scale))
+    c, log_c, log_ql = _entire_logs(reduction.params)
+    return _EntireEnvelope(c, log_c, -log_ql, reduction.params.l, params.q.log_q, abs(reduction.scale))
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _aq_constant(q: QBase) -> float:
-    """log (q;q)_inf, the l = 1 (q^l;q)_inf of _entire_logs; cached per base."""
-    return _entire_logs(ConfluentParams(a_list=(), b_list=(), l=1.0, q=q))[2]
+def _aq_constant(q: QBase) -> _AqEnvelope:
+    log_poch = _entire_logs(ConfluentParams(a_list=(), b_list=(), l=1.0, q=q))[2]
+    return _AqEnvelope(-log_poch, math.sqrt(q.q), q.log_q)
 
 
 def envelope_entire(params: ConfluentParams, abs_z: float) -> EnvelopeResult:
@@ -210,8 +270,7 @@ def envelope_entire(params: ConfluentParams, abs_z: float) -> EnvelopeResult:
     valid for every nonzero z of that modulus; prefactor_log is
     -log((q^l;q)_inf) and exponent_term is the term peak.
     """
-    c, log_c, log_ql = _entire_constants(params)
-    return _assemble(c, -log_ql, term_peak(abs_z, params.l, params.q), log_c)
+    return _entire_constants(params).result(abs_z)
 
 
 def envelope_phi(params: PhiParams, abs_z: float) -> EnvelopeResult:
@@ -222,24 +281,16 @@ def envelope_phi(params: PhiParams, abs_z: float) -> EnvelopeResult:
     -log((q^l;q)_inf) and exponent_term is term_peak(|scale| abs_z, l, q).
     It is the arithmetic an audit certifies, read from cached constants.
     """
-    abs_z = _require_positive(abs_z, "abs_z")
-    c, log_c, log_ql, l, scale = _phi_constants(params)
-    return _assemble(c, -log_ql, term_peak(abs_z * scale, l, params.q), log_c)
+    return _phi_constants(params).result(abs_z)
 
 
 def envelope_aq_gaussian(q: QBase, abs_z: float) -> EnvelopeResult:
     """Gaussian envelope (|z|/sqrt(q))^{1/2} exp(-log^2|z|/(4 log q)) / (q;q)_inf.
 
     This is the r = s = 0, l = 1 specialization of envelope_entire, assembled
-    here from its own closed form so the two code paths stay independent.
+    from its own closed form so the two code paths stay independent.
     """
-    abs_z = _require_positive(abs_z, "abs_z")
-    log_poch = _aq_constant(q)
-    lz = math.log(abs_z)
-    lq = q.log_q
-    prefactor_log = -log_poch + 0.5 * math.log(abs_z / math.sqrt(q.q))
-    exponent_term = -lz * lz / (4.0 * lq)
-    return _assemble(1.0, prefactor_log, exponent_term)
+    return _aq_constant(q).result(abs_z)
 
 
 def envelope_aq_exponential(q: QBase, abs_z: float) -> EnvelopeResult:
@@ -248,7 +299,7 @@ def envelope_aq_exponential(q: QBase, abs_z: float) -> EnvelopeResult:
     if not (math.isfinite(abs_z) and abs_z >= 0.0):
         raise InvalidArgumentError(f"abs_z must be nonnegative and finite, got {abs_z!r}")
     exponent_term = q.q * abs_z / (1.0 - q.q)
-    return _assemble(1.0, 0.0, exponent_term)
+    return _assemble(1.0, 0.0, 0.0, exponent_term)
 
 
 def meromorphic_bound_params(alpha: float, q: QBase) -> MeromorphicBoundParams:
@@ -259,13 +310,17 @@ def meromorphic_bound_params(alpha: float, q: QBase) -> MeromorphicBoundParams:
     return MeromorphicBoundParams(beta=beta, gamma=gamma)
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _meromorphic_constants(params: MeromorphicBoundParams, c_weighted: float) -> _MeromorphicEnvelope:
+    c_weighted = _require_positive(c_weighted, "c_weighted")
+    return _MeromorphicEnvelope(c_weighted, math.log(c_weighted), params.beta, params.gamma, "dist")
+
+
 def envelope_meromorphic(
     params: MeromorphicBoundParams, c_weighted: float, dist: float
 ) -> EnvelopeResult:
     """Two-sided envelope c_weighted exp(beta |log dist|^gamma) at |z - a| = dist."""
-    c_weighted = _require_positive(c_weighted, "c_weighted")
-    dist = _require_positive(dist, "dist")
-    return _assemble(c_weighted, 0.0, params.exponent(dist))
+    return _meromorphic_constants(params, c_weighted).result(dist)
 
 
 def theta_weighted_constant(alpha: float, q: QBase, tol: float) -> float:
@@ -295,9 +350,10 @@ def _meromorphic_params(alpha: float, q: QBase) -> MeromorphicBoundParams:
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _theta_constant(alpha: float, q: QBase) -> float:
-    """theta_weighted_constant at THETA_CONSTANT_TOL, cached per (alpha, q)."""
-    return theta_weighted_constant(alpha, q, THETA_CONSTANT_TOL)
+def _theta_constant(alpha: float, q: QBase) -> _MeromorphicEnvelope:
+    c = theta_weighted_constant(alpha, q, THETA_CONSTANT_TOL)
+    shape = _meromorphic_params(alpha, q)
+    return _MeromorphicEnvelope(c, math.log(c), shape.beta, shape.gamma, "abs_z")
 
 
 def laurent_weighted_constant(coeff: Callable[[int], complex], alpha: float, q: QBase) -> float:
@@ -344,10 +400,7 @@ def envelope_theta(alpha: float, q: QBase, abs_z: float) -> EnvelopeResult:
     c is theta_weighted_constant summed to THETA_CONSTANT_TOL.  Symmetric
     under abs_z -> 1/abs_z since only |log abs_z| enters.
     """
-    abs_z = _require_positive(abs_z, "abs_z")
-    c = _theta_constant(alpha, q)
-    params = _meromorphic_params(alpha, q)
-    return envelope_meromorphic(params, c, abs_z)
+    return _theta_constant(alpha, q).result(abs_z)
 
 
 def envelope_theta_as_printed(alpha: float, q: QBase, abs_z: float) -> EnvelopeResult:
@@ -359,7 +412,7 @@ def envelope_theta_as_printed(alpha: float, q: QBase, abs_z: float) -> EnvelopeR
     excluded from certification sweeps.
     """
     abs_z = _require_positive(abs_z, "abs_z")
-    c = _theta_constant(alpha, q)
+    envelope = _theta_constant(alpha, q)
     lz = math.log(abs_z)
     exponent_term = lz * lz / (alpha * q.log_inv_q)
-    return _assemble(c, 0.0, exponent_term)
+    return _assemble(envelope.constant_c, envelope.log_c, 0.0, exponent_term)

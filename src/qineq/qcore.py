@@ -34,9 +34,9 @@ class QBase:
     """Validated base with 0 < q <= DEFAULT_MAX_Q < 1.
 
     The guard DEFAULT_MAX_Q rejects bases so close to 1 that factor counts
-    explode.  ``log_q`` (log q, always negative) and ``log_inv_q`` (log(1/q),
-    always positive) are computed once, here; they take no part in repr,
-    equality or hashing, which depend on q alone.
+    explode.  ``log_q`` (log q, always negative), ``log_inv_q`` (log(1/q),
+    always positive) and the hash are computed once, here; the logs take no
+    part in repr, equality or hashing, which depend on q alone.
     """
 
     q: float
@@ -57,6 +57,10 @@ class QBase:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "log_q", math.log(q))
         object.__setattr__(self, "log_inv_q", -math.log(q))
+        object.__setattr__(self, "_hash", hash((q,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 class PochhammerValue(NamedTuple):

@@ -87,6 +87,10 @@ class ConfluentParams:
         object.__setattr__(self, "a_list", a_list)
         object.__setattr__(self, "b_list", b_list)
         object.__setattr__(self, "l", l)
+        object.__setattr__(self, "_hash", hash((a_list, b_list, l, self.q)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -117,6 +121,10 @@ class PhiParams:
             )
         object.__setattr__(self, "a_list", a_list)
         object.__setattr__(self, "b_list", b_list)
+        object.__setattr__(self, "_hash", hash((a_list, b_list, self.q)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def confluence_order(self) -> int:
@@ -186,6 +194,11 @@ def _require_pos_tol(tol: float) -> None:
         raise InvalidArgumentError(f"tol must be positive, got {tol!r}")
 
 
+def _require_finite(z: complex) -> None:
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise InvalidArgumentError(f"argument must be finite, got {z!r}")
+
+
 class GaussianSeries:
     """A prepared one-sided sum with term_0 = 1 and term ratio
 
@@ -238,6 +251,7 @@ class GaussianSeries:
         """The sum at z with its certified tail; see eval_confluent_f."""
         _require_pos_tol(tol)
         z = complex(z)
+        _require_finite(z)
         if self._negate:
             z = -z
         if z == 0:
@@ -358,8 +372,7 @@ def phi_to_f(params: PhiParams) -> PhiReduction:
 
 def eval_ramanujan_aq(q: QBase, z: complex, tol: float) -> EvalResult:
     """Ramanujan's entire function sum_k q^{k^2} (-z)^k / (q;q)_k."""
-    params = ConfluentParams(a_list=(), b_list=(), l=1.0, q=q)
-    return eval_confluent_f(params, -complex(z), tol)
+    return GaussianSeries((), (), q.q, 1.0, 1, True).evaluate(z, tol)
 
 
 def _theta_stop_index(lq: float, log_m: float, log_tol: float) -> int:
@@ -424,13 +437,12 @@ class ThetaSeries:
         z = complex(z)
         if z == 0:
             raise InvalidArgumentError("theta sum requires a nonzero argument")
+        _require_finite(z)
         lq = self._lq
         try:
             abs_z = abs(z)
         except OverflowError as exc:
             raise NonConvergentError("theta sum overflowed the double range") from exc
-        if not math.isfinite(abs_z):
-            raise InvalidArgumentError(f"argument must be finite, got {z!r}")
         log_m = abs(math.log(abs_z))
         k_stop = _theta_stop_index(lq, log_m, math.log(tol))
 
@@ -523,6 +535,7 @@ class LaurentSeries:
         _require_pos_tol(tol)
         spec = self._spec
         z = complex(z)
+        _require_finite(z)
         w = z - spec.center
         if w == 0:
             raise CenterPoleError(f"evaluation point equals the expansion center {spec.center!r}")

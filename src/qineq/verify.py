@@ -17,6 +17,7 @@ importing this module, the package or the CLI does not load it.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -36,7 +37,6 @@ from .series import (
     eval_laurent,
     eval_phi,
     eval_theta,
-    phi_to_f,
     prepare_confluent_f,
     prepare_phi,
 )
@@ -144,17 +144,14 @@ def format_complex(value: complex) -> str:
     return f"{value.real!r}{sign}{abs(value.imag)!r}i"
 
 
-def _digest_confluent(params: ConfluentParams) -> str:
+def _digest_confluent(params: ConfluentParams | PhiParams) -> str:
     a = ",".join(format_complex(a) for a in params.a_list)
     b = ",".join(repr(b) for b in params.b_list)
     return f"a={a};b={b}"
 
 
-def _entire_envelope_log(params: ConfluentParams) -> Callable[[float], float]:
-    _, log_c, log_ql = bounds._entire_constants(params)
-    offset = log_c - log_ql
-    l, q = params.l, params.q
-    return lambda abs_z: offset + bounds.term_peak(abs_z, l, q)
+def _raise(error: QSeriesError, abs_z: float) -> float:
+    raise error.with_traceback(None)
 
 
 def audit_target(function_tag: str, fixed_params) -> AuditTarget:
@@ -172,71 +169,44 @@ def audit_target(function_tag: str, fixed_params) -> AuditTarget:
     sweep reuses the z-independent term factors that earlier points
     tabulated.  The table lives and dies with the target and holds only what
     its evaluations needed, so a target used once pays nothing extra.
+
+    ``envelope_log`` is the log_bound method of the public envelope's prepared
+    envelope, built here: a build error is a usage error, except for "aq",
+    whose records carry it when their evaluation succeeds.
     """
+    center = 0.0 + 0.0j
     if function_tag == "confluent_f":
         params: ConfluentParams = fixed_params
-        return AuditTarget(
-            function_tag=function_tag,
-            q=params.q.q,
-            l=params.l,
-            param_digest=f"{_digest_confluent(params)};l={params.l!r}",
-            center=0.0 + 0.0j,
-            evaluate=prepare_confluent_f(params).evaluate,
-            envelope_log=_entire_envelope_log(params),
-        )
-    if function_tag == "phi":
+        q, l, digest = params.q.q, params.l, f"{_digest_confluent(params)};l={params.l!r}"
+        evaluate = prepare_confluent_f(params).evaluate
+        envelope_log = bounds._entire_constants(params).log_bound
+    elif function_tag == "phi":
         phi_params: PhiParams = fixed_params
-        reduction = phi_to_f(phi_params)
-        inner = _entire_envelope_log(reduction.params)
-        scale = abs(reduction.scale)
-        return AuditTarget(
-            function_tag=function_tag,
-            q=phi_params.q.q,
-            l=reduction.params.l,
-            param_digest=_digest_confluent(reduction.params),
-            center=0.0 + 0.0j,
-            evaluate=prepare_phi(phi_params).evaluate,
-            envelope_log=lambda abs_z: inner(abs_z * scale),
-        )
-    if function_tag == "aq":
+        envelope = bounds._phi_constants(phi_params)
+        q, l, digest = phi_params.q.q, envelope.l, _digest_confluent(phi_params)
+        evaluate, envelope_log = prepare_phi(phi_params).evaluate, envelope.log_bound
+    elif function_tag == "aq":
         qb: QBase = fixed_params
-        aq_params = ConfluentParams(a_list=(), b_list=(), l=1.0, q=qb)
-        return AuditTarget(
-            function_tag=function_tag,
-            q=qb.q,
-            l=1.0,
-            param_digest="",
-            center=0.0 + 0.0j,
-            evaluate=prepare_confluent_f(aq_params).evaluate,
-            envelope_log=lambda abs_z: bounds.envelope_aq_gaussian(qb, abs_z).log_bound,
-        )
-    if function_tag == "theta":
+        try:
+            envelope_log = bounds._aq_constant(qb).log_bound
+        except QSeriesError as exc:
+            envelope_log = functools.partial(_raise, exc)
+        q, l, digest = qb.q, 1.0, ""
+        evaluate = prepare_confluent_f(ConfluentParams((), (), 1.0, qb)).evaluate
+    elif function_tag == "theta":
         theta_q, alpha = fixed_params
-        log_c = math.log(bounds._theta_constant(alpha, theta_q))
-        merom = bounds._meromorphic_params(alpha, theta_q)
-        return AuditTarget(
-            function_tag=function_tag,
-            q=theta_q.q,
-            l=None,
-            param_digest=f"alpha={float(alpha)!r}",
-            center=0.0 + 0.0j,
-            evaluate=ThetaSeries(theta_q).evaluate,
-            envelope_log=lambda abs_z: log_c + merom.exponent(abs_z),
-        )
-    if function_tag == "laurent":
+        envelope_log = bounds._theta_constant(alpha, theta_q).log_bound
+        q, l, digest = theta_q.q, None, f"alpha={float(alpha)!r}"
+        evaluate = ThetaSeries(theta_q).evaluate
+    elif function_tag == "laurent":
         spec: LaurentSpec = fixed_params
-        merom = bounds._meromorphic_params(spec.alpha, spec.q)
-        log_c = math.log(spec.c_weighted)
-        return AuditTarget(
-            function_tag=function_tag,
-            q=spec.q.q,
-            l=None,
-            param_digest=f"alpha={spec.alpha!r};c_weighted={spec.c_weighted!r}",
-            center=spec.center,
-            evaluate=LaurentSeries(spec).evaluate,
-            envelope_log=lambda dist: log_c + merom.exponent(dist),
-        )
-    raise InvalidArgumentError(f"unknown function tag {function_tag!r}; expected {FUNCTION_TAGS}")
+        shape = bounds._meromorphic_params(spec.alpha, spec.q)
+        envelope_log = bounds._meromorphic_constants(shape, spec.c_weighted).log_bound
+        q, l, digest = spec.q.q, None, f"alpha={spec.alpha!r};c_weighted={spec.c_weighted!r}"
+        center, evaluate = spec.center, LaurentSeries(spec).evaluate
+    else:
+        raise InvalidArgumentError(f"unknown function tag {function_tag!r}; expected {FUNCTION_TAGS}")
+    return AuditTarget(function_tag, q, l, digest, center, evaluate, envelope_log)
 
 
 def _ratio(result: EvalResult, envelope_log: float) -> tuple[float, float, float]:

@@ -1,18 +1,122 @@
-"""An independent envelope route for the confluent hypergeometric sums.
+"""Reference routes for the envelopes in qineq.bounds.
 
-``bounds.envelope_phi`` is the entire-class envelope of the ``phi_to_f``
-reduction at the rescaled modulus.  ``envelope_phi_routes`` sets the direct
-closed form beside that composed route, so tests can check that the two
-agree.  It reads the cached constants of ``bounds`` and assembles them as
-``bounds`` does.
+``envelope_entire``, ``envelope_phi``, ``envelope_aq_gaussian``,
+``envelope_theta`` and ``envelope_meromorphic`` here are the public envelopes
+as they were assembled before bounds kept one prepared envelope per
+parameter set: every call validates the modulus, reads the constants, takes
+the closed form through term_peak or the meromorphic exponent and assembles
+the result through ``_assemble`` and ``_as_linear``, with the same argument
+checks in the same order.  No constant is cached.  The prepared envelopes
+must reproduce them bit for bit, and raise the same errors; the one
+deliberate difference is which of two invalid arguments a phi, aq or theta
+envelope reports first (see ``PARAMETERS_FIRST``).
+
+``envelope_phi_routes`` sets the direct closed form of the confluent
+hypergeometric envelope beside the composed route, so tests can check that
+the two agree.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
-from qineq import EnvelopeResult, PhiParams, envelope_entire, phi_to_f
-from qineq.bounds import _assemble, _phi_constants, _require_positive
+from qineq import (
+    ConfluentParams,
+    EnvelopeResult,
+    InvalidArgumentError,
+    MeromorphicBoundParams,
+    PhiParams,
+    QBase,
+    meromorphic_bound_params,
+    phi_to_f,
+    theta_weighted_constant,
+)
+from qineq.bounds import THETA_CONSTANT_TOL, _entire_logs
+
+_MAX_LOG = math.log(sys.float_info.max)
+
+# The references check the modulus before the parameters for these
+# envelopes; the prepared envelopes build (and so check) the parameters
+# first, as envelope_entire and envelope_meromorphic always did.
+PARAMETERS_FIRST = ("envelope_phi", "envelope_aq_gaussian", "envelope_theta")
+
+
+def _as_linear(log_bound: float) -> float:
+    if log_bound > _MAX_LOG:
+        return math.inf
+    return math.exp(log_bound)
+
+
+def _assemble(
+    constant_c: float, prefactor_log: float, exponent_term: float, log_c: float | None = None
+) -> EnvelopeResult:
+    if log_c is None:
+        log_c = math.log(constant_c)
+    log_bound = log_c + prefactor_log + exponent_term
+    return EnvelopeResult(
+        log_bound, _as_linear(log_bound), constant_c, prefactor_log, exponent_term
+    )
+
+
+def _require_positive(value: float, name: str) -> float:
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise InvalidArgumentError(f"{name} must be positive and finite, got {value!r}")
+    return value
+
+
+def term_peak(abs_z: float, l: float, q: QBase) -> float:
+    abs_z = _require_positive(abs_z, "abs_z")
+    l = _require_positive(l, "l")
+    lz = math.log(abs_z)
+    lq = q.log_q
+    return 0.5 * lz - 0.25 * l * lq - lz * lz / (4.0 * l * lq)
+
+
+def meromorphic_exponent(params: MeromorphicBoundParams, dist: float) -> float:
+    return params.beta * abs(math.log(dist)) ** params.gamma
+
+
+def envelope_entire(params: ConfluentParams, abs_z: float) -> EnvelopeResult:
+    c, log_c, log_ql = _entire_logs(params)
+    return _assemble(c, -log_ql, term_peak(abs_z, params.l, params.q), log_c)
+
+
+def _phi_constants(params: PhiParams) -> tuple[float, float, float, float, float]:
+    reduction = phi_to_f(params)
+    return (*_entire_logs(reduction.params), reduction.params.l, abs(reduction.scale))
+
+
+def envelope_phi(params: PhiParams, abs_z: float) -> EnvelopeResult:
+    abs_z = _require_positive(abs_z, "abs_z")
+    c, log_c, log_ql, l, scale = _phi_constants(params)
+    return _assemble(c, -log_ql, term_peak(abs_z * scale, l, params.q), log_c)
+
+
+def envelope_aq_gaussian(q: QBase, abs_z: float) -> EnvelopeResult:
+    abs_z = _require_positive(abs_z, "abs_z")
+    log_poch = _entire_logs(ConfluentParams(a_list=(), b_list=(), l=1.0, q=q))[2]
+    lz = math.log(abs_z)
+    lq = q.log_q
+    prefactor_log = -log_poch + 0.5 * math.log(abs_z / math.sqrt(q.q))
+    exponent_term = -lz * lz / (4.0 * lq)
+    return _assemble(1.0, prefactor_log, exponent_term)
+
+
+def envelope_meromorphic(
+    params: MeromorphicBoundParams, c_weighted: float, dist: float
+) -> EnvelopeResult:
+    c_weighted = _require_positive(c_weighted, "c_weighted")
+    dist = _require_positive(dist, "dist")
+    return _assemble(c_weighted, 0.0, meromorphic_exponent(params, dist))
+
+
+def envelope_theta(alpha: float, q: QBase, abs_z: float) -> EnvelopeResult:
+    abs_z = _require_positive(abs_z, "abs_z")
+    c = theta_weighted_constant(alpha, q, THETA_CONSTANT_TOL)
+    params = meromorphic_bound_params(alpha, q)
+    return envelope_meromorphic(params, c, abs_z)
 
 
 def envelope_phi_routes(params: PhiParams, abs_z: float) -> tuple[EnvelopeResult, EnvelopeResult]:

@@ -5,7 +5,9 @@ call recomputes each term's z-independent factors, and theta's stop index
 is found by a walk up from K = 1.  The prepared evaluators must reproduce
 them bit for bit.  The one deliberate difference is the error raised when a
 complex modulus overflows: these loops let ``abs()``'s OverflowError escape,
-where the prepared evaluators raise NonConvergentError.
+where the prepared evaluators raise NonConvergentError.  An argument with an
+infinite or nan part raises InvalidArgumentError in every loop, before any
+term or coefficient is computed.
 
 The ``force_*`` parameters bypass the stop rule and sum exactly that many
 terms (or indices |k| <= force_k) with a tail bound of 0; the
@@ -32,6 +34,11 @@ _LOG_HALF = math.log(0.5)
 def _require_pos_tol(tol: float) -> None:
     if not tol > 0.0:
         raise InvalidArgumentError(f"tol must be positive, got {tol!r}")
+
+
+def _require_finite(z: complex) -> None:
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise InvalidArgumentError(f"argument must be finite, got {z!r}")
 
 
 def _certified_sum(
@@ -80,6 +87,7 @@ def eval_gaussian(
     """f is (l, shift) = (l, 1) at z; phi is (m/2, 0) at (-1)^m z."""
     _require_pos_tol(tol)
     z = complex(z)
+    _require_finite(z)
     if z == 0:
         return EvalResult(value=1.0 + 0.0j, terms_used=1, tail_bound=0.0)
     abs_z = abs(z)
@@ -156,6 +164,7 @@ def eval_laurent(
 ) -> EvalResult:
     _require_pos_tol(tol)
     z = complex(z)
+    _require_finite(z)
     w = z - spec.center
     if w == 0:
         raise CenterPoleError(f"evaluation point equals the expansion center {spec.center!r}")

@@ -30,9 +30,10 @@ from qineq import (
     term_peak,
     theta_weighted_constant,
 )
-from qineq import bounds
+from qineq import LaurentSpec, QSeriesError, audit_target, bounds
 
 import oracles
+import reference_bounds as refb
 import reference_qcore as ref
 from reference_bounds import envelope_phi_routes
 
@@ -126,7 +127,7 @@ class TestEnvelopeEntire:
                 r = math.exp(rng.uniform(math.log(1e-6), math.log(1e8)))
                 env = envelope_entire(params, r)
                 assert env.exponent_term.hex() == term_peak(r, params.l, params.q).hex()
-                assert env.prefactor_log.hex() == (-bounds._entire_constants(params)[2]).hex()
+                assert env.prefactor_log.hex() == (-bounds._entire_logs(params)[2]).hex()
 
     def test_overflow_marker(self):
         env = envelope_entire(_entire(0.5), 1e300)
@@ -368,7 +369,12 @@ CACHED_ENVELOPES = (
     (bounds._phi_constants, lambda i: envelope_phi(PhiParams((), (0.5 * i / 1024,), QBase(0.5)), 2.0)),
     (bounds._aq_constant, lambda i: envelope_aq_gaussian(QBase(0.5 + i / 4096), 2.0)),
     (bounds._theta_constant, lambda i: envelope_theta(0.25 + i / 4096, QBase(0.5), 2.0)),
-    (bounds._meromorphic_params, lambda i: envelope_theta(0.25 + i / 4096, QBase(0.5), 2.0)),
+    # A theta envelope reads beta and gamma once, when it is built; a Laurent
+    # audit target reads them at every build.
+    (bounds._meromorphic_params, lambda i: audit_target(
+        "laurent", LaurentSpec(0.0, lambda k: 0j, 0.25 + i / 4096, QBase(0.5), 3.0))),
+    (bounds._meromorphic_constants, lambda i: envelope_meromorphic(
+        meromorphic_bound_params(0.25 + i / 4096, QBase(0.5)), 3.0, 2.0)),
 )
 MODULI = (1e-6, 0.3, 1.0, 2.0, 7.5, 1e4, 1e6)
 
@@ -387,7 +393,7 @@ class TestConstantCache:
         c = constant_c(params)
         ql_poch = pochhammer_infinite(params.q.q**params.l, params.q, 1e-16).value
         for abs_z in MODULI:
-            want = bounds._assemble(c, -math.log(ql_poch), term_peak(abs_z, params.l, params.q))
+            want = refb._assemble(c, -math.log(ql_poch), term_peak(abs_z, params.l, params.q))
             assert _bits(envelope_entire(params, abs_z)) == _bits(want)
 
     def test_phi_warm_cache_matches_direct_constants(self):
@@ -400,7 +406,7 @@ class TestConstantCache:
         ql_poch = pochhammer_infinite(0.9**1.0, params.q, 1e-16).value
         scale = 0.9**-1.0
         for abs_z in MODULI:
-            want = bounds._assemble(c, -math.log(ql_poch), term_peak(abs_z * scale, 1.0, params.q))
+            want = refb._assemble(c, -math.log(ql_poch), term_peak(abs_z * scale, 1.0, params.q))
             assert _bits(envelope_phi(params, abs_z)) == _bits(want)
 
     def test_aq_and_theta_warm_cache_match_direct_constants(self):
@@ -415,9 +421,9 @@ class TestConstantCache:
             lz = math.log(abs_z)
             prefactor_log = -math.log(poch) + 0.5 * math.log(abs_z / math.sqrt(0.9))
             exponent_term = -lz * lz / (4.0 * base.log_q)
-            want = bounds._assemble(1.0, prefactor_log, exponent_term)
+            want = refb._assemble(1.0, prefactor_log, exponent_term)
             assert _bits(envelope_aq_gaussian(base, abs_z)) == _bits(want)
-            want = bounds._assemble(c, 0.0, shape.beta * abs(lz) ** shape.gamma)
+            want = refb._assemble(c, 0.0, shape.beta * abs(lz) ** shape.gamma)
             assert _bits(envelope_theta(0.25, base, abs_z)) == _bits(want)
 
     @pytest.mark.parametrize("cache,fill", CACHED_ENVELOPES)
@@ -478,7 +484,7 @@ class TestConstantsMatchReference:
                 # up to log (e^(-4 pi^2 / t); e^(-4 pi^2 / t))_inf, below e^-39000 here.
                 t = -mp.log(mp.mpf(q))
                 want = float(mp.log(2 * mp.pi / t) / 2 - mp.pi**2 / (6 * t) + t / 24)
-                assert math.isclose(bounds._aq_constant(QBase(q)), want, rel_tol=1e-14)
+                assert math.isclose(-bounds._aq_constant(QBase(q)).neg_log_poch, want, rel_tol=1e-14)
                 assert math.isclose(bounds._entire_logs(_entire(q))[2], want, rel_tol=1e-14)
             # (0.9;q)_inf at q = 0.9985 has log -867.0; as a double product it
             # stalls at a subnormal whose log is -743.7.  Here
@@ -498,12 +504,12 @@ class TestConstantsMatchReference:
         aq = envelope_aq_gaussian(base, 1.0)
         entire = envelope_entire(_entire(q), 1.0)
         assert math.isfinite(aq.log_bound) and math.isfinite(entire.log_bound)
-        want = -bounds._aq_constant(base) + 0.5 * math.log(1.0 / math.sqrt(q))
+        want = bounds._aq_constant(base).neg_log_poch + 0.5 * math.log(1.0 / math.sqrt(q))
         assert aq.prefactor_log.hex() == want.hex()
-        assert entire.prefactor_log.hex() == (-bounds._entire_constants(_entire(q))[2]).hex()
+        assert entire.prefactor_log.hex() == (-bounds._entire_logs(_entire(q))[2]).hex()
         phi = envelope_phi(PhiParams((), (0.9,), base), 1.0)
-        log_c = bounds._phi_constants(PhiParams((), (0.9,), base))[1]
-        assert math.isclose(phi.constant_c, bounds._as_linear(log_c), rel_tol=1e-12)
+        log_c = bounds._phi_constants(PhiParams((), (0.9,), base)).log_c
+        assert math.isclose(phi.constant_c, refb._as_linear(log_c), rel_tol=1e-12)
         assert math.isfinite(phi.log_bound)
         direct, composed = envelope_phi_routes(PhiParams((), (0.9,), base), 1.0)
         assert math.isclose(direct.log_bound, composed.log_bound, rel_tol=1e-12)
@@ -522,3 +528,108 @@ class TestConstantsMatchReference:
         assert env.constant_c == math.inf and math.isfinite(env.log_bound)
         with pytest.raises(NonConvergentError):
             ref.constant_c(params)
+
+
+def _envelope_outcome(call, *args):
+    """float.hex of every field and the type, or the exception type and text."""
+    try:
+        env = call(*args)
+    except (QSeriesError, ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return (type(env),) + tuple(float.hex(x) for x in env)
+
+
+def _family_draws(rng):
+    """(public envelope name, leading arguments, audit tag and parameters or
+    None) for 300 seeded parameter sets per family, then parameter sets
+    whose envelope cannot be built."""
+    for _ in range(300):
+        params = draw_confluent_params(rng)
+        yield "envelope_entire", (params,), ("confluent_f", params)
+        params = draw_phi_params(rng)
+        yield "envelope_phi", (params,), ("phi", params)
+        base = QBase(rng.uniform(0.05, 0.999))
+        yield "envelope_aq_gaussian", (base,), ("aq", base)
+        alpha, base = rng.uniform(0.05, 0.95), QBase(rng.uniform(0.05, 0.95))
+        yield "envelope_theta", (alpha, base), ("theta", (base, alpha))
+        alpha, base, c = rng.uniform(0.1, 3.0), QBase(rng.uniform(0.05, 0.95)), math.exp(rng.uniform(-3, 3))
+        spec = LaurentSpec(0.0, lambda k: 0.0j, alpha, base, c)
+        yield "envelope_meromorphic", (meromorphic_bound_params(alpha, base), c), ("laurent", spec)
+    near_one = QBase(0.999999)
+    yield "envelope_entire", (ConfluentParams((), (), 1.0, near_one),), None
+    yield "envelope_entire", (ConfluentParams((1e300,), (), 1.0, QBase(0.5)),), None
+    yield "envelope_phi", (PhiParams((), (0.3,), near_one),), None
+    yield "envelope_phi", (PhiParams((), (0.3, 0.6), QBase(1e-300)),), None  # scale overflows
+    yield "envelope_aq_gaussian", (near_one,), None
+    for alpha in (1.5, 0.0, math.nan):
+        yield "envelope_theta", (alpha, QBase(0.5)), None
+    shape = meromorphic_bound_params(0.5, QBase(0.5))
+    for c in (0.0, -1.0, math.nan, math.inf):
+        yield "envelope_meromorphic", (shape, c), None
+
+
+class TestPreparedEnvelopesMatchReference:
+    """Every public envelope, built from a cold and then a warm cache, against
+    its per-call route in tests/reference_bounds.py: the same bits in every
+    field, or the same exception type and text.  Each audit target certifies
+    the public log_bound bit for bit."""
+
+    MODULI = (1e-300, 1e-6, 1.0, math.e, 1e6, 1e300)
+    INVALID = (0.0, -1.0, math.nan, math.inf)
+
+    def _expected(self, name, args, abs_z):
+        reference = getattr(refb, name)
+        want = _envelope_outcome(reference, *args, abs_z)
+        if name in refb.PARAMETERS_FIRST:
+            at_one = _envelope_outcome(reference, *args, 1.0)
+            if len(at_one) == 2:
+                return at_one
+        return want
+
+    def test_draws(self):
+        for cache in (bounds._entire_constants, bounds._phi_constants, bounds._aq_constant,
+                      bounds._theta_constant, bounds._meromorphic_constants):
+            cache.cache_clear()
+        rng = random.Random(14_000)
+        counts = {}
+        for name, args, audit in _family_draws(rng):
+            public = getattr(bounds, name)
+            for abs_z in self.MODULI + self.INVALID:
+                want = self._expected(name, args, abs_z)
+                assert _envelope_outcome(public, *args, abs_z) == want, (name, args, abs_z)
+                assert _envelope_outcome(public, *args, abs_z) == want, (name, args, abs_z)
+            counts[name] = counts.get(name, 0) + 1
+            if audit is not None:
+                target = audit_target(*audit)
+                for abs_z in self.MODULI:
+                    env = public(*args, abs_z)
+                    assert target.envelope_log(abs_z).hex() == env.log_bound.hex()
+        assert min(counts.values()) >= 300 and len(counts) == 5
+
+    def test_phi_modulus_overflowing_after_scaling(self):
+        # m = 3 at q = 0.05: |scale| = 0.05^-1.5 = 89.4, so 1e307 overflows.
+        params = PhiParams((), (0.3, 0.6), QBase(0.05))
+        want = ("InvalidArgumentError", "abs_z must be positive and finite, got inf")
+        assert _envelope_outcome(envelope_phi, params, 1e307) == want
+        assert _envelope_outcome(refb.envelope_phi, params, 1e307) == want
+
+    def test_parameters_are_checked_before_the_modulus(self):
+        # The one deliberate difference from the reference routes.
+        assert _envelope_outcome(envelope_theta, 1.5, QBase(0.5), 0.0) == (
+            "InvalidArgumentError", "alpha must lie in (0, 1), got 1.5")
+        assert _envelope_outcome(refb.envelope_theta, 1.5, QBase(0.5), 0.0) == (
+            "InvalidArgumentError", "abs_z must be positive and finite, got 0.0")
+
+    def test_term_peak_and_exponent(self):
+        rng = random.Random(14_002)
+        for _ in range(300):
+            q, l = QBase(rng.uniform(0.05, 0.95)), rng.choice((0.5, 1.0, 1.5, 2.5))
+            shape = meromorphic_bound_params(rng.uniform(0.1, 3.0), q)
+            for r in self.MODULI:
+                assert term_peak(r, l, q).hex() == refb.term_peak(r, l, q).hex()
+                assert shape.exponent(r).hex() == refb.meromorphic_exponent(shape, r).hex()
+            for r in self.INVALID:
+                assert _envelope_outcome(term_peak, r, l, q) == _envelope_outcome(
+                    refb.term_peak, r, l, q)
+        with pytest.raises(InvalidArgumentError, match="dist must be positive and finite"):
+            shape.exponent(0.0)

@@ -21,6 +21,9 @@ from qineq import (
     PhiParams,
     QBase,
     QSeriesError,
+    eval_confluent_f,
+    eval_phi,
+    eval_ramanujan_aq,
     log_grid,
     theta_weighted_constant,
 )
@@ -184,6 +187,52 @@ class TestGaussianMatchesReference:
         assert _outcome(prepared.evaluate, 0.0, 1e-14) == _outcome(
             ref.eval_gaussian, params.a_list, params.b_list, 0.9, 1.0, 1, 0.0, 1e-14
         )
+
+
+NON_FINITE = [complex(math.nan, 0.0), complex(math.inf, 0.0), complex(0.0, -math.inf),
+              complex(math.inf, math.nan)]
+
+
+class TestNonFiniteArguments:
+    """An argument with an infinite or nan part is an InvalidArgumentError
+    naming the argument, raised before any row is tabulated; a finite
+    argument whose modulus overflows keeps its overflow error."""
+
+    @pytest.mark.parametrize("w", NON_FINITE)
+    def test_gaussian_families(self, w):
+        want = ("InvalidArgumentError", f"argument must be finite, got {w!r}")
+        f_params = ConfluentParams(a_list=(0.5j,), b_list=(0.3,), l=1.0, q=QBase(0.5))
+        phi_params = PhiParams(a_list=(), b_list=(), q=QBase(0.5))  # m = 1: evaluated at -z
+        aq_params = ConfluentParams(a_list=(), b_list=(), l=1.0, q=QBase(0.5))
+        for prepared in (prepare_confluent_f(f_params), prepare_phi(phi_params),
+                         prepare_confluent_f(aq_params)):
+            assert _outcome(prepared.evaluate, w, 1e-14) == want
+            assert prepared._rows == []
+        assert _outcome(eval_confluent_f, f_params, w, 1e-14) == want
+        assert _outcome(eval_phi, phi_params, w, 1e-14) == want
+        assert _outcome(eval_ramanujan_aq, QBase(0.5), w, 1e-14) == want
+        # The reference loops take phi's and aq's negated argument.
+        assert _outcome(ref.eval_gaussian, (0.5j,), (0.3,), 0.5, 1.0, 1, w, 1e-14) == want
+        assert _outcome(ref.eval_gaussian, (), (), 0.5, 0.5, 0, -w, 1e-14) == (
+            "InvalidArgumentError", f"argument must be finite, got {-w!r}")
+
+    @pytest.mark.parametrize("w", NON_FINITE)
+    def test_theta(self, w):
+        want = ("InvalidArgumentError", f"argument must be finite, got {w!r}")
+        prepared = ThetaSeries(QBase(0.5))
+        assert _outcome(prepared.evaluate, w, 1e-14) == want
+        assert prepared._powers == []
+        assert _outcome(ref.eval_theta, 0.5, w, 1e-14) == want
+
+    def test_finite_argument_with_overflowing_modulus_keeps_its_error(self):
+        w = complex(1e308, 1e308)
+        params = ConfluentParams(a_list=(), b_list=(), l=1.0, q=QBase(0.5))
+        assert _outcome(prepare_confluent_f(params).evaluate, w, 1e-14) == (
+            "NonConvergentError", "series term left the double range")
+        assert _outcome(ThetaSeries(QBase(0.5)).evaluate, w, 1e-14) == (
+            "NonConvergentError", "theta sum overflowed the double range")
+        assert _outcome(LaurentSeries(_theta_spec(0.5, 0.5)).evaluate, w, 1e-14) == (
+            "NonConvergentError", "Laurent sum overflowed the double range")
 
 
 class TestThetaMatchesReference:
@@ -407,10 +456,20 @@ class TestLaurentOverflowProbe:
          complex(math.inf, math.nan)],
     )
     def test_non_finite_argument_is_a_typed_error(self, w):
-        spec = _theta_spec(0.5, 0.5)
-        want = ("NonConvergentError", "Laurent sum overflowed the double range")
-        assert _outcome(LaurentSeries(spec).evaluate, w, 1e-12) == want
+        # Rejected before any coefficient is read, coeff(0) included.
+        calls = []
+
+        def coeff(k):
+            calls.append(k)
+            return complex(0.5 ** (k * k))
+
+        spec = LaurentSpec(0.0, coeff, 0.5, QBase(0.5), 3.0)
+        want = ("InvalidArgumentError", f"argument must be finite, got {w!r}")
+        prepared = LaurentSeries(spec)
+        assert _outcome(prepared.evaluate, w, 1e-12) == want
+        assert calls == [] and prepared._rows == [] and prepared._c0 is None
         assert _expected("laurent", ref.eval_laurent, spec, w, 1e-12) == want
+        assert calls == []
 
     def test_powers_are_not_finite_at_the_certain_overflow_index(self):
         # The rounding argument in LaurentSeries.evaluate: at

@@ -14,7 +14,17 @@ import random
 
 import pytest
 
-from qineq import AuditRecord, EnvelopeResult, EvalResult, PochhammerValue, QBase
+from qineq import (
+    AuditRecord,
+    ConfluentParams,
+    EnvelopeResult,
+    EvalResult,
+    PhiParams,
+    PochhammerValue,
+    QBase,
+    draw_confluent_params,
+    draw_phi_params,
+)
 
 # (instance builder, field names in order, repr printed by the dataclass form).
 # The PochhammerValue(0.75, 3) and first AuditRecord reprs also pin the
@@ -142,3 +152,56 @@ class TestQBase:
         assert back == base and hash(back) == hash(base)
         assert float.hex(back.log_q) == float.hex(math.log(0.3))
         assert float.hex(back.log_inv_q) == float.hex(-math.log(0.3))
+
+
+def _parameter_draws():
+    """Seeded QBase, ConfluentParams and PhiParams, each with the tuple of
+    its compared fields."""
+    rng = random.Random(14_003)
+    for _ in range(300):
+        base = QBase(rng.uniform(1e-6, 0.999999))
+        yield base, (base.q,)
+        params = draw_confluent_params(rng)
+        yield params, (params.a_list, params.b_list, params.l, params.q)
+        phi = draw_phi_params(rng)
+        yield phi, (phi.a_list, phi.b_list, phi.q)
+
+
+class TestCachedParameterHashes:
+    """The parameter objects that key the envelope caches compute their hash
+    once.  It is the hash the generated dataclass __hash__ returns, that of
+    the tuple of compared fields, and it is stored outside the fields."""
+
+    def test_hash_is_that_of_the_compared_fields(self):
+        for obj, compared in _parameter_draws():
+            fields = dataclasses.fields(obj)
+            assert compared == tuple(getattr(obj, f.name) for f in fields if f.compare)
+            assert hash(obj) == hash(compared)
+
+    def test_equal_distinct_objects_hash_equal(self):
+        for obj, _ in _parameter_draws():
+            if isinstance(obj, QBase):
+                twin = QBase(obj.q)
+            else:
+                twin = dataclasses.replace(obj, q=QBase(obj.q.q))
+            assert twin is not obj and twin == obj and hash(twin) == hash(obj)
+
+    def test_fields_and_repr_are_unchanged(self):
+        assert [f.name for f in dataclasses.fields(QBase)] == ["q", "log_q", "log_inv_q"]
+        assert [f.name for f in dataclasses.fields(ConfluentParams)] == ["a_list", "b_list", "l", "q"]
+        assert [f.name for f in dataclasses.fields(PhiParams)] == ["a_list", "b_list", "q"]
+        params = ConfluentParams((0.5j,), (0.3,), 1.5, QBase(0.5))
+        assert repr(params) == (
+            "ConfluentParams(a_list=(0.5j,), b_list=(0.3,), l=1.5, q=QBase(q=0.5))")
+        assert repr(PhiParams((1 + 0j,), (0.3, 0.6), QBase(0.25))) == (
+            "PhiParams(a_list=((1+0j),), b_list=(0.3, 0.6), q=QBase(q=0.25))")
+
+    def test_equality_ignores_the_stored_hash(self):
+        a, b = ConfluentParams((), (0.3,), 1.0, QBase(0.5)), ConfluentParams((), (0.3,), 1.0, QBase(0.5))
+        object.__setattr__(b, "_hash", 0)
+        assert a == b
+
+    def test_pickle_round_trips(self):
+        for obj, _ in _parameter_draws():
+            back = pickle.loads(pickle.dumps(obj))
+            assert back == obj and hash(back) == hash(obj) and repr(back) == repr(obj)

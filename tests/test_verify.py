@@ -220,7 +220,8 @@ class TestSharedEnvelopeConstants:
 
         def clear_caches():
             for cache in (bounds._entire_constants, bounds._phi_constants, bounds._aq_constant,
-                          bounds._theta_constant, bounds._meromorphic_params):
+                          bounds._theta_constant, bounds._meromorphic_params,
+                          bounds._meromorphic_constants):
                 cache.cache_clear()
 
         clear_caches()
