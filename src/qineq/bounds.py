@@ -344,15 +344,9 @@ def theta_weighted_constant(alpha: float, q: QBase, tol: float) -> float:
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _meromorphic_params(alpha: float, q: QBase) -> MeromorphicBoundParams:
-    """meromorphic_bound_params, cached per (alpha, q)."""
-    return meromorphic_bound_params(alpha, q)
-
-
-@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _theta_constant(alpha: float, q: QBase) -> _MeromorphicEnvelope:
     c = theta_weighted_constant(alpha, q, THETA_CONSTANT_TOL)
-    shape = _meromorphic_params(alpha, q)
+    shape = meromorphic_bound_params(alpha, q)
     return _MeromorphicEnvelope(c, math.log(c), shape.beta, shape.gamma, "abs_z")
 
 

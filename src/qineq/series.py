@@ -43,8 +43,6 @@ TERM_CAP = 100_000
 TWO_SIDED_CAP = 1_000_000
 LAURENT_K_CAP = 10_000
 _LOG_HALF = math.log(0.5)
-# Steps between two checks that theta's running sum is still finite.
-_THETA_CHECK_EVERY = 32
 # Largest index at which LaurentSeries trusts its rounding argument for a
 # certain overflow; see LaurentSeries.evaluate.
 _OVERFLOW_K_MAX = 1 << 40
@@ -412,13 +410,11 @@ def _theta_stop_index(lq: float, log_m: float, log_tol: float) -> int:
 class ThetaSeries:
     """A prepared theta sum sum_{k in Z} q^{k^2} z^k.
 
-    The factors q^{2k-1} that step both wings are tabulated up to the largest
-    index any evaluation has reached, and later evaluations reuse them.  The
-    running sum is checked every 32 terms, so a sum that leaves the double
-    range raises as soon as one of its parts is not finite instead of after
-    the last term.  The table grows 32 entries at a time with the sum and is
-    published once, on return or on raise, so a sum that overflows early
-    tabulates only the indices it reached.
+    An evaluation finds its stop index K in closed form, raises at once when
+    the growing wing's largest term, q^{k^2} M^k at the best 1 <= k <= K, is
+    above e^711 (the sum would overflow), and otherwise extends its table of
+    the factors q^{2k-1} to K in one step and sums in one plain loop.  Later
+    evaluations reuse the table.
     """
 
     __slots__ = ("_q", "_lq", "_powers")
@@ -426,9 +422,7 @@ class ThetaSeries:
     def __init__(self, q: QBase) -> None:
         self._q = q.q
         self._lq = q.log_q
-        # q^{2k-1} at index k - 1.  A longer list is built in a private copy
-        # and published with one assignment; a published list is never
-        # modified.
+        # q^{2k-1} at index k - 1.  A published list is never modified.
         self._powers: list[float] = []
 
     def evaluate(self, z: complex, tol: float) -> EvalResult:
@@ -446,37 +440,34 @@ class ThetaSeries:
         log_m = abs(math.log(abs_z))
         k_stop = _theta_stop_index(lq, log_m, math.log(tol))
 
+        # Certain overflow, in closed form.  k^2 lq + k log_m is concave in k,
+        # so its maximum on 1 <= k <= K is at the integer nearest its vertex,
+        # clamped.  The sum forms that term in at most TWO_SIDED_CAP products,
+        # each losing at most about 5u of relative modulus (Brent, Percival
+        # and Zimmermann, Math. Comp. 76, 2007), so above
+        # 711 > log(sqrt(2) DBL_MAX) = 710.13 the term has a non-finite part.
+        # An inf or nan part of the running sum never becomes finite again,
+        # so the final check below would reject that sum anyway.
+        k_peak = min(k_stop, max(1, round(log_m / (-2.0 * lq))))
+        if k_peak * k_peak * lq + k_peak * log_m > 711.0:
+            raise NonConvergentError("theta sum overflowed the double range")
+
         rho2 = math.exp(min((2 * k_stop + 3) * lq + log_m, _LOG_HALF))
         tail = 2.0 * math.exp((k_stop + 1) ** 2 * lq + (k_stop + 1) * log_m) / (1.0 - rho2)
 
         powers = self._powers
-        size = len(powers)
+        if len(powers) < k_stop:
+            qq = self._q
+            powers = powers + [qq ** (2 * k - 1) for k in range(len(powers) + 1, k_stop + 1)]
+            self._powers = powers
         value: complex = 1.0 + 0.0j
         plus: complex = 1.0 + 0.0j
         minus: complex = 1.0 + 0.0j
         z_inv = 1.0 / z
-        try:
-            for lo in range(0, k_stop, _THETA_CHECK_EVERY):
-                hi = min(lo + _THETA_CHECK_EVERY, k_stop)
-                if hi > len(powers):
-                    # Extend a private copy chunk by chunk with the sum; the
-                    # finally clause publishes it.
-                    if len(powers) == size:
-                        powers = list(powers)
-                    qq = self._q
-                    powers += [qq ** (2 * k - 1) for k in range(len(powers) + 1, hi + 1)]
-                for f in powers[lo:hi]:
-                    plus *= f * z
-                    minus *= f * z_inv
-                    value += plus + minus
-                # Complex addition works part by part, and an inf or nan part
-                # never becomes finite again, so this rejects exactly the sums
-                # that the final check below would reject, only sooner.
-                if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-                    raise NonConvergentError("theta sum overflowed the double range")
-        finally:
-            if len(powers) > size:
-                self._powers = powers
+        for f in powers[:k_stop]:
+            plus *= f * z
+            minus *= f * z_inv
+            value += plus + minus
         try:
             abs_value = abs(value)
         except OverflowError:
@@ -494,8 +485,10 @@ def eval_theta(q: QBase, z: complex, tol: float) -> EvalResult:
     q^{K^2} M^K / (1 - q^{2K+1} M) <= tol, where M = max(|z|, 1/|z|); the
     reported tail_bound is the rigorous two-wing geometric remainder, which
     the stop rule keeps below tol.  Raises NonConvergentError when K would
-    exceed TWO_SIDED_CAP or the sum leaves the double range.  This is
-    ThetaSeries(q).evaluate(z, tol).
+    exceed TWO_SIDED_CAP or the sum leaves the double range, in closed form
+    before any factor is tabulated when its largest term is above e^711.
+    This is ThetaSeries(q).evaluate(z, tol), which tabulates the factors
+    q^{2k-1} up to K in one step.
     """
     return ThetaSeries(q).evaluate(z, tol)
 

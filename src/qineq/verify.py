@@ -17,7 +17,6 @@ importing this module, the package or the CLI does not load it.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass
@@ -150,10 +149,6 @@ def _digest_confluent(params: ConfluentParams | PhiParams) -> str:
     return f"a={a};b={b}"
 
 
-def _raise(error: QSeriesError, abs_z: float) -> float:
-    raise error.with_traceback(None)
-
-
 def audit_target(function_tag: str, fixed_params) -> AuditTarget:
     """Bundle a tagged function with its envelope for sweeping.
 
@@ -171,8 +166,7 @@ def audit_target(function_tag: str, fixed_params) -> AuditTarget:
     its evaluations needed, so a target used once pays nothing extra.
 
     ``envelope_log`` is the log_bound method of the public envelope's prepared
-    envelope, built here: a build error is a usage error, except for "aq",
-    whose records carry it when their evaluation succeeds.
+    envelope, built here, so a build error is raised here for every tag.
     """
     center = 0.0 + 0.0j
     if function_tag == "confluent_f":
@@ -187,10 +181,7 @@ def audit_target(function_tag: str, fixed_params) -> AuditTarget:
         evaluate, envelope_log = prepare_phi(phi_params).evaluate, envelope.log_bound
     elif function_tag == "aq":
         qb: QBase = fixed_params
-        try:
-            envelope_log = bounds._aq_constant(qb).log_bound
-        except QSeriesError as exc:
-            envelope_log = functools.partial(_raise, exc)
+        envelope_log = bounds._aq_constant(qb).log_bound
         q, l, digest = qb.q, 1.0, ""
         evaluate = prepare_confluent_f(ConfluentParams((), (), 1.0, qb)).evaluate
     elif function_tag == "theta":
@@ -200,7 +191,7 @@ def audit_target(function_tag: str, fixed_params) -> AuditTarget:
         evaluate = ThetaSeries(theta_q).evaluate
     elif function_tag == "laurent":
         spec: LaurentSpec = fixed_params
-        shape = bounds._meromorphic_params(spec.alpha, spec.q)
+        shape = bounds.meromorphic_bound_params(spec.alpha, spec.q)
         envelope_log = bounds._meromorphic_constants(shape, spec.c_weighted).log_bound
         q, l, digest = spec.q.q, None, f"alpha={spec.alpha!r};c_weighted={spec.c_weighted!r}"
         center, evaluate = spec.center, LaurentSeries(spec).evaluate

@@ -369,10 +369,6 @@ CACHED_ENVELOPES = (
     (bounds._phi_constants, lambda i: envelope_phi(PhiParams((), (0.5 * i / 1024,), QBase(0.5)), 2.0)),
     (bounds._aq_constant, lambda i: envelope_aq_gaussian(QBase(0.5 + i / 4096), 2.0)),
     (bounds._theta_constant, lambda i: envelope_theta(0.25 + i / 4096, QBase(0.5), 2.0)),
-    # A theta envelope reads beta and gamma once, when it is built; a Laurent
-    # audit target reads them at every build.
-    (bounds._meromorphic_params, lambda i: audit_target(
-        "laurent", LaurentSpec(0.0, lambda k: 0j, 0.25 + i / 4096, QBase(0.5), 3.0))),
     (bounds._meromorphic_constants, lambda i: envelope_meromorphic(
         meromorphic_bound_params(0.25 + i / 4096, QBase(0.5)), 3.0, 2.0)),
 )

@@ -361,8 +361,8 @@ class TestModulusOverflow:
 
 
 class TestAuditBuildErrors:
-    """Errors raised while an audit builds its target and envelope stay usage
-    errors; errors of single points stay error records."""
+    """Errors raised while an audit builds its target and envelope are usage
+    errors, for every function."""
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -376,6 +376,9 @@ class TestAuditBuildErrors:
             (["audit", "--function", "phi", "--q", "0.999999", "--b", "0.3",
               "--grid", "1e-3:1e3:3", "--angles", "2"],
              "infinite product needs 49452875 factors, beyond the cap 1000000"),
+            (["audit", "--function", "aq", "--q", "0.999999", "--grid", "1e-3:1:2",
+              "--angles", "2"],
+             "infinite product needs 50656846 factors, beyond the cap 1000000"),
         ],
     )
     def test_exit_two_with_one_error_line(self, capsys, argv, message):
@@ -383,15 +386,6 @@ class TestAuditBuildErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
-
-    def test_point_errors_stay_records(self, capsys):
-        code = run(["audit", "--function", "aq", "--q", "0.999999", "--grid", "1e-3:1:2",
-                    "--angles", "2"])
-        captured = capsys.readouterr()
-        assert code == 0
-        assert captured.err == "records=4 passed=0 failed=0 errors=4\n"
-        rows = list(csv.DictReader(captured.out.splitlines()))
-        assert [row["error"] for row in rows] == ["series term left the double range"] * 4
 
 
 class TestInapplicableOptions:

@@ -258,16 +258,47 @@ class TestThetaMatchesReference:
         )
         assert terms == [21, 13, 95, 27, 7]
 
-    def test_overflowing_sum_tabulates_only_the_indices_it_reached(self):
-        # The stop index is 634,396, and the sum stops being finite near
-        # k = 1235: the table grows with the sum and is published on raise.
+    def test_certain_overflow_tabulates_nothing(self):
+        # The stop index is 634,396, and the largest term, at k = 288,127, is
+        # about e^83017: evaluate raises before it tabulates any factor.
         prepared = ThetaSeries(QBase(0.999999))
         z = 0.562 * complex(math.cos(0.7), math.sin(0.7))
-        with pytest.raises(NonConvergentError, match="theta sum overflowed the double range"):
-            prepared.evaluate(z, 1e-14)
-        size = len(prepared._powers)
-        assert 1235 <= size <= 2048
-        assert prepared._powers == [0.999999 ** (2 * k - 1) for k in range(1, size + 1)]
+        want = ("NonConvergentError", "theta sum overflowed the double range")
+        assert _outcome(prepared.evaluate, z, 1e-14) == want
+        assert prepared._powers == []
+        assert _outcome(ref.eval_theta, 0.999999, z, 1e-14) == want
+
+    @pytest.mark.parametrize("wing", [1.0, -1.0])
+    def test_outcomes_near_the_overflow_threshold(self, wing):
+        # About 2000 points per wing whose largest term, max over
+        # 1 <= k <= K of k^2 log q + k |log|z||, lies within 3 of 711 (the
+        # closed-form rejection threshold) or of log(DBL_MAX) = 709.78; each
+        # outcome is the reference's.  K is the reference's stop index.
+        rng = random.Random(4711 if wing > 0 else 4712)
+        log_tol = math.log(1e-14)
+        seen = {711.0: set(), 709.78: set()}
+        checked = 0
+        while checked < 2000:
+            q = math.exp(-math.exp(rng.uniform(math.log(1e-3), math.log(30.0))))
+            lq = math.log(q)
+            centre = rng.choice((711.0, 709.78))
+            log_m = math.sqrt(-4.0 * lq * (centre + rng.uniform(-3.0, 3.0)))
+            k_stop = ref.theta_stop_index(lq, log_m, log_tol)
+            vertex = log_m / (-2.0 * lq)
+            ks = range(max(1, math.floor(vertex) - 1), min(k_stop, math.ceil(vertex) + 1) + 1)
+            peak = max(k * k * lq + k * log_m for k in ks)
+            if abs(peak - centre) > 3.0:
+                continue
+            ang = rng.uniform(0.0, 2.0 * math.pi)
+            z = math.exp(wing * log_m) * complex(math.cos(ang), math.sin(ang))
+            want = _expected("theta", ref.eval_theta, q, z, 1e-14)
+            assert _outcome(ThetaSeries(QBase(q)).evaluate, z, 1e-14) == want, (q, z)
+            seen[centre].add((len(want) == 2, peak > 711.0))
+            checked += 1
+        # Both windows hold finite sums and overflows, and the 711 window
+        # holds points on both sides of the threshold.
+        assert {error for error, _ in seen[709.78]} == {False, True}
+        assert seen[711.0] >= {(True, True), (True, False), (False, False)}
 
     def test_stop_index_matches_linear_walk(self):
         rng = random.Random(606)

@@ -12,6 +12,7 @@ import pytest
 from qineq import (
     ConfluentParams,
     LaurentSpec,
+    NonConvergentError,
     PhiParams,
     QBase,
     SweepPlan,
@@ -27,6 +28,21 @@ import reference_report
 
 _COMMA_ERROR = "infinite product needs 50656846 factors, beyond the cap 1000000"
 _PLAN = SweepPlan(abs_z_grid=log_grid(1e-4, 1e6, 21), angle_count=4)
+# aq at q = 0.9999 evaluates at |z| <= 1e-2 and overflows at |z| >= 1e-1.
+_AQ_NEAR_ONE = QBase(0.9999)
+
+
+def _failing_envelopes(monkeypatch):
+    """Give every audit target an envelope that raises _COMMA_ERROR at each
+    modulus, the error an envelope whose constant cannot be computed gives."""
+
+    def target_with_failing_envelope(tag, params):
+        def envelope_log(abs_z):
+            raise NonConvergentError(_COMMA_ERROR)
+
+        return dataclasses.replace(audit_target(tag, params), envelope_log=envelope_log)
+
+    monkeypatch.setattr(verify, "audit_target", target_with_failing_envelope)
 
 
 def _theta_spec(q, alpha):
@@ -59,7 +75,6 @@ _SWEEPS = {
     "phi": ("phi", PhiParams((0.5,), (0.3,), QBase(0.9))),
     "phi q=0.99": ("phi", PhiParams((0.5,), (0.3,), QBase(0.99))),
     "aq": ("aq", QBase(0.5)),
-    "aq q=0.999999": ("aq", QBase(0.999999)),
     "theta": ("theta", (QBase(0.3), 0.75)),
     "theta q=0.99": ("theta", (QBase(0.99), 0.5)),
     "laurent": ("laurent", _theta_spec(0.5, 0.5)),
@@ -74,6 +89,12 @@ class TestCsvWriterMatchesReference:
     @pytest.mark.parametrize("name", sorted(_SWEEPS))
     def test_sweep(self, name):
         _assert_matches_reference(audit_envelope(_PLAN, *_SWEEPS[name]))
+
+    def test_sweep_with_envelope_errors(self, monkeypatch):
+        _failing_envelopes(monkeypatch)
+        records = audit_envelope(_PLAN, "aq", _AQ_NEAR_ONE)
+        assert {r.error for r in records} == {_COMMA_ERROR, "series term left the double range"}
+        _assert_matches_reference(records)
 
     @pytest.mark.parametrize("tag", ["confluent_f", "phi"])
     def test_draws(self, tag):
@@ -121,8 +142,9 @@ class TestErrorColumn:
         assert [row["error"] for row in payload] == [r.error or None for r in records]
         assert all(list(row)[-1] == "error" for row in payload)
 
-    def test_error_with_a_comma_is_quoted(self, capsys):
-        argv = ["audit", "--function", "aq", "--q", "0.999999", "--grid", "1e-9:1e-3:3",
+    def test_error_with_a_comma_is_quoted(self, capsys, monkeypatch):
+        _failing_envelopes(monkeypatch)
+        argv = ["audit", "--function", "aq", "--q", "0.9999", "--grid", "1e-7:1e-1:3",
                 "--angles", "2"]
         assert run(argv) == 0
         captured = capsys.readouterr()
@@ -168,20 +190,23 @@ class TestOneEnvelopePerModulus:
         records = audit_envelope(plan, "confluent_f")
         assert len(calls) == sum(1 for r in records if not r.error) == 50
 
-    def test_evaluation_error_comes_first(self):
-        # q = 0.999999: the envelope raises at every modulus, the evaluation
-        # succeeds at the two smaller moduli only.  A record whose evaluation
-        # failed keeps that error; the others carry the envelope's.
-        plan = SweepPlan(abs_z_grid=(1e-9, 1e-6, 1e-3), angle_count=2)
-        records = audit_envelope(plan, "aq", QBase(0.999999))
+    def test_evaluation_error_comes_first(self, monkeypatch):
+        # The envelope raises at every modulus, the evaluation succeeds at the
+        # two smaller moduli only.  A record whose evaluation failed keeps
+        # that error; the others carry the envelope's.
+        _failing_envelopes(monkeypatch)
+        plan = SweepPlan(abs_z_grid=(1e-7, 1e-4, 1e-1), angle_count=2)
+        records = audit_envelope(plan, "aq", _AQ_NEAR_ONE)
         assert [r.error for r in records] == [_COMMA_ERROR] * 4 + [
             "series term left the double range"
         ] * 2
 
-    def test_envelope_error_never_reached(self, capsys):
-        argv = ["audit", "--function", "aq", "--q", "0.999999", "--grid", "1e-3:1:2",
+    def test_envelope_error_never_reached(self, capsys, monkeypatch):
+        _failing_envelopes(monkeypatch)
+        argv = ["audit", "--function", "aq", "--q", "0.9999", "--grid", "1e-1:1:2",
                 "--angles", "2"]
         assert run(argv) == 0
         captured = capsys.readouterr()
         assert captured.err == "records=4 passed=0 failed=0 errors=4\n"
         assert len(captured.out.splitlines()) == 5
+        assert _COMMA_ERROR not in captured.out

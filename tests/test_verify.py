@@ -188,12 +188,16 @@ class TestSharedEnvelopeConstants:
         def recomputed(*args, **kwargs):
             raise AssertionError("an envelope constant was recomputed")
 
-        for name in ("constant_c", "pochhammer_infinite", "theta_weighted_constant",
-                     "meromorphic_bound_params"):
+        for name in ("constant_c", "pochhammer_infinite", "theta_weighted_constant"):
             monkeypatch.setattr(bounds, name, recomputed)
         monkeypatch.setattr(verify, "pochhammer_infinite", recomputed)
+        # Each Laurent target build, one per modulus here, recomputes beta and
+        # gamma, two float expressions, and finds its envelope in the cache
+        # keyed by their values.
+        hits = bounds._meromorphic_constants.cache_info().hits
         again = [[audit_target(tag, p).envelope_log(r) for r in moduli] for tag, p in targets]
         assert again == first
+        assert bounds._meromorphic_constants.cache_info().hits == hits + len(moduli)
         plan = SweepPlan(abs_z_grid=log_grid(1e-2, 1e2, 5), angle_count=4)
         assert audit_summary(audit_envelope(plan, "aq", QBase(0.7)))["passed"] == 20
 
@@ -220,8 +224,7 @@ class TestSharedEnvelopeConstants:
 
         def clear_caches():
             for cache in (bounds._entire_constants, bounds._phi_constants, bounds._aq_constant,
-                          bounds._theta_constant, bounds._meromorphic_params,
-                          bounds._meromorphic_constants):
+                          bounds._theta_constant, bounds._meromorphic_constants):
                 cache.cache_clear()
 
         clear_caches()
