@@ -104,14 +104,14 @@ class _EntireEnvelope(NamedTuple):
     scale: float
 
     def result(self, abs_z: float) -> EnvelopeResult:
-        # abs_z is checked first, then the product.
         abs_z = float(abs_z)
         x = abs_z * self.scale
-        if not 0.0 < x < math.inf:
-            _require_positive(abs_z, "abs_z")
-            _require_positive(x, "abs_z")
+        if 0.0 < x < math.inf:
+            lz = math.log(x)
+        else:
+            # A valid abs_z whose product with scale overflows: a sum of logs.
+            lz = math.log(_require_positive(abs_z, "abs_z")) + math.log(self.scale)
         c, log_c, prefactor_log, l, lq, _ = self
-        lz = math.log(x)
         exponent_term = 0.5 * lz - 0.25 * l * lq - lz * lz / (4.0 * l * lq)
         log_bound = log_c + prefactor_log + exponent_term
         bound = math.inf if log_bound > _MAX_LOG else math.exp(log_bound)
@@ -142,7 +142,8 @@ class _AqEnvelope(NamedTuple):
 
 
 class _MeromorphicEnvelope(NamedTuple):
-    """Prepared c exp(beta |log dist|^gamma); modulus_name names dist in errors."""
+    """Prepared c exp(beta |log dist|^gamma), NonConvergentError where the
+    exponent is not a double; modulus_name names dist in errors."""
 
     constant_c: float
     log_c: float
@@ -154,7 +155,14 @@ class _MeromorphicEnvelope(NamedTuple):
         dist = float(dist)
         if not 0.0 < dist < math.inf:
             _require_positive(dist, self.modulus_name)
-        exponent_term = self.beta * abs(math.log(dist)) ** self.gamma
+        try:
+            exponent_term = self.beta * abs(math.log(dist)) ** self.gamma
+        except OverflowError:
+            exponent_term = math.inf
+        if not exponent_term < math.inf:
+            raise NonConvergentError(
+                f"envelope exponent overflowed the double range at {self.modulus_name} = {dist!r}"
+            )
         log_bound = self.log_c + 0.0 + exponent_term
         bound = math.inf if log_bound > _MAX_LOG else math.exp(log_bound)
         return _new_tuple(EnvelopeResult, (log_bound, bound, self.constant_c, 0.0, exponent_term))
@@ -174,7 +182,8 @@ class MeromorphicBoundParams:
     gamma: float
 
     def exponent(self, dist: float) -> float:
-        """Log of the closed-form term maximum, beta |log dist|^gamma, dist > 0."""
+        """Log of the closed-form term maximum, beta |log dist|^gamma, dist > 0;
+        NonConvergentError where it is not a double."""
         return _MeromorphicEnvelope(1.0, 0.0, self.beta, self.gamma, "dist").result(dist)[4]
 
 
@@ -227,10 +236,14 @@ def _entire_logs(params: ConfluentParams) -> tuple[float, float, float]:
     (c, math.log(c), math.log((q^l;q)_inf)) with c = num / den, the bits of
     constant_c over multishifted; elsewhere the logs are taken in log space
     (see _product_log) and c is exp(log c), math.inf when that overflows.
+    An l so small that q^l rounds to 1 raises InvalidArgumentError.
     """
     qq = params.q.q
+    ql = qq**params.l
+    if ql == 1.0:
+        raise InvalidArgumentError(f"q^l rounds to 1 at q = {qq!r}, l = {params.l!r}")
     r = len(params.a_list)
-    xs = [-abs(a) for a in params.a_list] + list(params.b_list) + [qq**params.l]
+    xs = [-abs(a) for a in params.a_list] + list(params.b_list) + [ql]
     counts, values, error = _truncated_products(xs, params.q, _POCH_TOL)
     if error is not None:
         raise error
@@ -303,9 +316,17 @@ def envelope_aq_exponential(q: QBase, abs_z: float) -> EnvelopeResult:
 
 
 def meromorphic_bound_params(alpha: float, q: QBase) -> MeromorphicBoundParams:
-    """Exponent data beta, gamma of the two-sided envelope for a given alpha."""
+    """Exponent data beta, gamma of the two-sided envelope for a given alpha;
+    InvalidArgumentError where beta is not a positive double (tiny alpha)."""
     alpha = _require_positive(alpha, "alpha")
-    beta = alpha / ((alpha + 1.0) ** (1.0 + 1.0 / alpha) * q.log_inv_q ** (1.0 / alpha))
+    try:
+        beta = alpha / ((alpha + 1.0) ** (1.0 + 1.0 / alpha) * q.log_inv_q ** (1.0 / alpha))
+    except (OverflowError, ZeroDivisionError):
+        beta = math.nan
+    if not 0.0 < beta < math.inf:
+        raise InvalidArgumentError(
+            f"alpha = {alpha!r} at q = {q.q!r} puts beta outside the positive doubles"
+        )
     gamma = (alpha + 1.0) / alpha
     return MeromorphicBoundParams(beta=beta, gamma=gamma)
 

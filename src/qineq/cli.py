@@ -29,7 +29,6 @@ from . import bounds
 from .errors import InvalidArgumentError, QSeriesError
 from .qcore import QBase
 from .series import (
-    LAURENT_K_CAP,
     ConfluentParams,
     LaurentSpec,
     PhiParams,
@@ -40,7 +39,6 @@ from .series import (
     eval_theta,
 )
 from .verify import (
-    DEFAULT_SLACK,
     DEFAULT_TOL,
     SweepPlan,
     audit_envelope,
@@ -119,11 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="denominator parameter in [0,1), repeatable (f, phi)")
         p.add_argument("--l", type=float, default=None, help="Gaussian weight exponent (f)")
         p.add_argument("--alpha", type=float, default=None, help="decay exponent (theta, laurent)")
-        p.add_argument("--c-weighted", type=float, default=None,
-                       help="override the weighted-coefficient constant (laurent)")
         if evaluates:
-            p.add_argument("--k-cap", type=int, default=None,
-                           help=f"Laurent index cap (default {LAURENT_K_CAP}; laurent)")
             p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     p_eval = sub.add_parser("eval", help="evaluate a function at one point")
@@ -146,7 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="random parameter draws instead of fixed parameters "
                               "(f, phi; not with --l, --a, --b)")
     p_audit.add_argument("--seed", type=int, default=0)
-    p_audit.add_argument("--slack", type=float, default=DEFAULT_SLACK)
     p_audit.add_argument("--out", default=None, help="output path (default: stdout)")
     p_audit.add_argument("--format", choices=("csv", "json"), default="csv")
     p_audit.set_defaults(handler=_cmd_audit)
@@ -182,8 +175,6 @@ _FUNCTION_OPTIONS = (
     ("b", "--b", ("f", "phi")),
     ("l", "--l", ("f",)),
     ("alpha", "--alpha", ("theta", "laurent")),
-    ("c_weighted", "--c-weighted", ("laurent",)),
-    ("k_cap", "--k-cap", ("laurent",)),
 )
 _VARIANT_FUNCTION = {
     "gaussian": "aq", "exponential": "aq", "certified": "theta", "as-printed": "theta",
@@ -217,12 +208,9 @@ def _phi_from_args(args, qb: QBase) -> PhiParams:
 
 
 def _laurent_constant(args, qb: QBase) -> tuple[float, float]:
-    """(alpha, c_weighted); c_weighted defaults to the theta stream's constant."""
+    """(alpha, c_weighted), with the theta stream's weighted constant."""
     alpha = _need(args, "alpha", "--alpha", "--function laurent")
-    c = args.c_weighted
-    if c is None:
-        c = bounds.theta_weighted_constant(alpha, qb, bounds.THETA_CONSTANT_TOL)
-    return alpha, c
+    return alpha, bounds.theta_weighted_constant(alpha, qb, bounds.THETA_CONSTANT_TOL)
 
 
 def _laurent_from_args(args, qb: QBase) -> LaurentSpec:
@@ -233,7 +221,6 @@ def _laurent_from_args(args, qb: QBase) -> LaurentSpec:
         alpha=alpha,
         q=qb,
         c_weighted=c,
-        k_cap=LAURENT_K_CAP if args.k_cap is None else args.k_cap,
     )
 
 
@@ -361,7 +348,6 @@ def _cmd_audit(args) -> int:
         angle_count=args.angles,
         parameter_draws=args.draws,
         seed=args.seed,
-        slack=args.slack,
         tol=args.tol,
     )
     if args.draws > 0:

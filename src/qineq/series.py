@@ -43,9 +43,6 @@ TERM_CAP = 100_000
 TWO_SIDED_CAP = 1_000_000
 LAURENT_K_CAP = 10_000
 _LOG_HALF = math.log(0.5)
-# Largest index at which LaurentSeries trusts its rounding argument for a
-# certain overflow; see LaurentSeries.evaluate.
-_OVERFLOW_K_MAX = 1 << 40
 
 
 def _require_finite_moduli(a_list: tuple[complex, ...]) -> None:
@@ -160,12 +157,12 @@ class LaurentSpec:
 
     ``c_weighted`` must bound sum_k |coeff(k)| q^{-|k|^(alpha+1)}; the tail
     certificate uses the implied majorant |coeff(k)| <= c_weighted
-    q^{|k|^(alpha+1)}.  ``coeff`` must be a pure function of k: a prepared
-    series (LaurentSeries, and the audit target of a spec) calls it at
-    most once per index and reuses the value at every later point, except
-    that threads growing one table at the same moment may each call it.
-    ``coeff`` must be safe for concurrent invocation; the library adds no
-    synchronization of its own.
+    q^{|k|^(alpha+1)}, and sums run to at most |k| = LAURENT_K_CAP.  ``coeff``
+    must be a pure function of k: a prepared series (LaurentSeries, and the
+    audit target of a spec) calls it at most once per index and reuses the
+    value at every later point, except that threads growing one table at
+    the same moment may each call it.  ``coeff`` must be safe for concurrent
+    invocation; the library adds no synchronization of its own.
     """
 
     center: complex
@@ -173,7 +170,6 @@ class LaurentSpec:
     alpha: float
     q: QBase
     c_weighted: float
-    k_cap: int = LAURENT_K_CAP
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
@@ -182,8 +178,6 @@ class LaurentSpec:
             raise InvalidArgumentError(
                 f"c_weighted must be finite and positive, got {self.c_weighted!r}"
             )
-        if not isinstance(self.k_cap, int) or self.k_cap < 1:
-            raise InvalidArgumentError(f"k_cap must be a positive integer, got {self.k_cap!r}")
         object.__setattr__(self, "center", complex(self.center))
 
 
@@ -509,14 +503,13 @@ class LaurentSeries:
     k >= 1: the sum would raise that error by then.
     """
 
-    __slots__ = ("_spec", "_lq", "_ap1", "_log_c", "_c0", "_rows", "_overflow_cap")
+    __slots__ = ("_spec", "_lq", "_ap1", "_log_c", "_c0", "_rows")
 
     def __init__(self, spec: LaurentSpec) -> None:
         self._spec = spec
         self._lq = spec.q.log_q
         self._ap1 = spec.alpha + 1.0
         self._log_c = math.log(spec.c_weighted)
-        self._overflow_cap = min(spec.k_cap, _OVERFLOW_K_MAX)
         self._c0: complex | None = None
         # Row k - 1: (coeff(k), coeff(-k), (alpha+1) k^alpha log q,
         # (k+1)^(alpha+1) log q).  An evaluation that needs more rows extends a
@@ -553,28 +546,28 @@ class LaurentSeries:
         # Certain overflow, in closed form.  Each complex product loses at
         # most sqrt(5) u of relative modulus (Brent, Percival and Zimmermann,
         # Math. Comp. 76, 2007), and 1.0 / w is within a few u of 1/w (a
-        # subnormal w coarsens that only where k_ovf <= 2), so for k <= 2^40
-        # the k-th power that the sum forms keeps all but a factor e^-0.001
-        # of |w|^k or |w|^-k.  At k_ovf = ceil(711 / log_m) the growing wing
-        # is then above sqrt(2) DBL_MAX = e^710.13, so it has a non-finite
-        # part, and so does every later power and partial sum.  The row's
-        # ratio expression falls as k grows, so a sum still blocked at
-        # k_ovf - 1 cannot have returned before k_ovf <= k_cap; it raises
-        # there, before its stop test, unless it raised the same error
+        # subnormal w coarsens that only where k_ovf <= 2), so for
+        # k <= LAURENT_K_CAP the k-th power that the sum forms keeps all but
+        # a factor e^-0.001 of |w|^k or |w|^-k.  At k_ovf = ceil(711 / log_m)
+        # the growing wing is then above sqrt(2) DBL_MAX = e^710.13, so it has
+        # a non-finite part, and so does every later power and partial sum.
+        # The row's ratio expression falls as k grows, so a sum still blocked
+        # at k_ovf - 1 cannot have returned before k_ovf <= LAURENT_K_CAP; it
+        # raises there, before its stop test, unless it raised the same error
         # sooner.  An infinite log_m gives k_ovf = 1; log_m = 0 or nan skips
         # the test, and the sum runs as before.
         if log_m > 0.0:
             k_ovf = max(1, math.ceil(711.0 / log_m))
-            if k_ovf <= self._overflow_cap and (
+            if k_ovf <= LAURENT_K_CAP and (
                     self._ap1 * (k_ovf - 1) ** spec.alpha * self._lq + log_m > _LOG_HALF):
                 raise NonConvergentError("Laurent sum overflowed the double range")
         k = 0
         try:
             while True:
                 k += 1
-                if k > spec.k_cap:
+                if k > LAURENT_K_CAP:
                     raise NonConvergentError(
-                        f"weighted tail did not meet tol within |k| <= {spec.k_cap}"
+                        f"weighted tail did not meet tol within |k| <= {LAURENT_K_CAP}"
                     )
                 if k > size:
                     # Extend a private copy; the finally clause publishes it.
@@ -629,7 +622,7 @@ def eval_laurent(spec: LaurentSpec, z: complex, tol: float) -> EvalResult:
     The omitted indices |k| > K are bounded wing by wing through
     |coeff(k)| <= c_weighted q^{|k|^(alpha+1)}, using the superlinear growth
     of |k|^(alpha+1) to certify a geometric remainder.  Raises
-    NonConvergentError if spec.k_cap is hit before the tail meets tol, or if the
+    NonConvergentError if LAURENT_K_CAP is hit before the tail meets tol, or if the
     partial sum leaves the double range.  This is
     LaurentSeries(spec).evaluate(z, tol).
     """

@@ -48,8 +48,10 @@ if TYPE_CHECKING:
 # eval_* names in this module and needs them to stay importable.
 
 FUNCTION_TAGS = ("confluent_f", "phi", "aq", "theta", "laurent")
-DEFAULT_SLACK = 1e-12
 DEFAULT_TOL = 1e-14
+# The slack of the pass test, for the rounding of the two logs it compares.
+AUDIT_SLACK = 1e-12
+_LOG_SLACK = math.log1p(AUDIT_SLACK)
 L_CHOICES = (0.5, 1.0, 1.5, 2.5)
 _TWO_PI = 2.0 * math.pi
 
@@ -83,7 +85,6 @@ class SweepPlan:
     angle_count: int
     parameter_draws: int = 0
     seed: int = 0
-    slack: float = DEFAULT_SLACK
     tol: float = DEFAULT_TOL
 
     def __post_init__(self) -> None:
@@ -94,8 +95,6 @@ class SweepPlan:
             raise InvalidArgumentError(f"angle_count must be >= 1, got {self.angle_count!r}")
         if not isinstance(self.parameter_draws, int) or self.parameter_draws < 0:
             raise InvalidArgumentError("parameter_draws must be a nonnegative integer")
-        if not self.slack >= 0.0:
-            raise InvalidArgumentError(f"slack must be nonnegative, got {self.slack!r}")
         if not self.tol > 0.0:
             raise InvalidArgumentError(f"tol must be positive, got {self.tol!r}")
         object.__setattr__(self, "abs_z_grid", grid)
@@ -104,7 +103,7 @@ class SweepPlan:
 class AuditRecord(NamedTuple):
     """One sweep sample: input point, |value|, envelope and the pass verdict.
 
-    ``passed`` is equivalent to log|value| <= envelope_log + log1p(slack);
+    ``passed`` is equivalent to log|value| <= envelope_log + log1p(AUDIT_SLACK);
     a nonempty ``error`` marks an evaluation failure, excluded from pass
     statistics.
     """
@@ -221,7 +220,6 @@ def _records_at(
     abs_z: float,
     units: tuple[complex, ...],
     tol: float,
-    log_slack: float,
     records: list[AuditRecord],
 ) -> None:
     """Append the records of the target at abs_z times each unit, in order.
@@ -251,7 +249,7 @@ def _records_at(
         records.append(
             AuditRecord(
                 target.function_tag, target.q, target.l, target.param_digest, z,
-                abs_value, envelope, ratio, log_value <= envelope + log_slack,
+                abs_value, envelope, ratio, log_value <= envelope + _LOG_SLACK,
                 result.terms_used, result.tail_bound,
             )
         )
@@ -306,13 +304,12 @@ def audit_envelope(
     of ``plan.parameter_draws`` records gets freshly drawn parameters, a
     modulus log-uniform between the grid extremes and a uniform angle.
     """
-    log_slack = math.log1p(plan.slack)
     records: list[AuditRecord] = []
     if fixed_params is not None:
         target = audit_target(function_tag, fixed_params)
         units = tuple(_unit(_TWO_PI * j / plan.angle_count) for j in range(plan.angle_count))
         for abs_z in plan.abs_z_grid:
-            _records_at(target, abs_z, units, plan.tol, log_slack, records)
+            _records_at(target, abs_z, units, plan.tol, records)
         return records
     if function_tag not in ("confluent_f", "phi"):
         raise InvalidArgumentError(
@@ -329,7 +326,7 @@ def audit_envelope(
         target = audit_target(function_tag, params)
         abs_z = math.exp(rng.uniform(llo, lhi))
         angle = rng.uniform(0.0, _TWO_PI)
-        _records_at(target, abs_z, (_unit(angle),), plan.tol, log_slack, records)
+        _records_at(target, abs_z, (_unit(angle),), plan.tol, records)
     return records
 
 

@@ -10,10 +10,11 @@ Each line is ``<sha256>  <label>``.  The digest covers the exit code, stdout
 and stderr of one ``qineq`` command line, run in process through
 ``qineq.cli.run``.  The outputs are the benchmark's lattice sweeps (and the
 phi q=0.99 sweep) in CSV and JSON, f and phi draw audits, dense theta,
-Laurent and aq sweeps out to q = 0.999999 (Laurent also at k_cap 50), and
-eval, envelope and identity commands, error paths included (audits that fail
-while building their target among them), with envelopes whose constants leave
-the normal double range; a command that lets an exception escape
+Laurent and aq sweeps out to q = 0.999999, and eval, envelope and identity
+commands, error paths included (audits that fail while building their
+target among them, Laurent's index cap, tiny alpha and l, and options that
+no longer exist), with envelopes whose constants or exponents leave the
+double range; a command that lets an exception escape
 prints ``raised <exception>`` in place of a digest.  ``outputs()`` and
 ``run()`` are importable, for comparisons that first transform an output.
 """
@@ -58,8 +59,6 @@ _EDGE_SWEEPS = (
     *(["aq", q, "--grid", "1e-3:1e6:37", "--angles", "8"]
       for q in ("0.99", "0.999", "0.99999", "0.999999")),
     ["aq", "0.999999", "--grid", "1e-3:1:2", "--angles", "2"],
-    *(["laurent", q, "--alpha", "0.5", "--grid", "1e-3:1e3:25", "--angles", "8", "--k-cap", "50"]
-      for q in ("0.9", "0.99", "0.999")),
     *(["laurent", "0.999", "--alpha", alpha, "--grid", "1e-4:1e6:41", "--angles", "8"]
       for alpha in ("0.25", "0.9")),
 )
@@ -75,8 +74,6 @@ _SINGLE = (
     ["eval", "--function", "theta", "--q", "0.5",
      "--z", "1.277810357463823e+19+1.2880739494306163e+19i"],
     ["eval", "--function", "laurent", "--q", "0.5", "--alpha", "0.6", "--z", "2+0i"],
-    ["eval", "--function", "laurent", "--q", "0.5", "--alpha", "0.5", "--z", "100+0i",
-     "--k-cap", "3"],
     ["eval", "--function", "laurent", "--q", "0.99", "--alpha", "0.5", "--z", "1.5+0i"],
     ["eval", "--function", "f", "--q", "0.5", "--l", "1", "--z", "1.5e308+1.5e308i"],
     ["envelope", "--function", "aq", "--q", "0.5", "--abs-z", "1"],
@@ -109,6 +106,27 @@ _SINGLE = (
      "--angles", "2"],
     ["audit", "--function", "phi", "--q", "0.999999", "--b", "0.3", "--grid", "1e-3:1e3:3",
      "--angles", "2"],
+    # The sum reaches the Laurent index cap.
+    ["eval", "--function", "laurent", "--q", "0.999", "--alpha", "0.25", "--z", "1.05"],
+    # Tiny alpha: beta outside the doubles, then an exponent that overflows.
+    *(["envelope", "--function", "theta", "--q", q, "--alpha", "0.001", "--abs-z", abs_z]
+      for q, abs_z in (("0.1", "2"), ("0.5", "1e300"), ("0.9", "2"))),
+    ["audit", "--function", "theta", "--q", "0.36787944117144233", "--alpha", "0.005",
+     "--grid", "2.35e17:2.35e17:1", "--angles", "1"],
+    ["audit", "--function", "theta", "--q", "0.99", "--alpha", "0.0085", "--grid", "200:200:1",
+     "--angles", "1", "--format", "json"],
+    # Tiny l: q^l rounds to 1.
+    ["envelope", "--function", "f", "--q", "0.5", "--l", "1e-17", "--abs-z", "2"],
+    ["audit", "--function", "f", "--q", "0.5", "--l", "1e-17", "--grid", "1:2:2",
+     "--angles", "2"],
+    # phi's envelope where |scale| |z| overflows.
+    ["audit", "--function", "phi", "--q", "0.5", "--a", "1", "--b", "0.3",
+     "--grid", "1e300:1.7e308:2", "--angles", "2"],
+    # Options that no longer exist.
+    ["eval", "--function", "laurent", "--q", "0.5", "--alpha", "0.5", "--z", "2",
+     "--c-weighted", "1e-30"],
+    ["audit", "--function", "laurent", "--q", "0.5", "--alpha", "0.5", "--grid", "0.5:2:3",
+     "--angles", "2", "--slack", "1e300"],
 )
 
 

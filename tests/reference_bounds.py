@@ -9,7 +9,10 @@ the result through ``_assemble`` and ``_as_linear``, with the same argument
 checks in the same order.  No constant is cached.  The prepared envelopes
 must reproduce them bit for bit, and raise the same errors; the one
 deliberate difference is which of two invalid arguments a phi, aq or theta
-envelope reports first (see ``PARAMETERS_FIRST``).
+envelope reports first (see ``PARAMETERS_FIRST``).  Where |scale| abs_z
+overflows, ``envelope_phi`` takes its log as log(abs_z) + log|scale|, and a
+meromorphic exponent beyond the double range raises NonConvergentError, as
+the prepared envelopes do.
 
 ``envelope_phi_routes`` sets the direct closed form of the confluent
 hypergeometric envelope beside the composed route, so tests can check that
@@ -26,6 +29,7 @@ from qineq import (
     EnvelopeResult,
     InvalidArgumentError,
     MeromorphicBoundParams,
+    NonConvergentError,
     PhiParams,
     QBase,
     meromorphic_bound_params,
@@ -66,16 +70,29 @@ def _require_positive(value: float, name: str) -> float:
     return value
 
 
-def term_peak(abs_z: float, l: float, q: QBase) -> float:
-    abs_z = _require_positive(abs_z, "abs_z")
-    l = _require_positive(l, "l")
-    lz = math.log(abs_z)
+def _peak_at_log(lz: float, l: float, q: QBase) -> float:
     lq = q.log_q
     return 0.5 * lz - 0.25 * l * lq - lz * lz / (4.0 * l * lq)
 
 
-def meromorphic_exponent(params: MeromorphicBoundParams, dist: float) -> float:
-    return params.beta * abs(math.log(dist)) ** params.gamma
+def term_peak(abs_z: float, l: float, q: QBase) -> float:
+    abs_z = _require_positive(abs_z, "abs_z")
+    l = _require_positive(l, "l")
+    return _peak_at_log(math.log(abs_z), l, q)
+
+
+def meromorphic_exponent(
+    params: MeromorphicBoundParams, dist: float, modulus_name: str = "dist"
+) -> float:
+    try:
+        exponent = params.beta * abs(math.log(dist)) ** params.gamma
+    except OverflowError:
+        exponent = math.inf
+    if exponent == math.inf:
+        raise NonConvergentError(
+            f"envelope exponent overflowed the double range at {modulus_name} = {dist!r}"
+        )
+    return exponent
 
 
 def envelope_entire(params: ConfluentParams, abs_z: float) -> EnvelopeResult:
@@ -91,7 +108,12 @@ def _phi_constants(params: PhiParams) -> tuple[float, float, float, float, float
 def envelope_phi(params: PhiParams, abs_z: float) -> EnvelopeResult:
     abs_z = _require_positive(abs_z, "abs_z")
     c, log_c, log_ql, l, scale = _phi_constants(params)
-    return _assemble(c, -log_ql, term_peak(abs_z * scale, l, params.q), log_c)
+    if abs_z * scale == math.inf:
+        # The scaled modulus overflows; its log is the sum of the two logs.
+        peak = _peak_at_log(math.log(abs_z) + math.log(scale), l, params.q)
+    else:
+        peak = term_peak(abs_z * scale, l, params.q)
+    return _assemble(c, -log_ql, peak, log_c)
 
 
 def envelope_aq_gaussian(q: QBase, abs_z: float) -> EnvelopeResult:
@@ -105,18 +127,18 @@ def envelope_aq_gaussian(q: QBase, abs_z: float) -> EnvelopeResult:
 
 
 def envelope_meromorphic(
-    params: MeromorphicBoundParams, c_weighted: float, dist: float
+    params: MeromorphicBoundParams, c_weighted: float, dist: float, modulus_name: str = "dist"
 ) -> EnvelopeResult:
     c_weighted = _require_positive(c_weighted, "c_weighted")
-    dist = _require_positive(dist, "dist")
-    return _assemble(c_weighted, 0.0, meromorphic_exponent(params, dist))
+    dist = _require_positive(dist, modulus_name)
+    return _assemble(c_weighted, 0.0, meromorphic_exponent(params, dist, modulus_name))
 
 
 def envelope_theta(alpha: float, q: QBase, abs_z: float) -> EnvelopeResult:
     abs_z = _require_positive(abs_z, "abs_z")
     c = theta_weighted_constant(alpha, q, THETA_CONSTANT_TOL)
     params = meromorphic_bound_params(alpha, q)
-    return envelope_meromorphic(params, c, abs_z)
+    return envelope_meromorphic(params, c, abs_z, "abs_z")
 
 
 def envelope_phi_routes(params: PhiParams, abs_z: float) -> tuple[EnvelopeResult, EnvelopeResult]:

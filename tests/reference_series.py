@@ -21,6 +21,7 @@ from typing import Callable
 
 from qineq.errors import CenterPoleError, InvalidArgumentError, NonConvergentError
 from qineq.series import (
+    LAURENT_K_CAP,
     MIN_STOP_INDEX,
     TERM_CAP,
     TWO_SIDED_CAP,
@@ -184,9 +185,9 @@ def eval_laurent(
     k = 0
     while True:
         k += 1
-        if k > spec.k_cap:
+        if k > LAURENT_K_CAP:
             raise NonConvergentError(
-                f"weighted tail did not meet tol within |k| <= {spec.k_cap}"
+                f"weighted tail did not meet tol within |k| <= {LAURENT_K_CAP}"
             )
         plus *= w
         minus *= w_inv

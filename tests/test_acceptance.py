@@ -36,6 +36,7 @@ from qineq import (
     theta_weighted_constant,
 )
 from qineq.cli import run
+from qineq.verify import AUDIT_SLACK
 
 import oracles
 from reference_bounds import envelope_phi_routes
@@ -68,12 +69,13 @@ def _point(rng: random.Random, lo: float, hi: float) -> complex:
 
 def test_criterion_01_entire_domination():
     started = time.perf_counter()
+    # Records pass within the fixed audit slack of 1e-12.
+    assert AUDIT_SLACK == 1e-12
     plan = SweepPlan(
         abs_z_grid=log_grid(1e-3, 1e3, 2),
         angle_count=1,
         parameter_draws=10_000,
         seed=20260808,
-        slack=1e-12,
         tol=1e-14,
     )
     records = audit_envelope(plan, "confluent_f")
@@ -161,7 +163,7 @@ def test_criterion_06_theta_domination():
     errored = 0
     for alpha in (0.25, 0.5, 0.75):
         for q in (0.1, 0.3, 0.6, 0.9):
-            plan = SweepPlan(abs_z_grid=grid, angle_count=8, slack=1e-12, tol=1e-14)
+            plan = SweepPlan(abs_z_grid=grid, angle_count=8, tol=1e-14)
             summary = audit_summary(audit_envelope(plan, "theta", (QBase(q), alpha)))
             total += summary["records"]
             failed += summary["failed"]

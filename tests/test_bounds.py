@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import mpmath as mp
 import pytest
@@ -134,6 +135,13 @@ class TestEnvelopeEntire:
         assert env.bound == math.inf
         assert math.isfinite(env.log_bound)
 
+    def test_rejects_a_weight_that_rounds_q_to_the_l_to_one(self):
+        params = ConfluentParams(a_list=(), b_list=(), l=1e-17, q=QBase(0.5))
+        with pytest.raises(InvalidArgumentError, match="q\\^l rounds to 1"):
+            envelope_entire(params, 2.0)
+        with pytest.raises(InvalidArgumentError, match="q\\^l rounds to 1"):
+            constant_c(params)
+
     def test_rejects_zero_modulus(self):
         with pytest.raises(InvalidArgumentError):
             envelope_entire(_entire(0.5), 0.0)
@@ -253,6 +261,12 @@ class TestMeromorphicParams:
             assert params.beta > 0.0
             assert params.gamma > 1.0
 
+    @pytest.mark.parametrize("q", [0.1, 0.9])
+    def test_beta_outside_the_doubles_is_rejected(self, q):
+        # alpha = 0.001: log(1/q)^1000 overflows at q = 0.1 and is 0 at q = 0.9.
+        with pytest.raises(InvalidArgumentError, match="beta outside the positive doubles"):
+            meromorphic_bound_params(0.001, QBase(q))
+
 
 class TestEnvelopeMeromorphic:
     def test_unit_distance(self):
@@ -268,6 +282,17 @@ class TestEnvelopeMeromorphic:
         params = meromorphic_bound_params(1.0, QBase(0.5))
         with pytest.raises(InvalidArgumentError):
             envelope_meromorphic(params, 1.0, 0.0)
+
+    @pytest.mark.parametrize("alpha,q,dist", [(0.001, 0.5, 1e300), (0.0085, 0.99, 200.0)])
+    def test_exponent_beyond_the_doubles_raises(self, alpha, q, dist):
+        # |log dist|^gamma overflows in the first case; its product with beta
+        # in the second.
+        params = meromorphic_bound_params(alpha, QBase(q))
+        message = re.escape(f"envelope exponent overflowed the double range at dist = {dist!r}")
+        with pytest.raises(NonConvergentError, match=message):
+            envelope_meromorphic(params, 1.0, dist)
+        with pytest.raises(NonConvergentError, match=message):
+            params.exponent(dist)
 
     def test_term_domination_sampled(self, rng):
         # Every weighted power q^{|k|^(alpha+1)} dist^k stays under the
@@ -603,11 +628,16 @@ class TestPreparedEnvelopesMatchReference:
         assert min(counts.values()) >= 300 and len(counts) == 5
 
     def test_phi_modulus_overflowing_after_scaling(self):
-        # m = 3 at q = 0.05: |scale| = 0.05^-1.5 = 89.4, so 1e307 overflows.
+        # m = 3 at q = 0.05: |scale| = 0.05^-1.5 = 89.4, so 1e307 overflows,
+        # and the log of the scaled modulus is taken as a sum of logs.
         params = PhiParams((), (0.3, 0.6), QBase(0.05))
-        want = ("InvalidArgumentError", "abs_z must be positive and finite, got inf")
-        assert _envelope_outcome(envelope_phi, params, 1e307) == want
-        assert _envelope_outcome(refb.envelope_phi, params, 1e307) == want
+        for abs_z in (1e306, 1e307, 1.7e308):
+            want = _envelope_outcome(refb.envelope_phi, params, abs_z)
+            assert _envelope_outcome(envelope_phi, params, abs_z) == want
+        assert math.isfinite(envelope_phi(params, 1.7e308).log_bound)
+        assert (envelope_phi(params, 1e306).exponent_term
+                < envelope_phi(params, 1e307).exponent_term
+                < envelope_phi(params, 1.7e308).exponent_term)
 
     def test_parameters_are_checked_before_the_modulus(self):
         # The one deliberate difference from the reference routes.

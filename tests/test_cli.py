@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -16,8 +17,9 @@ from qineq import (
     eval_ramanujan_aq,
     format_complex,
 )
-from qineq import cli
+from qineq import bounds, cli, verify
 from qineq.cli import CSV_COLUMNS, build_parser, parse_complex, parse_grid, run
+from qineq.series import LAURENT_K_CAP
 
 import oracles
 
@@ -98,11 +100,25 @@ class TestEvalCommand:
 
     def test_laurent_index_cap_reported(self, capsys):
         code = run(
-            ["eval", "--function", "laurent", "--q", "0.5", "--z", "100+0i",
-             "--alpha", "0.5", "--k-cap", "3"]
+            ["eval", "--function", "laurent", "--q", "0.999", "--z", "1.05+0i",
+             "--alpha", "0.25"]
         )
         assert code == 2
-        assert "|k| <= 3" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: weighted tail did not meet tol within |k| <= {LAURENT_K_CAP}\n")
+
+    @pytest.mark.parametrize(
+        "flag", [["--c-weighted", "1e-30"], ["--k-cap", "3"], ["--slack", "1e300"]])
+    @pytest.mark.parametrize("subcommand", [
+        ["eval", "--z", "2"], ["envelope", "--abs-z", "2"], ["audit", "--grid", "1:2:2"],
+    ])
+    def test_deleted_knobs_are_unrecognized(self, capsys, subcommand, flag):
+        command, *rest = subcommand
+        argv = [command, "--function", "laurent", "--q", "0.5", "--alpha", "0.5", *rest, *flag]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: unrecognized arguments: {' '.join(flag)}\n")
 
 
 class TestEnvelopeCommand:
@@ -194,14 +210,25 @@ class TestAuditCommand:
         assert run(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_understated_constant_exits_one(self, tmp_path, capsys):
+    def test_understated_constant_exits_one(self, tmp_path, capsys, monkeypatch):
+        # The envelope of a weighted constant of 0.01, far below the theta
+        # stream's: every record but the two at angle pi and |z| != 1 exceeds it.
+        def understated_target(tag, params):
+            shape = bounds.meromorphic_bound_params(params.alpha, params.q)
+            return dataclasses.replace(
+                audit_target(tag, params),
+                envelope_log=lambda dist: bounds.envelope_meromorphic(shape, 0.01, dist).log_bound,
+            )
+
+        monkeypatch.setattr(verify, "audit_target", understated_target)
         code = run(
             ["audit", "--function", "laurent", "--q", "0.5", "--alpha", "0.5",
-             "--grid", "0.5:2:3", "--angles", "2", "--c-weighted", "0.01",
-             "--out", str(tmp_path / "bad.csv")]
+             "--grid", "0.5:2:3", "--angles", "2", "--out", str(tmp_path / "bad.csv")]
         )
         assert code == 1
-        assert "failed=" in capsys.readouterr().err
+        assert capsys.readouterr().err == "records=6 passed=2 failed=4 errors=0\n"
+        rows = list(csv.DictReader((tmp_path / "bad.csv").read_text().splitlines()))
+        assert [row["pass"] for row in rows] == ["false", "true", "false", "false", "false", "true"]
 
     def test_phi_overflow_region_reports_error_records(self, capsys):
         code = run(
@@ -353,11 +380,62 @@ class TestModulusOverflow:
              _HUGE_A_MESSAGE),
             (["eval", "--function", "laurent", "--q", "0.5", "--alpha", "0.5", "--z", "1e309"],
              "argument must be finite, got (inf+0j)"),
+            # Tiny alpha and l put envelope constants beyond the double range.
+            (["envelope", "--function", "theta", "--q", "0.1", "--alpha", "0.001", "--abs-z", "2"],
+             "alpha = 0.001 at q = 0.1 puts beta outside the positive doubles"),
+            (["envelope", "--function", "theta", "--q", "0.9", "--alpha", "0.001", "--abs-z", "2"],
+             "alpha = 0.001 at q = 0.9 puts beta outside the positive doubles"),
+            (["envelope", "--function", "theta", "--q", "0.5", "--alpha", "0.001",
+              "--abs-z", "1e300"],
+             "envelope exponent overflowed the double range at abs_z = 1e+300"),
+            (["envelope", "--function", "f", "--q", "0.5", "--l", "1e-17", "--abs-z", "2"],
+             "q^l rounds to 1 at q = 0.5, l = 1e-17"),
+            (["audit", "--function", "f", "--q", "0.5", "--l", "1e-17", "--grid", "1:2:2",
+              "--angles", "2"],
+             "q^l rounds to 1 at q = 0.5, l = 1e-17"),
         ],
     )
     def test_is_a_typed_error(self, capsys, argv, message):
         assert run(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+class TestEnvelopesBeyondTheDoubleRange:
+    """Audits at envelope exponents or scaled moduli beyond the double range
+    give error records or verdicts, never an escaping exception."""
+
+    @pytest.mark.parametrize(
+        "argv,abs_z",
+        [
+            (["--q", "0.36787944117144233", "--alpha", "0.005", "--grid", "2.35e17:2.35e17:1"],
+             "2.35e+17"),
+            (["--q", "0.99", "--alpha", "0.0085", "--grid", "200:200:1"], "200.0"),
+        ],
+    )
+    def test_overflowing_theta_exponent_is_an_error_record(self, capsys, argv, abs_z):
+        # The sum is finite at this modulus; the envelope exponent is not.
+        assert run(["audit", "--function", "theta", *argv, "--angles", "1",
+                    "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "records=1 passed=0 failed=0 errors=1\n"
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        (row,) = json.loads(captured.out, parse_constant=reject)
+        assert row["error"] == f"envelope exponent overflowed the double range at abs_z = {abs_z}"
+        assert row["envelope_log"] is None and row["pass"] is False
+
+    def test_phi_envelope_beyond_the_double_range_after_scaling(self, capsys):
+        # |scale| = sqrt(2), so |scale| |z| overflows at |z| = 1.7e308; a = 1
+        # makes phi the constant 1, so every record is a verdict.
+        assert run(["audit", "--function", "phi", "--q", "0.5", "--a", "1", "--b", "0.3",
+                    "--grid", "1e300:1.7e308:2", "--angles", "2"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "records=4 passed=4 failed=0 errors=0\n"
+        rows = list(csv.DictReader(captured.out.splitlines()))
+        assert [row["abs_value"] for row in rows] == ["1.0"] * 4
+        assert all(math.isfinite(float(row["envelope_log"])) for row in rows)
 
 
 class TestAuditBuildErrors:
@@ -392,9 +470,8 @@ class TestInapplicableOptions:
     @pytest.mark.parametrize(
         "argv,message",
         [
-            (["eval", "--function", "f", "--q", "0.5", "--l", "1", "--z", "1", "--alpha", "3",
-              "--c-weighted", "5"],
-             "--alpha, --c-weighted do not apply to --function f"),
+            (["eval", "--function", "theta", "--q", "0.5", "--z", "1", "--l", "1", "--a=0.5"],
+             "--a, --l do not apply to --function theta"),
             (["eval", "--function", "aq", "--q", "0.5", "--z", "1", "--a=0.5"],
              "--a does not apply to --function aq"),
             (["eval", "--function", "theta", "--q", "0.5", "--z", "1", "--b", "0.3"],
@@ -404,10 +481,11 @@ class TestInapplicableOptions:
              "--l does not apply to --function laurent"),
             (["eval", "--function", "phi", "--q", "0.5", "--z", "1", "--l", "1"],
              "--l does not apply to --function phi"),
-            (["eval", "--function", "theta", "--q", "0.5", "--z", "1", "--k-cap", "3"],
-             "--k-cap does not apply to --function theta"),
-            (["eval", "--function", "theta", "--q", "0.5", "--z", "1", "--c-weighted", "2"],
-             "--c-weighted does not apply to --function theta"),
+            (["eval", "--function", "laurent", "--q", "0.5", "--z", "2", "--alpha", "0.5",
+              "--a=0.5"],
+             "--a does not apply to --function laurent"),
+            (["envelope", "--function", "aq", "--q", "0.5", "--abs-z", "1", "--alpha", "0.5"],
+             "--alpha does not apply to --function aq"),
             (["envelope", "--function", "aq", "--q", "0.5", "--abs-z", "1",
               "--variant", "as-printed"],
              "--variant as-printed does not apply to --function aq"),
@@ -418,8 +496,8 @@ class TestInapplicableOptions:
               "--variant", "gaussian"],
              "--variant gaussian does not apply to --function f"),
             (["audit", "--function", "aq", "--q", "0.5", "--grid", "1:2:2", "--l", "2",
-              "--k-cap", "4"],
-             "--l, --k-cap do not apply to --function aq"),
+              "--b", "0.3"],
+             "--b, --l do not apply to --function aq"),
             (["audit", "--function", "f", "--q", "0.5", "--grid", "1:2:2", "--draws", "5",
               "--alpha", "0.5"],
              "--alpha does not apply to --function f"),
@@ -438,7 +516,7 @@ class TestInapplicableOptions:
             ["envelope", "--function", "theta", "--q", "0.5", "--alpha", "0.5", "--abs-z", "1",
              "--variant", "certified"],
             ["eval", "--function", "laurent", "--q", "0.5", "--z", "2", "--alpha", "0.5",
-             "--c-weighted", "2", "--k-cap", "50"],
+             "--tol", "1e-10"],
             ["audit", "--function", "phi", "--q", "0.5", "--grid", "1:2:2", "--draws", "3"],
         ],
     )

@@ -88,15 +88,14 @@ def _disk(rng, radius):
     return complex(r * math.cos(ang), r * math.sin(ang))
 
 
-def _theta_spec(q, alpha, k_cap=2000):
+def _theta_spec(q, alpha, coeff=None):
     base = QBase(q)
     return LaurentSpec(
         center=0.0,
-        coeff=lambda k: complex(q ** (k * k)),
+        coeff=coeff or (lambda k: complex(q ** (k * k))),
         alpha=alpha,
         q=base,
         c_weighted=theta_weighted_constant(alpha, base, 1e-15),
-        k_cap=k_cap,
     )
 
 
@@ -393,7 +392,7 @@ class TestStopPathsOnDenseGrids:
 
     @pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
     def test_laurent(self, q):
-        spec = _theta_spec(q, 0.5, k_cap=LAURENT_K_CAP)
+        spec = _theta_spec(q, 0.5)
         points = _dense_points((*log_grid(1e-3, 1e3, 49), *log_grid(0.5, 2.0, 48)))
         prepared = LaurentSeries(spec)
         reference = lambda z, tol: ref.eval_laurent(spec, z, tol)  # noqa: E731
@@ -407,12 +406,11 @@ class TestLaurentOverflowProbe:
     """An evaluation whose powers of w leave the double range before the stop
     rule can pass raises without summing, with the reference's outcome."""
 
-    @pytest.mark.parametrize("k_cap", [3, 50, LAURENT_K_CAP])
     @pytest.mark.parametrize("q", [0.5, 0.9, 0.99, 0.999])
-    def test_dense_grids(self, q, k_cap):
+    def test_dense_grids(self, q):
         points = _dense_points(log_grid(1e-4, 1e4, 49), angles=2)
         for alpha in (0.25, 0.5, 0.9):
-            spec = _theta_spec(q, alpha, k_cap=k_cap)
+            spec = _theta_spec(q, alpha)
             prepared = LaurentSeries(spec)
             reference = lambda z, tol: ref.eval_laurent(spec, z, tol)  # noqa: E731
             for tol in (1e-12, 1e100):
@@ -439,12 +437,37 @@ class TestLaurentOverflowProbe:
 
     def test_cap_comes_before_an_overflow_one_index_later(self):
         # w^10000 is finite and w^10001 overflows; the sum stops at the cap.
-        spec = _theta_spec(0.999, 0.25, k_cap=LAURENT_K_CAP)
+        spec = _theta_spec(0.999, 0.25)
         w = complex(math.exp(709.7827 / (LAURENT_K_CAP + 0.5)), 0.0)
         want = _outcome(ref.eval_laurent, spec, w, 1e-12)
         assert want == ("NonConvergentError",
                         f"weighted tail did not meet tol within |k| <= {LAURENT_K_CAP}")
         assert _outcome(LaurentSeries(spec).evaluate, w, 1e-12) == want
+
+    @pytest.mark.parametrize("k_ovf", [LAURENT_K_CAP, LAURENT_K_CAP + 1])
+    def test_certain_overflow_at_and_past_the_cap(self, k_ovf):
+        # q = 0.999, alpha = 1/4 and log|w| = 711 / (k_ovf - 1/2), about
+        # 0.0711: the ratio test is blocked up to the cap, and the closed-form
+        # overflow index is k_ovf.  At the cap, evaluate raises before it
+        # reads a coefficient k >= 1.  One index past the cap it sums, and
+        # w^k overflows by itself at k = 9984, as in the reference.
+        calls = []
+
+        def coeff(k):
+            calls.append(k)
+            return complex(0.999 ** (k * k))
+
+        spec = _theta_spec(0.999, 0.25, coeff)
+        w = complex(math.exp(711.0 / (k_ovf - 0.5)), 0.0)
+        assert math.ceil(711.0 / math.log(w.real)) == k_ovf
+        want = _outcome(ref.eval_laurent, spec, w, 1e-12)
+        assert want == ("NonConvergentError", "Laurent sum overflowed the double range")
+        calls.clear()
+        assert _outcome(LaurentSeries(spec).evaluate, w, 1e-12) == want
+        if k_ovf <= LAURENT_K_CAP:
+            assert calls == [0]
+        else:
+            assert len(calls) > 2 * 9900
 
     @pytest.mark.parametrize("w", [1e6 + 0j, -1e6j, 1e-6 + 0j])
     def test_rejected_evaluation_calls_no_coefficient(self, w):

@@ -20,6 +20,7 @@ from qineq import (
     phi_to_f,
     theta_weighted_constant,
 )
+from qineq.series import LAURENT_K_CAP
 
 import oracles
 import reference_series as ref
@@ -365,16 +366,17 @@ class TestLaurent:
             eval_laurent(spec, 1.0, 1e-14)
 
     def test_k_cap_guard(self):
+        # Near q = 1 with a slow decay the stop rule stays blocked at |w| = 1.05.
+        base = QBase(0.999)
         spec = LaurentSpec(
             center=0.0,
-            coeff=_theta_stream(0.5),
-            alpha=0.5,
-            q=QBase(0.5),
-            c_weighted=theta_weighted_constant(0.5, QBase(0.5), 1e-15),
-            k_cap=3,
+            coeff=_theta_stream(0.999),
+            alpha=0.25,
+            q=base,
+            c_weighted=theta_weighted_constant(0.25, base, 1e-15),
         )
-        with pytest.raises(NonConvergentError):
-            eval_laurent(spec, 100.0, 1e-14)
+        with pytest.raises(NonConvergentError, match=f"within \\|k\\| <= {LAURENT_K_CAP}$"):
+            eval_laurent(spec, 1.05, 1e-14)
 
     def test_truncation_certificate(self, rng):
         q = QBase(0.4)

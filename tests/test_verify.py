@@ -14,6 +14,7 @@ from qineq import (
     audit_target,
     draw_confluent_params,
     draw_phi_params,
+    eval_theta,
     identity_euler,
     identity_ql_sum,
     identity_qbinomial_theorem,
@@ -24,6 +25,7 @@ from qineq import (
 )
 from qineq import bounds, verify
 from qineq.cli import run
+from qineq.series import LAURENT_K_CAP
 from qineq.verify import coarse_layout
 
 import oracles
@@ -151,21 +153,43 @@ class TestAuditEnvelope:
         assert audit_summary(records)["failed"] == len(records)
 
     def test_evaluation_errors_are_marked(self):
-        base = QBase(0.5)
+        # At q = 0.999, alpha = 1/4 and |z| = 1.05 the sum reaches the index cap.
+        base = QBase(0.999)
         spec = LaurentSpec(
             center=0.0,
             coeff=lambda k: base.q ** (k * k),
-            alpha=0.5,
+            alpha=0.25,
             q=base,
-            c_weighted=theta_weighted_constant(0.5, base, 1e-15),
-            k_cap=2,
+            c_weighted=theta_weighted_constant(0.25, base, 1e-15),
         )
-        plan = SweepPlan(abs_z_grid=(100.0,), angle_count=2)
+        plan = SweepPlan(abs_z_grid=(1.05,), angle_count=2)
         records = audit_envelope(plan, "laurent", spec)
         summary = audit_summary(records)
         assert summary["errors"] == 2
         assert summary["failed"] == 0
-        assert all(r.error for r in records)
+        assert all(r.error == f"weighted tail did not meet tol within |k| <= {LAURENT_K_CAP}"
+                   for r in records)
+
+    def test_envelope_error_of_a_real_target(self):
+        # theta at q = 1/e, alpha = 0.005: the sum at |z| = 2.35e17 is finite,
+        # and beta log(|z|)^201 overflows, so each record carries the
+        # envelope's error.
+        plan = SweepPlan(abs_z_grid=(2.35e17,), angle_count=2)
+        records = audit_envelope(plan, "theta", (QBase(1.0 / math.e), 0.005))
+        assert audit_summary(records) == {"records": 2, "passed": 0, "failed": 0, "errors": 2}
+        assert [r.error for r in records] == [
+            "envelope exponent overflowed the double range at abs_z = 2.35e+17"
+        ] * 2
+        assert all(math.isfinite(abs(eval_theta(QBase(1.0 / math.e), r.z, plan.tol).value))
+                   for r in records)
+
+    def test_knobs_are_constants(self):
+        # The slack and the Laurent index cap are fixed, not per-plan settings.
+        with pytest.raises(TypeError):
+            SweepPlan(abs_z_grid=(1.0,), angle_count=1, slack=1.0)
+        with pytest.raises(TypeError):
+            LaurentSpec(0.0, lambda k: 0.0j, 0.5, QBase(0.5), 1.0, k_cap=3)
+        assert (verify.AUDIT_SLACK, LAURENT_K_CAP) == (1e-12, 10_000)
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(InvalidArgumentError):
