@@ -25,7 +25,7 @@ reduction at |scale| |z|), _AqEnvelope envelope_aq_gaussian, and
 _MeromorphicEnvelope envelope_theta and envelope_meromorphic.  Each is built
 once per parameter set by _entire_constants, _phi_constants, _aq_constant,
 _theta_constant or _meromorphic_constants, bounded thread-safe LRU caches
-keyed on the frozen parameter objects, so each envelope_* is one cache
+keyed on the immutable parameter values, so each envelope_* is one cache
 lookup and one method call.  verify.audit_target certifies the log_bound
 method of the same prepared envelope.  Exceptions are not cached.
 """
@@ -35,7 +35,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .errors import InvalidArgumentError, NonConvergentError
@@ -170,8 +169,7 @@ class _MeromorphicEnvelope(NamedTuple):
     log_bound = _log_bound
 
 
-@dataclass(frozen=True)
-class MeromorphicBoundParams:
+class MeromorphicBoundParams(NamedTuple):
     """Derived exponent data for the two-sided envelope.
 
     Built by meromorphic_bound_params from alpha and q: gamma =

@@ -22,7 +22,6 @@ import argparse
 import csv
 import functools
 import io
-import json
 import sys
 
 from . import bounds
@@ -318,6 +317,8 @@ def _write_csv(records, stream) -> None:
 
 
 def _write_json(records, stream) -> None:
+    import json  # only --format json needs it; every other run skips its import
+
     payload = [
         {
             "function": r.function_tag,

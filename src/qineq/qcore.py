@@ -12,15 +12,14 @@ list of parameters at one base (multishifted, or the envelope constants in
 bounds) thus pays for each power once, and each product has the bits of the
 plain loop value = value * (1 - x * q**k) however many share the table.
 
-Everything here is pure and reentrant.  QBase is a frozen dataclass and
-PochhammerValue an immutable named tuple, so concurrent use needs no
-coordination.
+Everything here is pure and reentrant.  QBase is an immutable value (see
+FrozenValue) and PochhammerValue an immutable named tuple, so concurrent use
+needs no coordination.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import InvalidArgumentError, NonConvergentError, QSeriesError
@@ -29,8 +28,56 @@ DEFAULT_MAX_Q = 0.999999
 FACTOR_CAP = 1_000_000
 
 
-@dataclass(frozen=True)
-class QBase:
+_set = object.__setattr__
+
+
+class FrozenValue:
+    """Base of the validated parameter types: an immutable value with slots.
+
+    ``_fields`` names the constructor's arguments in order, as a named
+    tuple's does.  The constructor validates them and stores them with
+    _set_fields, which also keeps their tuple, ``_key``.  As in a frozen
+    dataclass, repr shows the fields, instances are equal when their classes
+    are the same and their keys are equal, and the hash is that of the key.
+    Assignment and deletion raise AttributeError.  ``_replace(**changes)``
+    builds a validated copy with changed fields, and pickle and copy rebuild
+    through the constructor.
+    """
+
+    __slots__ = ("_key",)
+    _fields: tuple[str, ...] = ()
+
+    def _set_fields(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
+        _set(self, "_key", values)
+
+    def _replace(self, **changes):
+        return type(self)(**{**dict(zip(self._fields, self._key)), **changes})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key))
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return type(self), self._key
+
+
+class QBase(FrozenValue):
     """Validated base with 0 < q <= DEFAULT_MAX_Q < 1.
 
     The guard DEFAULT_MAX_Q rejects bases so close to 1 that factor counts
@@ -39,25 +86,24 @@ class QBase:
     part in repr, equality or hashing, which depend on q alone.
     """
 
-    q: float
-    log_q: float = field(init=False, repr=False, compare=False)
-    log_inv_q: float = field(init=False, repr=False, compare=False)
+    __slots__ = ("q", "log_q", "log_inv_q", "_hash")
+    _fields = ("q",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, q: float) -> None:
         try:
-            q = float(self.q)
+            q = float(q)
         except (TypeError, ValueError) as exc:
-            raise InvalidArgumentError(f"base must be a real number, got {self.q!r}") from exc
+            raise InvalidArgumentError(f"base must be a real number, got {q!r}") from exc
         if not 0.0 < q < 1.0:
             raise InvalidArgumentError(f"base must satisfy 0 < q < 1, got {q!r}")
         if q > DEFAULT_MAX_Q:
             raise InvalidArgumentError(
                 f"base {q!r} exceeds the slow-convergence guard max_q={DEFAULT_MAX_Q!r}"
             )
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "log_q", math.log(q))
-        object.__setattr__(self, "log_inv_q", -math.log(q))
-        object.__setattr__(self, "_hash", hash((q,)))
+        self._set_fields(q)
+        _set(self, "log_q", math.log(q))
+        _set(self, "log_inv_q", -math.log(q))
+        _set(self, "_hash", hash(self._key))
 
     def __hash__(self) -> int:
         return self._hash

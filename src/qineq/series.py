@@ -32,11 +32,10 @@ without locks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .errors import CenterPoleError, InvalidArgumentError, NonConvergentError
-from .qcore import QBase
+from .qcore import FrozenValue, QBase, _set
 
 MIN_STOP_INDEX = 8
 TERM_CAP = 100_000
@@ -53,24 +52,22 @@ def _require_finite_moduli(a_list: tuple[complex, ...]) -> None:
             raise InvalidArgumentError(f"numerator parameters must have a finite modulus, got {a!r}")
 
 
-@dataclass(frozen=True)
-class ConfluentParams:
+class ConfluentParams(FrozenValue):
     """Parameters of the Gaussian-weighted entire class.
 
     ``a_list`` may be complex, each with a finite modulus; ``b_list`` entries
     must lie in [0, 1) and the weight exponent ``l`` must be positive.
     """
 
-    a_list: tuple[complex, ...]
-    b_list: tuple[float, ...]
-    l: float
-    q: QBase
+    __slots__ = ("a_list", "b_list", "l", "q", "_hash")
+    _fields = ("a_list", "b_list", "l", "q")
 
-    def __post_init__(self) -> None:
+    def __init__(self, a_list: tuple[complex, ...], b_list: tuple[float, ...], l: float,
+                 q: QBase) -> None:
         try:
-            a_list = tuple(complex(a) for a in self.a_list)
-            b_list = tuple(float(b) for b in self.b_list)
-            l = float(self.l)
+            a_list = tuple(complex(a) for a in a_list)
+            b_list = tuple(float(b) for b in b_list)
+            l = float(l)
         except (TypeError, ValueError) as exc:
             raise InvalidArgumentError(f"malformed parameters: {exc}") from exc
         _require_finite_moduli(a_list)
@@ -79,31 +76,27 @@ class ConfluentParams:
                 raise InvalidArgumentError(f"denominator parameters must lie in [0, 1), got {b!r}")
         if not (math.isfinite(l) and l > 0.0):
             raise InvalidArgumentError(f"weight exponent must be positive, got {l!r}")
-        object.__setattr__(self, "a_list", a_list)
-        object.__setattr__(self, "b_list", b_list)
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "_hash", hash((a_list, b_list, l, self.q)))
+        self._set_fields(a_list, b_list, l, q)
+        _set(self, "_hash", hash(self._key))
 
     def __hash__(self) -> int:
         return self._hash
 
 
-@dataclass(frozen=True)
-class PhiParams:
+class PhiParams(FrozenValue):
     """Numerator/denominator parameters of a confluent basic hypergeometric sum.
 
     Requires s + 1 - r > 0 (the confluence condition), a finite modulus for
     each a_i and b_j in [0, 1).
     """
 
-    a_list: tuple[complex, ...]
-    b_list: tuple[float, ...]
-    q: QBase
+    __slots__ = ("a_list", "b_list", "q", "_hash")
+    _fields = ("a_list", "b_list", "q")
 
-    def __post_init__(self) -> None:
+    def __init__(self, a_list: tuple[complex, ...], b_list: tuple[float, ...], q: QBase) -> None:
         try:
-            a_list = tuple(complex(a) for a in self.a_list)
-            b_list = tuple(float(b) for b in self.b_list)
+            a_list = tuple(complex(a) for a in a_list)
+            b_list = tuple(float(b) for b in b_list)
         except (TypeError, ValueError) as exc:
             raise InvalidArgumentError(f"malformed parameters: {exc}") from exc
         _require_finite_moduli(a_list)
@@ -114,9 +107,8 @@ class PhiParams:
             raise InvalidArgumentError(
                 f"confluence requires s + 1 - r > 0, got r={len(a_list)} s={len(b_list)}"
             )
-        object.__setattr__(self, "a_list", a_list)
-        object.__setattr__(self, "b_list", b_list)
-        object.__setattr__(self, "_hash", hash((a_list, b_list, self.q)))
+        self._set_fields(a_list, b_list, q)
+        _set(self, "_hash", hash(self._key))
 
     def __hash__(self) -> int:
         return self._hash
@@ -139,8 +131,7 @@ class EvalResult(NamedTuple):
     tail_bound: float
 
 
-@dataclass(frozen=True)
-class PhiReduction:
+class PhiReduction(NamedTuple):
     """Rewrite of a confluent hypergeometric sum as a Gaussian-weighted series.
 
     phi(z) = f(scale * z), where f is the series with ``params``.  A plain
@@ -151,8 +142,7 @@ class PhiReduction:
     scale: complex
 
 
-@dataclass(frozen=True)
-class LaurentSpec:
+class LaurentSpec(FrozenValue):
     """A two-sided expansion sum_k coeff(k) (z - center)^k with certified decay.
 
     ``c_weighted`` must bound sum_k |coeff(k)| q^{-|k|^(alpha+1)}; the tail
@@ -165,20 +155,17 @@ class LaurentSpec:
     invocation; the library adds no synchronization of its own.
     """
 
-    center: complex
-    coeff: Callable[[int], complex]
-    alpha: float
-    q: QBase
-    c_weighted: float
+    __slots__ = _fields = ("center", "coeff", "alpha", "q", "c_weighted")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
-            raise InvalidArgumentError(f"alpha must be positive, got {self.alpha!r}")
-        if not (math.isfinite(self.c_weighted) and self.c_weighted > 0.0):
+    def __init__(self, center: complex, coeff: Callable[[int], complex], alpha: float, q: QBase,
+                 c_weighted: float) -> None:
+        if not (math.isfinite(alpha) and alpha > 0.0):
+            raise InvalidArgumentError(f"alpha must be positive, got {alpha!r}")
+        if not (math.isfinite(c_weighted) and c_weighted > 0.0):
             raise InvalidArgumentError(
-                f"c_weighted must be finite and positive, got {self.c_weighted!r}"
+                f"c_weighted must be finite and positive, got {c_weighted!r}"
             )
-        object.__setattr__(self, "center", complex(self.center))
+        self._set_fields(complex(center), coeff, alpha, q, c_weighted)
 
 
 def _require_pos_tol(tol: float) -> None:
@@ -353,11 +340,15 @@ def phi_to_f(params: PhiParams) -> PhiReduction:
 
         phi(z) = f((-1)^m q^{-l} z)
 
-    for the series with the same parameter lists and weight l.
+    for the series with the same parameter lists and weight l.  A base so
+    small that q^{-l} overflows raises InvalidArgumentError.
     """
     m = params.confluence_order
     l = m / 2.0
-    scale = ((-1.0) ** m) * params.q.q ** (-l)
+    try:
+        scale = ((-1.0) ** m) * params.q.q ** (-l)
+    except OverflowError as exc:
+        raise InvalidArgumentError(f"q^-l overflows at q = {params.q.q!r}, l = {l!r}") from exc
     reduced = ConfluentParams(a_list=params.a_list, b_list=params.b_list, l=l, q=params.q)
     return PhiReduction(params=reduced, scale=scale)
 

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import bounds
 from .errors import InvalidArgumentError, NonConvergentError, QSeriesError
-from .qcore import QBase, pochhammer_infinite
+from .qcore import FrozenValue, QBase, pochhammer_infinite
 from .series import (
     ConfluentParams,
     EvalResult,
@@ -73,31 +72,27 @@ def log_grid(lo: float, hi: float, count: int) -> tuple[float, ...]:
     return tuple(grid)
 
 
-@dataclass(frozen=True)
-class SweepPlan:
+class SweepPlan(FrozenValue):
     """Deterministic description of one audit sweep.
 
     Identical plans (including the seed) produce identical record lists in
     identical order.
     """
 
-    abs_z_grid: tuple[float, ...]
-    angle_count: int
-    parameter_draws: int = 0
-    seed: int = 0
-    tol: float = DEFAULT_TOL
+    __slots__ = _fields = ("abs_z_grid", "angle_count", "parameter_draws", "seed", "tol")
 
-    def __post_init__(self) -> None:
-        grid = tuple(float(r) for r in self.abs_z_grid)
+    def __init__(self, abs_z_grid: tuple[float, ...], angle_count: int, parameter_draws: int = 0,
+                 seed: int = 0, tol: float = DEFAULT_TOL) -> None:
+        grid = tuple(float(r) for r in abs_z_grid)
         if not grid or any(not (math.isfinite(r) and r > 0.0) for r in grid):
             raise InvalidArgumentError("abs_z_grid must be a nonempty tuple of positive moduli")
-        if not isinstance(self.angle_count, int) or self.angle_count < 1:
-            raise InvalidArgumentError(f"angle_count must be >= 1, got {self.angle_count!r}")
-        if not isinstance(self.parameter_draws, int) or self.parameter_draws < 0:
+        if not isinstance(angle_count, int) or angle_count < 1:
+            raise InvalidArgumentError(f"angle_count must be >= 1, got {angle_count!r}")
+        if not isinstance(parameter_draws, int) or parameter_draws < 0:
             raise InvalidArgumentError("parameter_draws must be a nonnegative integer")
-        if not self.tol > 0.0:
-            raise InvalidArgumentError(f"tol must be positive, got {self.tol!r}")
-        object.__setattr__(self, "abs_z_grid", grid)
+        if not tol > 0.0:
+            raise InvalidArgumentError(f"tol must be positive, got {tol!r}")
+        self._set_fields(grid, angle_count, parameter_draws, seed, tol)
 
 
 class AuditRecord(NamedTuple):
@@ -122,8 +117,7 @@ class AuditRecord(NamedTuple):
     error: str = ""
 
 
-@dataclass(frozen=True)
-class AuditTarget:
+class AuditTarget(NamedTuple):
     """A tagged function bundled with its envelope, ready for sweeping."""
 
     function_tag: str

@@ -12,10 +12,10 @@ and stderr of one ``qineq`` command line, run in process through
 phi q=0.99 sweep) in CSV and JSON, f and phi draw audits, dense theta,
 Laurent and aq sweeps out to q = 0.999999, and eval, envelope and identity
 commands, error paths included (audits that fail while building their
-target among them, Laurent's index cap, tiny alpha and l, and options that
-no longer exist), with envelopes whose constants or exponents leave the
-double range; a command that lets an exception escape
-prints ``raised <exception>`` in place of a digest.  ``outputs()`` and
+target among them, Laurent's index cap, tiny alpha and l, phi at a base
+whose scale overflows, and options that no longer exist), with envelopes
+whose constants or exponents leave the double range; a command that lets
+an exception escape prints ``raised <exception>`` in place of a digest.  ``outputs()`` and
 ``run()`` are importable, for comparisons that first transform an output.
 """
 
@@ -122,6 +122,10 @@ _SINGLE = (
     # phi's envelope where |scale| |z| overflows.
     ["audit", "--function", "phi", "--q", "0.5", "--a", "1", "--b", "0.3",
      "--grid", "1e300:1.7e308:2", "--angles", "2"],
+    # A base so small that phi's scale q^-l overflows.
+    ["envelope", "--function", "phi", "--q", "1e-300", "--b", "0.3", "--b", "0.6", "--abs-z", "1"],
+    ["audit", "--function", "phi", "--q", "1e-300", "--b", "0.3", "--b", "0.6",
+     "--grid", "1:2:2", "--angles", "2"],
     # Options that no longer exist.
     ["eval", "--function", "laurent", "--q", "0.5", "--alpha", "0.5", "--z", "2",
      "--c-weighted", "1e-30"],

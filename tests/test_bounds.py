@@ -560,6 +560,10 @@ def _envelope_outcome(call, *args):
     return (type(env),) + tuple(float.hex(x) for x in env)
 
 
+# q^-l overflows in the phi_to_f scale; the series itself needs no scale.
+_PHI_TINY_BASE = PhiParams((), (0.3, 0.6), QBase(1e-300))
+
+
 def _family_draws(rng):
     """(public envelope name, leading arguments, audit tag and parameters or
     None) for 300 seeded parameter sets per family, then parameter sets
@@ -580,7 +584,7 @@ def _family_draws(rng):
     yield "envelope_entire", (ConfluentParams((), (), 1.0, near_one),), None
     yield "envelope_entire", (ConfluentParams((1e300,), (), 1.0, QBase(0.5)),), None
     yield "envelope_phi", (PhiParams((), (0.3,), near_one),), None
-    yield "envelope_phi", (PhiParams((), (0.3, 0.6), QBase(1e-300)),), None  # scale overflows
+    yield "envelope_phi", (_PHI_TINY_BASE,), None  # see test_phi_scale_overflow_is_typed
     yield "envelope_aq_gaussian", (near_one,), None
     for alpha in (1.5, 0.0, math.nan):
         yield "envelope_theta", (alpha, QBase(0.5)), None
@@ -626,6 +630,18 @@ class TestPreparedEnvelopesMatchReference:
                     env = public(*args, abs_z)
                     assert target.envelope_log(abs_z).hex() == env.log_bound.hex()
         assert min(counts.values()) >= 300 and len(counts) == 5
+
+    def test_phi_scale_overflow_is_typed(self):
+        # The envelope, its reference route and the audit target raise one
+        # typed error naming q and l; eval_phi is unaffected.
+        want = ("InvalidArgumentError", "q^-l overflows at q = 1e-300, l = 1.5")
+        for abs_z in self.MODULI + self.INVALID:
+            assert _envelope_outcome(envelope_phi, _PHI_TINY_BASE, abs_z) == want
+        for abs_z in self.MODULI:
+            assert _envelope_outcome(refb.envelope_phi, _PHI_TINY_BASE, abs_z) == want
+        with pytest.raises(InvalidArgumentError, match=re.escape(want[1])):
+            audit_target("phi", _PHI_TINY_BASE)
+        assert eval_phi(_PHI_TINY_BASE, 1.0, 1e-14).value == -2.5714285714285716
 
     def test_phi_modulus_overflowing_after_scaling(self):
         # m = 3 at q = 0.05: |scale| = 0.05^-1.5 = 89.4, so 1e307 overflows,

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import json
 import math
 import os
@@ -215,8 +214,7 @@ class TestAuditCommand:
         # stream's: every record but the two at angle pi and |z| != 1 exceeds it.
         def understated_target(tag, params):
             shape = bounds.meromorphic_bound_params(params.alpha, params.q)
-            return dataclasses.replace(
-                audit_target(tag, params),
+            return audit_target(tag, params)._replace(
                 envelope_log=lambda dist: bounds.envelope_meromorphic(shape, 0.01, dist).log_bound,
             )
 
@@ -579,6 +577,20 @@ class TestEnvironment:
         assert proc.stdout.splitlines() == [
             "False", "0x1.7f72e6137a46ep-47", "0x1.8154be2773526p-48", "True",
         ]
+
+    def test_import_loads_neither_dataclasses_nor_json(self):
+        # -S keeps site-packages hooks from loading either module first;
+        # only --format json imports json, inside the command.
+        script = (
+            "import sys, qineq, qineq.cli\n"
+            "print(sorted({'dataclasses', 'json'} & set(sys.modules)))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", script], capture_output=True, env=env, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
 
 class TestParserReuse:

@@ -2,7 +2,6 @@
 error column and key, and one envelope per modulus in a lattice sweep."""
 
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -40,7 +39,7 @@ def _failing_envelopes(monkeypatch):
         def envelope_log(abs_z):
             raise NonConvergentError(_COMMA_ERROR)
 
-        return dataclasses.replace(audit_target(tag, params), envelope_log=envelope_log)
+        return audit_target(tag, params)._replace(envelope_log=envelope_log)
 
     monkeypatch.setattr(verify, "audit_target", target_with_failing_envelope)
 
@@ -167,7 +166,7 @@ class TestOneEnvelopePerModulus:
                 calls.append(abs_z)
                 return target.envelope_log(abs_z)
 
-            return dataclasses.replace(target, envelope_log=envelope_log)
+            return target._replace(envelope_log=envelope_log)
 
         monkeypatch.setattr(verify, "audit_target", counting_target)
         return calls

@@ -1,13 +1,17 @@
-"""The per-call result types and QBase: field layout, repr text, immutability,
-equality, hashing and pickling.
+"""The per-call result types, the parameter types and the plain bundles:
+field layout, repr text, immutability, equality, hashing, pickling and
+copying.
 
 EnvelopeResult, EvalResult, AuditRecord and PochhammerValue are named tuples;
 the repr strings below are the ones their earlier frozen-dataclass form
-printed, so the text of every report that shows them is unchanged.  QBase
-stays a frozen dataclass whose log q and log(1/q) are computed once.
+printed, so the text of every report that shows them is unchanged.  QBase,
+ConfluentParams, PhiParams, LaurentSpec and SweepPlan are immutable values
+with slots (qcore.FrozenValue) that keep the repr, equality and hash of
+their frozen-dataclass form; QBase computes log q and log(1/q) once.
+PhiReduction, MeromorphicBoundParams and AuditTarget are named tuples.
 """
 
-import dataclasses
+import copy
 import math
 import pickle
 import random
@@ -19,11 +23,18 @@ from qineq import (
     ConfluentParams,
     EnvelopeResult,
     EvalResult,
+    InvalidArgumentError,
+    LaurentSpec,
+    MeromorphicBoundParams,
     PhiParams,
+    PhiReduction,
     PochhammerValue,
     QBase,
+    SweepPlan,
     draw_confluent_params,
     draw_phi_params,
+    meromorphic_bound_params,
+    phi_to_f,
 )
 
 # (instance builder, field names in order, repr printed by the dataclass form).
@@ -126,11 +137,12 @@ class TestQBase:
         assert repr(QBase(0.5)) == "QBase(q=0.5)"
 
     def test_only_q_is_a_constructor_or_compared_field(self):
-        fields = dataclasses.fields(QBase)
-        assert [f.name for f in fields if f.init] == ["q"]
-        assert [f.name for f in fields if f.compare] == ["q"]
+        assert QBase._fields == ("q",)
+        assert QBase(q=0.5) == QBase(0.5)
         with pytest.raises(TypeError):
             QBase(0.5, math.log(0.5))
+        with pytest.raises(TypeError):
+            QBase(0.5, log_q=math.log(0.5))
 
     def test_equality_and_hash_depend_on_q_alone(self):
         a, b = QBase(0.5), QBase(0.5)
@@ -142,9 +154,12 @@ class TestQBase:
 
     def test_fields_cannot_be_assigned(self):
         base = QBase(0.5)
-        for name in ("q", "log_q", "log_inv_q"):
+        for name in ("q", "log_q", "log_inv_q", "extra"):
             with pytest.raises(AttributeError):
                 setattr(base, name, 0.25)
+            with pytest.raises(AttributeError):
+                delattr(base, name)
+        assert base.q == 0.5 and base.log_q == math.log(0.5)
 
     def test_pickle_round_trips(self):
         base = QBase(0.3)
@@ -169,13 +184,13 @@ def _parameter_draws():
 
 class TestCachedParameterHashes:
     """The parameter objects that key the envelope caches compute their hash
-    once.  It is the hash the generated dataclass __hash__ returns, that of
-    the tuple of compared fields, and it is stored outside the fields."""
+    once.  It is the hash the frozen-dataclass form's generated __hash__
+    returned, that of the tuple of compared fields, and it is stored outside
+    the fields."""
 
     def test_hash_is_that_of_the_compared_fields(self):
         for obj, compared in _parameter_draws():
-            fields = dataclasses.fields(obj)
-            assert compared == tuple(getattr(obj, f.name) for f in fields if f.compare)
+            assert compared == tuple(getattr(obj, name) for name in obj._fields)
             assert hash(obj) == hash(compared)
 
     def test_equal_distinct_objects_hash_equal(self):
@@ -183,13 +198,15 @@ class TestCachedParameterHashes:
             if isinstance(obj, QBase):
                 twin = QBase(obj.q)
             else:
-                twin = dataclasses.replace(obj, q=QBase(obj.q.q))
+                twin = obj._replace(q=QBase(obj.q.q))
             assert twin is not obj and twin == obj and hash(twin) == hash(obj)
 
     def test_fields_and_repr_are_unchanged(self):
-        assert [f.name for f in dataclasses.fields(QBase)] == ["q", "log_q", "log_inv_q"]
-        assert [f.name for f in dataclasses.fields(ConfluentParams)] == ["a_list", "b_list", "l", "q"]
-        assert [f.name for f in dataclasses.fields(PhiParams)] == ["a_list", "b_list", "q"]
+        assert QBase._fields == ("q",)
+        assert ConfluentParams._fields == ("a_list", "b_list", "l", "q")
+        assert PhiParams._fields == ("a_list", "b_list", "q")
+        base = QBase(0.5)
+        assert (base.q, base.log_q, base.log_inv_q) == (0.5, math.log(0.5), -math.log(0.5))
         params = ConfluentParams((0.5j,), (0.3,), 1.5, QBase(0.5))
         assert repr(params) == (
             "ConfluentParams(a_list=(0.5j,), b_list=(0.3,), l=1.5, q=QBase(q=0.5))")
@@ -205,3 +222,83 @@ class TestCachedParameterHashes:
         for obj, _ in _parameter_draws():
             back = pickle.loads(pickle.dumps(obj))
             assert back == obj and hash(back) == hash(obj) and repr(back) == repr(obj)
+
+
+def _coeff(k):
+    # Module level, so a LaurentSpec holding it pickles by reference.
+    return 1.0 / (1.0 + k * k)
+
+
+class TestValueTypes:
+    """LaurentSpec and SweepPlan keep their frozen-dataclass repr, field
+    order, defaults, equality and hash; every parameter type refuses
+    assignment and deletion; the values and the plain bundles survive
+    pickle, copy.copy and copy.deepcopy."""
+
+    def test_fields_repr_and_defaults(self):
+        assert LaurentSpec._fields == ("center", "coeff", "alpha", "q", "c_weighted")
+        assert SweepPlan._fields == ("abs_z_grid", "angle_count", "parameter_draws", "seed", "tol")
+        spec = LaurentSpec(0.5, _coeff, 0.5, QBase(0.5), 2.0)
+        assert repr(spec) == (
+            f"LaurentSpec(center=(0.5+0j), coeff={_coeff!r}, alpha=0.5, q=QBase(q=0.5), "
+            "c_weighted=2.0)")
+        assert repr(SweepPlan((1e-3, 1, 2.5), 4)) == (
+            "SweepPlan(abs_z_grid=(0.001, 1.0, 2.5), angle_count=4, parameter_draws=0, seed=0, "
+            "tol=1e-14)")
+        plan = SweepPlan(abs_z_grid=[1, 2], angle_count=2, parameter_draws=10, seed=7, tol=1e-12)
+        assert repr(plan) == (
+            "SweepPlan(abs_z_grid=(1.0, 2.0), angle_count=2, parameter_draws=10, seed=7, "
+            "tol=1e-12)")
+        assert plan == SweepPlan((1.0, 2.0), 2, 10, 7, 1e-12)
+        assert hash(plan) == hash(((1.0, 2.0), 2, 10, 7, 1e-12))
+        assert plan != SweepPlan((1.0, 2.0), 2, 10, 8, 1e-12)
+        assert hash(spec) == hash(((0.5 + 0j), _coeff, 0.5, QBase(0.5), 2.0))
+        assert spec != ((0.5 + 0j), _coeff, 0.5, QBase(0.5), 2.0)
+
+    def test_replace_validates_the_copy(self):
+        plan = SweepPlan((1.0, 2.0), 2)
+        assert plan._replace(seed=3) == SweepPlan((1.0, 2.0), 2, 0, 3)
+        with pytest.raises(InvalidArgumentError, match="angle_count must be >= 1"):
+            plan._replace(angle_count=0)
+        with pytest.raises(TypeError):
+            plan._replace(slack=1.0)
+
+    @pytest.mark.parametrize("build", (
+        lambda: ConfluentParams((0.5j,), (0.3,), 1.5, QBase(0.5)),
+        lambda: PhiParams((1 + 0j,), (0.3, 0.6), QBase(0.25)),
+        lambda: LaurentSpec(0.5, _coeff, 0.5, QBase(0.5), 2.0),
+        lambda: SweepPlan((1.0, 2.0), 2),
+    ))
+    def test_fields_cannot_be_assigned_or_deleted(self, build):
+        value = build()
+        for name in value._fields + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert value == build()
+
+    @pytest.mark.parametrize("build", (
+        lambda: SweepPlan((1e-3, 1.0, 2.5), 4, 10, 7, 1e-12),
+        lambda: phi_to_f(PhiParams((0.5,), (0.3, 0.6), QBase(0.25))),
+        lambda: meromorphic_bound_params(0.5, QBase(0.5)),
+        lambda: LaurentSpec(0.5, _coeff, 0.5, QBase(0.5), 2.0),
+    ))
+    @pytest.mark.parametrize("round_trip", (
+        lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy,
+    ))
+    def test_round_trips(self, build, round_trip):
+        value = build()
+        back = round_trip(value)
+        assert type(back) is type(value)
+        assert back == value and hash(back) == hash(value) and repr(back) == repr(value)
+
+    def test_bundles_are_named_tuples(self):
+        reduction = phi_to_f(PhiParams((0.5,), (0.3, 0.6), QBase(0.25)))
+        assert isinstance(reduction, PhiReduction) and PhiReduction._fields == ("params", "scale")
+        assert repr(reduction) == (
+            "PhiReduction(params=ConfluentParams(a_list=((0.5+0j),), b_list=(0.3, 0.6), l=1.0, "
+            "q=QBase(q=0.25)), scale=4.0)")
+        shape = meromorphic_bound_params(0.5, QBase(0.5))
+        assert isinstance(shape, MeromorphicBoundParams)
+        assert repr(shape) == "MeromorphicBoundParams(beta=0.30835096014897895, gamma=3.0)"
