@@ -18,15 +18,18 @@ gives exp(beta |log|z - a||^gamma) with
 
 Each envelope is a constant times a closed form in |z|, written once, in
 the ``result`` method of a prepared envelope: an immutable named tuple of
-what does not depend on |z| (the constant and its log, -log (q^l;q)_inf, l,
-log q, |scale|, sqrt(q), beta, gamma).  _EntireEnvelope serves
-envelope_entire and envelope_phi (the entire envelope of its phi_to_f
-reduction at |scale| |z|), _AqEnvelope envelope_aq_gaussian, and
-_MeromorphicEnvelope envelope_theta and envelope_meromorphic.  Each is built
-once per parameter set by _entire_constants, _phi_constants, _aq_constant,
-_theta_constant or _meromorphic_constants, bounded thread-safe LRU caches
-keyed on the immutable parameter values, so each envelope_* is one cache
-lookup and one method call.  verify.audit_target certifies the log_bound
+what does not depend on |z|: the constant and its log, -log (q^l;q)_inf, l,
+|scale|, sqrt(q), beta, gamma, and the |z|-free sums and products of the
+closed form, grouped as left-to-right evaluation groups them so that no bit
+changes.  _EntireEnvelope serves envelope_entire and envelope_phi (the
+entire envelope of its phi_to_f reduction at |scale| |z|), _AqEnvelope
+envelope_aq_gaussian, and _MeromorphicEnvelope envelope_theta and
+envelope_meromorphic.  Each is built once per parameter set by
+_entire_constants, _phi_constants, _aq_constant, _theta_constant or
+_meromorphic_constants, bounded thread-safe LRU caches keyed on the
+immutable parameter values, and all but envelope_meromorphic keep it on the
+parameter object too, so a repeat call reads one attribute, hashes nothing
+and evaluates the closed form.  verify.audit_target certifies the log_bound
 method of the same prepared envelope.  Exceptions are not cached.
 """
 
@@ -38,7 +41,7 @@ import sys
 from typing import Callable, NamedTuple
 
 from .errors import InvalidArgumentError, NonConvergentError
-from .qcore import QBase, _truncated_products
+from .qcore import QBase, _set, _truncated_products
 # Not called here since the constants come from one table per base, but
 # perfbench/tracing.py rebinds both names in this module.
 from .qcore import multishifted, pochhammer_infinite  # noqa: F401
@@ -53,6 +56,7 @@ THETA_CONSTANT_TOL = 1e-15
 _LAURENT_CONSTANT_TOL = 1e-15
 # Makes a named tuple with no Python frame; result methods inline _assemble.
 _new_tuple = tuple.__new__
+_log, _exp, _inf = math.log, math.exp, math.inf
 
 
 class EnvelopeResult(NamedTuple):
@@ -99,24 +103,31 @@ class _EntireEnvelope(NamedTuple):
     log_c: float
     prefactor_log: float
     l: float
-    log_q: float
     scale: float
+    log_head: float  # log_c + prefactor_log
+    quarter_l_log_q: float  # 0.25 * l * log q
+    four_l_log_q: float  # 4.0 * l * log q
 
     def result(self, abs_z: float) -> EnvelopeResult:
         abs_z = float(abs_z)
-        x = abs_z * self.scale
-        if 0.0 < x < math.inf:
-            lz = math.log(x)
+        x = abs_z * self[4]
+        if 0.0 < x < _inf:
+            lz = _log(x)
         else:
             # A valid abs_z whose product with scale overflows: a sum of logs.
-            lz = math.log(_require_positive(abs_z, "abs_z")) + math.log(self.scale)
-        c, log_c, prefactor_log, l, lq, _ = self
-        exponent_term = 0.5 * lz - 0.25 * l * lq - lz * lz / (4.0 * l * lq)
-        log_bound = log_c + prefactor_log + exponent_term
-        bound = math.inf if log_bound > _MAX_LOG else math.exp(log_bound)
-        return _new_tuple(EnvelopeResult, (log_bound, bound, c, prefactor_log, exponent_term))
+            lz = _log(_require_positive(abs_z, "abs_z")) + _log(self.scale)
+        # 0.5 lz - 0.25 l log q - lz^2 / (4 l log q), then log_c + prefactor_log + that.
+        exponent_term = 0.5 * lz - self[6] - lz * lz / self[7]
+        log_bound = self[5] + exponent_term
+        bound = _inf if log_bound > _MAX_LOG else _exp(log_bound)
+        return _new_tuple(EnvelopeResult, (log_bound, bound, self[0], self[2], exponent_term))
 
     log_bound = _log_bound
+
+
+def _entire_envelope(c, log_c, prefactor_log, l, log_q, scale) -> _EntireEnvelope:
+    return _EntireEnvelope(c, log_c, prefactor_log, l, scale, log_c + prefactor_log,
+                           0.25 * l * log_q, 4.0 * l * log_q)
 
 
 class _AqEnvelope(NamedTuple):
@@ -124,17 +135,18 @@ class _AqEnvelope(NamedTuple):
 
     neg_log_poch: float
     sqrt_q: float
-    log_q: float
+    four_log_q: float  # 4.0 * log q
 
     def result(self, abs_z: float) -> EnvelopeResult:
         abs_z = float(abs_z)
-        if not 0.0 < abs_z < math.inf:
+        if not 0.0 < abs_z < _inf:
             _require_positive(abs_z, "abs_z")
-        lz = math.log(abs_z)
-        prefactor_log = self.neg_log_poch + 0.5 * math.log(abs_z / self.sqrt_q)
-        exponent_term = -lz * lz / (4.0 * self.log_q)
+        lz = _log(abs_z)
+        x = abs_z / self[1]  # overflows at a tiny base; its log is then a difference
+        prefactor_log = self[0] + (0.5 * _log(x) if x < _inf else 0.5 * (lz - _log(self.sqrt_q)))
+        exponent_term = -lz * lz / self[2]
         log_bound = 0.0 + prefactor_log + exponent_term
-        bound = math.inf if log_bound > _MAX_LOG else math.exp(log_bound)
+        bound = _inf if log_bound > _MAX_LOG else _exp(log_bound)
         return _new_tuple(EnvelopeResult, (log_bound, bound, 1.0, prefactor_log, exponent_term))
 
     log_bound = _log_bound
@@ -149,24 +161,29 @@ class _MeromorphicEnvelope(NamedTuple):
     beta: float
     gamma: float
     modulus_name: str
+    log_head: float  # log_c + 0.0
 
     def result(self, dist: float) -> EnvelopeResult:
         dist = float(dist)
-        if not 0.0 < dist < math.inf:
+        if not 0.0 < dist < _inf:
             _require_positive(dist, self.modulus_name)
         try:
-            exponent_term = self.beta * abs(math.log(dist)) ** self.gamma
+            exponent_term = self[2] * abs(_log(dist)) ** self[3]
         except OverflowError:
-            exponent_term = math.inf
-        if not exponent_term < math.inf:
+            exponent_term = _inf
+        if not exponent_term < _inf:
             raise NonConvergentError(
                 f"envelope exponent overflowed the double range at {self.modulus_name} = {dist!r}"
             )
-        log_bound = self.log_c + 0.0 + exponent_term
-        bound = math.inf if log_bound > _MAX_LOG else math.exp(log_bound)
-        return _new_tuple(EnvelopeResult, (log_bound, bound, self.constant_c, 0.0, exponent_term))
+        log_bound = self[5] + exponent_term
+        bound = _inf if log_bound > _MAX_LOG else _exp(log_bound)
+        return _new_tuple(EnvelopeResult, (log_bound, bound, self[0], 0.0, exponent_term))
 
     log_bound = _log_bound
+
+
+def _meromorphic_envelope(c, log_c, beta, gamma, modulus_name) -> _MeromorphicEnvelope:
+    return _MeromorphicEnvelope(c, log_c, beta, gamma, modulus_name, log_c + 0.0)
 
 
 class MeromorphicBoundParams(NamedTuple):
@@ -182,7 +199,7 @@ class MeromorphicBoundParams(NamedTuple):
     def exponent(self, dist: float) -> float:
         """Log of the closed-form term maximum, beta |log dist|^gamma, dist > 0;
         NonConvergentError where it is not a double."""
-        return _MeromorphicEnvelope(1.0, 0.0, self.beta, self.gamma, "dist").result(dist)[4]
+        return _meromorphic_envelope(1.0, 0.0, self.beta, self.gamma, "dist").result(dist)[4]
 
 
 def constant_c(params: ConfluentParams) -> float:
@@ -207,7 +224,7 @@ def term_peak(abs_z: float, l: float, q: QBase) -> float:
     """
     abs_z = _require_positive(abs_z, "abs_z")
     l = _require_positive(l, "l")
-    return _EntireEnvelope(1.0, 0.0, 0.0, l, q.log_q, 1.0).result(abs_z)[4]
+    return _entire_envelope(1.0, 0.0, 0.0, l, q.log_q, 1.0).result(abs_z)[4]
 
 
 def _product_log(xs: list, counts: list[int], values: list, qq: float) -> tuple[float, float]:
@@ -258,20 +275,26 @@ def _entire_logs(params: ConfluentParams) -> tuple[float, float, float]:
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _entire_constants(params: ConfluentParams) -> _EntireEnvelope:
     c, log_c, log_ql = _entire_logs(params)
-    return _EntireEnvelope(c, log_c, -log_ql, params.l, params.q.log_q, 1.0)
+    return _entire_envelope(c, log_c, -log_ql, params.l, params.q.log_q, 1.0)
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _phi_constants(params: PhiParams) -> _EntireEnvelope:
     reduction = phi_to_f(params)
     c, log_c, log_ql = _entire_logs(reduction.params)
-    return _EntireEnvelope(c, log_c, -log_ql, reduction.params.l, params.q.log_q, abs(reduction.scale))
+    return _entire_envelope(c, log_c, -log_ql, reduction.params.l, params.q.log_q, abs(reduction.scale))
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _aq_constant(q: QBase) -> _AqEnvelope:
     log_poch = _entire_logs(ConfluentParams(a_list=(), b_list=(), l=1.0, q=q))[2]
-    return _AqEnvelope(-log_poch, math.sqrt(q.q), q.log_q)
+    return _AqEnvelope(-log_poch, math.sqrt(q.q), 4.0 * q.log_q)
+
+
+def _kept(owner, slot: str, envelope):
+    """Store a prepared envelope in a memo slot of its parameter object."""
+    _set(owner, slot, envelope)
+    return envelope
 
 
 def envelope_entire(params: ConfluentParams, abs_z: float) -> EnvelopeResult:
@@ -281,7 +304,7 @@ def envelope_entire(params: ConfluentParams, abs_z: float) -> EnvelopeResult:
     valid for every nonzero z of that modulus; prefactor_log is
     -log((q^l;q)_inf) and exponent_term is the term peak.
     """
-    return _entire_constants(params).result(abs_z)
+    return (params._envelope or _kept(params, "_envelope", _entire_constants(params))).result(abs_z)
 
 
 def envelope_phi(params: PhiParams, abs_z: float) -> EnvelopeResult:
@@ -292,7 +315,7 @@ def envelope_phi(params: PhiParams, abs_z: float) -> EnvelopeResult:
     -log((q^l;q)_inf) and exponent_term is term_peak(|scale| abs_z, l, q).
     It is the arithmetic an audit certifies, read from cached constants.
     """
-    return _phi_constants(params).result(abs_z)
+    return (params._envelope or _kept(params, "_envelope", _phi_constants(params))).result(abs_z)
 
 
 def envelope_aq_gaussian(q: QBase, abs_z: float) -> EnvelopeResult:
@@ -301,15 +324,18 @@ def envelope_aq_gaussian(q: QBase, abs_z: float) -> EnvelopeResult:
     This is the r = s = 0, l = 1 specialization of envelope_entire, assembled
     from its own closed form so the two code paths stay independent.
     """
-    return _aq_constant(q).result(abs_z)
+    return (q._aq_envelope or _kept(q, "_aq_envelope", _aq_constant(q))).result(abs_z)
 
 
 def envelope_aq_exponential(q: QBase, abs_z: float) -> EnvelopeResult:
-    """Exponential envelope exp(q |z| / (1 - q)); valid at z = 0 as well."""
+    """Exponential envelope exp(q |z| / (1 - q)); valid at z = 0 as well.
+    NonConvergentError where the exponent is not a double."""
     abs_z = float(abs_z)
     if not (math.isfinite(abs_z) and abs_z >= 0.0):
         raise InvalidArgumentError(f"abs_z must be nonnegative and finite, got {abs_z!r}")
     exponent_term = q.q * abs_z / (1.0 - q.q)
+    if not exponent_term < math.inf:
+        raise NonConvergentError(f"envelope exponent overflowed the double range at abs_z = {abs_z!r}")
     return _assemble(1.0, 0.0, 0.0, exponent_term)
 
 
@@ -332,7 +358,7 @@ def meromorphic_bound_params(alpha: float, q: QBase) -> MeromorphicBoundParams:
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _meromorphic_constants(params: MeromorphicBoundParams, c_weighted: float) -> _MeromorphicEnvelope:
     c_weighted = _require_positive(c_weighted, "c_weighted")
-    return _MeromorphicEnvelope(c_weighted, math.log(c_weighted), params.beta, params.gamma, "dist")
+    return _meromorphic_envelope(c_weighted, math.log(c_weighted), params.beta, params.gamma, "dist")
 
 
 def envelope_meromorphic(
@@ -366,7 +392,7 @@ def theta_weighted_constant(alpha: float, q: QBase, tol: float) -> float:
 def _theta_constant(alpha: float, q: QBase) -> _MeromorphicEnvelope:
     c = theta_weighted_constant(alpha, q, THETA_CONSTANT_TOL)
     shape = meromorphic_bound_params(alpha, q)
-    return _MeromorphicEnvelope(c, math.log(c), shape.beta, shape.gamma, "abs_z")
+    return _meromorphic_envelope(c, math.log(c), shape.beta, shape.gamma, "abs_z")
 
 
 def laurent_weighted_constant(coeff: Callable[[int], complex], alpha: float, q: QBase) -> float:
@@ -413,7 +439,13 @@ def envelope_theta(alpha: float, q: QBase, abs_z: float) -> EnvelopeResult:
     c is theta_weighted_constant summed to THETA_CONSTANT_TOL.  Symmetric
     under abs_z -> 1/abs_z since only |log abs_z| enters.
     """
-    return _theta_constant(alpha, q).result(abs_z)
+    envelopes = q._theta_envelopes
+    envelope = envelopes.get(alpha)
+    if envelope is None:
+        envelope = _theta_constant(alpha, q)
+        if len(envelopes) < _CACHE_SIZE:  # bounded, as the cache behind it is
+            envelopes[alpha] = envelope
+    return envelope.result(abs_z)
 
 
 def envelope_theta_as_printed(alpha: float, q: QBase, abs_z: float) -> EnvelopeResult:

@@ -41,7 +41,8 @@ class FrozenValue:
     are the same and their keys are equal, and the hash is that of the key.
     Assignment and deletion raise AttributeError.  ``_replace(**changes)``
     builds a validated copy with changed fields, and pickle and copy rebuild
-    through the constructor.
+    through the constructor.  Slots other than the fields and ``_key`` hold
+    values derived from them and take no part in any of this.
     """
 
     __slots__ = ("_key",)
@@ -82,11 +83,12 @@ class QBase(FrozenValue):
 
     The guard DEFAULT_MAX_Q rejects bases so close to 1 that factor counts
     explode.  ``log_q`` (log q, always negative), ``log_inv_q`` (log(1/q),
-    always positive) and the hash are computed once, here; the logs take no
-    part in repr, equality or hashing, which depend on q alone.
+    always positive) and the hash are computed once, here; the logs, like the
+    envelopes bounds keeps in ``_aq_envelope`` and ``_theta_envelopes`` (by
+    alpha), take no part in repr, equality or hashing, which depend on q alone.
     """
 
-    __slots__ = ("q", "log_q", "log_inv_q", "_hash")
+    __slots__ = ("q", "log_q", "log_inv_q", "_hash", "_aq_envelope", "_theta_envelopes")
     _fields = ("q",)
 
     def __init__(self, q: float) -> None:
@@ -104,6 +106,8 @@ class QBase(FrozenValue):
         _set(self, "log_q", math.log(q))
         _set(self, "log_inv_q", -math.log(q))
         _set(self, "_hash", hash(self._key))
+        _set(self, "_aq_envelope", None)
+        _set(self, "_theta_envelopes", {})
 
     def __hash__(self) -> int:
         return self._hash

@@ -59,7 +59,7 @@ class ConfluentParams(FrozenValue):
     must lie in [0, 1) and the weight exponent ``l`` must be positive.
     """
 
-    __slots__ = ("a_list", "b_list", "l", "q", "_hash")
+    __slots__ = ("a_list", "b_list", "l", "q", "_hash", "_envelope")
     _fields = ("a_list", "b_list", "l", "q")
 
     def __init__(self, a_list: tuple[complex, ...], b_list: tuple[float, ...], l: float,
@@ -78,6 +78,7 @@ class ConfluentParams(FrozenValue):
             raise InvalidArgumentError(f"weight exponent must be positive, got {l!r}")
         self._set_fields(a_list, b_list, l, q)
         _set(self, "_hash", hash(self._key))
+        _set(self, "_envelope", None)
 
     def __hash__(self) -> int:
         return self._hash
@@ -90,7 +91,7 @@ class PhiParams(FrozenValue):
     each a_i and b_j in [0, 1).
     """
 
-    __slots__ = ("a_list", "b_list", "q", "_hash")
+    __slots__ = ("a_list", "b_list", "q", "_hash", "_envelope")
     _fields = ("a_list", "b_list", "q")
 
     def __init__(self, a_list: tuple[complex, ...], b_list: tuple[float, ...], q: QBase) -> None:
@@ -109,6 +110,7 @@ class PhiParams(FrozenValue):
             )
         self._set_fields(a_list, b_list, q)
         _set(self, "_hash", hash(self._key))
+        _set(self, "_envelope", None)
 
     def __hash__(self) -> int:
         return self._hash

@@ -13,7 +13,8 @@ phi q=0.99 sweep) in CSV and JSON, f and phi draw audits, dense theta,
 Laurent and aq sweeps out to q = 0.999999, and eval, envelope and identity
 commands, error paths included (audits that fail while building their
 target among them, Laurent's index cap, tiny alpha and l, phi at a base
-whose scale overflows, and options that no longer exist), with envelopes
+whose scale overflows, aq at a base where |z| / sqrt(q) overflows, and
+options that no longer exist), with envelopes
 whose constants or exponents leave the double range; a command that lets
 an exception escape prints ``raised <exception>`` in place of a digest.  ``outputs()`` and
 ``run()`` are importable, for comparisons that first transform an output.
@@ -126,6 +127,13 @@ _SINGLE = (
     ["envelope", "--function", "phi", "--q", "1e-300", "--b", "0.3", "--b", "0.6", "--abs-z", "1"],
     ["audit", "--function", "phi", "--q", "1e-300", "--b", "0.3", "--b", "0.6",
      "--grid", "1:2:2", "--angles", "2"],
+    # aq at a base so small that |z| / sqrt(q) overflows, and an exponential
+    # envelope whose exponent leaves the doubles.
+    ["envelope", "--function", "aq", "--q", "1e-300", "--abs-z", "1e200"],
+    *(["audit", "--function", "aq", "--q", "1e-300", "--grid", "1e200:1e200:1", "--angles", "1",
+       "--format", fmt] for fmt in ("csv", "json")),
+    ["envelope", "--function", "aq", "--variant", "exponential", "--q", "0.999999",
+     "--abs-z", "1.7e308"],
     # Options that no longer exist.
     ["eval", "--function", "laurent", "--q", "0.5", "--alpha", "0.5", "--z", "2",
      "--c-weighted", "1e-30"],

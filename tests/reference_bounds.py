@@ -10,9 +10,10 @@ checks in the same order.  No constant is cached.  The prepared envelopes
 must reproduce them bit for bit, and raise the same errors; the one
 deliberate difference is which of two invalid arguments a phi, aq or theta
 envelope reports first (see ``PARAMETERS_FIRST``).  Where |scale| abs_z
-overflows, ``envelope_phi`` takes its log as log(abs_z) + log|scale|, and a
-meromorphic exponent beyond the double range raises NonConvergentError, as
-the prepared envelopes do.
+overflows, ``envelope_phi`` takes its log as log(abs_z) + log|scale|; where
+abs_z / sqrt(q) overflows, ``envelope_aq_gaussian`` takes its log as
+log(abs_z) - log sqrt(q); and a meromorphic exponent beyond the double range
+raises NonConvergentError, as the prepared envelopes do.
 
 ``envelope_phi_routes`` sets the direct closed form of the confluent
 hypergeometric envelope beside the composed route, so tests can check that
@@ -121,7 +122,12 @@ def envelope_aq_gaussian(q: QBase, abs_z: float) -> EnvelopeResult:
     log_poch = _entire_logs(ConfluentParams(a_list=(), b_list=(), l=1.0, q=q))[2]
     lz = math.log(abs_z)
     lq = q.log_q
-    prefactor_log = -log_poch + 0.5 * math.log(abs_z / math.sqrt(q.q))
+    quotient = abs_z / math.sqrt(q.q)
+    if quotient == math.inf:
+        # At a tiny base the quotient overflows; its log is the difference of logs.
+        prefactor_log = -log_poch + 0.5 * (lz - math.log(math.sqrt(q.q)))
+    else:
+        prefactor_log = -log_poch + 0.5 * math.log(quotient)
     exponent_term = -lz * lz / (4.0 * lq)
     return _assemble(1.0, prefactor_log, exponent_term)
 

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import re
 
@@ -217,6 +219,19 @@ class TestEnvelopeAqGaussian:
         )
         assert math.isclose(env.log_bound, want, rel_tol=1e-12)
 
+    def test_modulus_over_sqrt_q_beyond_the_doubles(self):
+        # |z| / sqrt(q) overflows at these bases; its log is a difference of logs.
+        mp.mp.dps = 30
+        try:
+            for q, abs_z in ((1e-300, 1e200), (1e-200, 1.7e308), (1e-100, 1e300)):
+                qq, z = mp.mpf(q), mp.mpf(abs_z)
+                want = (-mp.log(mp.qp(qq, qq)) + mp.log(z / mp.sqrt(qq)) / 2
+                        - mp.log(z) ** 2 / (4 * mp.log(qq)))
+                got = envelope_aq_gaussian(QBase(q), abs_z)
+                assert math.isclose(got.log_bound, float(want), rel_tol=1e-14)
+        finally:
+            mp.mp.dps = 15
+
     def test_dominates_sampled(self, rng):
         base = QBase(0.3)
         for _ in range(100):
@@ -233,6 +248,13 @@ class TestEnvelopeAqExponential:
 
     def test_unit_modulus(self):
         assert math.isclose(envelope_aq_exponential(QBase(0.5), 1.0).bound, math.e, rel_tol=1e-15)
+
+    def test_exponent_beyond_the_doubles_raises(self):
+        # q |z| / (1 - q) = 0.999999 * 1.7e308 / 1e-6 overflows.
+        message = re.escape("envelope exponent overflowed the double range at abs_z = 1.7e+308")
+        with pytest.raises(NonConvergentError, match=message):
+            envelope_aq_exponential(QBase(0.999999), 1.7e308)
+        assert math.isfinite(envelope_aq_exponential(QBase(0.999999), 1e300).log_bound)
 
     def test_dominates_sampled(self, rng):
         base = QBase(0.5)
@@ -580,6 +602,9 @@ def _family_draws(rng):
         alpha, base, c = rng.uniform(0.1, 3.0), QBase(rng.uniform(0.05, 0.95)), math.exp(rng.uniform(-3, 3))
         spec = LaurentSpec(0.0, lambda k: 0.0j, alpha, base, c)
         yield "envelope_meromorphic", (meromorphic_bound_params(alpha, base), c), ("laurent", spec)
+    for q in (1e-300, 1e-200, 1e-100):  # abs_z / sqrt(q) overflows at abs_z = 1e300
+        base = QBase(q)
+        yield "envelope_aq_gaussian", (base,), ("aq", base)
     near_one = QBase(0.999999)
     yield "envelope_entire", (ConfluentParams((), (), 1.0, near_one),), None
     yield "envelope_entire", (ConfluentParams((1e300,), (), 1.0, QBase(0.5)),), None
@@ -594,10 +619,11 @@ def _family_draws(rng):
 
 
 class TestPreparedEnvelopesMatchReference:
-    """Every public envelope, built from a cold and then a warm cache, against
-    its per-call route in tests/reference_bounds.py: the same bits in every
-    field, or the same exception type and text.  Each audit target certifies
-    the public log_bound bit for bit."""
+    """Every public envelope, built from a cold cache and then read from the
+    envelope kept on its parameter object, against its per-call route in
+    tests/reference_bounds.py: the same bits in every field, or the same
+    exception type and text, overflow branches included.  Each audit target
+    certifies the public log_bound bit for bit."""
 
     MODULI = (1e-300, 1e-6, 1.0, math.e, 1e6, 1e300)
     INVALID = (0.0, -1.0, math.nan, math.inf)
@@ -675,3 +701,89 @@ class TestPreparedEnvelopesMatchReference:
                     refb.term_peak, r, l, q)
         with pytest.raises(InvalidArgumentError, match="dist must be positive and finite"):
             shape.exponent(0.0)
+
+
+def _memo(obj):
+    """What bounds keeps on a parameter object; (None, {}) or None when empty."""
+    if isinstance(obj, QBase):
+        return obj._aq_envelope, dict(obj._theta_envelopes)
+    return obj._envelope
+
+
+# (public envelope, fresh leading arguments, the envelope kept on them, their
+# cache entry)
+MEMOIZED_ENVELOPES = (
+    (envelope_entire, lambda: (_entire(0.9, l=1.5, a=(1 + 1j,), b=(0.2,)),),
+     lambda p: p._envelope, bounds._entire_constants),
+    (envelope_phi, lambda: (PhiParams((0.5,), (0.3, 0.6), QBase(0.9)),),
+     lambda p: p._envelope, bounds._phi_constants),
+    (envelope_aq_gaussian, lambda: (QBase(0.9),), lambda q: q._aq_envelope, bounds._aq_constant),
+    (envelope_theta, lambda: (0.25, QBase(0.9)),
+     lambda alpha, q: q._theta_envelopes[alpha], bounds._theta_constant),
+)
+
+
+class TestEnvelopeMemo:
+    """envelope_entire, envelope_phi, envelope_aq_gaussian and envelope_theta
+    keep their prepared envelope on the parameter object, outside its value."""
+
+    @pytest.mark.parametrize("public,make,kept,entry", MEMOIZED_ENVELOPES)
+    def test_kept_envelope_is_the_cache_entry(self, public, make, kept, entry):
+        args = make()
+        first = [_bits(public(*args, abs_z)) for abs_z in MODULI]
+        assert kept(*args) is entry(*args)
+        assert [_bits(public(*args, abs_z)) for abs_z in MODULI] == first
+
+    @pytest.mark.parametrize("public,make,kept,entry", MEMOIZED_ENVELOPES)
+    def test_repeat_call_runs_no_python_hash(self, monkeypatch, public, make, kept, entry):
+        calls = []
+        for cls in (ConfluentParams, PhiParams, QBase):
+            def counting(self, original=cls.__hash__):
+                calls.append(type(self).__name__)
+                return original(self)
+
+            monkeypatch.setattr(cls, "__hash__", counting)
+        args = make()
+        public(*args, 2.0)
+        assert calls  # the first call keys the cache on the parameter object
+        calls.clear()
+        for abs_z in MODULI:
+            public(*args, abs_z)
+        assert calls == []
+
+    def test_memo_stays_out_of_the_value(self):
+        objects = (_entire(0.9, l=1.5, a=(1 + 1j,), b=(0.2,)),
+                   PhiParams((0.5,), (0.3, 0.6), QBase(0.9)), QBase(0.9))
+        empty = [_memo(obj) for obj in objects]
+        envelope_entire(objects[0], 2.0)
+        envelope_phi(objects[1], 2.0)
+        envelope_aq_gaussian(objects[2], 2.0)
+        envelope_theta(0.25, objects[2], 2.0)
+        for obj, nothing in zip(objects, empty):
+            assert _memo(obj) != nothing
+            twin = type(obj)(*obj._key)
+            assert _memo(twin) == nothing
+            assert pickle.dumps(obj) == pickle.dumps(twin)
+            copies = (twin, pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj),
+                      obj._replace())
+            for other in copies:
+                assert other == obj and hash(other) == hash(obj) and repr(other) == repr(obj)
+                assert other._key == obj._key and _memo(other) == nothing
+
+    @pytest.mark.parametrize("public,args", [
+        (envelope_entire, (ConfluentParams((), (), 1e-17, QBase(0.5)),)),
+        (envelope_phi, (_PHI_TINY_BASE,)),
+        (envelope_aq_gaussian, (QBase(0.999999),)),
+        (envelope_theta, (1.5, QBase(0.5))),
+    ])
+    def test_failing_build_keeps_nothing(self, public, args):
+        for _ in range(3):
+            with pytest.raises(QSeriesError):
+                public(*args, 2.0)
+        assert _memo(args[-1]) in (None, (None, {}))
+
+    def test_theta_memo_is_bounded(self):
+        base = QBase(0.5)
+        for i in range(bounds._CACHE_SIZE + 8):
+            envelope_theta(0.25 + i / 4096, base, 2.0)
+        assert len(base._theta_envelopes) == bounds._CACHE_SIZE

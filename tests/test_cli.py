@@ -388,6 +388,9 @@ class TestModulusOverflow:
              "envelope exponent overflowed the double range at abs_z = 1e+300"),
             (["envelope", "--function", "f", "--q", "0.5", "--l", "1e-17", "--abs-z", "2"],
              "q^l rounds to 1 at q = 0.5, l = 1e-17"),
+            (["envelope", "--function", "aq", "--variant", "exponential", "--q", "0.999999",
+              "--abs-z", "1.7e308"],
+             "envelope exponent overflowed the double range at abs_z = 1.7e+308"),
             (["audit", "--function", "f", "--q", "0.5", "--l", "1e-17", "--grid", "1:2:2",
               "--angles", "2"],
              "q^l rounds to 1 at q = 0.5, l = 1e-17"),
@@ -434,6 +437,17 @@ class TestEnvelopesBeyondTheDoubleRange:
         rows = list(csv.DictReader(captured.out.splitlines()))
         assert [row["abs_value"] for row in rows] == ["1.0"] * 4
         assert all(math.isfinite(float(row["envelope_log"])) for row in rows)
+
+    def test_aq_envelope_where_the_modulus_over_sqrt_q_overflows(self, capsys):
+        # At q = 1e-300, |z| / sqrt(q) = 1e350; the envelope's log is finite.
+        assert run(["envelope", "--function", "aq", "--q", "1e-300", "--abs-z", "1e200"]) == 0
+        assert "log_bound = 479.7052277070929\n" in capsys.readouterr().out
+        assert run(["audit", "--function", "aq", "--q", "1e-300", "--grid", "1e200:1e200:1",
+                    "--angles", "1", "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "records=1 passed=1 failed=0 errors=0\n"
+        (row,) = json.loads(captured.out)
+        assert row["envelope_log"] == 479.7052277070929
 
 
 class TestAuditBuildErrors:
