@@ -388,12 +388,12 @@ class TestModulusOverflow:
              "envelope exponent overflowed the double range at abs_z = 1e+300"),
             (["envelope", "--function", "f", "--q", "0.5", "--l", "1e-17", "--abs-z", "2"],
              "q^l rounds to 1 at q = 0.5, l = 1e-17"),
-            (["envelope", "--function", "aq", "--variant", "exponential", "--q", "0.999999",
-              "--abs-z", "1.7e308"],
-             "envelope exponent overflowed the double range at abs_z = 1.7e+308"),
             (["audit", "--function", "f", "--q", "0.5", "--l", "1e-17", "--grid", "1:2:2",
               "--angles", "2"],
              "q^l rounds to 1 at q = 0.5, l = 1e-17"),
+            (["envelope", "--function", "aq", "--variant", "exponential", "--q", "0.999999",
+              "--abs-z", "1.7e308"],
+             "envelope exponent overflowed the double range at abs_z = 1.7e+308"),
         ],
     )
     def test_is_a_typed_error(self, capsys, argv, message):
