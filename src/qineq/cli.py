@@ -175,26 +175,32 @@ _FUNCTION_OPTIONS = (
     ("l", "--l", ("f",)),
     ("alpha", "--alpha", ("theta", "laurent")),
 )
+# Each identity-specific option: (attribute, flag, the identities it applies to).
+_IDENTITY_OPTIONS = (
+    ("z", "--z", ("euler", "qbinomial", "triple")),
+    ("a", "--a", ("qbinomial",)),
+    ("l", "--l", ("qlsum",)),
+)
 _VARIANT_FUNCTION = {
     "gaussian": "aq", "exponential": "aq", "certified": "theta", "as-printed": "theta",
 }
 
 
-def _reject_inapplicable(args) -> None:
+def _reject_inapplicable(args, selector: str = "function", options=_FUNCTION_OPTIONS) -> None:
     """Raise InvalidArgumentError naming every given option that does not
-    apply to --function, so that none is silently ignored."""
-    fn = args.function
+    apply to the choice of --<selector>, so that none is silently ignored."""
+    choice = getattr(args, selector)
     flags = [
         flag
-        for attr, flag, functions in _FUNCTION_OPTIONS
-        if getattr(args, attr, None) is not None and fn not in functions
+        for attr, flag, choices in options
+        if getattr(args, attr, None) is not None and choice not in choices
     ]
     variant = getattr(args, "variant", None)
-    if variant is not None and _VARIANT_FUNCTION[variant] != fn:
+    if variant is not None and _VARIANT_FUNCTION[variant] != choice:
         flags.append(f"--variant {variant}")
     if flags:
         verb = "does" if len(flags) == 1 else "do"
-        raise InvalidArgumentError(f"{', '.join(flags)} {verb} not apply to --function {fn}")
+        raise InvalidArgumentError(f"{', '.join(flags)} {verb} not apply to --{selector} {choice}")
 
 
 def _confluent_from_args(args, qb: QBase) -> ConfluentParams:
@@ -388,6 +394,7 @@ def _cmd_audit(args) -> int:
 
 def _cmd_identity(args) -> int:
     qb = QBase(args.q)
+    _reject_inapplicable(args, "which", _IDENTITY_OPTIONS)
     which = args.which
     if which == "euler":
         z = _need(args, "z", "--z", "--which euler")

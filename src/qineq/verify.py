@@ -10,16 +10,16 @@ marked and excluded from pass statistics.
 Records are produced in plan order, so output is reproducible byte for byte
 for a fixed seed.
 
-Only the extended-precision series sides of identity_euler and
-identity_qbinomial_theorem use mpmath, and they import it when called;
-importing this module, the package or the CLI does not load it.
+Only _series_sum_mp, the extended-precision series side of identity_euler
+and identity_qbinomial_theorem, imports mpmath, when it is called; importing
+this module, the package or the CLI does not load it.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import Callable, NamedTuple
 
 from . import bounds
 from .errors import InvalidArgumentError, NonConvergentError, QSeriesError
@@ -38,9 +38,6 @@ from .series import (
     prepare_confluent_f,
     prepare_phi,
 )
-
-if TYPE_CHECKING:
-    import mpmath as mp
 
 # Audits evaluate through prepared series, so eval_confluent_f, eval_phi and
 # eval_laurent are not called here; perfbench/tracing.py rebinds all four
@@ -419,33 +416,95 @@ _SERIES_DPS = 40
 # 53-bit mpf("1e-28") exactly, and the stop test scales it at _SERIES_DPS.
 _SERIES_STOP = 1e-28
 _SERIES_CAP = 200_000
+# Guard bits of the carried powers of q, and the float screen's margins on
+# |term| and |partial| (see _series_sum_mp).
+_SERIES_GUARD = 64
+_SCREEN_LOW = 1.0 - 2.0**-50
+_SCREEN_HIGH = 1.0 + 2.0**-50
 
 
-def _series_sum_mp(multiplier: Callable[[int], "mp.mpc"], rho: Callable[[int], float]) -> complex:
-    """Extended-precision sum of term_0 = 1, term_{k+1} = term_k multiplier(k).
+def _series_sum_mp(
+    z: complex, abs_z: float, q: float, a: complex | None = None
+) -> tuple[complex, int]:
+    """Extended-precision sum_k (a;q)_k z^k / (q;q)_k and the index it stopped at.
 
-    The series sides of the identities cancel catastrophically for negative
-    arguments (terms grow far beyond the sum), so both the multipliers and
-    the accumulation run at extended precision; the double-precision residual
-    then reflects the identity and the product route, not summation noise.
-    ``rho(k)`` must bound the term ratio for indices >= k, as in the
-    double-precision evaluators.
+    term_0 = 1 and term_{k+1} = term_k (1 - a q^k) z / (1 - q^{k+1}); with
+    ``a=None`` the factor 1 - a q^k is not formed, which gives Euler's
+    sum_k z^k / (q;q)_k.  The series sides of the identities cancel
+    catastrophically for negative arguments (terms grow far beyond the sum),
+    so the terms and the accumulation run at _SERIES_DPS digits; the
+    double-precision residual then reflects the identity and the product
+    route, not summation noise.
+
+    q^k and q^{k+1} are carried from one term to the next: q^{k+1} as a
+    product rounded to _SERIES_GUARD bits beyond _SERIES_DPS digits, which
+    each term reads rounded to _SERIES_DPS digits.  mpmath's ``q**n`` is
+    the rounding of the exact power (for n >= 19, of a binary powering at
+    4 log2(n) + 4 guard bits), so the two differ only where the exact power
+    lies within about k 2^-_SERIES_GUARD ulp of a rounding midpoint.
+    Without the guard bits the rounding errors of the powers add up: they
+    moved a sum that cancels to 1e-32 of its largest term in its seventh
+    digit.
+
+    From k = 8 on, with rho = (1 + |a| q^k) |z| / (1 - q^{k+1}) (|a| = 0 for
+    a=None) in doubles, which bounds the term ratio for indices >= k, the sum
+    stops before adding term_{k+1} at the first k where rho < 1 and the
+    exact test |term_{k+1}| / d <= _SERIES_STOP max(1, |partial|) holds at
+    _SERIES_DPS digits, d = 1 - rho in doubles; it returns (partial, k).
+
+    The exact test runs only where a float screen says it can pass.  The
+    screen compares t = max(|tr|, |ti|) (1 - 2^-50) / d with
+    p = _SERIES_STOP max(1, (|pr| + |pi|) (1 + 2^-50)), where tr, ti, pr, pi
+    are the doubles nearest the parts of term_{k+1} and of the partial sum,
+    and it never skips an index where the exact test passes.  With
+    u = 2^-53: where the parts are normal doubles, max(|tr|, |ti|) <=
+    |term| (1 + u) and |pr| + |pi| >= |partial| (1 - u)^2, and each float
+    operation adds at most a factor 1 + u, so t <= (1 - 2^-50)(1 + u)^3
+    |term| / d < (1 - 4u) |term| / d, while p >= _SERIES_STOP max(1,
+    |partial|) (1 + 4u) where the max takes the partial and p is exactly
+    _SERIES_STOP where it takes 1.  The exact test rounds four times at 136
+    bits, so where it passes |term| / d <= _SERIES_STOP max(1, |partial|)
+    (1 + 2^-133), and then t <= p.  A subnormal part of the term gives t
+    below 2^-968 (d >= 2^-53), far under _SERIES_STOP; a subnormal part of
+    the partial sum matters only where |partial| < 1, where p is
+    _SERIES_STOP.  A part beyond the doubles is infinite: t = inf skips only
+    where p is finite, and |term| / d is then beyond the doubles too, so the
+    exact test fails; p = inf never skips.
     """
     import mpmath as mp
+    from mpmath.libmp import from_float, mpf_mul, round_nearest
 
-    term = mp.mpc(1)
-    partial = mp.mpc(1)
-    k = 0
-    while k <= _SERIES_CAP:
-        term = term * multiplier(k)
-        if k >= 8:
-            bound = rho(k)
-            if bound < 1.0 and abs(term) / (1.0 - bound) <= _SERIES_STOP * max(
-                mp.mpf(1), abs(partial)
-            ):
-                return complex(partial)
-        partial += term
-        k += 1
+    abs_a = 0.0 if a is None else abs(a)
+    with mp.workdps(_SERIES_DPS):
+        z_mp = mp.mpc(z.real, z.imag)
+        q_raw = from_float(q)
+        wide = mp.mp.prec + _SERIES_GUARD
+        a_mp = None if a is None else mp.mpc(a.real, a.imag)
+        one = mp.mpf(1)
+        term = mp.mpc(1)
+        partial = mp.mpc(1)
+        q_wide = q_raw
+        q_k, q_k1 = one, mp.mpf(q_raw)
+        k = 0
+        while k <= _SERIES_CAP:
+            if a_mp is None:
+                term = term * (z_mp / (1 - q_k1))
+            else:
+                term = term * ((1 - a_mp * q_k) * z_mp / (1 - q_k1))
+            if k >= 8:
+                bound = (1.0 + abs_a * q**k) * abs_z / (1.0 - q ** (k + 1))
+                if bound < 1.0:
+                    d = 1.0 - bound
+                    tc, pc = complex(term), complex(partial)
+                    t = max(abs(tc.real), abs(tc.imag)) * _SCREEN_LOW / d
+                    p = abs(pc.real) + abs(pc.imag)
+                    if t <= _SERIES_STOP * max(1.0, p * _SCREEN_HIGH):
+                        if abs(term) / d <= _SERIES_STOP * max(one, abs(partial)):
+                            return complex(partial), k
+            partial += term
+            q_wide = mpf_mul(q_wide, q_raw, wide, round_nearest)
+            q_k, q_k1 = q_k1, mp.mpf(q_wide)
+            k += 1
     raise NonConvergentError(f"identity series did not settle within {_SERIES_CAP} terms")
 
 
@@ -468,19 +527,10 @@ def identity_euler(q: QBase, z: complex, tol: float) -> float:
     doubles through pochhammer_infinite at the given tol; the series side in
     extended precision.
     """
-    import mpmath as mp
-
     z = complex(z)
     abs_z = _series_side_modulus(z)
     product = pochhammer_infinite(z, q, tol).value
-    qq = q.q
-    with mp.workdps(_SERIES_DPS):
-        z_mp = mp.mpc(z.real, z.imag)
-        q_mp = mp.mpf(qq)
-        series = _series_sum_mp(
-            lambda k: z_mp / (1 - q_mp ** (k + 1)),
-            lambda k: abs_z / (1.0 - qq ** (k + 1)),
-        )
+    series = _series_sum_mp(z, abs_z, q.q)[0]
     return abs(product * series - 1.0)
 
 
@@ -490,22 +540,11 @@ def identity_qbinomial_theorem(a: complex, q: QBase, z: complex, tol: float) -> 
     Requires |z| < 1.  The series stop uses the sharpened term-ratio bound
     (1 + |a| q^K)|z| / (1 - q^{K+1}), which tends to |z| < 1.
     """
-    import mpmath as mp
-
     a = complex(a)
     z = complex(z)
     abs_z = _series_side_modulus(z)
     lhs = pochhammer_infinite(a * z, q, tol).value / pochhammer_infinite(z, q, tol).value
-    qq = q.q
-    abs_a = abs(a)
-    with mp.workdps(_SERIES_DPS):
-        a_mp = mp.mpc(a.real, a.imag)
-        z_mp = mp.mpc(z.real, z.imag)
-        q_mp = mp.mpf(qq)
-        series = _series_sum_mp(
-            lambda k: (1 - a_mp * q_mp**k) * z_mp / (1 - q_mp ** (k + 1)),
-            lambda k: (1.0 + abs_a * qq**k) * abs_z / (1.0 - qq ** (k + 1)),
-        )
+    series = _series_sum_mp(z, abs_z, q.q, a)[0]
     return abs(lhs - series)
 
 
@@ -513,12 +552,16 @@ def identity_ql_sum(l: float, q: QBase, tol: float) -> float:
     """Residual of sum_k q^{kl}/(q;q)_k against 1/(q^l;q)_inf.
 
     This is the Euler identity at z = q^l, which lies in (0, 1) for every
-    l > 0, so no extra precondition arises.
+    l > 0; an l so small that q^l rounds to 1 raises InvalidArgumentError,
+    with the text of the entire envelope's check.
     """
     l = float(l)
     if not (math.isfinite(l) and l > 0.0):
         raise InvalidArgumentError(f"exponent must be positive, got {l!r}")
-    return identity_euler(q, q.q**l, tol)
+    ql = q.q**l
+    if ql == 1.0:
+        raise InvalidArgumentError(f"q^l rounds to 1 at q = {q.q!r}, l = {l!r}")
+    return identity_euler(q, ql, tol)
 
 
 def identity_theta_triple_product(q: QBase, z: complex, tol: float) -> float:

@@ -13,8 +13,9 @@ phi q=0.99 sweep) in CSV and JSON, f and phi draw audits, dense theta,
 Laurent and aq sweeps out to q = 0.999999, and eval, envelope and identity
 commands, error paths included (audits that fail while building their
 target among them, Laurent's index cap, tiny alpha and l, phi at a base
-whose scale overflows, aq at a base where |z| / sqrt(q) overflows, and
-options that no longer exist), with envelopes
+whose scale overflows, aq at a base where |z| / sqrt(q) overflows,
+options that no longer exist, identity options that do not apply to
+--which, and a q^l that rounds to 1), with envelopes
 whose constants or exponents leave the double range; a command that lets
 an exception escape prints ``raised <exception>`` in place of a digest.  ``outputs()`` and
 ``run()`` are importable, for comparisons that first transform an output.
@@ -139,6 +140,13 @@ _SINGLE = (
      "--c-weighted", "1e-30"],
     ["audit", "--function", "laurent", "--q", "0.5", "--alpha", "0.5", "--grid", "0.5:2:3",
      "--angles", "2", "--slack", "1e300"],
+    # identity options that do not apply to --which, and q^l rounding to 1.
+    ["identity", "--which", "qlsum", "--q", "0.5", "--l", "1", "--z", "0.3"],
+    ["identity", "--which", "euler", "--q", "0.5", "--z", "0.5", "--a=0.3", "--l", "1"],
+    ["identity", "--which", "triple", "--q", "0.5", "--z", "1+0i", "--a=2"],
+    ["identity", "--which", "qbinomial", "--q", "0.7", "--a=1.5-0.5i", "--z=-0.6+0.3i",
+     "--l", "1"],
+    ["identity", "--which", "qlsum", "--q", "0.5", "--l", "1e-17"],
 )
 
 

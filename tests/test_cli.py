@@ -513,6 +513,15 @@ class TestInapplicableOptions:
             (["audit", "--function", "f", "--q", "0.5", "--grid", "1:2:2", "--draws", "5",
               "--alpha", "0.5"],
              "--alpha does not apply to --function f"),
+            (["identity", "--which", "qlsum", "--q", "0.5", "--l", "1", "--z", "0.3"],
+             "--z does not apply to --which qlsum"),
+            (["identity", "--which", "euler", "--q", "0.5", "--z", "0.5", "--a=0.3", "--l", "1"],
+             "--a, --l do not apply to --which euler"),
+            (["identity", "--which", "triple", "--q", "0.5", "--z", "1", "--a=2"],
+             "--a does not apply to --which triple"),
+            (["identity", "--which", "qbinomial", "--q", "0.5", "--a=0.3", "--z", "0.2",
+              "--l", "1"],
+             "--l does not apply to --which qbinomial"),
         ],
     )
     def test_exit_two_with_one_error_line(self, capsys, argv, message):
@@ -530,6 +539,8 @@ class TestInapplicableOptions:
             ["eval", "--function", "laurent", "--q", "0.5", "--z", "2", "--alpha", "0.5",
              "--tol", "1e-10"],
             ["audit", "--function", "phi", "--q", "0.5", "--grid", "1:2:2", "--draws", "3"],
+            ["identity", "--which", "qbinomial", "--q", "0.5", "--a=0.3", "--z", "0.2",
+             "--tol", "1e-12"],
         ],
     )
     def test_applicable_options_still_accepted(self, capsys, argv):
@@ -557,6 +568,11 @@ class TestIdentityCommand:
 
     def test_precondition_violation_exits_two(self, capsys):
         assert run(["identity", "--which", "euler", "--q", "0.5", "--z", "2+0i"]) == 2
+
+    def test_qlsum_rejects_an_exponent_that_rounds_q_to_the_l_to_one(self, capsys):
+        # The text of the entire envelope's check, not a |z| the caller never gave.
+        assert run(["identity", "--which", "qlsum", "--q", "0.5", "--l", "1e-17"]) == 2
+        assert capsys.readouterr().err == "error: q^l rounds to 1 at q = 0.5, l = 1e-17\n"
 
 
 class TestEnvironment:

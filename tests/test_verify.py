@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -29,6 +30,7 @@ from qineq.series import LAURENT_K_CAP
 from qineq.verify import coarse_layout
 
 import oracles
+import reference_verify
 
 
 def _constant_spec(c_weighted=1.0):
@@ -367,6 +369,11 @@ class TestIdentities:
     def test_qlsum_large_exponent(self):
         assert identity_ql_sum(40.0, QBase(0.5), 1e-14) <= 1e-13
 
+    def test_qlsum_rejects_an_exponent_that_rounds_q_to_the_l_to_one(self):
+        with pytest.raises(InvalidArgumentError) as info:
+            identity_ql_sum(1e-17, QBase(0.5), 1e-14)
+        assert str(info.value) == "q^l rounds to 1 at q = 0.5, l = 1e-17"
+
     def test_triple_product_points(self):
         assert identity_theta_triple_product(QBase(0.5), 1.0, 1e-14) <= 1e-12
         assert identity_theta_triple_product(QBase(0.5), -2.0, 1e-14) <= 1e-12
@@ -384,3 +391,113 @@ class TestIdentities:
             z = r * complex(math.cos(ang), math.sin(ang))
             assert identity_euler(q, z, 1e-14) <= 1e-11
             assert identity_ql_sum(rng.uniform(0.1, 5.0), q, 1e-14) <= 1e-11
+
+
+def _disk(rng, radius):
+    r = radius * math.sqrt(rng.random())
+    ang = rng.uniform(0.0, 2.0 * math.pi)
+    return complex(r * math.cos(ang), r * math.sin(ang))
+
+
+class TestIdentitySeriesMatchesReference:
+    """verify._series_sum_mp carries q^k from term to term and screens its
+    stop test in floats; tests/reference_verify.py takes q**k afresh and
+    runs the exact test at every index.  Each residual must have the
+    reference's float.hex, and each series its bits and its stop index."""
+
+    @pytest.fixture
+    def sums(self, monkeypatch):
+        """The (series, stop index) of every kernel call, in call order."""
+        calls = []
+        kernel = verify._series_sum_mp
+
+        def recording(*args):
+            calls.append(kernel(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(verify, "_series_sum_mp", recording)
+        return calls
+
+    @staticmethod
+    def _assert_same(residual, series_and_k, reference):
+        ref_residual, ref_series, ref_k = reference
+        series, k = series_and_k
+        assert (residual.hex(), series.real.hex(), series.imag.hex(), k) == (
+            ref_residual.hex(), ref_series.real.hex(), ref_series.imag.hex(), ref_k,
+        )
+
+    def _euler(self, sums, q, z):
+        residual = identity_euler(QBase(q), z, 1e-14)
+        self._assert_same(residual, sums[-1], reference_verify.euler(QBase(q), z, 1e-14))
+        return sums[-1]
+
+    def _qbinomial(self, sums, a, q, z):
+        residual = identity_qbinomial_theorem(a, QBase(q), z, 1e-14)
+        self._assert_same(
+            residual, sums[-1], reference_verify.qbinomial(a, QBase(q), z, 1e-14)
+        )
+        return sums[-1]
+
+    def _qlsum(self, sums, l, q):
+        residual = identity_ql_sum(l, QBase(q), 1e-14)
+        self._assert_same(
+            residual, sums[-1], reference_verify.euler(QBase(q), q**l, 1e-14)
+        )
+        return sums[-1]
+
+    def test_criterion_08_regions(self, sums):
+        # Criterion 08's draw regions, on a seed of their own: q in
+        # [0.05, 0.9], |z| <= 0.9, |a| <= 2 and l in [0.05, 8].
+        rng = random.Random(19)
+        for _ in range(500):
+            q = rng.uniform(0.05, 0.9)
+            z = _disk(rng, 0.9)
+            self._euler(sums, q, z)
+            self._qbinomial(sums, _disk(rng, 2.0), q, z)
+            self._qlsum(sums, rng.uniform(0.05, 8.0), q)
+        assert len(sums) == 1500
+
+    def test_zero_argument_stops_at_the_first_tested_index(self, sums):
+        assert self._euler(sums, 0.5, 0j) == (1 + 0j, 8)
+        assert self._qbinomial(sums, 1.5 - 0.5j, 0.5, 0j) == (1 + 0j, 8)
+
+    def test_zero_parameter_is_the_euler_series(self, sums):
+        z = -0.6 + 0.3j
+        assert self._qbinomial(sums, 0j, 0.7, z) == self._euler(sums, 0.7, z)
+
+    @pytest.mark.parametrize("q", [0.05, 0.5, 0.9])
+    @pytest.mark.parametrize("angle", [0.0, 2.0, math.pi])
+    def test_modulus_near_one(self, sums, q, angle):
+        z = 0.95 * complex(math.cos(angle), math.sin(angle))
+        self._euler(sums, q, z)
+        self._qbinomial(sums, 1.5 - 0.5j, q, z)
+
+    def test_base_point_nine(self, sums):
+        for z in (-0.85 + 0.2j, 0.85 - 0.2j, 0.3j):
+            self._euler(sums, 0.9, z)
+            self._qbinomial(sums, -2.0, 0.9, z)
+
+    @pytest.mark.parametrize("q", [0.05, 0.5, 0.9])
+    @pytest.mark.parametrize("l", [0.05, 40.0])
+    def test_extreme_exponents(self, sums, q, l):
+        self._qlsum(sums, l, q)
+
+    def test_heavy_cancellation(self, sums):
+        # a z = 1 up to rounding, so the sum (az;q)_inf/(z;q)_inf is about 0
+        # while its terms grow past 1e6.
+        q, z = 0.9, -0.9 + 0.0j
+        a = 1.0 / z
+        series, _ = self._qbinomial(sums, a, q, z)
+        term, largest = 1.0, 1.0
+        for k in range(400):
+            term *= abs(1.0 - a * q**k) * abs(z) / (1.0 - q ** (k + 1))
+            largest = max(largest, term)
+        assert largest > 1e6 and abs(series) < 1e-6 * largest
+
+    @pytest.mark.parametrize("z", [1e-35 + 0j, 1e-200 + 0j, 3e-170j, -1e-300 + 1e-300j])
+    def test_terms_below_the_doubles(self, sums, z):
+        # The first tested term, term_9, is subnormal as a double at |z| =
+        # 1e-35; at the smaller moduli every term from term_2 on is below the
+        # smallest subnormal, so the float screen sees zero.
+        self._euler(sums, 0.5, z)
+        self._qbinomial(sums, 1.5 - 0.5j, 0.5, z)
