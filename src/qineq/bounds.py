@@ -22,15 +22,17 @@ what does not depend on |z|: the constant and its log, -log (q^l;q)_inf, l,
 |scale|, sqrt(q), beta, gamma, and the |z|-free sums and products of the
 closed form, grouped as left-to-right evaluation groups them so that no bit
 changes.  _EntireEnvelope serves envelope_entire and envelope_phi (the
-entire envelope of its phi_to_f reduction at |scale| |z|), _AqEnvelope
-envelope_aq_gaussian, and _MeromorphicEnvelope envelope_theta and
-envelope_meromorphic.  Each is built once per parameter set by
-_entire_constants, _phi_constants, _aq_constant, _theta_constant or
-_meromorphic_constants, bounded thread-safe LRU caches keyed on the
-immutable parameter values, and all but envelope_meromorphic keep it on the
-parameter object too, so a repeat call reads one attribute, hashes nothing
-and evaluates the closed form.  verify.audit_target certifies the log_bound
-method of the same prepared envelope.  Exceptions are not cached.
+entire envelope of its phi_to_f reduction at |scale| |z|, built from the
+reduction's fields: the PhiParams' own lists, l = m/2 and |scale|, with no
+reduced ConfluentParams), _AqEnvelope envelope_aq_gaussian, and
+_MeromorphicEnvelope envelope_theta and envelope_meromorphic.  Each is
+built once per parameter set by _entire_constants, _phi_constants,
+_aq_constant, _theta_constant or _meromorphic_constants, bounded
+thread-safe LRU caches keyed on the immutable parameter values, and all but
+envelope_meromorphic keep it on the parameter object too, so a repeat call
+reads one attribute, hashes nothing and evaluates the closed form.
+verify.audit_target certifies the log_bound method of the same prepared
+envelope.  Exceptions are not cached.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ from .qcore import QBase, _set, _truncated_products
 # Not called here since the constants come from one table per base, but
 # perfbench/tracing.py rebinds both names in this module.
 from .qcore import multishifted, pochhammer_infinite  # noqa: F401
-from .series import ConfluentParams, PhiParams, phi_to_f
+# phi_to_f is not called here, but stays importable from this module.
+from .series import ConfluentParams, PhiParams, _phi_weight_scale, phi_to_f  # noqa: F401
 
 _POCH_TOL = 1e-16
 _MAX_LOG = math.log(sys.float_info.max)
@@ -227,20 +230,17 @@ def term_peak(abs_z: float, l: float, q: QBase) -> float:
     return _entire_envelope(1.0, 0.0, 0.0, l, q.log_q, 1.0).result(abs_z)[4]
 
 
-def _product_log(xs: list, counts: list[int], values: list, qq: float) -> tuple[float, float]:
-    """The product of truncated (x;q)_inf ``values``, combined as
-    multishifted combines them, and its log.
+def _product_log(value: float, xs: list, counts: list[int], qq: float) -> float:
+    """The log of ``value``, the product of truncated (x;q)_inf over ``xs``,
+    combined as multishifted combines them.
 
     A product that is not a normal double has lost its bits to underflow or
     overflow: its log is then math.fsum of log1p(-x q^k) over the same
     factors, the ``counts`` of _truncated_products.
     """
-    value = 1.0
-    for part in values:
-        value = value * part
     if _MIN_NORMAL <= value < math.inf:
-        return value, math.log(value)
-    return value, math.fsum([math.log1p(-x * qq**k) for x, n in zip(xs, counts) for k in range(n)])
+        return math.log(value)
+    return math.fsum([math.log1p(-x * qq**k) for x, n in zip(xs, counts) for k in range(n)])
 
 
 def _entire_logs(params: ConfluentParams) -> tuple[float, float, float]:
@@ -253,41 +253,52 @@ def _entire_logs(params: ConfluentParams) -> tuple[float, float, float]:
     (see _product_log) and c is exp(log c), math.inf when that overflows.
     An l so small that q^l rounds to 1 raises InvalidArgumentError.
     """
-    qq = params.q.q
-    ql = qq**params.l
+    return _field_logs(params.a_list, params.b_list, params.l, params.q)
+
+
+def _field_logs(a_list: tuple, b_list: tuple, l: float, q: QBase) -> tuple[float, float, float]:
+    """_entire_logs of the parameter set with these fields."""
+    qq = q.q
+    ql = qq**l
     if ql == 1.0:
-        raise InvalidArgumentError(f"q^l rounds to 1 at q = {qq!r}, l = {params.l!r}")
-    r = len(params.a_list)
-    xs = [-abs(a) for a in params.a_list] + list(params.b_list) + [ql]
-    counts, values, error = _truncated_products(xs, params.q, _POCH_TOL)
+        raise InvalidArgumentError(f"q^l rounds to 1 at q = {qq!r}, l = {l!r}")
+    r = len(a_list)
+    xs = [-abs(a) for a in a_list] + list(b_list) + [ql]
+    counts, values, error = _truncated_products(xs, q, _POCH_TOL)
     if error is not None:
         raise error
-    num, log_num = _product_log(xs[:r], counts[:r], values[:r], qq)
-    den, log_den = _product_log(xs[r:-1], counts[r:-1], values[r:-1], qq)
-    log_ql = _product_log(xs[-1:], counts[-1:], values[-1:], qq)[1]
-    if num < math.inf and den >= _MIN_NORMAL and num / den < math.inf:
+    # Each factor of num is >= 1 and each of den and ql_poch <= 1, so each
+    # is a normal double exactly where it passes its one-sided test.
+    num, den = math.prod(values[:r], start=1.0), math.prod(values[r:-1], start=1.0)
+    ql_poch = values[-1]
+    if ql_poch >= _MIN_NORMAL:
+        log_ql = _log(ql_poch)
+    else:
+        log_ql = _product_log(ql_poch, xs[-1:], counts[-1:], qq)
+    if num < _inf and den >= _MIN_NORMAL and num / den < _inf:
         c = num / den
-        return c, math.log(c), log_ql
-    log_c = log_num - log_den
-    return (math.inf if log_c > _MAX_LOG else math.exp(log_c)), log_c, log_ql
+        return c, _log(c), log_ql
+    log_num = _product_log(num, xs[:r], counts[:r], qq)
+    log_c = log_num - _product_log(den, xs[r:-1], counts[r:-1], qq)
+    return (_inf if log_c > _MAX_LOG else _exp(log_c)), log_c, log_ql
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _entire_constants(params: ConfluentParams) -> _EntireEnvelope:
-    c, log_c, log_ql = _entire_logs(params)
+    c, log_c, log_ql = _field_logs(params.a_list, params.b_list, params.l, params.q)
     return _entire_envelope(c, log_c, -log_ql, params.l, params.q.log_q, 1.0)
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _phi_constants(params: PhiParams) -> _EntireEnvelope:
-    reduction = phi_to_f(params)
-    c, log_c, log_ql = _entire_logs(reduction.params)
-    return _entire_envelope(c, log_c, -log_ql, reduction.params.l, params.q.log_q, abs(reduction.scale))
+    l, scale = _phi_weight_scale(params)
+    c, log_c, log_ql = _field_logs(params.a_list, params.b_list, l, params.q)
+    return _entire_envelope(c, log_c, -log_ql, l, params.q.log_q, abs(scale))
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _aq_constant(q: QBase) -> _AqEnvelope:
-    log_poch = _entire_logs(ConfluentParams(a_list=(), b_list=(), l=1.0, q=q))[2]
+    log_poch = _field_logs((), (), 1.0, q)[2]
     return _AqEnvelope(-log_poch, math.sqrt(q.q), 4.0 * q.log_q)
 
 

@@ -289,10 +289,12 @@ def _write_csv(records, stream) -> None:
     """Write the report in one piece.
 
     The function, q, l and param_digest cells repeat across a sweep, so each
-    distinct run of them is rendered through ``csv`` once (a digest such as
-    b=0.2,0.6 needs quoting), and so is each distinct error message (a
-    message can hold a comma).  The other cells are float reprs, true/false
-    and ints, which never need quoting, and are joined directly.
+    distinct run of them is rendered once: joined directly, with a digest
+    such as b=0.2,0.6 in quotes as ``csv`` quotes it, and through ``csv``
+    where the digest holds a quote or a line break.  Each distinct error
+    message (it can hold a comma) is rendered through ``csv`` once.  The
+    other cells are float reprs, true/false and ints, which never need
+    quoting, and are joined directly.
     """
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -309,7 +311,13 @@ def _write_csv(records, stream) -> None:
     for r in records:
         if (r.function_tag, r.q, r.l, r.param_digest) != key:
             key = (r.function_tag, r.q, r.l, r.param_digest)
-            prefix = render((r.function_tag, repr(r.q), _csv_cell_l(r.l), r.param_digest))
+            digest = r.param_digest
+            if '"' in digest or "\n" in digest or "\r" in digest:
+                prefix = render((r.function_tag, repr(r.q), _csv_cell_l(r.l), digest))
+            else:
+                if "," in digest:
+                    digest = f'"{digest}"'
+                prefix = f"{r.function_tag},{r.q!r},{_csv_cell_l(r.l)},{digest}"
         error = error_cells.get(r.error)
         if error is None:
             error = error_cells[r.error] = render((r.error,))

@@ -334,6 +334,17 @@ def eval_phi(params: PhiParams, z: complex, tol: float) -> EvalResult:
     return prepare_phi(params).evaluate(z, tol)
 
 
+def _phi_weight_scale(params: PhiParams) -> tuple[float, float]:
+    """(l, scale) = (m/2, (-1)^m q^{-l}) of phi_to_f, m = s + 1 - r; a base
+    so small that q^{-l} overflows raises InvalidArgumentError."""
+    m = params.confluence_order
+    l = m / 2.0
+    try:
+        return l, ((-1.0) ** m) * params.q.q ** (-l)
+    except OverflowError as exc:
+        raise InvalidArgumentError(f"q^-l overflows at q = {params.q.q!r}, l = {l!r}") from exc
+
+
 def phi_to_f(params: PhiParams) -> PhiReduction:
     """Rewrite a confluent hypergeometric sum in the Gaussian-weighted form.
 
@@ -345,12 +356,7 @@ def phi_to_f(params: PhiParams) -> PhiReduction:
     for the series with the same parameter lists and weight l.  A base so
     small that q^{-l} overflows raises InvalidArgumentError.
     """
-    m = params.confluence_order
-    l = m / 2.0
-    try:
-        scale = ((-1.0) ** m) * params.q.q ** (-l)
-    except OverflowError as exc:
-        raise InvalidArgumentError(f"q^-l overflows at q = {params.q.q!r}, l = {l!r}") from exc
+    l, scale = _phi_weight_scale(params)
     reduced = ConfluentParams(a_list=params.a_list, b_list=params.b_list, l=l, q=params.q)
     return PhiReduction(params=reduced, scale=scale)
 

@@ -31,6 +31,7 @@ from .series import (
     LaurentSpec,
     PhiParams,
     ThetaSeries,
+    _require_finite_moduli,
     eval_confluent_f,
     eval_laurent,
     eval_phi,
@@ -50,6 +51,8 @@ AUDIT_SLACK = 1e-12
 _LOG_SLACK = math.log1p(AUDIT_SLACK)
 L_CHOICES = (0.5, 1.0, 1.5, 2.5)
 _TWO_PI = 2.0 * math.pi
+# Makes a named tuple with no Python frame, as bounds makes its results.
+_new_tuple = tuple.__new__
 
 
 def log_grid(lo: float, hi: float, count: int) -> tuple[float, ...]:
@@ -187,7 +190,7 @@ def audit_target(function_tag: str, fixed_params) -> AuditTarget:
         center, evaluate = spec.center, LaurentSeries(spec).evaluate
     else:
         raise InvalidArgumentError(f"unknown function tag {function_tag!r}; expected {FUNCTION_TAGS}")
-    return AuditTarget(function_tag, q, l, digest, center, evaluate, envelope_log)
+    return _new_tuple(AuditTarget, (function_tag, q, l, digest, center, evaluate, envelope_log))
 
 
 def _ratio(result: EvalResult, envelope_log: float) -> tuple[float, float, float]:
@@ -200,10 +203,10 @@ def _ratio(result: EvalResult, envelope_log: float) -> tuple[float, float, float
 
 
 def _error_record(target: AuditTarget, z: complex, exc: QSeriesError) -> AuditRecord:
-    return AuditRecord(
+    return _new_tuple(AuditRecord, (
         target.function_tag, target.q, target.l, target.param_digest, z,
         math.nan, math.nan, math.nan, False, 0, math.nan, str(exc) or exc.__class__.__name__,
-    )
+    ))
 
 
 def _records_at(
@@ -238,11 +241,11 @@ def _records_at(
             continue
         abs_value, log_value, ratio = _ratio(result, envelope)
         records.append(
-            AuditRecord(
+            _new_tuple(AuditRecord, (
                 target.function_tag, target.q, target.l, target.param_digest, z,
                 abs_value, envelope, ratio, log_value <= envelope + _LOG_SLACK,
-                result.terms_used, result.tail_bound,
-            )
+                result.terms_used, result.tail_bound, "",
+            ))
         )
 
 
@@ -537,12 +540,13 @@ def identity_euler(q: QBase, z: complex, tol: float) -> float:
 def identity_qbinomial_theorem(a: complex, q: QBase, z: complex, tol: float) -> float:
     """Residual |(az;q)_inf/(z;q)_inf - sum_k (a;q)_k z^k/(q;q)_k|.
 
-    Requires |z| < 1.  The series stop uses the sharpened term-ratio bound
-    (1 + |a| q^K)|z| / (1 - q^{K+1}), which tends to |z| < 1.
+    Requires |z| < 1 and a finite |a|.  The series stop uses the sharpened
+    term-ratio bound (1 + |a| q^K)|z| / (1 - q^{K+1}), which tends to |z| < 1.
     """
     a = complex(a)
     z = complex(z)
     abs_z = _series_side_modulus(z)
+    _require_finite_moduli((a,))
     lhs = pochhammer_infinite(a * z, q, tol).value / pochhammer_infinite(z, q, tol).value
     series = _series_sum_mp(z, abs_z, q.q, a)[0]
     return abs(lhs - series)

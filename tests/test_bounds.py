@@ -518,6 +518,29 @@ class TestConstantsMatchReference:
             normal += 1
         assert normal == 4_000
 
+    def test_phi_constants_from_the_reduction_fields(self):
+        # bounds builds phi's envelope from the PhiParams' own lists, l = m/2
+        # and |scale|; refb._phi_constants builds it through phi_to_f.
+        rng = random.Random(2_020)
+        for _ in range(2_000):
+            params = draw_phi_params(rng)
+            m = params.confluence_order
+            reduction = bounds.phi_to_f(params)
+            assert reduction.params.l.hex() == (m / 2.0).hex()
+            assert reduction.scale.hex() == ((-1.0) ** m * params.q.q ** (-m / 2.0)).hex()
+            c, log_c, log_ql, l, scale = refb._phi_constants(params)
+            want = bounds._entire_envelope(c, log_c, -log_ql, l, params.q.log_q, scale)
+            got = bounds._phi_constants.__wrapped__(params)
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    def test_phi_scale_overflow_keeps_its_text(self):
+        params = PhiParams((), (0.5, 0.5), QBase(1e-300))
+        want = "q^-l overflows at q = 1e-300, l = 1.5"
+        for route in (bounds._phi_constants.__wrapped__, refb._phi_constants, bounds.phi_to_f):
+            with pytest.raises(InvalidArgumentError) as info:
+                route(params)
+            assert str(info.value) == want
+
     def test_products_below_the_normal_range_are_taken_in_log_space(self):
         mp.mp.dps = 30
         try:

@@ -394,6 +394,8 @@ class TestModulusOverflow:
             (["envelope", "--function", "aq", "--variant", "exponential", "--q", "0.999999",
               "--abs-z", "1.7e308"],
              "envelope exponent overflowed the double range at abs_z = 1.7e+308"),
+            (["identity", "--which", "qbinomial", "--q", "0.5", f"--a={_HUGE_Z}", "--z", "1e-300"],
+             _HUGE_A_MESSAGE),
         ],
     )
     def test_is_a_typed_error(self, capsys, argv, message):

@@ -122,6 +122,15 @@ class TestCsvWriterMatchesReference:
         _assert_matches_reference(records)
         assert len(list(csv.reader(io.StringIO(_written(_write_csv, records))))) == 7
 
+    def test_digest_with_a_comma_beside_one_without(self):
+        base = audit_envelope(SweepPlan(abs_z_grid=(0.5, 2.0), angle_count=2), "phi",
+                              PhiParams((), (0.2, 0.6), QBase(0.5)))
+        assert base[0].param_digest == "a=;b=0.2,0.6"
+        records = [*base, *(r._replace(param_digest="a=;b=0.2") for r in base), base[0]]
+        _assert_matches_reference(records)
+        rows = list(csv.reader(io.StringIO(_written(_write_csv, records))))
+        assert [row[3] for row in rows[1:]] == ["a=;b=0.2,0.6"] * 4 + ["a=;b=0.2"] * 4 + ["a=;b=0.2,0.6"]
+
     def test_empty(self):
         _assert_matches_reference([])
 

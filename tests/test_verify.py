@@ -360,6 +360,14 @@ class TestIdentities:
     def test_qbinomial_unit_parameter_collapses(self):
         assert identity_qbinomial_theorem(1.0, QBase(0.5), 0.7, 1e-14) <= 1e-14
 
+    def test_qbinomial_rejects_a_parameter_whose_modulus_overflows(self):
+        # Both parts are finite; abs(a) would raise OverflowError.
+        with pytest.raises(InvalidArgumentError) as info:
+            identity_qbinomial_theorem(1.5e308 + 1.5e308j, QBase(0.5), 1e-300, 1e-14)
+        assert str(info.value) == (
+            "numerator parameters must have a finite modulus, got (1.5e+308+1.5e+308j)"
+        )
+
     def test_qlsum_basic(self):
         assert identity_ql_sum(1.0, QBase(0.5), 1e-14) <= 1e-12
 
