@@ -26,13 +26,14 @@ entire envelope of its phi_to_f reduction at |scale| |z|, built from the
 reduction's fields: the PhiParams' own lists, l = m/2 and |scale|, with no
 reduced ConfluentParams), _AqEnvelope envelope_aq_gaussian, and
 _MeromorphicEnvelope envelope_theta and envelope_meromorphic.  Each is
-built once per parameter set by _entire_constants, _phi_constants,
-_aq_constant, _theta_constant or _meromorphic_constants, bounded
-thread-safe LRU caches keyed on the immutable parameter values, and all but
-envelope_meromorphic keep it on the parameter object too, so a repeat call
-reads one attribute, hashes nothing and evaluates the closed form.
-verify.audit_target certifies the log_bound method of the same prepared
-envelope.  Exceptions are not cached.
+built by _entire_constants, _phi_constants, _aq_constant or _theta_constant,
+which keep it on the parameter object (``_envelope``, ``_aq_envelope``, or
+``_theta_envelopes`` by alpha, up to _CACHE_SIZE alphas), so a repeat call
+with that object reads one attribute; two threads may both build, and one
+store of the same bits wins.  _meromorphic_constants, with no owning object,
+is an LRU cache.  verify.audit_target reads and fills the same memo and
+certifies the log_bound method of the same prepared envelope.  Exceptions
+are not cached.
 """
 
 from __future__ import annotations
@@ -47,8 +48,7 @@ from .qcore import QBase, _set, _truncated_products
 # Not called here since the constants come from one table per base, but
 # perfbench/tracing.py rebinds both names in this module.
 from .qcore import multishifted, pochhammer_infinite  # noqa: F401
-# phi_to_f is not called here, but stays importable from this module.
-from .series import ConfluentParams, PhiParams, _phi_weight_scale, phi_to_f  # noqa: F401
+from .series import ConfluentParams, PhiParams, _phi_weight_scale
 
 _POCH_TOL = 1e-16
 _MAX_LOG = math.log(sys.float_info.max)
@@ -283,28 +283,25 @@ def _field_logs(a_list: tuple, b_list: tuple, l: float, q: QBase) -> tuple[float
     return (_inf if log_c > _MAX_LOG else _exp(log_c)), log_c, log_ql
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _entire_constants(params: ConfluentParams) -> _EntireEnvelope:
     c, log_c, log_ql = _field_logs(params.a_list, params.b_list, params.l, params.q)
-    return _entire_envelope(c, log_c, -log_ql, params.l, params.q.log_q, 1.0)
+    envelope = _entire_envelope(c, log_c, -log_ql, params.l, params.q.log_q, 1.0)
+    _set(params, "_envelope", envelope)
+    return envelope
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _phi_constants(params: PhiParams) -> _EntireEnvelope:
     l, scale = _phi_weight_scale(params)
     c, log_c, log_ql = _field_logs(params.a_list, params.b_list, l, params.q)
-    return _entire_envelope(c, log_c, -log_ql, l, params.q.log_q, abs(scale))
+    envelope = _entire_envelope(c, log_c, -log_ql, l, params.q.log_q, abs(scale))
+    _set(params, "_envelope", envelope)
+    return envelope
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _aq_constant(q: QBase) -> _AqEnvelope:
     log_poch = _field_logs((), (), 1.0, q)[2]
-    return _AqEnvelope(-log_poch, math.sqrt(q.q), 4.0 * q.log_q)
-
-
-def _kept(owner, slot: str, envelope):
-    """Store a prepared envelope in a memo slot of its parameter object."""
-    _set(owner, slot, envelope)
+    envelope = _AqEnvelope(-log_poch, math.sqrt(q.q), 4.0 * q.log_q)
+    _set(q, "_aq_envelope", envelope)
     return envelope
 
 
@@ -315,7 +312,7 @@ def envelope_entire(params: ConfluentParams, abs_z: float) -> EnvelopeResult:
     valid for every nonzero z of that modulus; prefactor_log is
     -log((q^l;q)_inf) and exponent_term is the term peak.
     """
-    return (params._envelope or _kept(params, "_envelope", _entire_constants(params))).result(abs_z)
+    return (params._envelope or _entire_constants(params)).result(abs_z)
 
 
 def envelope_phi(params: PhiParams, abs_z: float) -> EnvelopeResult:
@@ -326,7 +323,7 @@ def envelope_phi(params: PhiParams, abs_z: float) -> EnvelopeResult:
     -log((q^l;q)_inf) and exponent_term is term_peak(|scale| abs_z, l, q).
     It is the arithmetic an audit certifies, read from cached constants.
     """
-    return (params._envelope or _kept(params, "_envelope", _phi_constants(params))).result(abs_z)
+    return (params._envelope or _phi_constants(params)).result(abs_z)
 
 
 def envelope_aq_gaussian(q: QBase, abs_z: float) -> EnvelopeResult:
@@ -335,7 +332,7 @@ def envelope_aq_gaussian(q: QBase, abs_z: float) -> EnvelopeResult:
     This is the r = s = 0, l = 1 specialization of envelope_entire, assembled
     from its own closed form so the two code paths stay independent.
     """
-    return (q._aq_envelope or _kept(q, "_aq_envelope", _aq_constant(q))).result(abs_z)
+    return (q._aq_envelope or _aq_constant(q)).result(abs_z)
 
 
 def envelope_aq_exponential(q: QBase, abs_z: float) -> EnvelopeResult:
@@ -399,11 +396,14 @@ def theta_weighted_constant(alpha: float, q: QBase, tol: float) -> float:
     raise NonConvergentError(f"weighted constant did not settle within {WEIGHTED_SUM_CAP} terms")
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _theta_constant(alpha: float, q: QBase) -> _MeromorphicEnvelope:
     c = theta_weighted_constant(alpha, q, THETA_CONSTANT_TOL)
     shape = meromorphic_bound_params(alpha, q)
-    return _meromorphic_envelope(c, math.log(c), shape.beta, shape.gamma, "abs_z")
+    envelope = _meromorphic_envelope(c, math.log(c), shape.beta, shape.gamma, "abs_z")
+    envelopes = q._theta_envelopes
+    if len(envelopes) < _CACHE_SIZE:  # alphas beyond it are rebuilt per call
+        envelopes[alpha] = envelope
+    return envelope
 
 
 def laurent_weighted_constant(coeff: Callable[[int], complex], alpha: float, q: QBase) -> float:
@@ -450,13 +450,7 @@ def envelope_theta(alpha: float, q: QBase, abs_z: float) -> EnvelopeResult:
     c is theta_weighted_constant summed to THETA_CONSTANT_TOL.  Symmetric
     under abs_z -> 1/abs_z since only |log abs_z| enters.
     """
-    envelopes = q._theta_envelopes
-    envelope = envelopes.get(alpha)
-    if envelope is None:
-        envelope = _theta_constant(alpha, q)
-        if len(envelopes) < _CACHE_SIZE:  # bounded, as the cache behind it is
-            envelopes[alpha] = envelope
-    return envelope.result(abs_z)
+    return (q._theta_envelopes.get(alpha) or _theta_constant(alpha, q)).result(abs_z)
 
 
 def envelope_theta_as_printed(alpha: float, q: QBase, abs_z: float) -> EnvelopeResult:
@@ -468,7 +462,7 @@ def envelope_theta_as_printed(alpha: float, q: QBase, abs_z: float) -> EnvelopeR
     excluded from certification sweeps.
     """
     abs_z = _require_positive(abs_z, "abs_z")
-    envelope = _theta_constant(alpha, q)
+    envelope = q._theta_envelopes.get(alpha) or _theta_constant(alpha, q)
     lz = math.log(abs_z)
     exponent_term = lz * lz / (alpha * q.log_inv_q)
     return _assemble(envelope.constant_c, envelope.log_c, 0.0, exponent_term)

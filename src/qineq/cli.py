@@ -175,6 +175,8 @@ _FUNCTION_OPTIONS = (
     ("l", "--l", ("f",)),
     ("alpha", "--alpha", ("theta", "laurent")),
 )
+# eval reads --alpha for laurent's coefficients only; the theta series has no alpha.
+_EVAL_OPTIONS = _FUNCTION_OPTIONS[:-1] + (("alpha", "--alpha", ("laurent",)),)
 # Each identity-specific option: (attribute, flag, the identities it applies to).
 _IDENTITY_OPTIONS = (
     ("z", "--z", ("euler", "qbinomial", "triple")),
@@ -231,7 +233,7 @@ def _laurent_from_args(args, qb: QBase) -> LaurentSpec:
 
 def _cmd_eval(args) -> int:
     qb = QBase(args.q)
-    _reject_inapplicable(args)
+    _reject_inapplicable(args, options=_EVAL_OPTIONS)
     fn = args.function
     if fn == "f":
         result = eval_confluent_f(_confluent_from_args(args, qb), args.z, args.tol)

@@ -82,13 +82,13 @@ class QBase(FrozenValue):
     """Validated base with 0 < q <= DEFAULT_MAX_Q < 1.
 
     The guard DEFAULT_MAX_Q rejects bases so close to 1 that factor counts
-    explode.  ``log_q`` (log q, always negative), ``log_inv_q`` (log(1/q),
-    always positive) and the hash are computed once, here; the logs, like the
-    envelopes bounds keeps in ``_aq_envelope`` and ``_theta_envelopes`` (by
-    alpha), take no part in repr, equality or hashing, which depend on q alone.
+    explode.  ``log_q`` (log q, always negative) and ``log_inv_q`` (log(1/q),
+    always positive) are computed once, here.  They and the envelopes bounds
+    keeps in ``_aq_envelope`` and ``_theta_envelopes`` (by alpha) take no
+    part in repr, equality or hashing, which depend on q alone.
     """
 
-    __slots__ = ("q", "log_q", "log_inv_q", "_hash", "_aq_envelope", "_theta_envelopes")
+    __slots__ = ("q", "log_q", "log_inv_q", "_aq_envelope", "_theta_envelopes")
     _fields = ("q",)
 
     def __init__(self, q: float) -> None:
@@ -105,12 +105,8 @@ class QBase(FrozenValue):
         self._set_fields(q)
         _set(self, "log_q", math.log(q))
         _set(self, "log_inv_q", -math.log(q))
-        _set(self, "_hash", hash(self._key))
         _set(self, "_aq_envelope", None)
         _set(self, "_theta_envelopes", {})
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 class PochhammerValue(NamedTuple):

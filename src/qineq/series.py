@@ -59,7 +59,7 @@ class ConfluentParams(FrozenValue):
     must lie in [0, 1) and the weight exponent ``l`` must be positive.
     """
 
-    __slots__ = ("a_list", "b_list", "l", "q", "_hash", "_envelope")
+    __slots__ = ("a_list", "b_list", "l", "q", "_envelope")
     _fields = ("a_list", "b_list", "l", "q")
 
     def __init__(self, a_list: tuple[complex, ...], b_list: tuple[float, ...], l: float,
@@ -77,11 +77,7 @@ class ConfluentParams(FrozenValue):
         if not (math.isfinite(l) and l > 0.0):
             raise InvalidArgumentError(f"weight exponent must be positive, got {l!r}")
         self._set_fields(a_list, b_list, l, q)
-        _set(self, "_hash", hash(self._key))
         _set(self, "_envelope", None)
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 class PhiParams(FrozenValue):
@@ -91,7 +87,7 @@ class PhiParams(FrozenValue):
     each a_i and b_j in [0, 1).
     """
 
-    __slots__ = ("a_list", "b_list", "q", "_hash", "_envelope")
+    __slots__ = ("a_list", "b_list", "q", "_envelope")
     _fields = ("a_list", "b_list", "q")
 
     def __init__(self, a_list: tuple[complex, ...], b_list: tuple[float, ...], q: QBase) -> None:
@@ -109,11 +105,7 @@ class PhiParams(FrozenValue):
                 f"confluence requires s + 1 - r > 0, got r={len(a_list)} s={len(b_list)}"
             )
         self._set_fields(a_list, b_list, q)
-        _set(self, "_hash", hash(self._key))
         _set(self, "_envelope", None)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def confluence_order(self) -> int:

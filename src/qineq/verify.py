@@ -158,30 +158,31 @@ def audit_target(function_tag: str, fixed_params) -> AuditTarget:
     tabulated.  The table lives and dies with the target and holds only what
     its evaluations needed, so a target used once pays nothing extra.
 
-    ``envelope_log`` is the log_bound method of the public envelope's prepared
-    envelope, built here, so a build error is raised here for every tag.
+    ``envelope_log`` is the log_bound method of the prepared envelope that the
+    public envelope keeps on the parameter object, built and kept here if it
+    is not kept yet, so a build error is raised here for every tag.
     """
     center = 0.0 + 0.0j
     if function_tag == "confluent_f":
         params: ConfluentParams = fixed_params
         q, l, digest = params.q.q, params.l, f"{_digest_confluent(params)};l={params.l!r}"
         evaluate = prepare_confluent_f(params).evaluate
-        envelope_log = bounds._entire_constants(params).log_bound
+        envelope_log = (params._envelope or bounds._entire_constants(params)).log_bound
     elif function_tag == "phi":
         phi_params: PhiParams = fixed_params
-        envelope = bounds._phi_constants(phi_params)
+        envelope = phi_params._envelope or bounds._phi_constants(phi_params)
         q, l, digest = phi_params.q.q, envelope.l, _digest_confluent(phi_params)
         evaluate, envelope_log = prepare_phi(phi_params).evaluate, envelope.log_bound
     elif function_tag == "aq":
         qb: QBase = fixed_params
-        envelope_log = bounds._aq_constant(qb).log_bound
+        envelope_log = (qb._aq_envelope or bounds._aq_constant(qb)).log_bound
         q, l, digest = qb.q, 1.0, ""
         evaluate = prepare_confluent_f(ConfluentParams((), (), 1.0, qb)).evaluate
     elif function_tag == "theta":
         theta_q, alpha = fixed_params
-        envelope_log = bounds._theta_constant(alpha, theta_q).log_bound
+        envelope = theta_q._theta_envelopes.get(alpha) or bounds._theta_constant(alpha, theta_q)
         q, l, digest = theta_q.q, None, f"alpha={float(alpha)!r}"
-        evaluate = ThetaSeries(theta_q).evaluate
+        evaluate, envelope_log = ThetaSeries(theta_q).evaluate, envelope.log_bound
     elif function_tag == "laurent":
         spec: LaurentSpec = fixed_params
         shape = bounds.meromorphic_bound_params(spec.alpha, spec.q)

@@ -147,6 +147,8 @@ _SINGLE = (
     ["identity", "--which", "qbinomial", "--q", "0.7", "--a=1.5-0.5i", "--z=-0.6+0.3i",
      "--l", "1"],
     ["identity", "--which", "qlsum", "--q", "0.5", "--l", "1e-17"],
+    # --alpha given to eval of theta, which reads none.
+    ["eval", "--function", "theta", "--q", "0.5", "--z", "2", "--alpha", "-7"],
 )
 
 

@@ -524,6 +524,9 @@ class TestInapplicableOptions:
             (["identity", "--which", "qbinomial", "--q", "0.5", "--a=0.3", "--z", "0.2",
               "--l", "1"],
              "--l does not apply to --which qbinomial"),
+            # eval reads --alpha for laurent only; envelope and audit need it for theta.
+            (["eval", "--function", "theta", "--q", "0.5", "--z", "2", "--alpha", "-7"],
+             "--alpha does not apply to --function theta"),
         ],
     )
     def test_exit_two_with_one_error_line(self, capsys, argv, message):

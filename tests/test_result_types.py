@@ -36,6 +36,7 @@ from qineq import (
     meromorphic_bound_params,
     phi_to_f,
 )
+from qineq.qcore import FrozenValue
 
 # (instance builder, field names in order, repr printed by the dataclass form).
 # The PochhammerValue(0.75, 3) and first AuditRecord reprs also pin the
@@ -183,10 +184,9 @@ def _parameter_draws():
 
 
 class TestCachedParameterHashes:
-    """The parameter objects that key the envelope caches compute their hash
-    once.  It is the hash the frozen-dataclass form's generated __hash__
-    returned, that of the tuple of compared fields, and it is stored outside
-    the fields."""
+    """The parameter objects that hold the envelope memos hash as the
+    frozen-dataclass form's generated __hash__ did: the hash of the tuple of
+    compared fields, from FrozenValue.__hash__, with nothing stored."""
 
     def test_hash_is_that_of_the_compared_fields(self):
         for obj, compared in _parameter_draws():
@@ -213,10 +213,10 @@ class TestCachedParameterHashes:
         assert repr(PhiParams((1 + 0j,), (0.3, 0.6), QBase(0.25))) == (
             "PhiParams(a_list=((1+0j),), b_list=(0.3, 0.6), q=QBase(q=0.25))")
 
-    def test_equality_ignores_the_stored_hash(self):
-        a, b = ConfluentParams((), (0.3,), 1.0, QBase(0.5)), ConfluentParams((), (0.3,), 1.0, QBase(0.5))
-        object.__setattr__(b, "_hash", 0)
-        assert a == b
+    def test_no_parameter_type_stores_its_own_hash(self):
+        for cls in (QBase, ConfluentParams, PhiParams):
+            assert "_hash" not in cls.__slots__ and "__hash__" not in vars(cls)
+            assert cls.__hash__ is FrozenValue.__hash__
 
     def test_pickle_round_trips(self):
         for obj, _ in _parameter_draws():

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 
@@ -248,17 +249,59 @@ class TestSharedEnvelopeConstants:
                 got.append((rc, capsys.readouterr().out))
             return got
 
-        def clear_caches():
-            for cache in (bounds._entire_constants, bounds._phi_constants, bounds._aq_constant,
-                          bounds._theta_constant, bounds._meromorphic_constants):
-                cache.cache_clear()
-
-        clear_caches()
+        # Every run builds fresh parameter objects, so their memos start
+        # empty; the meromorphic LRU is the one cache that outlives a run.
+        bounds._meromorphic_constants.cache_clear()
         cold = outputs()
         warm = outputs()
-        clear_caches()
+        bounds._meromorphic_constants.cache_clear()
         assert outputs() == warm == cold
         assert all(rc == 0 and out.count("\n") > 20 for rc, out in cold)
+
+    def test_draw_audits_keep_no_drawn_parameters(self, capsys):
+        def live():
+            gc.collect()
+            return [obj for obj in gc.get_objects() if type(obj) in (ConfluentParams, PhiParams)]
+
+        before = live()  # held here, so no object made later can reuse their ids
+        old = {id(obj) for obj in before}
+        for function in ("f", "phi"):
+            argv = ["audit", "--function", function, "--q", "0.5", "--grid", "1e-3:1e3:2",
+                    "--draws", "300", "--seed", "7"]
+            assert run(argv) == 0
+            assert capsys.readouterr().out.count("\n") == 301
+            assert [obj for obj in live() if id(obj) not in old] == []
+
+    @pytest.mark.parametrize("tag,make,public,builder,kept", [
+        ("confluent_f", lambda: ConfluentParams((0.3 + 0.1j,), (0.2,), 1.5, QBase(0.7)),
+         bounds.envelope_entire, "_entire_constants", lambda p: p._envelope),
+        ("phi", lambda: PhiParams((0.5,), (0.3, 0.6), QBase(0.9)),
+         bounds.envelope_phi, "_phi_constants", lambda p: p._envelope),
+        ("aq", lambda: QBase(0.7),
+         bounds.envelope_aq_gaussian, "_aq_constant", lambda p: p._aq_envelope),
+        ("theta", lambda: (QBase(0.3), 0.5),
+         lambda p, r: bounds.envelope_theta(p[1], p[0], r), "_theta_constant",
+         lambda p: p[0]._theta_envelopes[p[1]]),
+    ])
+    def test_target_and_public_envelope_build_once(self, monkeypatch, tag, make, public, builder, kept):
+        original, builds = getattr(bounds, builder), []
+
+        def counting(*args):
+            builds.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(bounds, builder, counting)
+        for target_first in (True, False):
+            params = make()
+            if target_first:
+                target = audit_target(tag, params)
+            log_bound = public(params, 2.0).log_bound
+            if not target_first:
+                target = audit_target(tag, params)
+            assert len(builds) == 1
+            assert target.envelope_log.__self__ is kept(params)
+            assert target.envelope_log(2.0) == log_bound
+            builds.clear()
 
 
 def _draw_public_envelope(tag, rng):
