@@ -164,7 +164,6 @@ class _MeromorphicEnvelope(NamedTuple):
     beta: float
     gamma: float
     modulus_name: str
-    log_head: float  # log_c + 0.0
 
     def result(self, dist: float) -> EnvelopeResult:
         dist = float(dist)
@@ -178,15 +177,11 @@ class _MeromorphicEnvelope(NamedTuple):
             raise NonConvergentError(
                 f"envelope exponent overflowed the double range at {self.modulus_name} = {dist!r}"
             )
-        log_bound = self[5] + exponent_term
+        log_bound = self[1] + exponent_term
         bound = _inf if log_bound > _MAX_LOG else _exp(log_bound)
         return _new_tuple(EnvelopeResult, (log_bound, bound, self[0], 0.0, exponent_term))
 
     log_bound = _log_bound
-
-
-def _meromorphic_envelope(c, log_c, beta, gamma, modulus_name) -> _MeromorphicEnvelope:
-    return _MeromorphicEnvelope(c, log_c, beta, gamma, modulus_name, log_c + 0.0)
 
 
 class MeromorphicBoundParams(NamedTuple):
@@ -202,7 +197,7 @@ class MeromorphicBoundParams(NamedTuple):
     def exponent(self, dist: float) -> float:
         """Log of the closed-form term maximum, beta |log dist|^gamma, dist > 0;
         NonConvergentError where it is not a double."""
-        return _meromorphic_envelope(1.0, 0.0, self.beta, self.gamma, "dist").result(dist)[4]
+        return _MeromorphicEnvelope(1.0, 0.0, self.beta, self.gamma, "dist").result(dist)[4]
 
 
 def constant_c(params: ConfluentParams) -> float:
@@ -366,7 +361,7 @@ def meromorphic_bound_params(alpha: float, q: QBase) -> MeromorphicBoundParams:
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _meromorphic_constants(params: MeromorphicBoundParams, c_weighted: float) -> _MeromorphicEnvelope:
     c_weighted = _require_positive(c_weighted, "c_weighted")
-    return _meromorphic_envelope(c_weighted, math.log(c_weighted), params.beta, params.gamma, "dist")
+    return _MeromorphicEnvelope(c_weighted, math.log(c_weighted), params.beta, params.gamma, "dist")
 
 
 def envelope_meromorphic(
@@ -399,7 +394,7 @@ def theta_weighted_constant(alpha: float, q: QBase, tol: float) -> float:
 def _theta_constant(alpha: float, q: QBase) -> _MeromorphicEnvelope:
     c = theta_weighted_constant(alpha, q, THETA_CONSTANT_TOL)
     shape = meromorphic_bound_params(alpha, q)
-    envelope = _meromorphic_envelope(c, math.log(c), shape.beta, shape.gamma, "abs_z")
+    envelope = _MeromorphicEnvelope(c, math.log(c), shape.beta, shape.gamma, "abs_z")
     envelopes = q._theta_envelopes
     if len(envelopes) < _CACHE_SIZE:  # alphas beyond it are rebuilt per call
         envelopes[alpha] = envelope

@@ -69,8 +69,11 @@ CSV_COLUMNS = (
 
 def parse_complex(text: str) -> complex:
     """Parse <re>[+|-]<im>i or a plain real literal."""
+    literal = text.strip()
+    if literal[-1:] in ("i", "I"):  # the imaginary unit alone: inf and infinity keep their i
+        literal = literal[:-1] + "j"
     try:
-        return complex(text.replace("i", "j").replace("I", "j"))
+        return complex(literal)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected a complex literal like 0.3-0.4i, got {text!r}"
@@ -205,46 +208,34 @@ def _reject_inapplicable(args, selector: str = "function", options=_FUNCTION_OPT
         raise InvalidArgumentError(f"{', '.join(flags)} {verb} not apply to --{selector} {choice}")
 
 
-def _confluent_from_args(args, qb: QBase) -> ConfluentParams:
-    l = _need(args, "l", "--l", "--function f")
-    return ConfluentParams(a_list=tuple(args.a or ()), b_list=tuple(args.b or ()), l=l, q=qb)
-
-
-def _phi_from_args(args, qb: QBase) -> PhiParams:
-    return PhiParams(a_list=tuple(args.a or ()), b_list=tuple(args.b or ()), q=qb)
-
-
-def _laurent_constant(args, qb: QBase) -> tuple[float, float]:
-    """(alpha, c_weighted), with the theta stream's weighted constant."""
-    alpha = _need(args, "alpha", "--alpha", "--function laurent")
-    return alpha, bounds.theta_weighted_constant(alpha, qb, bounds.THETA_CONSTANT_TOL)
-
-
-def _laurent_from_args(args, qb: QBase) -> LaurentSpec:
-    alpha, c = _laurent_constant(args, qb)
-    return LaurentSpec(
-        center=0.0 + 0.0j,
-        coeff=_theta_stream(qb),
-        alpha=alpha,
-        q=qb,
-        c_weighted=c,
-    )
+def _subject(args, qb: QBase):
+    """What --function passes to its envelope and audit: ConfluentParams (f),
+    PhiParams (phi), the base (aq), (base, alpha) (theta), or a LaurentSpec of
+    the theta stream with its weighted constant (laurent)."""
+    fn = args.function
+    if fn == "f":
+        l = _need(args, "l", "--l", "--function f")
+        return ConfluentParams(a_list=tuple(args.a or ()), b_list=tuple(args.b or ()), l=l, q=qb)
+    if fn == "phi":
+        return PhiParams(a_list=tuple(args.a or ()), b_list=tuple(args.b or ()), q=qb)
+    if fn == "aq":
+        return qb
+    alpha = _need(args, "alpha", "--alpha", f"--function {fn}")
+    if fn == "theta":
+        return qb, alpha
+    c = bounds.theta_weighted_constant(alpha, qb, bounds.THETA_CONSTANT_TOL)
+    return LaurentSpec(center=0.0 + 0.0j, coeff=_theta_stream(qb), alpha=alpha, q=qb, c_weighted=c)
 
 
 def _cmd_eval(args) -> int:
     qb = QBase(args.q)
     _reject_inapplicable(args, options=_EVAL_OPTIONS)
-    fn = args.function
-    if fn == "f":
-        result = eval_confluent_f(_confluent_from_args(args, qb), args.z, args.tol)
-    elif fn == "phi":
-        result = eval_phi(_phi_from_args(args, qb), args.z, args.tol)
-    elif fn == "aq":
-        result = eval_ramanujan_aq(qb, args.z, args.tol)
-    elif fn == "theta":
-        result = eval_theta(qb, args.z, args.tol)
-    else:
-        result = eval_laurent(_laurent_from_args(args, qb), args.z, args.tol)
+    # Built per call, so a rebound module-level evaluator is the one called.
+    evaluate = {"f": eval_confluent_f, "phi": eval_phi, "aq": eval_ramanujan_aq,
+                "theta": eval_theta, "laurent": eval_laurent}[args.function]
+    # The aq and theta series take the base alone: eval of theta reads no --alpha.
+    subject = qb if args.function in ("aq", "theta") else _subject(args, qb)
+    result = evaluate(subject, args.z, args.tol)
     print(f"value = {format_complex(result.value)}")
     print(f"terms_used = {result.terms_used}")
     print(f"tail_bound = {result.tail_bound!r}")
@@ -256,25 +247,22 @@ def _cmd_envelope(args) -> int:
     _reject_inapplicable(args)
     fn = args.function
     abs_z = args.abs_z
-    if fn == "f":
-        env = bounds.envelope_entire(_confluent_from_args(args, qb), abs_z)
+    subject = _subject(args, qb)
+    if args.variant == "exponential":
+        env = bounds.envelope_aq_exponential(qb, abs_z)
+    elif args.variant == "as-printed":
+        env = bounds.envelope_theta_as_printed(subject[1], qb, abs_z)
+    elif fn == "f":
+        env = bounds.envelope_entire(subject, abs_z)
     elif fn == "phi":
-        env = bounds.envelope_phi(_phi_from_args(args, qb), abs_z)
+        env = bounds.envelope_phi(subject, abs_z)
     elif fn == "aq":
-        if args.variant == "exponential":
-            env = bounds.envelope_aq_exponential(qb, abs_z)
-        else:
-            env = bounds.envelope_aq_gaussian(qb, abs_z)
+        env = bounds.envelope_aq_gaussian(qb, abs_z)
     elif fn == "theta":
-        alpha = _need(args, "alpha", "--alpha", "--function theta")
-        if args.variant == "as-printed":
-            env = bounds.envelope_theta_as_printed(alpha, qb, abs_z)
-        else:
-            env = bounds.envelope_theta(alpha, qb, abs_z)
+        env = bounds.envelope_theta(subject[1], qb, abs_z)
     else:
-        alpha, c = _laurent_constant(args, qb)
-        params = bounds.meromorphic_bound_params(alpha, qb)
-        env = bounds.envelope_meromorphic(params, c, abs_z)
+        shape = bounds.meromorphic_bound_params(subject.alpha, qb)
+        env = bounds.envelope_meromorphic(shape, subject.c_weighted, abs_z)
     print(f"bound = {env.bound!r}")
     print(f"log_bound = {env.log_bound!r}")
     print(f"constant_c = {env.constant_c!r}")
@@ -335,24 +323,15 @@ def _write_csv(records, stream) -> None:
 def _write_json(records, stream) -> None:
     import json  # only --format json needs it; every other run skips its import
 
-    payload = [
-        {
-            "function": r.function_tag,
-            "q": r.q,
-            "l": r.l,
-            "param_digest": r.param_digest,
-            "re_z": r.z.real,
-            "im_z": r.z.imag,
-            "abs_value": None if r.error else r.abs_value,
-            "envelope_log": None if r.error else r.envelope_log,
-            "ratio": None if r.error else r.ratio,
-            "pass": r.passed,
-            "terms_used": r.terms_used,
-            "tail_bound": None if r.error else r.tail_bound,
-            "error": r.error or None,
-        }
-        for r in records
-    ]
+    payload = []
+    for r in records:
+        cells = [
+            r.function_tag, r.q, r.l, r.param_digest, r.z.real, r.z.imag, r.abs_value,
+            r.envelope_log, r.ratio, r.passed, r.terms_used, r.tail_bound, r.error or None,
+        ]
+        if r.error:  # abs_value, envelope_log, ratio and tail_bound are null
+            cells[6] = cells[7] = cells[8] = cells[11] = None
+        payload.append(dict(zip(CSV_COLUMNS, cells)))
     json.dump(payload, stream, indent=2, allow_nan=False)
     stream.write("\n")
 
@@ -373,19 +352,11 @@ def _cmd_audit(args) -> int:
         if args.l is not None or args.a is not None or args.b is not None:
             return _usage_error("--draws draws its own parameters; drop --l, --a and --b")
     _reject_inapplicable(args)
+    tag = "confluent_f" if fn == "f" else fn
     if args.draws > 0:
-        records = audit_envelope(plan, "confluent_f" if fn == "f" else "phi")
-    elif fn == "f":
-        records = audit_envelope(plan, "confluent_f", _confluent_from_args(args, qb))
-    elif fn == "phi":
-        records = audit_envelope(plan, "phi", _phi_from_args(args, qb))
-    elif fn == "aq":
-        records = audit_envelope(plan, "aq", qb)
-    elif fn == "theta":
-        alpha = _need(args, "alpha", "--alpha", "--function theta")
-        records = audit_envelope(plan, "theta", (qb, alpha))
+        records = audit_envelope(plan, tag)
     else:
-        records = audit_envelope(plan, "laurent", _laurent_from_args(args, qb))
+        records = audit_envelope(plan, tag, _subject(args, qb))
 
     write = _write_csv if args.format == "csv" else _write_json
     if args.out is None:

@@ -159,7 +159,10 @@ class LaurentSpec(FrozenValue):
             raise InvalidArgumentError(
                 f"c_weighted must be finite and positive, got {c_weighted!r}"
             )
-        self._set_fields(complex(center), coeff, alpha, q, c_weighted)
+        center = complex(center)
+        if not (math.isfinite(center.real) and math.isfinite(center.imag)):
+            raise InvalidArgumentError(f"center must be finite, got {center!r}")
+        self._set_fields(center, coeff, alpha, q, c_weighted)
 
 
 def _require_pos_tol(tol: float) -> None:

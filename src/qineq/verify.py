@@ -306,7 +306,8 @@ def audit_envelope(
         for abs_z in plan.abs_z_grid:
             _records_at(target, abs_z, units, plan.tol, records)
         return records
-    if function_tag not in ("confluent_f", "phi"):
+    draw = {"confluent_f": draw_confluent_params, "phi": draw_phi_params}.get(function_tag)
+    if draw is None:
         raise InvalidArgumentError(
             f"random parameter draws are only supported for confluent_f and phi, got {function_tag!r}"
         )
@@ -314,11 +315,7 @@ def audit_envelope(
     lo, hi = min(plan.abs_z_grid), max(plan.abs_z_grid)
     llo, lhi = math.log(lo), math.log(hi)
     for _ in range(plan.parameter_draws):
-        if function_tag == "confluent_f":
-            params = draw_confluent_params(rng)
-        else:
-            params = draw_phi_params(rng)
-        target = audit_target(function_tag, params)
+        target = audit_target(function_tag, draw(rng))
         abs_z = math.exp(rng.uniform(llo, lhi))
         angle = rng.uniform(0.0, _TWO_PI)
         _records_at(target, abs_z, (_unit(angle),), plan.tol, records)
@@ -574,12 +571,15 @@ def identity_theta_triple_product(q: QBase, z: complex, tol: float) -> float:
 
     Compares sum_k q^{k^2} z^k with (q^2;q^2)_inf (-zq;q^2)_inf (-q/z;q^2)_inf,
     an external cross-check on eval_theta; the residual is scaled by
-    1 + |theta|.
+    1 + |theta|.  A q so small that q^2 underflows to 0 raises
+    InvalidArgumentError.
     """
     z = complex(z)
     if z == 0:
         raise InvalidArgumentError("the theta sum requires a nonzero argument")
     theta = eval_theta(q, z, tol).value
+    if q.q * q.q == 0.0:
+        raise InvalidArgumentError(f"q^2 underflows to 0 at q = {q.q!r}")
     q2 = QBase(q.q * q.q)
     product = (
         pochhammer_infinite(q2.q, q2, tol).value

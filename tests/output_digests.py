@@ -149,6 +149,9 @@ _SINGLE = (
     ["identity", "--which", "qlsum", "--q", "0.5", "--l", "1e-17"],
     # --alpha given to eval of theta, which reads none.
     ["eval", "--function", "theta", "--q", "0.5", "--z", "2", "--alpha", "-7"],
+    # A base whose square underflows, and an infinite argument read as a plain real.
+    ["identity", "--which", "triple", "--q", "1e-200", "--z", "1"],
+    ["eval", "--function", "aq", "--q", "0.5", "--z", "inf"],
 )
 
 

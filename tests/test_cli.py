@@ -34,6 +34,10 @@ class TestParsers:
             ("-1-2i", -1.0 - 2.0j),
             ("2.5", 2.5 + 0.0j),
             ("1e-3+2.5i", 1e-3 + 2.5j),
+            # Only a trailing i is the imaginary unit; inf keeps its own i.
+            ("inf", complex(math.inf, 0.0)),
+            ("-inf+0i", complex(-math.inf, 0.0)),
+            (" 1+2i ", 1.0 + 2.0j),
         ],
     )
     def test_complex_literals(self, text, want):
@@ -396,6 +400,8 @@ class TestModulusOverflow:
              "envelope exponent overflowed the double range at abs_z = 1.7e+308"),
             (["identity", "--which", "qbinomial", "--q", "0.5", f"--a={_HUGE_Z}", "--z", "1e-300"],
              _HUGE_A_MESSAGE),
+            (["eval", "--function", "aq", "--q", "0.5", "--z", "inf"],
+             "argument must be finite, got (inf+0j)"),
         ],
     )
     def test_is_a_typed_error(self, capsys, argv, message):
@@ -578,6 +584,11 @@ class TestIdentityCommand:
         # The text of the entire envelope's check, not a |z| the caller never gave.
         assert run(["identity", "--which", "qlsum", "--q", "0.5", "--l", "1e-17"]) == 2
         assert capsys.readouterr().err == "error: q^l rounds to 1 at q = 0.5, l = 1e-17\n"
+
+    def test_triple_rejects_a_base_whose_square_underflows(self, capsys):
+        # The q^2 check's text, not a base of 0.0 the caller never gave.
+        assert run(["identity", "--which", "triple", "--q", "1e-200", "--z", "1"]) == 2
+        assert capsys.readouterr().err == "error: q^2 underflows to 0 at q = 1e-200\n"
 
 
 class TestEnvironment:

@@ -353,6 +353,19 @@ class TestLaurent:
         with pytest.raises(CenterPoleError):
             eval_laurent(spec, 1.0 + 1.0j, 1e-14)
 
+    @pytest.mark.parametrize(
+        "center", [math.nan, math.inf, complex(math.inf, math.inf), complex(0.0, -math.inf)]
+    )
+    def test_non_finite_center_rejected(self, center):
+        with pytest.raises(InvalidArgumentError, match="^center must be finite, got "):
+            LaurentSpec(
+                center=center,
+                coeff=lambda k: 0.0 if k else 1.0,
+                alpha=1.0,
+                q=QBase(0.5),
+                c_weighted=1.0,
+            )
+
     def test_partial_sum_modulus_overflow_raises(self):
         # Both parts of coeff(0) are finite; |partial| is not.
         spec = LaurentSpec(
