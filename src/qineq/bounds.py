@@ -44,7 +44,7 @@ import sys
 from typing import Callable, NamedTuple
 
 from .errors import InvalidArgumentError, NonConvergentError
-from .qcore import QBase, _set, _truncated_products
+from .qcore import QBase, _q_power, _require_pos_tol, _set, _truncated_products
 # Not called here since the constants come from one table per base, but
 # perfbench/tracing.py rebinds both names in this module.
 from .qcore import multishifted, pochhammer_infinite  # noqa: F401
@@ -205,9 +205,10 @@ def constant_c(params: ConfluentParams) -> float:
 
     Equals 1 for empty parameter lists and is >= 1 in general, since every
     numerator factor is >= 1 and every denominator factor is <= 1.  It is
-    math.inf where it overflows; see _entire_logs.
+    math.inf where it overflows; see _field_logs.  Read from the envelope
+    that envelope_entire keeps on ``params``.
     """
-    return _entire_logs(params)[0]
+    return (params._envelope or _entire_constants(params)).constant_c
 
 
 def term_peak(abs_z: float, l: float, q: QBase) -> float:
@@ -238,8 +239,8 @@ def _product_log(value: float, xs: list, counts: list[int], qq: float) -> float:
     return math.fsum([math.log1p(-x * qq**k) for x, n in zip(xs, counts) for k in range(n)])
 
 
-def _entire_logs(params: ConfluentParams) -> tuple[float, float, float]:
-    """(constant_c, log constant_c, log (q^l;q)_inf) of the entire class.
+def _field_logs(a_list: tuple, b_list: tuple, l: float, q: QBase) -> tuple[float, float, float]:
+    """(constant_c, log constant_c, log (q^l;q)_inf) of these entire-class fields.
 
     One qcore table of q**k at _POCH_TOL serves every product.  Where the
     numerator, the denominator and their quotient are normal doubles this is
@@ -248,15 +249,8 @@ def _entire_logs(params: ConfluentParams) -> tuple[float, float, float]:
     (see _product_log) and c is exp(log c), math.inf when that overflows.
     An l so small that q^l rounds to 1 raises InvalidArgumentError.
     """
-    return _field_logs(params.a_list, params.b_list, params.l, params.q)
-
-
-def _field_logs(a_list: tuple, b_list: tuple, l: float, q: QBase) -> tuple[float, float, float]:
-    """_entire_logs of the parameter set with these fields."""
     qq = q.q
-    ql = qq**l
-    if ql == 1.0:
-        raise InvalidArgumentError(f"q^l rounds to 1 at q = {qq!r}, l = {l!r}")
+    ql = _q_power(q, l)
     r = len(a_list)
     xs = [-abs(a) for a in a_list] + list(b_list) + [ql]
     counts, values, error = _truncated_products(xs, q, _POCH_TOL)
@@ -379,8 +373,7 @@ def theta_weighted_constant(alpha: float, q: QBase, tol: float) -> float:
     """
     if not 0.0 < alpha < 1.0:
         raise InvalidArgumentError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if not tol > 0.0:
-        raise InvalidArgumentError(f"tol must be positive, got {tol!r}")
+    _require_pos_tol(tol)
     qq = q.q
     total = 1.0
     for k in range(1, WEIGHTED_SUM_CAP + 1):

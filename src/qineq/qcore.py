@@ -12,6 +12,9 @@ list of parameters at one base (multishifted, or the envelope constants in
 bounds) thus pays for each power once, and each product has the bits of the
 plain loop value = value * (1 - x * q**k) however many share the table.
 
+It also holds the argument rules the other layers share: a positive tol, a
+modulus that reads as inf where it overflows, and a q^l that rounds below 1.
+
 Everything here is pure and reentrant.  QBase is an immutable value (see
 FrozenValue) and PochhammerValue an immutable named tuple, so concurrent use
 needs no coordination.
@@ -78,6 +81,19 @@ class FrozenValue:
         return type(self), self._key
 
 
+def _require_pos_tol(tol: float) -> None:
+    if not tol > 0.0:
+        raise InvalidArgumentError(f"tol must be positive, got {tol!r}")
+
+
+def _modulus(x: complex | float) -> float:
+    """|x|, or math.inf where finite parts give a modulus beyond the doubles."""
+    try:
+        return abs(x)
+    except OverflowError:
+        return math.inf
+
+
 class QBase(FrozenValue):
     """Validated base with 0 < q <= DEFAULT_MAX_Q < 1.
 
@@ -107,6 +123,14 @@ class QBase(FrozenValue):
         _set(self, "log_inv_q", -math.log(q))
         _set(self, "_aq_envelope", None)
         _set(self, "_theta_envelopes", {})
+
+
+def _q_power(q: QBase, l: float) -> float:
+    """q^l; an l so small that q^l rounds to 1 raises InvalidArgumentError."""
+    ql = q.q**l
+    if ql == 1.0:
+        raise InvalidArgumentError(f"q^l rounds to 1 at q = {q.q!r}, l = {l!r}")
+    return ql
 
 
 class PochhammerValue(NamedTuple):
@@ -142,8 +166,7 @@ def _products(xs: list | tuple, qq: float, counts: list[int]) -> list:
 def _factor_count(a: complex | float, qq: float, lq: float, tol: float) -> int:
     """Smallest N with |a| q^N <= min(tol (1-q), 1/2), lq = log q; see
     pochhammer_infinite."""
-    if not tol > 0.0:
-        raise InvalidArgumentError(f"tol must be positive, got {tol!r}")
+    _require_pos_tol(tol)
     abs_a = abs(a)
     if not math.isfinite(abs_a):
         raise NonConvergentError(f"non-finite parameter {a!r} in infinite product")

@@ -35,7 +35,7 @@ import math
 from typing import Callable, NamedTuple
 
 from .errors import CenterPoleError, InvalidArgumentError, NonConvergentError
-from .qcore import FrozenValue, QBase, _set
+from .qcore import FrozenValue, QBase, _modulus, _require_pos_tol, _set
 
 MIN_STOP_INDEX = 8
 TERM_CAP = 100_000
@@ -44,12 +44,30 @@ LAURENT_K_CAP = 10_000
 _LOG_HALF = math.log(0.5)
 
 
-def _require_finite_moduli(a_list: tuple[complex, ...]) -> None:
-    # math.hypot, unlike abs(complex), returns inf instead of raising when
-    # both parts are finite but the modulus is beyond the double range.
+def _parameter_lists(a_list, b_list, *reals) -> tuple:
+    """(a_list, b_list, *reals) as complexes of finite modulus, floats in
+    [0, 1) and floats; every entry is converted before any is checked."""
+    try:
+        a_list = tuple(complex(a) for a in a_list)
+        b_list = tuple(float(b) for b in b_list)
+        reals = tuple(float(x) for x in reals)
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgumentError(f"malformed parameters: {exc}") from exc
     for a in a_list:
-        if not math.isfinite(math.hypot(a.real, a.imag)):
+        if not _modulus(a) < math.inf:
             raise InvalidArgumentError(f"numerator parameters must have a finite modulus, got {a!r}")
+    for b in b_list:
+        if not 0.0 <= b < 1.0:
+            raise InvalidArgumentError(f"denominator parameters must lie in [0, 1), got {b!r}")
+    return (a_list, b_list, *reals)
+
+
+def _require_finite(z: complex, name: str = "argument") -> complex:
+    """complex(z), which must be finite; ``name`` names it in the error."""
+    z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise InvalidArgumentError(f"{name} must be finite, got {z!r}")
+    return z
 
 
 class ConfluentParams(FrozenValue):
@@ -64,16 +82,7 @@ class ConfluentParams(FrozenValue):
 
     def __init__(self, a_list: tuple[complex, ...], b_list: tuple[float, ...], l: float,
                  q: QBase) -> None:
-        try:
-            a_list = tuple(complex(a) for a in a_list)
-            b_list = tuple(float(b) for b in b_list)
-            l = float(l)
-        except (TypeError, ValueError) as exc:
-            raise InvalidArgumentError(f"malformed parameters: {exc}") from exc
-        _require_finite_moduli(a_list)
-        for b in b_list:
-            if not 0.0 <= b < 1.0:
-                raise InvalidArgumentError(f"denominator parameters must lie in [0, 1), got {b!r}")
+        a_list, b_list, l = _parameter_lists(a_list, b_list, l)
         if not (math.isfinite(l) and l > 0.0):
             raise InvalidArgumentError(f"weight exponent must be positive, got {l!r}")
         self._set_fields(a_list, b_list, l, q)
@@ -91,15 +100,7 @@ class PhiParams(FrozenValue):
     _fields = ("a_list", "b_list", "q")
 
     def __init__(self, a_list: tuple[complex, ...], b_list: tuple[float, ...], q: QBase) -> None:
-        try:
-            a_list = tuple(complex(a) for a in a_list)
-            b_list = tuple(float(b) for b in b_list)
-        except (TypeError, ValueError) as exc:
-            raise InvalidArgumentError(f"malformed parameters: {exc}") from exc
-        _require_finite_moduli(a_list)
-        for b in b_list:
-            if not 0.0 <= b < 1.0:
-                raise InvalidArgumentError(f"denominator parameters must lie in [0, 1), got {b!r}")
+        a_list, b_list = _parameter_lists(a_list, b_list)
         if len(b_list) + 1 - len(a_list) <= 0:
             raise InvalidArgumentError(
                 f"confluence requires s + 1 - r > 0, got r={len(a_list)} s={len(b_list)}"
@@ -159,20 +160,8 @@ class LaurentSpec(FrozenValue):
             raise InvalidArgumentError(
                 f"c_weighted must be finite and positive, got {c_weighted!r}"
             )
-        center = complex(center)
-        if not (math.isfinite(center.real) and math.isfinite(center.imag)):
-            raise InvalidArgumentError(f"center must be finite, got {center!r}")
+        center = _require_finite(center, "center")
         self._set_fields(center, coeff, alpha, q, c_weighted)
-
-
-def _require_pos_tol(tol: float) -> None:
-    if not tol > 0.0:
-        raise InvalidArgumentError(f"tol must be positive, got {tol!r}")
-
-
-def _require_finite(z: complex) -> None:
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise InvalidArgumentError(f"argument must be finite, got {z!r}")
 
 
 class GaussianSeries:
@@ -226,8 +215,7 @@ class GaussianSeries:
     def evaluate(self, z: complex, tol: float) -> EvalResult:
         """The sum at z with its certified tail; see eval_confluent_f."""
         _require_pos_tol(tol)
-        z = complex(z)
-        _require_finite(z)
+        z = _require_finite(z)
         if self._negate:
             z = -z
         if z == 0:
@@ -416,15 +404,13 @@ class ThetaSeries:
     def evaluate(self, z: complex, tol: float) -> EvalResult:
         """The sum at z with its certified tail; see eval_theta."""
         _require_pos_tol(tol)
-        z = complex(z)
+        z = _require_finite(z)
         if z == 0:
             raise InvalidArgumentError("theta sum requires a nonzero argument")
-        _require_finite(z)
         lq = self._lq
-        try:
-            abs_z = abs(z)
-        except OverflowError as exc:
-            raise NonConvergentError("theta sum overflowed the double range") from exc
+        abs_z = _modulus(z)
+        if not abs_z < math.inf:
+            raise NonConvergentError("theta sum overflowed the double range")
         log_m = abs(math.log(abs_z))
         k_stop = _theta_stop_index(lq, log_m, math.log(tol))
 
@@ -456,12 +442,7 @@ class ThetaSeries:
             plus *= f * z
             minus *= f * z_inv
             value += plus + minus
-        try:
-            abs_value = abs(value)
-        except OverflowError:
-            # Both parts finite, modulus beyond the double range.
-            abs_value = math.inf
-        if not abs_value < math.inf:
+        if not _modulus(value) < math.inf:
             raise NonConvergentError("theta sum overflowed the double range")
         return EvalResult(value, 2 * k_stop + 1, tail)
 
@@ -514,15 +495,13 @@ class LaurentSeries:
         """The expansion at z with its certified tail; see eval_laurent."""
         _require_pos_tol(tol)
         spec = self._spec
-        z = complex(z)
-        _require_finite(z)
+        z = _require_finite(z)
         w = z - spec.center
         if w == 0:
             raise CenterPoleError(f"evaluation point equals the expansion center {spec.center!r}")
-        try:
-            abs_w = abs(w)
-        except OverflowError as exc:
-            raise NonConvergentError("Laurent sum overflowed the double range") from exc
+        abs_w = _modulus(w)
+        if not abs_w < math.inf:
+            raise NonConvergentError("Laurent sum overflowed the double range")
         law = math.log(abs_w)
         log_m = abs(law)
         log_c = self._log_c

@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 
 from . import bounds
 from .errors import InvalidArgumentError, NonConvergentError, QSeriesError
-from .qcore import FrozenValue, QBase, pochhammer_infinite
+from .qcore import FrozenValue, QBase, _modulus, _q_power, _require_pos_tol, pochhammer_infinite
 from .series import (
     ConfluentParams,
     EvalResult,
@@ -31,7 +31,7 @@ from .series import (
     LaurentSpec,
     PhiParams,
     ThetaSeries,
-    _require_finite_moduli,
+    _parameter_lists,
     eval_confluent_f,
     eval_laurent,
     eval_phi,
@@ -90,8 +90,7 @@ class SweepPlan(FrozenValue):
             raise InvalidArgumentError(f"angle_count must be >= 1, got {angle_count!r}")
         if not isinstance(parameter_draws, int) or parameter_draws < 0:
             raise InvalidArgumentError("parameter_draws must be a nonnegative integer")
-        if not tol > 0.0:
-            raise InvalidArgumentError(f"tol must be positive, got {tol!r}")
+        _require_pos_tol(tol)
         self._set_fields(grid, angle_count, parameter_draws, seed, tol)
 
 
@@ -511,11 +510,7 @@ def _series_sum_mp(
 
 def _series_side_modulus(z: complex) -> float:
     """|z|, which the series side of an identity needs below 1."""
-    try:
-        abs_z = abs(z)
-    except OverflowError:
-        # Both parts finite, modulus beyond the double range.
-        abs_z = math.inf
+    abs_z = _modulus(z)
     if not abs_z < 1.0:
         raise InvalidArgumentError(f"the series side needs |z| < 1, got |z| = {abs_z!r}")
     return abs_z
@@ -544,7 +539,7 @@ def identity_qbinomial_theorem(a: complex, q: QBase, z: complex, tol: float) -> 
     a = complex(a)
     z = complex(z)
     abs_z = _series_side_modulus(z)
-    _require_finite_moduli((a,))
+    _parameter_lists((a,), ())
     lhs = pochhammer_infinite(a * z, q, tol).value / pochhammer_infinite(z, q, tol).value
     series = _series_sum_mp(z, abs_z, q.q, a)[0]
     return abs(lhs - series)
@@ -560,10 +555,7 @@ def identity_ql_sum(l: float, q: QBase, tol: float) -> float:
     l = float(l)
     if not (math.isfinite(l) and l > 0.0):
         raise InvalidArgumentError(f"exponent must be positive, got {l!r}")
-    ql = q.q**l
-    if ql == 1.0:
-        raise InvalidArgumentError(f"q^l rounds to 1 at q = {q.q!r}, l = {l!r}")
-    return identity_euler(q, ql, tol)
+    return identity_euler(q, _q_power(q, l), tol)
 
 
 def identity_theta_triple_product(q: QBase, z: complex, tol: float) -> float:

@@ -15,7 +15,8 @@ commands, error paths included (audits that fail while building their
 target among them, Laurent's index cap, tiny alpha and l, phi at a base
 whose scale overflows, aq at a base where |z| / sqrt(q) overflows,
 options that no longer exist, identity options that do not apply to
---which, and a q^l that rounds to 1), with envelopes
+--which, a q^l that rounds to 1, a tol that is not positive, arguments
+whose modulus overflows and a denominator parameter outside [0, 1)), with envelopes
 whose constants or exponents leave the double range; a command that lets
 an exception escape prints ``raised <exception>`` in place of a digest.  ``outputs()`` and
 ``run()`` are importable, for comparisons that first transform an output.
@@ -152,6 +153,16 @@ _SINGLE = (
     # A base whose square underflows, and an infinite argument read as a plain real.
     ["identity", "--which", "triple", "--q", "1e-200", "--z", "1"],
     ["eval", "--function", "aq", "--q", "0.5", "--z", "inf"],
+    # A tol that is not positive, a modulus beyond the double range and a
+    # denominator parameter outside [0, 1).
+    ["eval", "--function", "theta", "--q", "0.5", "--z", "2", "--tol", "0"],
+    ["audit", "--function", "aq", "--q", "0.5", "--grid", "1:2:2", "--angles", "1",
+     "--tol", "nan"],
+    ["identity", "--which", "euler", "--q", "0.5", "--z", "0.5", "--tol", "0"],
+    ["eval", "--function", "theta", "--q", "0.5", "--z=1.5e308+1.5e308i"],
+    ["eval", "--function", "laurent", "--q", "0.5", "--alpha", "0.5", "--z=1.5e308+1.5e308i"],
+    ["identity", "--which", "euler", "--q", "0.5", "--z=1.5e308+1.5e308i"],
+    ["eval", "--function", "phi", "--q", "0.5", "--b", "1", "--z", "1"],
 )
 
 

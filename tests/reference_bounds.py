@@ -37,7 +37,7 @@ from qineq import (
     phi_to_f,
     theta_weighted_constant,
 )
-from qineq.bounds import THETA_CONSTANT_TOL, _entire_logs
+from qineq.bounds import THETA_CONSTANT_TOL, _field_logs
 
 _MAX_LOG = math.log(sys.float_info.max)
 
@@ -94,6 +94,10 @@ def meromorphic_exponent(
             f"envelope exponent overflowed the double range at {modulus_name} = {dist!r}"
         )
     return exponent
+
+
+def _entire_logs(params: ConfluentParams) -> tuple[float, float, float]:
+    return _field_logs(params.a_list, params.b_list, params.l, params.q)
 
 
 def envelope_entire(params: ConfluentParams, abs_z: float) -> EnvelopeResult:

@@ -49,6 +49,10 @@ def _entire(q, l=1.0, a=(), b=()):
     return ConfluentParams(a_list=a, b_list=b, l=l, q=QBase(q))
 
 
+def _entire_logs(params):
+    return bounds._field_logs(params.a_list, params.b_list, params.l, params.q)
+
+
 def _log_abs(value) -> float:
     mag = abs(value)
     return math.log(mag) if mag > 0.0 else -math.inf
@@ -132,7 +136,7 @@ class TestEnvelopeEntire:
                 r = math.exp(rng.uniform(math.log(1e-6), math.log(1e8)))
                 env = envelope_entire(params, r)
                 assert env.exponent_term.hex() == term_peak(r, params.l, params.q).hex()
-                assert env.prefactor_log.hex() == (-bounds._entire_logs(params)[2]).hex()
+                assert env.prefactor_log.hex() == (-_entire_logs(params)[2]).hex()
 
     def test_overflow_marker(self):
         env = envelope_entire(_entire(0.5), 1e300)
@@ -524,7 +528,7 @@ class TestConstantsMatchReference:
             else:
                 params = draw_confluent_params(rng)
             c, ql_poch = ref.entire_constants(params)
-            got = bounds._entire_logs(params)
+            got = _entire_logs(params)
             assert type(got[0]) is float
             assert got[0].hex() == constant_c(params).hex() == c.hex()
             assert got[1].hex() == math.log(c).hex()
@@ -565,14 +569,14 @@ class TestConstantsMatchReference:
                 t = -mp.log(mp.mpf(q))
                 want = float(mp.log(2 * mp.pi / t) / 2 - mp.pi**2 / (6 * t) + t / 24)
                 assert math.isclose(-bounds._aq_constant(QBase(q)).neg_log_poch, want, rel_tol=1e-14)
-                assert math.isclose(bounds._entire_logs(_entire(q))[2], want, rel_tol=1e-14)
+                assert math.isclose(_entire_logs(_entire(q))[2], want, rel_tol=1e-14)
             # (0.9;q)_inf at q = 0.9985 has log -867.0; as a double product it
             # stalls at a subnormal whose log is -743.7.  Here
             # log (b;q)_inf = -sum_n b^n / (n (1 - q^n)).
             qq = mp.mpf(0.9985)
             b = mp.mpf(0.9)
             want = mp.fsum(b**n / (n * (1 - qq**n)) for n in range(1, 1000))
-            c, log_c, _ = bounds._entire_logs(_entire(0.9985, b=(0.9,)))
+            c, log_c, _ = _entire_logs(_entire(0.9985, b=(0.9,)))
             assert c == math.inf
             assert math.isclose(log_c, float(want), rel_tol=1e-14)
         finally:
@@ -586,7 +590,7 @@ class TestConstantsMatchReference:
         assert math.isfinite(aq.log_bound) and math.isfinite(entire.log_bound)
         want = bounds._aq_constant(base).neg_log_poch + 0.5 * math.log(1.0 / math.sqrt(q))
         assert aq.prefactor_log.hex() == want.hex()
-        assert entire.prefactor_log.hex() == (-bounds._entire_logs(_entire(q))[2]).hex()
+        assert entire.prefactor_log.hex() == (-_entire_logs(_entire(q))[2]).hex()
         phi = envelope_phi(PhiParams((), (0.9,), base), 1.0)
         log_c = bounds._phi_constants(PhiParams((), (0.9,), base)).log_c
         assert math.isclose(phi.constant_c, refb._as_linear(log_c), rel_tol=1e-12)
@@ -596,7 +600,7 @@ class TestConstantsMatchReference:
 
     def test_numerator_overflow_reports_an_infinite_constant(self):
         params = _entire(0.5, a=(1e300,))
-        c, log_c, _ = bounds._entire_logs(params)
+        c, log_c, _ = _entire_logs(params)
         assert c == constant_c(params) == math.inf
         mp.mp.dps = 30
         try:

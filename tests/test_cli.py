@@ -10,6 +10,7 @@ import pytest
 
 from qineq import (
     ConfluentParams,
+    PhiParams,
     QBase,
     audit_target,
     eval_confluent_f,
@@ -151,6 +152,30 @@ class TestEnvelopeCommand:
         ) == 0
         printed = capsys.readouterr().out
         assert certified != printed
+
+    @staticmethod
+    def _printed(text):
+        return [float(line.split(" = ")[1]).hex() for line in text.splitlines()]
+
+    @staticmethod
+    def _fields(env):
+        return [value.hex() for value in
+                (env.bound, env.log_bound, env.constant_c, env.prefactor_log, env.exponent_term)]
+
+    def test_phi_prints_the_library_envelope(self, capsys):
+        assert run(["envelope", "--function", "phi", "--q", "0.5", "--a=0.5", "--b", "0.3",
+                    "--abs-z", "3"]) == 0
+        want = bounds.envelope_phi(PhiParams((0.5,), (0.3,), QBase(0.5)), 3.0)
+        assert self._printed(capsys.readouterr().out) == self._fields(want)
+
+    def test_laurent_prints_the_theta_constant_envelope(self, capsys):
+        assert run(["envelope", "--function", "laurent", "--q", "0.5", "--alpha", "0.5",
+                    "--abs-z", "2"]) == 0
+        q = QBase(0.5)
+        want = bounds.envelope_meromorphic(
+            bounds.meromorphic_bound_params(0.5, q),
+            bounds.theta_weighted_constant(0.5, q, bounds.THETA_CONSTANT_TOL), 2.0)
+        assert self._printed(capsys.readouterr().out) == self._fields(want)
 
     def test_theta_requires_alpha(self, capsys):
         assert run(["envelope", "--function", "theta", "--q", "0.5", "--abs-z", "1"]) == 2

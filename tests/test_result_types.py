@@ -9,6 +9,8 @@ ConfluentParams, PhiParams, LaurentSpec and SweepPlan are immutable values
 with slots (qcore.FrozenValue) that keep the repr, equality and hash of
 their frozen-dataclass form; QBase computes log q and log(1/q) once.
 PhiReduction, MeromorphicBoundParams and AuditTarget are named tuples.
+The argument rules of the public constructors and functions raise
+InvalidArgumentError with fixed texts.
 """
 
 import copy
@@ -33,9 +35,14 @@ from qineq import (
     SweepPlan,
     draw_confluent_params,
     draw_phi_params,
+    envelope_aq_exponential,
+    identity_ql_sum,
     meromorphic_bound_params,
     phi_to_f,
+    pochhammer_infinite,
+    theta_weighted_constant,
 )
+from qineq import verify
 from qineq.qcore import FrozenValue
 
 # (instance builder, field names in order, repr printed by the dataclass form).
@@ -302,3 +309,35 @@ class TestValueTypes:
         shape = meromorphic_bound_params(0.5, QBase(0.5))
         assert isinstance(shape, MeromorphicBoundParams)
         assert repr(shape) == "MeromorphicBoundParams(beta=0.30835096014897895, gamma=3.0)"
+
+
+_Q = QBase(0.5)
+
+
+class TestArgumentRules:
+    """Each rejected argument raises InvalidArgumentError with this exact text."""
+
+    @pytest.mark.parametrize("call,message", (
+        (lambda: ConfluentParams(("x",), (), 1.0, _Q),
+         "malformed parameters: complex() arg is a malformed string"),
+        (lambda: PhiParams(("x",), (), _Q),
+         "malformed parameters: complex() arg is a malformed string"),
+        (lambda: PhiParams((), (1.0,), _Q), "denominator parameters must lie in [0, 1), got 1.0"),
+        (lambda: LaurentSpec(0, _coeff, 0.0, _Q, 3.0), "alpha must be positive, got 0.0"),
+        (lambda: LaurentSpec(0, _coeff, 0.5, _Q, 0.0),
+         "c_weighted must be finite and positive, got 0.0"),
+        (lambda: SweepPlan((), 1), "abs_z_grid must be a nonempty tuple of positive moduli"),
+        (lambda: SweepPlan((1.0,), 1, parameter_draws=-1),
+         "parameter_draws must be a nonnegative integer"),
+        (lambda: SweepPlan((1.0,), 1, tol=0.0), "tol must be positive, got 0.0"),
+        (lambda: QBase("x"), "base must be a real number, got 'x'"),
+        (lambda: pochhammer_infinite(0.5, _Q, 0.0), "tol must be positive, got 0.0"),
+        (lambda: theta_weighted_constant(0.5, _Q, 0.0), "tol must be positive, got 0.0"),
+        (lambda: envelope_aq_exponential(_Q, -1.0), "abs_z must be nonnegative and finite, got -1.0"),
+        (lambda: identity_ql_sum(0.0, _Q, 1e-14), "exponent must be positive, got 0.0"),
+        (lambda: verify.coarse_layout(128, (2.0, 1.0)), "need 0 < lo < hi, got (2.0, 1.0)"),
+    ))
+    def test_rejection_text(self, call, message):
+        with pytest.raises(InvalidArgumentError) as info:
+            call()
+        assert str(info.value) == message
