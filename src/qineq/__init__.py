@@ -4,130 +4,19 @@ The package computes q-shifted factorials, Gaussian-weighted entire series
 (including confluent basic hypergeometric sums and Ramanujan's entire
 function), two-sided theta and Laurent sums, and the closed-form envelopes
 that dominate them; a sweep harness certifies every envelope by direct
-computation and an identity suite cross-checks the evaluators.
+computation and an identity suite cross-checks the evaluators.  Each
+module's ``__all__`` names its public API, and the package re-exports them all.
 """
 
-from .errors import (
-    CenterPoleError,
-    InvalidArgumentError,
-    NonConvergentError,
-    QSeriesError,
-)
-from .qcore import (
-    PochhammerValue,
-    QBase,
-    multishifted,
-    pochhammer_finite,
-    pochhammer_infinite,
-    q_binomial,
-)
-from .series import (
-    ConfluentParams,
-    EvalResult,
-    LaurentSeries,
-    LaurentSpec,
-    PhiParams,
-    PhiReduction,
-    ThetaSeries,
-    eval_confluent_f,
-    eval_laurent,
-    eval_phi,
-    eval_ramanujan_aq,
-    eval_theta,
-    phi_to_f,
-    prepare_confluent_f,
-    prepare_phi,
-)
-from .bounds import (
-    EnvelopeResult,
-    MeromorphicBoundParams,
-    constant_c,
-    envelope_aq_exponential,
-    envelope_aq_gaussian,
-    envelope_entire,
-    envelope_meromorphic,
-    envelope_phi,
-    envelope_theta,
-    envelope_theta_as_printed,
-    laurent_weighted_constant,
-    meromorphic_bound_params,
-    term_peak,
-    theta_weighted_constant,
-)
-from .verify import (
-    AuditRecord,
-    AuditTarget,
-    SweepPlan,
-    audit_envelope,
-    audit_summary,
-    audit_target,
-    draw_confluent_params,
-    draw_phi_params,
-    format_complex,
-    identity_euler,
-    identity_qbinomial_theorem,
-    identity_ql_sum,
-    identity_theta_triple_product,
-    log_grid,
-    tightness_search,
-)
+from .errors import *
+from .qcore import *
+from .series import *
+from .bounds import *
+from .verify import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "QSeriesError",
-    "InvalidArgumentError",
-    "NonConvergentError",
-    "CenterPoleError",
-    "QBase",
-    "PochhammerValue",
-    "pochhammer_finite",
-    "pochhammer_infinite",
-    "multishifted",
-    "q_binomial",
-    "ConfluentParams",
-    "PhiParams",
-    "EvalResult",
-    "LaurentSpec",
-    "PhiReduction",
-    "eval_confluent_f",
-    "eval_phi",
-    "phi_to_f",
-    "eval_ramanujan_aq",
-    "eval_theta",
-    "eval_laurent",
-    "prepare_confluent_f",
-    "prepare_phi",
-    "ThetaSeries",
-    "LaurentSeries",
-    "EnvelopeResult",
-    "MeromorphicBoundParams",
-    "constant_c",
-    "term_peak",
-    "envelope_entire",
-    "envelope_phi",
-    "envelope_aq_gaussian",
-    "envelope_aq_exponential",
-    "meromorphic_bound_params",
-    "envelope_meromorphic",
-    "theta_weighted_constant",
-    "laurent_weighted_constant",
-    "envelope_theta",
-    "envelope_theta_as_printed",
-    "SweepPlan",
-    "AuditRecord",
-    "AuditTarget",
-    "audit_target",
-    "audit_envelope",
-    "audit_summary",
-    "tightness_search",
-    "draw_confluent_params",
-    "draw_phi_params",
-    "format_complex",
-    "log_grid",
-    "identity_euler",
-    "identity_qbinomial_theorem",
-    "identity_ql_sum",
-    "identity_theta_triple_product",
+    *errors.__all__, *qcore.__all__, *series.__all__, *bounds.__all__, *verify.__all__,
     "__version__",
 ]

@@ -50,6 +50,13 @@ from .qcore import QBase, _q_power, _require_pos_tol, _set, _truncated_products
 from .qcore import multishifted, pochhammer_infinite  # noqa: F401
 from .series import ConfluentParams, PhiParams, _phi_weight_scale
 
+__all__ = [
+    "EnvelopeResult", "MeromorphicBoundParams", "constant_c", "term_peak", "envelope_entire",
+    "envelope_phi", "envelope_aq_gaussian", "envelope_aq_exponential", "meromorphic_bound_params",
+    "envelope_meromorphic", "theta_weighted_constant", "laurent_weighted_constant",
+    "envelope_theta", "envelope_theta_as_printed",
+]
+
 _POCH_TOL = 1e-16
 _MAX_LOG = math.log(sys.float_info.max)
 _MIN_NORMAL = sys.float_info.min

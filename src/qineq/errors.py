@@ -1,5 +1,7 @@
 """Exception types shared by the evaluators, envelopes and the audit harness."""
 
+__all__ = ["QSeriesError", "InvalidArgumentError", "NonConvergentError", "CenterPoleError"]
+
 
 class QSeriesError(Exception):
     """Base class for every library-specific failure."""

@@ -27,6 +27,11 @@ from typing import NamedTuple
 
 from .errors import InvalidArgumentError, NonConvergentError, QSeriesError
 
+__all__ = [
+    "QBase", "PochhammerValue", "pochhammer_finite", "pochhammer_infinite", "multishifted",
+    "q_binomial",
+]
+
 DEFAULT_MAX_Q = 0.999999
 FACTOR_CAP = 1_000_000
 
@@ -167,7 +172,7 @@ def _factor_count(a: complex | float, qq: float, lq: float, tol: float) -> int:
     """Smallest N with |a| q^N <= min(tol (1-q), 1/2), lq = log q; see
     pochhammer_infinite."""
     _require_pos_tol(tol)
-    abs_a = abs(a)
+    abs_a = _modulus(a)
     if not math.isfinite(abs_a):
         raise NonConvergentError(f"non-finite parameter {a!r} in infinite product")
     if abs_a == 0.0:
@@ -208,7 +213,7 @@ def _truncated_products(
     for x in xs:
         try:
             counts.append(_factor_count(x, qq, lq, tol))
-        except (QSeriesError, OverflowError) as exc:
+        except QSeriesError as exc:
             error = exc
             break
     return counts, _products(xs, qq, counts), error
@@ -288,9 +293,21 @@ def multishifted(
 
 
 def q_binomial(n: int, k: int, q: QBase) -> float:
-    """Gaussian binomial (q;q)_n / ((q;q)_k (q;q)_{n-k}), symmetric in k and n-k."""
+    """Gaussian binomial (q;q)_n / ((q;q)_k (q;q)_{n-k}), symmetric in k and n-k.
+
+    The value is the product over i < min(k, n-k) of the ratios
+    (1 - q^(n-i)) / (1 - q^(i+1)), each at least 1, so no partial product
+    underflows where the three q-factorials would.  A value beyond the
+    doubles raises NonConvergentError.
+    """
     if not isinstance(n, int) or not isinstance(k, int) or n < 0 or k < 0 or k > n:
         raise InvalidArgumentError(f"need integers 0 <= k <= n, got n={n!r} k={k!r}")
-    num = pochhammer_finite(q.q, q, n).value
-    den = pochhammer_finite(q.q, q, k).value * pochhammer_finite(q.q, q, n - k).value
-    return num / den
+    qq = q.q
+    value = 1.0
+    for i in range(min(k, n - k)):
+        value *= (1.0 - qq ** (n - i)) / (1.0 - qq ** (i + 1))
+    if value == math.inf:
+        raise NonConvergentError(
+            f"Gaussian binomial n={n!r} k={k!r} at q = {qq!r} overflowed the double range"
+        )
+    return value

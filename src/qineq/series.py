@@ -37,6 +37,12 @@ from typing import Callable, NamedTuple
 from .errors import CenterPoleError, InvalidArgumentError, NonConvergentError
 from .qcore import FrozenValue, QBase, _modulus, _require_pos_tol, _set
 
+__all__ = [
+    "ConfluentParams", "PhiParams", "EvalResult", "LaurentSpec", "PhiReduction",
+    "eval_confluent_f", "eval_phi", "phi_to_f", "eval_ramanujan_aq", "eval_theta", "eval_laurent",
+    "prepare_confluent_f", "prepare_phi", "ThetaSeries", "LaurentSeries",
+]
+
 MIN_STOP_INDEX = 8
 TERM_CAP = 100_000
 TWO_SIDED_CAP = 1_000_000

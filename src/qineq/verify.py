@@ -44,6 +44,13 @@ from .series import (
 # eval_laurent are not called here; perfbench/tracing.py rebinds all four
 # eval_* names in this module and needs them to stay importable.
 
+__all__ = [
+    "SweepPlan", "AuditRecord", "AuditTarget", "audit_target", "audit_envelope", "audit_summary",
+    "tightness_search", "draw_confluent_params", "draw_phi_params", "format_complex", "log_grid",
+    "identity_euler", "identity_qbinomial_theorem", "identity_ql_sum",
+    "identity_theta_triple_product",
+]
+
 FUNCTION_TAGS = ("confluent_f", "phi", "aq", "theta", "laurent")
 DEFAULT_TOL = 1e-14
 # The slack of the pass test, for the rounding of the two logs it compares.

@@ -31,7 +31,10 @@ def pochhammer_finite(a, q: QBase, n: int) -> PochhammerValue:
 def pochhammer_infinite(a, q: QBase, tol: float) -> PochhammerValue:
     if not tol > 0.0:
         raise InvalidArgumentError(f"tol must be positive, got {tol!r}")
-    abs_a = abs(a)
+    try:
+        abs_a = abs(a)
+    except OverflowError:
+        abs_a = math.inf
     if not math.isfinite(abs_a):
         raise NonConvergentError(f"non-finite parameter {a!r} in infinite product")
     qq = q.q

@@ -1,7 +1,9 @@
 import cmath
 import math
 import random
+import sys
 
+import mpmath as mp
 import pytest
 from hypothesis import given, strategies as st
 
@@ -155,6 +157,32 @@ class TestQBinomial:
             q_binomial(3, 4, QBase(0.5))
 
 
+def _q_binomial_mp(n, k, q):
+    """The Gaussian binomial of the double q as a 60-digit mpmath product."""
+    with mp.workdps(60):
+        qm = mp.mpf(q)
+        value = mp.mpf(1)
+        for i in range(k):
+            value *= (1 - qm ** (n - i)) / (1 - qm ** (i + 1))
+        return value
+
+
+class TestQBinomialNearOne:
+    """Bases near 1, where (q;q)_k (q;q)_{n-k} is subnormal or zero."""
+
+    @pytest.mark.parametrize("n, k, q", [(1500, 750, 0.9985), (1000, 500, 0.999),
+                                         (235, 117, 0.999)])
+    def test_matches_extended_precision(self, n, k, q):
+        got = q_binomial(n, k, QBase(q))
+        want = _q_binomial_mp(n, k, q)
+        assert abs(got - want) <= 1e-13 * want
+
+    def test_value_beyond_the_doubles_raises(self):
+        assert _q_binomial_mp(3000, 1500, 0.999) > mp.mpf(sys.float_info.max)
+        with pytest.raises(NonConvergentError, match="overflowed the double range"):
+            q_binomial(3000, 1500, QBase(0.999))
+
+
 # Parameters the fuzz below draws besides random ones: huge, infinite, nan,
 # zero and unit moduli, and q^{-j}, which zeroes factor j exactly.
 _SPECIAL = (0.0, 1.0, -1.0, 1e300, -1e300, 1e-300, math.inf, -math.inf, math.nan,
@@ -235,6 +263,18 @@ class TestSharedTableMatchesReference:
                     multishifted([], base, 4), multishifted([], base, math.inf),
                     multishifted([0.0, 0j], base, math.inf)):
             assert type(got.value) is float and got.value == 1.0
+
+    @pytest.mark.parametrize("call, args", [
+        (pochhammer_infinite, (complex(1.5e308, 1.5e308), QBase(0.5), 1e-14)),
+        (multishifted, ([0.5, complex(1.5e308, 1.5e308)], QBase(0.5), math.inf)),
+    ])
+    def test_parameter_whose_modulus_overflows(self, call, args):
+        # Finite parts whose modulus is beyond the doubles: abs() raises
+        # OverflowError, which must surface as the typed non-finite error.
+        got = _outcome(call, *args)
+        assert got == ("NonConvergentError",
+                       "non-finite parameter (1.5e+308+1.5e+308j) in infinite product")
+        assert got == _outcome(getattr(ref, call.__name__), *args)
 
     def test_overflow_is_raised_before_a_later_count_error(self):
         # The first product overflows and the second parameter needs more

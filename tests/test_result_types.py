@@ -10,7 +10,8 @@ with slots (qcore.FrozenValue) that keep the repr, equality and hash of
 their frozen-dataclass form; QBase computes log q and log(1/q) once.
 PhiReduction, MeromorphicBoundParams and AuditTarget are named tuples.
 The argument rules of the public constructors and functions raise
-InvalidArgumentError with fixed texts.
+InvalidArgumentError with fixed texts.  The package exports a fixed set of
+names, each module's ``__all__`` naming the ones it defines.
 """
 
 import copy
@@ -20,6 +21,7 @@ import random
 
 import pytest
 
+import qineq
 from qineq import (
     AuditRecord,
     ConfluentParams,
@@ -42,7 +44,7 @@ from qineq import (
     pochhammer_infinite,
     theta_weighted_constant,
 )
-from qineq import verify
+from qineq import bounds, errors, qcore, series, verify
 from qineq.qcore import FrozenValue
 
 # (instance builder, field names in order, repr printed by the dataclass form).
@@ -341,3 +343,44 @@ class TestArgumentRules:
         with pytest.raises(InvalidArgumentError) as info:
             call()
         assert str(info.value) == message
+
+
+# The package's public names, as its __all__ listed them when __init__.py
+# still wrote each one out.
+PUBLIC_NAMES = {
+    "QSeriesError", "InvalidArgumentError", "NonConvergentError", "CenterPoleError",
+    "QBase", "PochhammerValue", "pochhammer_finite", "pochhammer_infinite", "multishifted",
+    "q_binomial",
+    "ConfluentParams", "PhiParams", "EvalResult", "LaurentSpec", "PhiReduction",
+    "eval_confluent_f", "eval_phi", "phi_to_f", "eval_ramanujan_aq", "eval_theta",
+    "eval_laurent", "prepare_confluent_f", "prepare_phi", "ThetaSeries", "LaurentSeries",
+    "EnvelopeResult", "MeromorphicBoundParams", "constant_c", "term_peak", "envelope_entire",
+    "envelope_phi", "envelope_aq_gaussian", "envelope_aq_exponential",
+    "meromorphic_bound_params", "envelope_meromorphic", "theta_weighted_constant",
+    "laurent_weighted_constant", "envelope_theta", "envelope_theta_as_printed",
+    "SweepPlan", "AuditRecord", "AuditTarget", "audit_target", "audit_envelope",
+    "audit_summary", "tightness_search", "draw_confluent_params", "draw_phi_params",
+    "format_complex", "log_grid", "identity_euler", "identity_qbinomial_theorem",
+    "identity_ql_sum", "identity_theta_triple_product",
+    "__version__",
+}
+MODULES = (errors, qcore, series, bounds, verify)
+
+
+class TestPackageSurface:
+    def test_all_is_the_public_names_once_each(self):
+        assert set(qineq.__all__) == PUBLIC_NAMES
+        assert len(qineq.__all__) == len(PUBLIC_NAMES)
+
+    def test_star_import_binds_exactly_the_public_names(self):
+        namespace = {}
+        exec("from qineq import *", namespace)
+        del namespace["__builtins__"]
+        assert set(namespace) == PUBLIC_NAMES
+
+    def test_modules_export_only_what_they_define(self):
+        exported = [name for module in MODULES for name in module.__all__]
+        assert len(exported) == len(set(exported)) == len(PUBLIC_NAMES) - 1
+        for module in MODULES:
+            for name in module.__all__:
+                assert getattr(module, name).__module__ == module.__name__, name
