@@ -44,7 +44,7 @@ import sys
 from typing import Callable, NamedTuple
 
 from .errors import InvalidArgumentError, NonConvergentError
-from .qcore import QBase, _q_power, _require_pos_tol, _set, _truncated_products
+from .qcore import QBase, _factor_count, _modulus, _products, _q_power, _require_pos_tol, _set
 # Not called here since the constants come from one table per base, but
 # perfbench/tracing.py rebinds both names in this module.
 from .qcore import multishifted, pochhammer_infinite  # noqa: F401
@@ -239,7 +239,7 @@ def _product_log(value: float, xs: list, counts: list[int], qq: float) -> float:
 
     A product that is not a normal double has lost its bits to underflow or
     overflow: its log is then math.fsum of log1p(-x q^k) over the same
-    factors, the ``counts`` of _truncated_products.
+    factors, ``counts`` of them per x.
     """
     if _MIN_NORMAL <= value < math.inf:
         return math.log(value)
@@ -256,13 +256,12 @@ def _field_logs(a_list: tuple, b_list: tuple, l: float, q: QBase) -> tuple[float
     (see _product_log) and c is exp(log c), math.inf when that overflows.
     An l so small that q^l rounds to 1 raises InvalidArgumentError.
     """
-    qq = q.q
+    qq, lq = q.q, q.log_q
     ql = _q_power(q, l)
     r = len(a_list)
     xs = [-abs(a) for a in a_list] + list(b_list) + [ql]
-    counts, values, error = _truncated_products(xs, q, _POCH_TOL)
-    if error is not None:
-        raise error
+    counts = [_factor_count(x, qq, lq, _POCH_TOL) for x in xs]
+    values = _products(xs, qq, counts)
     # Each factor of num is >= 1 and each of den and ql_poch <= 1, so each
     # is a normal double exactly where it passes its one-sided test.
     num, den = math.prod(values[:r], start=1.0), math.prod(values[r:-1], start=1.0)
@@ -406,17 +405,18 @@ def laurent_weighted_constant(coeff: Callable[[int], complex], alpha: float, q: 
 
     The stream is a black box, so convergence cannot be proved here: the sum
     stops only after 8 consecutive terms below 1e-15, raises
-    NonConvergentError when 64 consecutive terms fail to decline or a
-    weighted term overflows, and gives up at |k| = WEIGHTED_SUM_CAP.
+    NonConvergentError when 64 consecutive terms fail to decline, a
+    weighted term overflows or the sum is not a finite double, and gives up
+    at |k| = WEIGHTED_SUM_CAP.
     """
     alpha = _require_positive(alpha, "alpha")
     linv = q.log_inv_q
-    total = abs(coeff(0))
+    total = _modulus(coeff(0))
     previous = math.inf
     grow_streak = 0
     below_streak = 0
     for k in range(1, WEIGHTED_SUM_CAP + 1):
-        mags = abs(coeff(k)) + abs(coeff(-k))
+        mags = _modulus(coeff(k)) + _modulus(coeff(-k))
         if mags == 0.0:
             term = 0.0
         else:
@@ -434,6 +434,8 @@ def laurent_weighted_constant(coeff: Callable[[int], complex], alpha: float, q: 
             )
         below_streak = below_streak + 1 if term < _LAURENT_CONSTANT_TOL else 0
         if below_streak >= 8:
+            if not total < math.inf:
+                raise NonConvergentError(f"weighted constant {total!r} is not a finite double")
             return total
         previous = term
     raise NonConvergentError(f"weighted constant did not settle within |k| <= {WEIGHTED_SUM_CAP}")

@@ -11,6 +11,9 @@ given, and multiplies each parameter's factors 1 - x q^k left to right.  A
 list of parameters at one base (multishifted, or the envelope constants in
 bounds) thus pays for each power once, and each product has the bits of the
 plain loop value = value * (1 - x * q**k) however many share the table.
+That routine checks no value, since bounds takes the log of a product that
+leaves the doubles in log space; every public product whose modulus is not
+a finite double raises NonConvergentError.
 
 It also holds the argument rules the other layers share: a positive tol, a
 modulus that reads as inf where it overflows, and a q^l that rounds below 1.
@@ -195,17 +198,20 @@ def _factor_count(a: complex | float, qq: float, lq: float, tol: float) -> int:
     return n_trunc
 
 
-def _truncated_products(
-    xs: list | tuple, q: QBase, tol: float
-) -> tuple[list[int], list, Exception | None]:
-    """(counts, values, error): the truncated (x_i;q)_inf of each x_i at one
-    base, from one table of q**k, with their factor counts.
+def _finite(value: complex | float, kind: str) -> complex | float:
+    """value, or NonConvergentError where its modulus is not a finite double."""
+    if not _modulus(value) < math.inf:
+        raise NonConvergentError(f"{kind} product overflowed the double range")
+    return value
 
-    Counting stops at the first x_i whose factor count raises.  The products
-    of the parameters before it are returned together with that error, so a
-    caller that checks them first raises what a product-by-product loop
-    raised first.  Each value is pochhammer_finite(x_i, q, N_i).value; no
-    value is checked here.
+
+def _infinite_parts(xs: tuple, q: QBase, tol: float) -> list[PochhammerValue]:
+    """pochhammer_infinite of each x_i, from one table of q**k.
+
+    Raises what a loop of pochhammer_infinite calls raises first: counting
+    stops at the first x_i whose factor count raises, and the products of
+    the parameters before it are checked for overflow before that error is
+    raised.
     """
     qq, lq = q.q, q.log_q
     counts: list[int] = []
@@ -216,24 +222,11 @@ def _truncated_products(
         except QSeriesError as exc:
             error = exc
             break
-    return counts, _products(xs, qq, counts), error
-
-
-def _infinite_parts(xs: list | tuple, q: QBase, tol: float) -> list[PochhammerValue]:
-    """pochhammer_infinite of each x_i, from one table of q**k.
-
-    Raises on the first product that overflowed, then on the error that
-    stopped the count, as a loop of pochhammer_infinite calls would.
-    """
-    counts, values, error = _truncated_products(xs, q, tol)
-    qq = q.q
     parts = []
-    for x, n, value in zip(xs, counts, values):
-        if not abs(value) < math.inf:
-            raise NonConvergentError("infinite product overflowed the double range")
+    for x, n, value in zip(xs, counts, _products(xs, qq, counts)):
         a_qn = abs(x) * qq**n
         tail = a_qn / ((1.0 - qq) * (1.0 - a_qn))
-        parts.append(PochhammerValue(value, n, tail))
+        parts.append(PochhammerValue(_finite(value, "infinite"), n, tail))
     if error is not None:
         raise error
     return parts
@@ -243,7 +236,7 @@ def pochhammer_finite(a: complex | float, q: QBase, n: int) -> PochhammerValue:
     """Product of the n factors (1 - a q^k), k = 0..n-1; the empty product is 1."""
     if not isinstance(n, int) or n < 0:
         raise InvalidArgumentError(f"factor count must be a nonnegative integer, got {n!r}")
-    return PochhammerValue(_products((a,), q.q, [n])[0], n)
+    return PochhammerValue(_finite(_products((a,), q.q, [n])[0], "finite"), n)
 
 
 def pochhammer_infinite(a: complex | float, q: QBase, tol: float) -> PochhammerValue:
@@ -266,7 +259,7 @@ def multishifted(
     n: int | float,
     tol: float = 1e-15,
 ) -> PochhammerValue:
-    """Product of shifted factorials over a parameter list; empty list gives 1.
+    """Product of shifted factorials over an iterable of parameters; none gives 1.
 
     ``n`` may be ``math.inf``, in which case ``tol`` drives each truncated
     factor and the log-tail bounds add up.  Every factor of every parameter
@@ -274,22 +267,21 @@ def multishifted(
     parameter-by-parameter product of pochhammer_finite or
     pochhammer_infinite values.
     """
+    a_list = tuple(a_list)
     infinite = n == math.inf
     if not infinite and (not isinstance(n, int) or n < 0):
         raise InvalidArgumentError(f"order must be a nonnegative integer or math.inf, got {n!r}")
-    if infinite:
-        parts = _infinite_parts(a_list, q, tol)
-    else:
+    if not infinite:
         values = _products(a_list, q.q, [n] * len(a_list))
-        parts = [PochhammerValue(value, n) for value in values]
+        return PochhammerValue(_finite(math.prod(values, start=1.0), "finite"), n if a_list else 0)
     value: complex | float = 1.0
     tail = 0.0
     used = 0
-    for part in parts:
+    for part in _infinite_parts(a_list, q, tol):
         value = value * part.value
         tail += part.tail_log_bound
         used = max(used, part.factors_used)
-    return PochhammerValue(value, used, tail)
+    return PochhammerValue(_finite(value, "infinite"), used, tail)
 
 
 def q_binomial(n: int, k: int, q: QBase) -> float:

@@ -13,18 +13,25 @@ from __future__ import annotations
 import math
 
 from qineq.errors import InvalidArgumentError, NonConvergentError
-from qineq.qcore import FACTOR_CAP, PochhammerValue, QBase
+from qineq.qcore import FACTOR_CAP, PochhammerValue, QBase, _modulus
 
 _POCH_TOL = 1e-16
+
+
+def _loop(a, q: QBase, n: int):
+    qq = q.q
+    value = 1.0
+    for k in range(n):
+        value = value * (1.0 - a * qq**k)
+    return value
 
 
 def pochhammer_finite(a, q: QBase, n: int) -> PochhammerValue:
     if not isinstance(n, int) or n < 0:
         raise InvalidArgumentError(f"factor count must be a nonnegative integer, got {n!r}")
-    qq = q.q
-    value = 1.0
-    for k in range(n):
-        value = value * (1.0 - a * qq**k)
+    value = _loop(a, q, n)
+    if not _modulus(value) < math.inf:
+        raise NonConvergentError("finite product overflowed the double range")
     return PochhammerValue(value=value, factors_used=n)
 
 
@@ -56,8 +63,8 @@ def pochhammer_infinite(a, q: QBase, tol: float) -> PochhammerValue:
                 )
         while n_trunc > 0 and abs_a * qq ** (n_trunc - 1) <= target:
             n_trunc -= 1
-    value = pochhammer_finite(a, q, n_trunc).value
-    if not abs(value) < math.inf:
+    value = _loop(a, q, n_trunc)
+    if not _modulus(value) < math.inf:
         raise NonConvergentError("infinite product overflowed the double range")
     a_qn = abs_a * qq**n_trunc
     tail = a_qn / ((1.0 - qq) * (1.0 - a_qn))
@@ -78,6 +85,9 @@ def multishifted(a_list, q: QBase, n, tol: float = 1e-15) -> PochhammerValue:
         used = max(used, part.factors_used)
     if not infinite:
         used = n if a_list else 0
+    if not _modulus(value) < math.inf:
+        kind = "infinite" if infinite else "finite"
+        raise NonConvergentError(f"{kind} product overflowed the double range")
     return PochhammerValue(value=value, factors_used=used, tail_log_bound=tail)
 
 

@@ -381,6 +381,21 @@ class TestLaurentWeightedConstant:
         with pytest.raises(NonConvergentError):
             laurent_weighted_constant(lambda k: 1.0, 0.5, QBase(0.5))
 
+    @pytest.mark.parametrize("bad_k, coefficient, message", [
+        (3, complex(1.5e308, 1.5e308), "weighted term at |k| = 3 overflowed"),
+        (0, complex(1.5e308, 1.5e308), "weighted constant inf is not a finite double"),
+        (0, math.inf, "weighted constant inf is not a finite double"),
+        (2, math.nan, "weighted constant nan is not a finite double"),
+    ])
+    def test_nonfinite_coefficient_raises(self, bad_k, coefficient, message):
+        # A modulus beyond the doubles, or an inf or nan coefficient, raises
+        # the typed error instead of OverflowError or an inf or nan constant.
+        def coeff(k):
+            return coefficient if k == bad_k else 0.5 ** (k * k)
+
+        with pytest.raises(NonConvergentError, match=re.escape(message)):
+            laurent_weighted_constant(coeff, 0.5, QBase(0.5))
+
 
 class TestEnvelopeTheta:
     def test_unit_modulus_reduces_to_constant(self):

@@ -124,6 +124,15 @@ class TestMultishifted:
         with pytest.raises(InvalidArgumentError):
             multishifted([0.5], QBase(0.5), 2.5)
 
+    @pytest.mark.parametrize("n", [3, math.inf])
+    def test_generator_gives_the_lists_result(self, n):
+        # The parameters are read once, so a generator is not used up by
+        # the count before the products.
+        base = QBase(0.5)
+        got = multishifted((x for x in [0.5, 0.25]), base, n)
+        assert got == multishifted([0.5, 0.25], base, n)
+        assert got.factors_used == (3 if n == 3 else 50)
+
 
 class TestQBinomial:
     def test_edge_column(self):
@@ -274,6 +283,19 @@ class TestSharedTableMatchesReference:
         got = _outcome(call, *args)
         assert got == ("NonConvergentError",
                        "non-finite parameter (1.5e+308+1.5e+308j) in infinite product")
+        assert got == _outcome(getattr(ref, call.__name__), *args)
+
+    @pytest.mark.parametrize("call, args, kind", [
+        (pochhammer_finite, (1e200, QBase(0.5), 3), "finite"),
+        (pochhammer_finite, (math.nan, QBase(0.5), 3), "finite"),
+        (multishifted, ([1e200, 1e200], QBase(0.5), 2), "finite"),
+        (multishifted, ([-1e10, -1e10], QBase(0.5), math.inf), "infinite"),
+    ])
+    def test_product_beyond_the_doubles_raises(self, call, args, kind):
+        # The last case's parts are finite (1.42e172 each); only their
+        # product leaves the doubles.
+        got = _outcome(call, *args)
+        assert got == ("NonConvergentError", f"{kind} product overflowed the double range")
         assert got == _outcome(getattr(ref, call.__name__), *args)
 
     def test_overflow_is_raised_before_a_later_count_error(self):
