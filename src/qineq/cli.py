@@ -282,9 +282,11 @@ def _write_csv(records, stream) -> None:
     distinct run of them is rendered once: joined directly, with a digest
     such as b=0.2,0.6 in quotes as ``csv`` quotes it, and through ``csv``
     where the digest holds a quote or a line break.  Each distinct error
-    message (it can hold a comma) is rendered through ``csv`` once.  The
-    other cells are float reprs, true/false and ints, which never need
-    quoting, and are joined directly.
+    message (it can hold a comma) is rendered through ``csv`` once.  An
+    audit hands one envelope_log float object to every record at a modulus,
+    so that cell is rendered again only when the object changes.  The other
+    cells are float reprs, true/false and ints, which never need quoting, and
+    are joined directly.
     """
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -296,25 +298,26 @@ def _write_csv(records, stream) -> None:
         return buffer.getvalue()[:-1]
 
     lines = [render(CSV_COLUMNS)]
-    key = prefix = None
+    key = prefix = envelope_log = envelope_cell = None
     error_cells = {"": ""}
-    for r in records:
-        if (r.function_tag, r.q, r.l, r.param_digest) != key:
-            key = (r.function_tag, r.q, r.l, r.param_digest)
-            digest = r.param_digest
+    for (function_tag, q, l, digest, z, abs_value, envelope, ratio, passed, terms_used,
+         tail_bound, error) in records:
+        if (function_tag, q, l, digest) != key:
+            key = (function_tag, q, l, digest)
             if '"' in digest or "\n" in digest or "\r" in digest:
-                prefix = render((r.function_tag, repr(r.q), _csv_cell_l(r.l), digest))
+                prefix = render((function_tag, repr(q), _csv_cell_l(l), digest))
             else:
                 if "," in digest:
                     digest = f'"{digest}"'
-                prefix = f"{r.function_tag},{r.q!r},{_csv_cell_l(r.l)},{digest}"
-        error = error_cells.get(r.error)
-        if error is None:
-            error = error_cells[r.error] = render((r.error,))
-        z = r.z
+                prefix = f"{function_tag},{q!r},{_csv_cell_l(l)},{digest}"
+        if envelope is not envelope_log:
+            envelope_log, envelope_cell = envelope, repr(envelope)
+        error_cell = error_cells.get(error)
+        if error_cell is None:
+            error_cell = error_cells[error] = render((error,))
         lines.append(
-            f"{prefix},{z.real!r},{z.imag!r},{r.abs_value!r},{r.envelope_log!r},{r.ratio!r},"
-            f"{'true' if r.passed else 'false'},{r.terms_used},{r.tail_bound!r},{error}"
+            f"{prefix},{z.real!r},{z.imag!r},{abs_value!r},{envelope_cell},{ratio!r},"
+            f"{'true' if passed else 'false'},{terms_used},{tail_bound!r},{error_cell}"
         )
     lines.append("")
     stream.write("\n".join(lines))

@@ -26,7 +26,10 @@ needs them and reuses them at every later point, so a sweep over many z pays
 for them once.  Each eval_* prepares a series and evaluates it once: one code
 path, and the same bits either way.  A table grows by publishing an extended
 copy with one assignment, so a prepared series may be shared between threads
-without locks.
+without locks.  A ThetaSeries also remembers, for the last (|log|z||, tol)
+pair it met, the stop index and tail or the certain-overflow verdict, and
+publishes that memo the same way, as one tuple: the angles of one modulus
+share that work.
 """
 
 from __future__ import annotations
@@ -48,6 +51,8 @@ TERM_CAP = 100_000
 TWO_SIDED_CAP = 1_000_000
 LAURENT_K_CAP = 10_000
 _LOG_HALF = math.log(0.5)
+# Makes a named tuple with no Python frame, as bounds makes its results.
+_new_tuple = tuple.__new__
 
 
 def _parameter_lists(a_list, b_list, *reals) -> tuple:
@@ -233,14 +238,16 @@ class GaussianSeries:
         term: complex = 1.0 + 0.0j
         partial = term
         k = 0
+        inf, min_stop, term_cap = math.inf, MIN_STOP_INDEX, TERM_CAP
         try:
             abs_z = abs(z)
-            while k <= TERM_CAP:
+            while k <= term_cap:
                 if k == size:
                     # Extend a private copy; the finally clause publishes it.
                     if not grown:
                         rows = list(rows)
                         q, a_list, b_list = self._q, self._a_list, self._b_list
+                        l, shift, den_floor = self._l, self._shift, self._den_floor
                         qk = q**k
                         grown = True
                     # Rows grow one index at a time, so row k's q^{k+1} is
@@ -253,24 +260,24 @@ class GaussianSeries:
                     den = one_minus
                     for b in b_list:
                         den *= 1.0 - b * qk
-                    w = q ** (self._l * (2 * k + self._shift))
-                    rows.append((num * w, den, w, one_minus * self._den_floor))
+                    w = q ** (l * (2 * k + shift))
+                    rows.append((num * w, den, w, one_minus * den_floor))
                     qk = qk1
                     size += 1
                 nw, den, w, dd = rows[k]
                 nxt = term * (nw * z / den)
                 abs_nxt = abs(nxt)
-                if not abs_nxt < math.inf:
+                if not abs_nxt < inf:
                     raise NonConvergentError("series term left the double range")
-                if k >= MIN_STOP_INDEX:
+                if k >= min_stop:
                     bound = w * abs_z * num_cap / dd
                     if bound < 1.0:
                         tail = abs_nxt / (1.0 - bound)
                         abs_partial = abs(partial)
-                        if not abs_partial < math.inf:
+                        if not abs_partial < inf:
                             raise NonConvergentError("series term left the double range")
-                        if tail <= tol * max(1.0, abs_partial):
-                            return EvalResult(partial, k + 1, tail)
+                        if tail <= tol * (abs_partial if abs_partial > 1.0 else 1.0):
+                            return _new_tuple(EvalResult, (partial, k + 1, tail))
                 partial += nxt
                 term = nxt
                 k += 1
@@ -355,6 +362,15 @@ def eval_ramanujan_aq(q: QBase, z: complex, tol: float) -> EvalResult:
     return GaussianSeries((), (), q.q, 1.0, 1, True).evaluate(z, tol)
 
 
+def _theta_stops(k: int, lq: float, log_m: float, log_tol: float) -> bool:
+    """Whether K = k passes both conditions of _theta_stop_index."""
+    ratio_log = (2 * k + 1) * lq + log_m
+    if ratio_log > _LOG_HALF:
+        return False
+    rho = math.exp(ratio_log)
+    return k * k * lq + k * log_m - math.log1p(-rho) <= log_tol
+
+
 def _theta_stop_index(lq: float, log_m: float, log_tol: float) -> int:
     """Smallest K >= 1 with q^{2K+1} M <= 1/2 and
     q^{K^2} M^K / (1 - q^{2K+1} M) <= tol, from lq = log q, log_m = log M and
@@ -367,24 +383,16 @@ def _theta_stop_index(lq: float, log_m: float, log_tol: float) -> int:
     K^2 lq + K log_m = log_tol (the second condition without its log1p term),
     then walks to the first passing index.
     """
-
-    def stops(k: int) -> bool:
-        ratio_log = (2 * k + 1) * lq + log_m
-        if ratio_log > _LOG_HALF:
-            return False
-        rho = math.exp(ratio_log)
-        return k * k * lq + k * log_m - math.log1p(-rho) <= log_tol
-
     guess = ((_LOG_HALF - log_m) / lq - 1.0) / 2.0
     disc = log_m * log_m + 4.0 * lq * log_tol
     if disc >= 0.0:
         guess = max(guess, (log_m + math.sqrt(disc)) / (-2.0 * lq))
     k = max(1, math.ceil(min(guess, TWO_SIDED_CAP)))
-    while not stops(k):
+    while not _theta_stops(k, lq, log_m, log_tol):
         k += 1
         if k > TWO_SIDED_CAP:
             raise NonConvergentError(f"no certified stop within |k| <= {TWO_SIDED_CAP}")
-    while k > 1 and stops(k - 1):
+    while k > 1 and _theta_stops(k - 1, lq, log_m, log_tol):
         k -= 1
     return k
 
@@ -397,15 +405,25 @@ class ThetaSeries:
     above e^711 (the sum would overflow), and otherwise extends its table of
     the factors q^{2k-1} to K in one step and sums in one plain loop.  Later
     evaluations reuse the table.
+
+    The stop index, the overflow test and the tail depend on |z| only through
+    log M = |log|z|| and on tol, so the series keeps them for the last
+    (log M, tol) pair in a one-entry memo: (log M, tol, K, tail), with K = 0
+    for the overflow verdict.  The angles of one modulus share it.  A new
+    pair replaces the memo with one tuple assignment, like the table, so a
+    concurrent reader sees either memo whole.  The key floats are compared
+    with ==, which for log M >= 0 and tol > 0 is bit equality.
     """
 
-    __slots__ = ("_q", "_lq", "_powers")
+    __slots__ = ("_q", "_lq", "_powers", "_memo")
 
     def __init__(self, q: QBase) -> None:
         self._q = q.q
         self._lq = q.log_q
         # q^{2k-1} at index k - 1.  A published list is never modified.
         self._powers: list[float] = []
+        # No log M equals None, so the first evaluation fills the memo.
+        self._memo: tuple = (None, None, 0, 0.0)
 
     def evaluate(self, z: complex, tol: float) -> EvalResult:
         """The sum at z with its certified tail; see eval_theta."""
@@ -418,22 +436,27 @@ class ThetaSeries:
         if not abs_z < math.inf:
             raise NonConvergentError("theta sum overflowed the double range")
         log_m = abs(math.log(abs_z))
-        k_stop = _theta_stop_index(lq, log_m, math.log(tol))
-
-        # Certain overflow, in closed form.  k^2 lq + k log_m is concave in k,
-        # so its maximum on 1 <= k <= K is at the integer nearest its vertex,
-        # clamped.  The sum forms that term in at most TWO_SIDED_CAP products,
-        # each losing at most about 5u of relative modulus (Brent, Percival
-        # and Zimmermann, Math. Comp. 76, 2007), so above
-        # 711 > log(sqrt(2) DBL_MAX) = 710.13 the term has a non-finite part.
-        # An inf or nan part of the running sum never becomes finite again,
-        # so the final check below would reject that sum anyway.
-        k_peak = min(k_stop, max(1, round(log_m / (-2.0 * lq))))
-        if k_peak * k_peak * lq + k_peak * log_m > 711.0:
+        memo_log_m, memo_tol, k_stop, tail = self._memo
+        if log_m != memo_log_m or tol != memo_tol:
+            k_stop = _theta_stop_index(lq, log_m, math.log(tol))
+            # Certain overflow, in closed form.  k^2 lq + k log_m is concave
+            # in k, so its maximum on 1 <= k <= K is at the integer nearest
+            # its vertex, clamped.  The sum forms that term in at most
+            # TWO_SIDED_CAP products, each losing at most about 5u of relative
+            # modulus (Brent, Percival and Zimmermann, Math. Comp. 76, 2007),
+            # so above 711 > log(sqrt(2) DBL_MAX) = 710.13 the term has a
+            # non-finite part.  An inf or nan part of the running sum never
+            # becomes finite again, so the final check below would reject
+            # that sum anyway.
+            k_peak = min(k_stop, max(1, round(log_m / (-2.0 * lq))))
+            if k_peak * k_peak * lq + k_peak * log_m > 711.0:
+                k_stop, tail = 0, 0.0
+            else:
+                rho2 = math.exp(min((2 * k_stop + 3) * lq + log_m, _LOG_HALF))
+                tail = 2.0 * math.exp((k_stop + 1) ** 2 * lq + (k_stop + 1) * log_m) / (1.0 - rho2)
+            self._memo = (log_m, tol, k_stop, tail)
+        if not k_stop:
             raise NonConvergentError("theta sum overflowed the double range")
-
-        rho2 = math.exp(min((2 * k_stop + 3) * lq + log_m, _LOG_HALF))
-        tail = 2.0 * math.exp((k_stop + 1) ** 2 * lq + (k_stop + 1) * log_m) / (1.0 - rho2)
 
         powers = self._powers
         if len(powers) < k_stop:
@@ -450,7 +473,7 @@ class ThetaSeries:
             value += plus + minus
         if not _modulus(value) < math.inf:
             raise NonConvergentError("theta sum overflowed the double range")
-        return EvalResult(value, 2 * k_stop + 1, tail)
+        return _new_tuple(EvalResult, (value, 2 * k_stop + 1, tail))
 
 
 def eval_theta(q: QBase, z: complex, tol: float) -> EvalResult:
@@ -541,10 +564,11 @@ class LaurentSeries:
                     self._ap1 * (k_ovf - 1) ** spec.alpha * self._lq + log_m > _LOG_HALF):
                 raise NonConvergentError("Laurent sum overflowed the double range")
         k = 0
+        inf, log, log_half, k_cap = math.inf, math.log, _LOG_HALF, LAURENT_K_CAP
         try:
             while True:
                 k += 1
-                if k > LAURENT_K_CAP:
+                if k > k_cap:
                     raise NonConvergentError(
                         f"weighted tail did not meet tol within |k| <= {LAURENT_K_CAP}"
                     )
@@ -565,12 +589,12 @@ class LaurentSeries:
                 try:
                     abs_partial = abs(partial)
                 except OverflowError:
-                    abs_partial = math.inf
-                if not abs_partial < math.inf:
+                    abs_partial = inf
+                if not abs_partial < inf:
                     raise NonConvergentError("Laurent sum overflowed the double range")
-                if decay + log_m > _LOG_HALF:
+                if decay + log_m > log_half:
                     continue
-                target_log = math.log(tol * max(1.0, abs_partial))
+                target_log = log(tol * (abs_partial if abs_partial > 1.0 else 1.0))
                 # Screen: the wing whose sign is that of law computes exactly
                 # next_weight + (k + 1) * log_m and then subtracts
                 # log1p(-wing_rho) <= 0; hi is at least that wing, the
@@ -589,7 +613,7 @@ class LaurentSeries:
                 hi = max(wing_logs)
                 tail_log = log_c + hi + math.log1p(math.exp(min(wing_logs) - hi))
                 if tail_log <= target_log:
-                    return EvalResult(partial, 2 * k + 1, math.exp(tail_log))
+                    return _new_tuple(EvalResult, (partial, 2 * k + 1, math.exp(tail_log)))
         finally:
             if grown:
                 self._rows = rows

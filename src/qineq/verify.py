@@ -230,28 +230,30 @@ def _records_at(
     the first evaluation at this modulus succeeds, and an envelope error
     becomes the error of every record here whose evaluation succeeded.
     """
+    function_tag, q, l, digest, center, evaluate, envelope_log = target
     envelope: float | QSeriesError | None = None
     for unit in units:
-        z = target.center + abs_z * unit
+        z = center + abs_z * unit
         try:
-            result = target.evaluate(z, tol)
+            result = evaluate(z, tol)
         except QSeriesError as exc:
             records.append(_error_record(target, z, exc))
             continue
         if envelope is None:
             try:
-                envelope = target.envelope_log(abs_z)
+                envelope = envelope_log(abs_z)
             except QSeriesError as exc:
                 envelope = exc
+            else:
+                pass_log = envelope + _LOG_SLACK
         if isinstance(envelope, QSeriesError):
             records.append(_error_record(target, z, envelope))
             continue
         abs_value, log_value, ratio = _ratio(result, envelope)
         records.append(
             _new_tuple(AuditRecord, (
-                target.function_tag, target.q, target.l, target.param_digest, z,
-                abs_value, envelope, ratio, log_value <= envelope + _LOG_SLACK,
-                result.terms_used, result.tail_bound, "",
+                function_tag, q, l, digest, z, abs_value, envelope, ratio,
+                log_value <= pass_log, result.terms_used, result.tail_bound, "",
             ))
         )
 

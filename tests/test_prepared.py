@@ -27,6 +27,7 @@ from qineq import (
     log_grid,
     theta_weighted_constant,
 )
+from qineq import series
 from qineq.series import (
     LAURENT_K_CAP,
     TWO_SIDED_CAP,
@@ -256,6 +257,38 @@ class TestThetaMatchesReference:
             (1e-8, 1e-1, 1e-300, 1e-14, 10.0),
         )
         assert terms == [21, 13, 95, 27, 7]
+
+    @pytest.mark.parametrize("q", QS)
+    def test_memo_walk(self, q, monkeypatch):
+        # One series walks each lattice modulus at 8 angles, steps to a new
+        # modulus and back, then walks the modulus again at the other tol.
+        # At q = 0.99 the moduli from 1e3 on are certain overflows.  Every
+        # outcome is a fresh series' outcome, and the stop index is searched
+        # only where (|log|z||, tol) differs from the previous evaluation's.
+        base = QBase(q)
+        units = [complex(math.cos(math.pi * j / 4), math.sin(math.pi * j / 4)) for j in range(8)]
+        walk = []
+        for mod in log_grid(1e-4, 1e6, 41):
+            walk += [(mod * u, 1e-14) for u in units]
+            walk += [(1.5 * mod * units[3], 1e-14), (mod * units[5], 1e-14)]
+            walk += [(mod * u, 1e-6) for u in units]
+        wants = [_outcome(ThetaSeries(base).evaluate, z, tol) for z, tol in walk]
+
+        searches = []
+
+        def counted(lq, log_m, log_tol):
+            searches.append((log_m, log_tol))
+            return _theta_stop_index(lq, log_m, log_tol)
+
+        monkeypatch.setattr(series, "_theta_stop_index", counted)
+        prepared = ThetaSeries(base)
+        for (z, tol), want in zip(walk, wants):
+            assert _outcome(prepared.evaluate, z, tol) == want, (q, z, tol)
+        keys = [(abs(math.log(abs(z))), tol) for z, tol in walk]
+        assert len(searches) == 1 + sum(a != b for a, b in zip(keys, keys[1:])) < len(walk)
+        errors = sum(len(want) == 2 for want in wants)
+        if q == 0.99:
+            assert 0 < errors < len(walk)
 
     def test_certain_overflow_tabulates_nothing(self):
         # The stop index is 634,396, and the largest term, at k = 288,127, is
@@ -568,23 +601,27 @@ def test_shared_targets_under_thread_contention():
     """Four threads share one prepared target per family at interleaved points.
 
     Each round starts from fresh targets, so the threads race to grow the
-    same tables; every result must equal a fresh evaluation.
+    same tables, and to replace and hit the theta memo: each thread takes two
+    angles per modulus, and theta two tols.  Every result must equal a fresh
+    evaluation.
     """
     gaussian_params = ConfluentParams(a_list=(0.5 + 0.5j,), b_list=(0.3,), l=0.5, q=QBase(0.95))
     theta_base = QBase(0.97)
     spec = _theta_spec(0.9, 0.5)
     families = (
-        ("gaussian", lambda: prepare_confluent_f(gaussian_params), 1e-14),
-        ("theta", lambda: ThetaSeries(theta_base), 1e-14),
-        ("laurent", lambda: LaurentSeries(spec), 1e-12),
+        ("gaussian", lambda: prepare_confluent_f(gaussian_params), (1e-14,)),
+        ("theta", lambda: ThetaSeries(theta_base), (1e-14, 1e-6)),
+        ("laurent", lambda: LaurentSeries(spec), (1e-12,)),
     )
     moduli = [10.0 ** (e / 4.0) for e in range(-8, 17)]
 
     def work(index, shared, results):
         for mod in moduli[index::4] + moduli[::-1]:
-            z = mod * complex(math.cos(index + mod), math.sin(index + mod))
-            for (name, _, tol), prepared in zip(families, shared):
-                results.append((name, z, _outcome(prepared.evaluate, z, tol)))
+            for (name, _, tols), prepared in zip(families, shared):
+                for tol in tols:
+                    for phase in (index + mod, index - mod):
+                        z = mod * complex(math.cos(phase), math.sin(phase))
+                        results.append((name, z, tol, _outcome(prepared.evaluate, z, tol)))
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -604,10 +641,10 @@ def test_shared_targets_under_thread_contention():
             rounds.append(results)
     finally:
         sys.setswitchinterval(old)
-    fresh = {name: (prepare, tol) for name, prepare, tol in families}
+    fresh = {name: prepare for name, prepare, _ in families}
+    per_modulus = 2 * sum(len(tols) for _, _, tols in families)
     for results in rounds:
         for index, per_thread in enumerate(results):
-            assert len(per_thread) == len(families) * (len(moduli[index::4]) + len(moduli))
-            for name, z, got in per_thread:
-                prepare, tol = fresh[name]
-                assert got == _outcome(prepare().evaluate, z, tol), (name, z)
+            assert len(per_thread) == per_modulus * (len(moduli[index::4]) + len(moduli))
+            for name, z, tol, got in per_thread:
+                assert got == _outcome(fresh[name]().evaluate, z, tol), (name, z, tol)
