@@ -12,6 +12,9 @@ Four families are covered:
   l = 1 member evaluated at -z;
 * two-sided sums: the theta function sum_{k in Z} q^{k^2} z^k and a general
   Laurent expansion whose coefficients admit a super-geometric weighted bound.
+  Above q = THETA_TRANSFORM_Q = 0.5 theta is evaluated through Jacobi's
+  imaginary transformation, a sum of a few terms with no cancellation, in
+  place of the direct sum, whose terms cancel more as q -> 1.
 
 Every evaluator stops only once a computable geometric majorant certifies the
 omitted tail, and reports that bound in the result.  One-sided sums never stop
@@ -27,9 +30,10 @@ for them once.  Each eval_* prepares a series and evaluates it once: one code
 path, and the same bits either way.  A table grows by publishing an extended
 copy with one assignment, so a prepared series may be shared between threads
 without locks.  A ThetaSeries also remembers, for the last (|log|z||, tol)
-pair it met, the stop index and tail or the certain-overflow verdict, and
-publishes that memo the same way, as one tuple: the angles of one modulus
-share that work.
+pair it met, the work that depends on |z| alone (the stop index, the tail,
+the direct sum's certain-overflow verdict or the transformed sum's phases),
+and publishes that memo the same way, as one tuple: the angles of one
+modulus share that work.
 """
 
 from __future__ import annotations
@@ -50,7 +54,10 @@ MIN_STOP_INDEX = 8
 TERM_CAP = 100_000
 TWO_SIDED_CAP = 1_000_000
 LAURENT_K_CAP = 10_000
+# Above this base ThetaSeries sums Jacobi's imaginary transformation of theta.
+THETA_TRANSFORM_Q = 0.5
 _LOG_HALF = math.log(0.5)
+_LOG_TWO = math.log(2.0)
 # Makes a named tuple with no Python frame, as bounds makes its results.
 _new_tuple = tuple.__new__
 
@@ -397,33 +404,90 @@ def _theta_stop_index(lq: float, log_m: float, log_tol: float) -> int:
     return k
 
 
+def _transform_stop(c: float, lq: float, log_m: float, log_tol: float) -> tuple:
+    """(tail, log_pref, rows) of the transformed theta sum, from
+    c = pi / log(1/q), lq = log q, log_m = |log|z|| and log_tol = log tol.
+
+    The prefactor's modulus is at most e^log_pref = sqrt(c) e^{log_m^2 / (4 log(1/q))}.
+    Each omitted pair |n| = m > N of the transformed sum is at most
+    2 e^{-c pi m (m - 1)} in modulus, and the exponent grows by at least
+    2 c pi (N + 1) per step in m, so the pairs beyond N sum to at most
+    2 e^{-c pi N (N + 1)} / (1 - e^{-2 c pi (N + 1)}).  N is the smallest
+    index >= 1 whose product of the two, the tail, is at most tol.  Row n - 1
+    holds (c n, pi n, cos(c n log_m), -sin(c n log_m)) for 1 <= n <= N.
+    """
+    log_pref = 0.5 * math.log(c) + log_m * log_m / (-4.0 * lq)
+    c_pi = c * math.pi
+    n = 1
+    while True:
+        log_tail = (_LOG_TWO + log_pref - c_pi * n * (n + 1)
+                    - math.log1p(-math.exp(-2.0 * c_pi * (n + 1))))
+        if log_tail <= log_tol:
+            break
+        n += 1
+    rows = tuple((c * k, math.pi * k, math.cos(c * log_m * k), -math.sin(c * log_m * k))
+                 for k in range(1, n + 1))
+    return math.exp(log_tail), log_pref, rows
+
+
 class ThetaSeries:
     """A prepared theta sum sum_{k in Z} q^{k^2} z^k.
 
-    An evaluation finds its stop index K in closed form, raises at once when
-    the growing wing's largest term, q^{k^2} M^k at the best 1 <= k <= K, is
-    above e^711 (the sum would overflow), and otherwise extends its table of
-    the factors q^{2k-1} to K in one step and sums in one plain loop.  Later
-    evaluations reuse the table.
+    Every evaluation first finds the direct sum's stop index K in closed form
+    (see eval_theta).  terms_used is 2K + 1 on both paths below: the depth of
+    the direct sum that meets tol at z.
 
-    The stop index, the overflow test and the tail depend on |z| only through
-    log M = |log|z|| and on tol, so the series keeps them for the last
-    (log M, tol) pair in a one-entry memo: (log M, tol, K, tail), with K = 0
-    for the overflow verdict.  The angles of one modulus share it.  A new
-    pair replaces the memo with one tuple assignment, like the table, so a
-    concurrent reader sees either memo whole.  The key floats are compared
-    with ==, which for log M >= 0 and tol > 0 is bit equality.
+    For q <= THETA_TRANSFORM_Q the series sums those 2K + 1 terms.  It raises
+    at once when the growing wing's largest term, q^{k^2} M^k at the best
+    1 <= k <= K, is above e^711 (the sum would overflow), and otherwise
+    extends its table of the factors q^{2k-1} to K in one step and sums in
+    one plain loop.  Later evaluations reuse the table.  Its rounding error
+    is about K u times the sum of the terms' moduli, which exceeds |theta| by
+    at most about e^{pi^2 / (4L)} <= 35 away from the zeros of theta, with
+    L = log(1/q) and u the unit roundoff.
+
+    For q > THETA_TRANSFORM_Q, where that factor grows without bound as
+    q -> 1, the series sums Jacobi's imaginary transformation instead
+    (Whittaker and Watson, A Course of Modern Analysis, 21.51): with
+    c = pi / L, a = log|z|, b = arg z and u_z = a + i b,
+
+        theta(z) = sqrt(c) e^{u_z^2 / (4L)} sum_{n in Z} e^{-c n (pi n - i u_z)}.
+
+    The n-th term has modulus e^{-c n (pi n - b)} <= e^{-c pi |n| (|n| - 1)}
+    and the n = 0 term is 1, so the sum S loses no digits to cancellation
+    away from the zeros of theta, which lie on the negative real axis.  S
+    runs over |n| <= N, the smallest N >= 1 at which the geometric bound on
+    the omitted terms, times sqrt(c) e^{a^2 / (4L)}, is at most tol; that
+    product is tail_bound.  The rounding error is about
+    u (1 + (|a| + 3 pi)^2 / (4L)) times the largest transformed term,
+    sqrt(c) e^{(a^2 - b^2) / (4L)}: the exponent and the phases are formed
+    from a and b in doubles.  The value is e^{log|theta|} times its phase,
+    with log|theta| the prefactor's log plus log|S|, so it raises the
+    overflow error exactly where log|theta| leaves the doubles.
+
+    The stop index, the direct path's overflow test and tail, and the
+    transformed path's N, tail, prefactor log and phases e^{-i c n |a|}
+    depend on |z| only through log M = |log|z|| and on tol, so the series
+    keeps them for the last (log M, tol) pair in a one-entry memo:
+    (log M, tol, K, tail, prefactor log, rows), with K = 0 for the direct
+    path's overflow verdict and no rows on that path.  The angles of one
+    modulus share it.  A new pair replaces the memo with one tuple
+    assignment, like the table, so a concurrent reader sees either memo
+    whole.  The key floats are compared with ==, which for log M >= 0 and
+    tol > 0 is bit equality.
     """
 
-    __slots__ = ("_q", "_lq", "_powers", "_memo")
+    __slots__ = ("_q", "_lq", "_c", "_powers", "_memo")
 
     def __init__(self, q: QBase) -> None:
         self._q = q.q
         self._lq = q.log_q
+        # c = pi / log(1/q) selects the transformed sum; 0.0 the direct one.
+        self._c = math.pi / q.log_inv_q if q.q > THETA_TRANSFORM_Q else 0.0
         # q^{2k-1} at index k - 1.  A published list is never modified.
         self._powers: list[float] = []
         # No log M equals None, so the first evaluation fills the memo.
-        self._memo: tuple = (None, None, 0, 0.0)
+        self._memo: tuple = (None, None, 0, 0.0, 0.0, ())
 
     def evaluate(self, z: complex, tol: float) -> EvalResult:
         """The sum at z with its certified tail; see eval_theta."""
@@ -431,32 +495,61 @@ class ThetaSeries:
         z = _require_finite(z)
         if z == 0:
             raise InvalidArgumentError("theta sum requires a nonzero argument")
-        lq = self._lq
+        lq, c = self._lq, self._c
         abs_z = _modulus(z)
         if not abs_z < math.inf:
             raise NonConvergentError("theta sum overflowed the double range")
-        log_m = abs(math.log(abs_z))
-        memo_log_m, memo_tol, k_stop, tail = self._memo
+        log_z = math.log(abs_z)
+        log_m = abs(log_z)
+        memo_log_m, memo_tol, k_stop, tail, log_pref, rows = self._memo
         if log_m != memo_log_m or tol != memo_tol:
-            k_stop = _theta_stop_index(lq, log_m, math.log(tol))
-            # Certain overflow, in closed form.  k^2 lq + k log_m is concave
-            # in k, so its maximum on 1 <= k <= K is at the integer nearest
-            # its vertex, clamped.  The sum forms that term in at most
-            # TWO_SIDED_CAP products, each losing at most about 5u of relative
-            # modulus (Brent, Percival and Zimmermann, Math. Comp. 76, 2007),
-            # so above 711 > log(sqrt(2) DBL_MAX) = 710.13 the term has a
-            # non-finite part.  An inf or nan part of the running sum never
-            # becomes finite again, so the final check below would reject
-            # that sum anyway.
-            k_peak = min(k_stop, max(1, round(log_m / (-2.0 * lq))))
-            if k_peak * k_peak * lq + k_peak * log_m > 711.0:
-                k_stop, tail = 0, 0.0
+            log_tol = math.log(tol)
+            k_stop = _theta_stop_index(lq, log_m, log_tol)
+            if c:
+                tail, log_pref, rows = _transform_stop(c, lq, log_m, log_tol)
             else:
-                rho2 = math.exp(min((2 * k_stop + 3) * lq + log_m, _LOG_HALF))
-                tail = 2.0 * math.exp((k_stop + 1) ** 2 * lq + (k_stop + 1) * log_m) / (1.0 - rho2)
-            self._memo = (log_m, tol, k_stop, tail)
+                # Certain overflow, in closed form.  k^2 lq + k log_m is concave
+                # in k, so its maximum on 1 <= k <= K is at the integer nearest
+                # its vertex, clamped.  The sum forms that term in at most
+                # TWO_SIDED_CAP products, each losing at most about 5u of
+                # relative modulus (Brent, Percival and Zimmermann, Math. Comp.
+                # 76, 2007), so above 711 > log(sqrt(2) DBL_MAX) = 710.13 the
+                # term has a non-finite part.  An inf or nan part of the running
+                # sum never becomes finite again, so the final check below would
+                # reject that sum anyway.
+                k_peak = min(k_stop, max(1, round(log_m / (-2.0 * lq))))
+                if k_peak * k_peak * lq + k_peak * log_m > 711.0:
+                    k_stop, tail = 0, 0.0
+                else:
+                    rho2 = math.exp(min((2 * k_stop + 3) * lq + log_m, _LOG_HALF))
+                    tail = 2.0 * math.exp(
+                        (k_stop + 1) ** 2 * lq + (k_stop + 1) * log_m) / (1.0 - rho2)
+            self._memo = (log_m, tol, k_stop, tail, log_pref, rows)
         if not k_stop:
             raise NonConvergentError("theta sum overflowed the double range")
+        if c:
+            # S = 1 + sum over 1 <= n <= N of the n-th and (-n)-th terms,
+            # e^{-c n (pi n -+ b)} e^{-+i c n log|z|}; pi n -+ b is exact where
+            # it is small.  log|z| < 0 negates the imaginary part.
+            b = math.atan2(z.imag, z.real)
+            s_re, s_im = 1.0, 0.0
+            exp = math.exp
+            for c_n, pi_n, cos_n, sin_n in rows:
+                up, down = exp(c_n * (b - pi_n)), exp(-c_n * (pi_n + b))
+                s_re += (up + down) * cos_n
+                s_im += (up - down) * sin_n
+            if log_z < 0.0:
+                s_im = -s_im
+            abs_s = math.hypot(s_re, s_im)
+            inv_4l = -0.25 / lq
+            log_theta = log_pref - b * b * inv_4l + (math.log(abs_s) if abs_s else -math.inf)
+            try:
+                modulus = exp(log_theta)
+            except OverflowError:
+                raise NonConvergentError("theta sum overflowed the double range") from None
+            arg = 2.0 * log_z * b * inv_4l + math.atan2(s_im, s_re)
+            return _new_tuple(EvalResult, (
+                complex(modulus * math.cos(arg), modulus * math.sin(arg)), 2 * k_stop + 1, tail))
 
         powers = self._powers
         if len(powers) < k_stop:
@@ -477,16 +570,21 @@ class ThetaSeries:
 
 
 def eval_theta(q: QBase, z: complex, tol: float) -> EvalResult:
-    """Two-sided theta sum over k in [-K, K] with a certified symmetric tail.
+    """Theta, sum_{k in Z} q^{k^2} z^k, with a certified absolute tail.
 
     K is the smallest index with q^{2K+1} M <= 1/2 and
-    q^{K^2} M^K / (1 - q^{2K+1} M) <= tol, where M = max(|z|, 1/|z|); the
-    reported tail_bound is the rigorous two-wing geometric remainder, which
-    the stop rule keeps below tol.  Raises NonConvergentError when K would
-    exceed TWO_SIDED_CAP or the sum leaves the double range, in closed form
-    before any factor is tabulated when its largest term is above e^711.
-    This is ThetaSeries(q).evaluate(z, tol), which tabulates the factors
-    q^{2k-1} up to K in one step.
+    q^{K^2} M^K / (1 - q^{2K+1} M) <= tol, where M = max(|z|, 1/|z|), and
+    terms_used is 2K + 1.  For q <= THETA_TRANSFORM_Q the value is the direct
+    sum over k in [-K, K], and tail_bound is its rigorous two-wing geometric
+    remainder.  For q > THETA_TRANSFORM_Q the value is Jacobi's imaginary
+    transformation of theta, summed over the few terms that meet tol, and
+    tail_bound bounds the transformed terms it omits.  Either way
+    tail_bound <= tol covers truncation only; ThetaSeries states the
+    rounding error of each path.  Raises NonConvergentError when K would
+    exceed TWO_SIDED_CAP or the value leaves the double range: on the direct
+    path in closed form, before any factor is tabulated, when its largest
+    term is above e^711, and on the transformed path exactly where
+    log|theta| is beyond the doubles.  This is ThetaSeries(q).evaluate(z, tol).
     """
     return ThetaSeries(q).evaluate(z, tol)
 

@@ -3,12 +3,15 @@
 The series oracles run in mpmath working precision (40 digits) so frozen
 expectations and double-depth comparisons are limited by the library's double
 arithmetic, never by the oracle's own rounding.  Each oracle recomputes the
-terms with plain running products and no early stopping.
+terms with plain running products and no early stopping.  theta_accurate
+sums theta in decimal arithmetic at as many digits as its cancellation needs.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
+import sys
 
 import mpmath as mp
 
@@ -127,6 +130,126 @@ def theta_direct(q, z, k_max):
         t_max = max(t_max, abs(plus), abs(minus))
         total += plus + minus
     return complex(total), float(t_max)
+
+
+_LN10 = math.log(10.0)
+
+
+def _theta_wing(lq, a, log_floor):
+    """Terms 1..k of the wing q^{k^2} e^{a k}, k >= 1, after which the rest of
+    the wing sums to less than e^log_floor: past its peak, the terms fall by
+    the ratio e^{(2k+1) lq + a} < 1 from k on, so the rest is at most the
+    next term over one minus that ratio."""
+    k = 0
+    while True:
+        k += 1
+        ratio = (2 * k + 1) * lq + a
+        if ratio < 0.0 and (k + 1) ** 2 * lq + (k + 1) * a - math.log1p(-math.exp(ratio)) < log_floor:
+            return k
+
+
+def _power(re, im, n):
+    """(re + i im)^n for an integer n, in the current decimal context, by
+    repeated squaring: a relative error of about |n| roundings."""
+    if n < 0:
+        norm = re * re + im * im
+        re, im, n = re / norm, -im / norm, -n
+    pr, pi = decimal.Decimal(1), decimal.Decimal(0)
+    while n:
+        if n & 1:
+            pr, pi = pr * re - pi * im, pr * im + pi * re
+        re, im = re * re - im * im, 2 * re * im
+        n >>= 1
+    return pr, pi
+
+
+def _theta_decimal(q, z, log_scale):
+    """sum_k q^{k^2} z^k in decimal arithmetic, as (re, im) Decimals, with an
+    absolute error below 1e-40 e^log_scale.
+
+    With m the integer nearest log|z| / (2 log(1/q)), the reindexing
+    k -> k + m gives theta(z) = q^{m^2} z^m theta(w) with w = q^{2m} z and
+    q <= |w| <= 1/q, so the direct sum runs near |w| = 1, where its terms
+    are at most q^{-1/4}.  Each wing of theta(w) is summed until its rest is
+    below 1e-45 e^log_scale / |q^{m^2} z^m|.  Every term and the factor are
+    running products of at most 2K + 2 roundings of relative size 5 10^-d,
+    so the d digits below keep their rounding error under that bound too.
+    """
+    lq = math.log(q)
+    a = math.log(abs(z))
+    m = round(a / (-2.0 * lq))
+    log_factor = m * m * lq + m * a
+    a_w = a + 2 * m * lq
+    log_floor = log_scale - log_factor - 45.0 * _LN10
+    k_plus, k_minus = _theta_wing(lq, a_w, log_floor), _theta_wing(lq, -a_w, log_floor)
+    k_max = max(k_plus, k_minus, abs(m))
+    digits = math.ceil(46.0 + (log_factor - lq / 4.0 - log_scale) / _LN10
+                       + math.log10(8.0 * (k_max + 1) ** 2))
+    context = decimal.Context(prec=max(digits, 20), Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    with decimal.localcontext(context):
+        dq = decimal.Decimal(q)
+        dq2 = dq * dq
+        zr, zi = decimal.Decimal(z.real), decimal.Decimal(z.imag)
+        shift = dq ** (2 * m)
+        wr, wi = zr * shift, zi * shift
+        norm = wr * wr + wi * wi
+        re, im = decimal.Decimal(1), decimal.Decimal(0)
+        for (ur, ui), k_stop in (((wr, wi), k_plus), ((wr / norm, -wi / norm), k_minus)):
+            # f = q^{2k-1} u and term = q^{k^2} u^k.
+            fr, fi = dq * ur, dq * ui
+            tr, ti = decimal.Decimal(1), decimal.Decimal(0)
+            for _ in range(k_stop):
+                tr, ti = tr * fr - ti * fi, tr * fi + ti * fr
+                re += tr
+                im += ti
+                fr *= dq2
+                fi *= dq2
+        pr, pi = _power(zr, zi, m)
+        factor = dq ** (m * m)
+        pr, pi = pr * factor, pi * factor
+        return pr * re - pi * im, pr * im + pi * re
+
+
+def theta_accurate(q, z, floor=1.0):
+    """theta(z) = sum_k q^{k^2} z^k within 1e-20 max(floor, |theta(z)|), as a
+    complex, or None where |theta(z)| is above the largest double.
+
+    A direct sum in decimal arithmetic, independent of the library.  A pass
+    at absolute accuracy 1e-40 s settles the value once its modulus is at
+    least 1e-20 s or s is down to floor.  s starts 30 digits below the
+    largest term times e^{-arg^2 z / (4 log(1/q))}, the size of the sum's
+    cancellation away from the zeros of theta; each further pass doubles
+    the gap.  That choice only sets the cost: the acceptance test alone
+    decides the value.  At floor = 1 the last pass is a direct sum at
+    40 + log10(largest term) digits.
+    """
+    z = complex(z)
+    lq = math.log(q)
+    a = abs(math.log(abs(z)))
+    vertex = a / (-2.0 * lq)
+    log_peak = max(k * k * lq + k * a for k in (math.floor(vertex), math.ceil(vertex)))
+    log_floor = math.log(floor)
+    gap = 30.0 * _LN10 + math.atan2(z.imag, z.real) ** 2 / (-4.0 * lq)
+    while True:
+        log_scale = max(log_peak - gap, log_floor)
+        re, im = _theta_decimal(q, z, log_scale)
+        modulus = (re * re + im * im).sqrt()
+        if log_scale <= log_floor or modulus and modulus.ln() >= log_scale - 20.0 * _LN10:
+            break
+        gap *= 2.0
+    if modulus > decimal.Decimal(sys.float_info.max):
+        return None
+    return complex(float(re), float(im))
+
+
+def theta_transformed_peak(q, z):
+    """The largest term of Jacobi's imaginary transformation of theta at z,
+    sqrt(pi / L) e^{(log^2|z| - arg^2 z) / (4L)} with L = log(1/q), the
+    scale of theta's rounding error near its zeros on the negative axis."""
+    z = complex(z)
+    big_l = -math.log(q)
+    a, b = math.log(abs(z)), math.atan2(z.imag, z.real)
+    return math.sqrt(math.pi / big_l) * math.exp(min((a * a - b * b) / (4.0 * big_l), 709.0))
 
 
 def theta_majorant(q, z, k_max=None):

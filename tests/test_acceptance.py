@@ -13,6 +13,7 @@ import time
 from qineq import (
     ConfluentParams,
     LaurentSpec,
+    NonConvergentError,
     PhiParams,
     QBase,
     SweepPlan,
@@ -298,6 +299,57 @@ def test_criterion_09_oracle_equivalence():
 
     _report(9, "oracle equivalence at doubled depth", worst <= 1e-12,
             f"max scaled diff {worst:.3e} (gate 1e-12)", started)
+
+
+def test_criterion_11_theta_values_near_q_one():
+    # Theta's values against a direct sum in decimal arithmetic: 250 draws
+    # per q, with |z| = e^U(-8, 8), alternately on the negative real axis and
+    # at a uniform angle.  The direct sum in doubles was wrong, by the gates
+    # below, in about half of these draws at q >= 0.9.  Where the oracle's
+    # |theta| is beyond the doubles, eval_theta must raise its overflow
+    # error.  Off the axis the gate is 1e-12 max(1, |theta|).  On the axis,
+    # where theta has its zeros and log|z| is itself rounded, it is
+    # 1e-12 max(1, |theta|, largest term of the transformed sum).
+    started = time.perf_counter()
+    rng = random.Random(3)
+    qs = (0.5, 0.9, 0.95, 0.99)
+    worst = {(q, on_axis): 0.0 for q in qs for on_axis in (True, False)}
+    raised = 0
+    for i in range(4 * 250):
+        q = qs[i % 4]
+        on_axis = i // 4 % 2 == 0
+        modulus = math.exp(rng.uniform(-8.0, 8.0))
+        if on_axis:
+            z = complex(-modulus, 0.0)
+        else:
+            ang = rng.uniform(0.0, TWO_PI)
+            z = modulus * complex(math.cos(ang), math.sin(ang))
+        theta = oracles.theta_accurate(q, z)
+        try:
+            got = eval_theta(QBase(q), z, 1e-14).value
+        except NonConvergentError as exc:
+            assert theta is None and str(exc) == "theta sum overflowed the double range", (q, z)
+            raised += 1
+            continue
+        assert theta is not None, (q, z, got)
+        scale = max(1.0, abs(theta))
+        if on_axis:
+            scale = max(scale, oracles.theta_transformed_peak(q, z))
+        worst[q, on_axis] = max(worst[q, on_axis], abs(got - theta) / scale)
+
+    # The reproducers of the direct sum's wrong values, with their true values.
+    for q, x, want in ((0.99, -50.0, -6.71e59), (0.99, -3.0, -4.34e-93),
+                       (0.95, -7.3, -1.75e-12), (0.9, -1e6, 7.09054e186)):
+        got = eval_theta(QBase(q), x, 1e-14).value
+        theta = oracles.theta_accurate(q, x, floor=1e-100)
+        assert math.isclose(theta.real, want, rel_tol=5e-3 if q > 0.9 else 1e-6), (q, x, theta)
+        scale = max(1.0, abs(theta), oracles.theta_transformed_peak(q, x))
+        worst[q, True] = max(worst[q, True], abs(got - theta) / scale)
+
+    detail = ", ".join(f"q={q} {'axis' if on_axis else 'angle'} {err:.1e}"
+                       for (q, on_axis), err in worst.items())
+    _report(11, "theta values near q = 1", max(worst.values()) <= 1e-12 and raised > 0,
+            f"worst scaled errors {detail}; {raised} overflows (gate 1e-12)", started)
 
 
 def test_criterion_10_audit_determinism(tmp_path):

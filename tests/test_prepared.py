@@ -5,6 +5,10 @@ an evaluation needs them.  Each check below walks a prepared object through
 points that grow its table, reuse a shorter prefix and grow it again, and
 requires float.hex equality of (value, terms_used, tail_bound), or the same
 error and message, against a fresh per-call reference evaluation.
+
+Theta above THETA_TRANSFORM_Q sums Jacobi's imaginary transformation, not
+the reference's direct sum, whose value there loses digits to cancellation.
+Those checks compare it with oracles.theta_accurate instead.
 """
 
 import math
@@ -30,6 +34,7 @@ from qineq import (
 from qineq import series
 from qineq.series import (
     LAURENT_K_CAP,
+    THETA_TRANSFORM_Q,
     TWO_SIDED_CAP,
     LaurentSeries,
     ThetaSeries,
@@ -38,6 +43,7 @@ from qineq.series import (
     prepare_phi,
 )
 
+import oracles
 import reference_series as ref
 
 QS = (0.1, 0.5, 0.9, 0.99)
@@ -112,6 +118,23 @@ def _compare(family, prepared, reference, points, tol):
         errors += len(want) == 2
     assert not mismatches, mismatches[:3]
     return errors
+
+
+def _check_theta(evaluate, q, z, tol, theta):
+    """evaluate(z, tol) against theta = oracles.theta_accurate(q, z): the
+    overflow error where |theta| is beyond the doubles, else a value within
+    1e-12 max(1, |theta|), the 2K + 1 terms of the reference's stop index K
+    and a tail of at most tol.  Returns whether it raised."""
+    try:
+        got = evaluate(z, tol)
+    except QSeriesError as exc:
+        assert theta is None and str(exc) == _OVERFLOW_MESSAGE["theta"], (q, z, tol, exc)
+        return True
+    assert theta is not None, (q, z, tol, got)
+    k_stop = ref.theta_stop_index(math.log(q), abs(math.log(abs(z))), math.log(tol))
+    assert got.terms_used == 2 * k_stop + 1 and got.tail_bound <= tol, (q, z, tol, got)
+    assert abs(got.value - theta) <= 1e-12 * max(1.0, abs(theta)), (q, z, tol, got, theta)
+    return False
 
 
 def _walk(prepared, reference, z, tols):
@@ -240,23 +263,32 @@ class TestThetaMatchesReference:
         for q in QS:
             prepared = ThetaSeries(QBase(q))
             for tol in (1e-14, 1e-6):
-                _compare(
-                    "theta",
-                    prepared,
-                    lambda z, tol: ref.eval_theta(q, z, tol),
-                    _points(rng),
-                    tol,
-                )
+                points = _points(rng)
+                if q <= THETA_TRANSFORM_Q:
+                    _compare(
+                        "theta",
+                        prepared,
+                        lambda z, tol: ref.eval_theta(q, z, tol),
+                        points,
+                        tol,
+                    )
+                else:
+                    for z in points:
+                        _check_theta(prepared.evaluate, q, z, tol, oracles.theta_accurate(q, z))
 
-    def test_tol_walk(self):
-        prepared = ThetaSeries(QBase(0.7))
-        terms = _walk(
-            prepared,
-            lambda z, tol: ref.eval_theta(0.7, z, tol),
-            3.0 + 4.0j,
-            (1e-8, 1e-1, 1e-300, 1e-14, 10.0),
-        )
-        assert terms == [21, 13, 95, 27, 7]
+    @pytest.mark.parametrize("q, want_terms", [(0.4, [13, 7, 59, 15, 3]),
+                                               (0.7, [21, 13, 95, 27, 7])])
+    def test_tol_walk(self, q, want_terms):
+        prepared = ThetaSeries(QBase(q))
+        z, tols = 3.0 + 4.0j, (1e-8, 1e-1, 1e-300, 1e-14, 10.0)
+        if q <= THETA_TRANSFORM_Q:
+            terms = _walk(prepared, lambda z, tol: ref.eval_theta(q, z, tol), z, tols)
+        else:
+            theta = oracles.theta_accurate(q, z)
+            for tol in tols:
+                _check_theta(prepared.evaluate, q, z, tol, theta)
+            terms = [prepared.evaluate(z, tol).terms_used for tol in tols]
+        assert terms == want_terms
 
     @pytest.mark.parametrize("q", QS)
     def test_memo_walk(self, q, monkeypatch):
@@ -291,24 +323,38 @@ class TestThetaMatchesReference:
             assert 0 < errors < len(walk)
 
     def test_certain_overflow_tabulates_nothing(self):
-        # The stop index is 634,396, and the largest term, at k = 288,127, is
-        # about e^83017: evaluate raises before it tabulates any factor.
-        prepared = ThetaSeries(QBase(0.999999))
-        z = 0.562 * complex(math.cos(0.7), math.sin(0.7))
+        # The direct sum: the stop index is 68, and the largest term, at
+        # k = 33, is about e^765, so evaluate raises before it tabulates any
+        # factor.
+        prepared = ThetaSeries(QBase(0.5))
+        z = 1e20 * complex(math.cos(0.7), math.sin(0.7))
         want = ("NonConvergentError", "theta sum overflowed the double range")
         assert _outcome(prepared.evaluate, z, 1e-14) == want
         assert prepared._powers == []
-        assert _outcome(ref.eval_theta, 0.999999, z, 1e-14) == want
+        assert _outcome(ref.eval_theta, 0.5, z, 1e-14) == want
+        # The transformed sum tabulates nothing, and its largest term is not
+        # the direct sum's: at q = 0.999 the direct sum's largest term is
+        # about e^722, while theta is about 2e-119.
+        prepared = ThetaSeries(QBase(0.999))
+        z = math.exp(-1.7) * complex(math.cos(2.0), math.sin(2.0))
+        assert _outcome(ref.eval_theta, 0.999, z, 1e-14) == want
+        got = prepared.evaluate(z, 1e-14)
+        theta = oracles.theta_accurate(0.999, z, floor=1e-150)
+        assert abs(got.value - theta) <= 1e-12 * abs(theta) and 1e-119 < abs(theta) < 1e-118
+        assert prepared._powers == []
 
     @pytest.mark.parametrize("wing", [1.0, -1.0])
     def test_outcomes_near_the_overflow_threshold(self, wing):
         # About 2000 points per wing whose largest term, max over
         # 1 <= k <= K of k^2 log q + k |log|z||, lies within 3 of 711 (the
-        # closed-form rejection threshold) or of log(DBL_MAX) = 709.78; each
-        # outcome is the reference's.  K is the reference's stop index.
+        # direct sum's closed-form rejection threshold) or of
+        # log(DBL_MAX) = 709.78; each outcome is the reference's at or below
+        # THETA_TRANSFORM_Q and the oracle's above it.  K is the reference's
+        # stop index.
         rng = random.Random(4711 if wing > 0 else 4712)
         log_tol = math.log(1e-14)
         seen = {711.0: set(), 709.78: set()}
+        transformed = set()
         checked = 0
         while checked < 2000:
             q = math.exp(-math.exp(rng.uniform(math.log(1e-3), math.log(30.0))))
@@ -323,14 +369,20 @@ class TestThetaMatchesReference:
                 continue
             ang = rng.uniform(0.0, 2.0 * math.pi)
             z = math.exp(wing * log_m) * complex(math.cos(ang), math.sin(ang))
-            want = _expected("theta", ref.eval_theta, q, z, 1e-14)
-            assert _outcome(ThetaSeries(QBase(q)).evaluate, z, 1e-14) == want, (q, z)
-            seen[centre].add((len(want) == 2, peak > 711.0))
+            if q <= THETA_TRANSFORM_Q:
+                want = _expected("theta", ref.eval_theta, q, z, 1e-14)
+                assert _outcome(ThetaSeries(QBase(q)).evaluate, z, 1e-14) == want, (q, z)
+                seen[centre].add((len(want) == 2, peak > 711.0))
+            else:
+                theta = oracles.theta_accurate(q, z)
+                transformed.add(_check_theta(ThetaSeries(QBase(q)).evaluate, q, z, 1e-14, theta))
             checked += 1
-        # Both windows hold finite sums and overflows, and the 711 window
-        # holds points on both sides of the threshold.
+        # For the direct sum, both windows hold finite sums and overflows, and
+        # the 711 window holds points on both sides of the threshold.  The
+        # transformed sum both returns values and raises.
         assert {error for error, _ in seen[709.78]} == {False, True}
         assert seen[711.0] >= {(True, True), (True, False), (False, False)}
+        assert transformed == {False, True}
 
     def test_stop_index_matches_linear_walk(self):
         rng = random.Random(606)
@@ -409,19 +461,22 @@ def _dense_points(moduli, angles=3):
 
 
 class TestStopPathsOnDenseGrids:
-    """Theta's early overflow exit and Laurent's screened tail test change no
-    outcome: every value, term count, tail bound and error is the
-    reference's, on dense modulus grids that reach the overflow region."""
+    """On dense modulus grids that reach the overflow region, the transformed
+    theta sum gives the oracle's outcome, and Laurent's screened tail test
+    changes no outcome: every value, term count, tail bound and error is the
+    reference's."""
 
     TOLS = (1e-14, 1e-9, 1e-4)
 
     @pytest.mark.parametrize("q", [0.95, 0.99, 0.999])
     def test_theta(self, q):
+        assert q > THETA_TRANSFORM_Q
         prepared = ThetaSeries(QBase(q))
-        points = _dense_points(log_grid(1e-8, 1e8, 81))
-        reference = lambda z, tol: ref.eval_theta(q, z, tol)  # noqa: E731
-        errors = sum(_compare("theta", prepared, reference, points, tol) for tol in self.TOLS)
-        assert 0 < errors < len(points) * len(self.TOLS)
+        errors = 0
+        for z in _dense_points(log_grid(1e-8, 1e8, 81)):
+            theta = oracles.theta_accurate(q, z)
+            errors += sum(_check_theta(prepared.evaluate, q, z, tol, theta) for tol in self.TOLS)
+        assert 0 < errors < 82 * 3 * len(self.TOLS)
 
     @pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
     def test_laurent(self, q):
