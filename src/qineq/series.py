@@ -30,9 +30,9 @@ for them once.  Each eval_* prepares a series and evaluates it once: one code
 path, and the same bits either way.  A table grows by publishing an extended
 copy with one assignment, so a prepared series may be shared between threads
 without locks.  A ThetaSeries also remembers, for the last (|log|z||, tol)
-pair it met, the work that depends on |z| alone (the stop index, the tail,
-the direct sum's certain-overflow verdict or the transformed sum's phases),
-and publishes that memo the same way, as one tuple: the angles of one
+pair it met, the work that depends on |z| alone (the stop index, the
+certain-overflow verdict, the tail and the transformed sum's phases), and
+publishes that memo the same way, as one tuple: the angles of one
 modulus share that work.
 """
 
@@ -435,15 +435,16 @@ class ThetaSeries:
 
     Every evaluation first finds the direct sum's stop index K in closed form
     (see eval_theta).  terms_used is 2K + 1 on both paths below: the depth of
-    the direct sum that meets tol at z.
+    the direct sum that meets tol at z.  Both paths raise the overflow error
+    at once when the direct sum's largest term, q^{k^2} M^k at the best
+    1 <= k <= K, is above e^711 (that sum would overflow), so they return
+    values on the same set of points.
 
-    For q <= THETA_TRANSFORM_Q the series sums those 2K + 1 terms.  It raises
-    at once when the growing wing's largest term, q^{k^2} M^k at the best
-    1 <= k <= K, is above e^711 (the sum would overflow), and otherwise
-    extends its table of the factors q^{2k-1} to K in one step and sums in
-    one plain loop.  Later evaluations reuse the table.  Its rounding error
-    is about K u times the sum of the terms' moduli, which exceeds |theta| by
-    at most about e^{pi^2 / (4L)} <= 35 away from the zeros of theta, with
+    For q <= THETA_TRANSFORM_Q the series sums those 2K + 1 terms: it extends
+    its table of the factors q^{2k-1} to K in one step and sums in one plain
+    loop, and later evaluations reuse the table.  Its rounding error is about
+    K u times the sum of the terms' moduli, which exceeds |theta| by at most
+    about e^{pi^2 / (4L)} <= 35 away from the zeros of theta, with
     L = log(1/q) and u the unit roundoff.
 
     For q > THETA_TRANSFORM_Q, where that factor grows without bound as
@@ -462,19 +463,18 @@ class ThetaSeries:
     u (1 + (|a| + 3 pi)^2 / (4L)) times the largest transformed term,
     sqrt(c) e^{(a^2 - b^2) / (4L)}: the exponent and the phases are formed
     from a and b in doubles.  The value is e^{log|theta|} times its phase,
-    with log|theta| the prefactor's log plus log|S|, so it raises the
+    with log|theta| the prefactor's log plus log|S|, so it also raises the
     overflow error exactly where log|theta| leaves the doubles.
 
-    The stop index, the direct path's overflow test and tail, and the
+    The stop index, the overflow verdict, the direct path's tail and the
     transformed path's N, tail, prefactor log and phases e^{-i c n |a|}
     depend on |z| only through log M = |log|z|| and on tol, so the series
     keeps them for the last (log M, tol) pair in a one-entry memo:
-    (log M, tol, K, tail, prefactor log, rows), with K = 0 for the direct
-    path's overflow verdict and no rows on that path.  The angles of one
-    modulus share it.  A new pair replaces the memo with one tuple
-    assignment, like the table, so a concurrent reader sees either memo
-    whole.  The key floats are compared with ==, which for log M >= 0 and
-    tol > 0 is bit equality.
+    (log M, tol, K, tail, prefactor log, rows), with K = 0 for the overflow
+    verdict and no rows on the direct path.  The angles of one modulus share
+    it.  A new pair replaces the memo with one tuple assignment, like the
+    table, so a concurrent reader sees either memo whole.  The key floats
+    are compared with ==, which for log M >= 0 and tol > 0 is bit equality.
     """
 
     __slots__ = ("_q", "_lq", "_c", "_powers", "_memo")
@@ -505,25 +505,26 @@ class ThetaSeries:
         if log_m != memo_log_m or tol != memo_tol:
             log_tol = math.log(tol)
             k_stop = _theta_stop_index(lq, log_m, log_tol)
-            if c:
+            # Certain overflow, in closed form.  k^2 lq + k log_m is concave
+            # in k, so its maximum on 1 <= k <= K is at the integer nearest
+            # its vertex, clamped.  The sum forms that term in at most
+            # TWO_SIDED_CAP products, each losing at most about 5u of relative
+            # modulus (Brent, Percival and Zimmermann, Math. Comp. 76, 2007),
+            # so above 711 > log(sqrt(2) DBL_MAX) = 710.13 the term has a
+            # non-finite part.  An inf or nan part of the running sum never
+            # becomes finite again, so the final check below would reject
+            # that sum anyway.  The transformed sum raises there too: both
+            # paths return values only where the direct sum's terms are
+            # doubles, so a direct sum in extended precision can check every
+            # value they return.
+            k_peak = min(k_stop, max(1, round(log_m / (-2.0 * lq))))
+            if k_peak * k_peak * lq + k_peak * log_m > 711.0:
+                k_stop, tail = 0, 0.0
+            elif c:
                 tail, log_pref, rows = _transform_stop(c, lq, log_m, log_tol)
             else:
-                # Certain overflow, in closed form.  k^2 lq + k log_m is concave
-                # in k, so its maximum on 1 <= k <= K is at the integer nearest
-                # its vertex, clamped.  The sum forms that term in at most
-                # TWO_SIDED_CAP products, each losing at most about 5u of
-                # relative modulus (Brent, Percival and Zimmermann, Math. Comp.
-                # 76, 2007), so above 711 > log(sqrt(2) DBL_MAX) = 710.13 the
-                # term has a non-finite part.  An inf or nan part of the running
-                # sum never becomes finite again, so the final check below would
-                # reject that sum anyway.
-                k_peak = min(k_stop, max(1, round(log_m / (-2.0 * lq))))
-                if k_peak * k_peak * lq + k_peak * log_m > 711.0:
-                    k_stop, tail = 0, 0.0
-                else:
-                    rho2 = math.exp(min((2 * k_stop + 3) * lq + log_m, _LOG_HALF))
-                    tail = 2.0 * math.exp(
-                        (k_stop + 1) ** 2 * lq + (k_stop + 1) * log_m) / (1.0 - rho2)
+                rho2 = math.exp(min((2 * k_stop + 3) * lq + log_m, _LOG_HALF))
+                tail = 2.0 * math.exp((k_stop + 1) ** 2 * lq + (k_stop + 1) * log_m) / (1.0 - rho2)
             self._memo = (log_m, tol, k_stop, tail, log_pref, rows)
         if not k_stop:
             raise NonConvergentError("theta sum overflowed the double range")
@@ -581,10 +582,9 @@ def eval_theta(q: QBase, z: complex, tol: float) -> EvalResult:
     tail_bound bounds the transformed terms it omits.  Either way
     tail_bound <= tol covers truncation only; ThetaSeries states the
     rounding error of each path.  Raises NonConvergentError when K would
-    exceed TWO_SIDED_CAP or the value leaves the double range: on the direct
-    path in closed form, before any factor is tabulated, when its largest
-    term is above e^711, and on the transformed path exactly where
-    log|theta| is beyond the doubles.  This is ThetaSeries(q).evaluate(z, tol).
+    exceed TWO_SIDED_CAP, in closed form before any factor is tabulated when
+    the direct sum's largest term is above e^711, and when the value leaves
+    the double range.  This is ThetaSeries(q).evaluate(z, tol).
     """
     return ThetaSeries(q).evaluate(z, tol)
 

@@ -164,16 +164,19 @@ def _power(re, im, n):
 
 
 def _theta_decimal(q, z, log_scale):
-    """sum_k q^{k^2} z^k in decimal arithmetic, as (re, im) Decimals, with an
-    absolute error below 1e-40 e^log_scale.
+    """sum_k q^{k^2} z^k in decimal and fixed-point arithmetic, as (re, im)
+    Decimals, with an absolute error below 1e-40 e^log_scale.
 
     With m the integer nearest log|z| / (2 log(1/q)), the reindexing
     k -> k + m gives theta(z) = q^{m^2} z^m theta(w) with w = q^{2m} z and
-    q <= |w| <= 1/q, so the direct sum runs near |w| = 1, where its terms
-    are at most q^{-1/4}.  Each wing of theta(w) is summed until its rest is
-    below 1e-45 e^log_scale / |q^{m^2} z^m|.  Every term and the factor are
-    running products of at most 2K + 2 roundings of relative size 5 10^-d,
-    so the d digits below keep their rounding error under that bound too.
+    q <= |w| <= 1/q.  Each wing of theta(w) is summed until its rest is
+    below 1e-45 e^log_scale / |q^{m^2} z^m|.  Its terms q^{k^2} w^{+-k} and
+    their factors q^{2k-1} w^{+-1} are at most 1 in modulus, so the wings
+    run on integers scaled by 2^bits ~ 10^(d+3): a product truncates by at
+    most 2^-bits and passes on no larger error than it receives, and the
+    factors enter rounded to d digits, so the K terms' sum is off by at most
+    about K^3 10^-d.  The factor q^{m^2} z^m is off by about |m| 10^-d,
+    relative.  The d digits below keep both under 1e-45 e^log_scale.
     """
     lq = math.log(q)
     a = math.log(abs(z))
@@ -183,31 +186,42 @@ def _theta_decimal(q, z, log_scale):
     log_floor = log_scale - log_factor - 45.0 * _LN10
     k_plus, k_minus = _theta_wing(lq, a_w, log_floor), _theta_wing(lq, -a_w, log_floor)
     k_max = max(k_plus, k_minus, abs(m))
-    digits = math.ceil(46.0 + (log_factor - lq / 4.0 - log_scale) / _LN10
-                       + math.log10(8.0 * (k_max + 1) ** 2))
+    digits = math.ceil(46.0 + (log_factor - log_scale) / _LN10 + math.log10(64.0 * (k_max + 1) ** 3))
+    bits = math.ceil((digits + 3) * math.log2(10.0))
     context = decimal.Context(prec=max(digits, 20), Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
     with decimal.localcontext(context):
+        unit = decimal.Decimal(1 << bits)
         dq = decimal.Decimal(q)
-        dq2 = dq * dq
+        q2 = int(dq * dq * unit)
         zr, zi = decimal.Decimal(z.real), decimal.Decimal(z.imag)
         shift = dq ** (2 * m)
         wr, wi = zr * shift, zi * shift
         norm = wr * wr + wi * wi
-        re, im = decimal.Decimal(1), decimal.Decimal(0)
+        re, im = 1 << bits, 0
         for (ur, ui), k_stop in (((wr, wi), k_plus), ((wr / norm, -wi / norm), k_minus)):
             # f = q^{2k-1} u and term = q^{k^2} u^k.
-            fr, fi = dq * ur, dq * ui
-            tr, ti = decimal.Decimal(1), decimal.Decimal(0)
+            fr, fi = int(dq * ur * unit), int(dq * ui * unit)
+            tr, ti = 1 << bits, 0
             for _ in range(k_stop):
-                tr, ti = tr * fr - ti * fi, tr * fi + ti * fr
+                tr, ti = (tr * fr - ti * fi) >> bits, (tr * fi + ti * fr) >> bits
                 re += tr
                 im += ti
-                fr *= dq2
-                fi *= dq2
+                fr = fr * q2 >> bits
+                fi = fi * q2 >> bits
+        re, im = decimal.Decimal(re) / unit, decimal.Decimal(im) / unit
         pr, pi = _power(zr, zi, m)
         factor = dq ** (m * m)
         pr, pi = pr * factor, pi * factor
         return pr * re - pi * im, pr * im + pi * re
+
+
+def theta_log_peak(q, z):
+    """log of the direct theta sum's largest term, max over integers k of
+    k^2 log q + k |log|z||."""
+    lq = math.log(q)
+    a = abs(math.log(abs(complex(z))))
+    vertex = a / (-2.0 * lq)
+    return max(k * k * lq + k * a for k in (math.floor(vertex), math.ceil(vertex)))
 
 
 def theta_accurate(q, z, floor=1.0):
@@ -225,9 +239,7 @@ def theta_accurate(q, z, floor=1.0):
     """
     z = complex(z)
     lq = math.log(q)
-    a = abs(math.log(abs(z)))
-    vertex = a / (-2.0 * lq)
-    log_peak = max(k * k * lq + k * a for k in (math.floor(vertex), math.ceil(vertex)))
+    log_peak = theta_log_peak(q, z)
     log_floor = math.log(floor)
     gap = 30.0 * _LN10 + math.atan2(z.imag, z.real) ** 2 / (-4.0 * lq)
     while True:

@@ -306,9 +306,10 @@ def test_criterion_11_theta_values_near_q_one():
     # per q, with |z| = e^U(-8, 8), alternately on the negative real axis and
     # at a uniform angle.  The direct sum in doubles was wrong, by the gates
     # below, in about half of these draws at q >= 0.9.  Where the oracle's
-    # |theta| is beyond the doubles, eval_theta must raise its overflow
-    # error.  Off the axis the gate is 1e-12 max(1, |theta|).  On the axis,
-    # where theta has its zeros and log|z| is itself rounded, it is
+    # |theta| is beyond the doubles, or the direct sum's largest term is
+    # above e^711, eval_theta must raise its overflow error.  Off the axis
+    # the gate is 1e-12 max(1, |theta|).  On the axis, where theta has its
+    # zeros and log|z| is itself rounded, it is
     # 1e-12 max(1, |theta|, largest term of the transformed sum).
     started = time.perf_counter()
     rng = random.Random(3)
@@ -325,13 +326,14 @@ def test_criterion_11_theta_values_near_q_one():
             ang = rng.uniform(0.0, TWO_PI)
             z = modulus * complex(math.cos(ang), math.sin(ang))
         theta = oracles.theta_accurate(q, z)
+        overflow = theta is None or oracles.theta_log_peak(q, z) > 711.0
         try:
             got = eval_theta(QBase(q), z, 1e-14).value
         except NonConvergentError as exc:
-            assert theta is None and str(exc) == "theta sum overflowed the double range", (q, z)
+            assert overflow and str(exc) == "theta sum overflowed the double range", (q, z)
             raised += 1
             continue
-        assert theta is not None, (q, z, got)
+        assert not overflow, (q, z, got)
         scale = max(1.0, abs(theta))
         if on_axis:
             scale = max(scale, oracles.theta_transformed_peak(q, z))

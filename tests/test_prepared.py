@@ -122,15 +122,17 @@ def _compare(family, prepared, reference, points, tol):
 
 def _check_theta(evaluate, q, z, tol, theta):
     """evaluate(z, tol) against theta = oracles.theta_accurate(q, z): the
-    overflow error where |theta| is beyond the doubles, else a value within
-    1e-12 max(1, |theta|), the 2K + 1 terms of the reference's stop index K
-    and a tail of at most tol.  Returns whether it raised."""
+    overflow error where |theta| is beyond the doubles or the direct sum's
+    largest term is above e^711, else a value within 1e-12 max(1, |theta|),
+    the 2K + 1 terms of the reference's stop index K and a tail of at most
+    tol.  Returns whether it raised."""
+    overflow = theta is None or oracles.theta_log_peak(q, z) > 711.0
     try:
         got = evaluate(z, tol)
     except QSeriesError as exc:
-        assert theta is None and str(exc) == _OVERFLOW_MESSAGE["theta"], (q, z, tol, exc)
+        assert overflow and str(exc) == _OVERFLOW_MESSAGE["theta"], (q, z, tol, exc)
         return True
-    assert theta is not None, (q, z, tol, got)
+    assert not overflow, (q, z, tol, got)
     k_stop = ref.theta_stop_index(math.log(q), abs(math.log(abs(z))), math.log(tol))
     assert got.terms_used == 2 * k_stop + 1 and got.tail_bound <= tol, (q, z, tol, got)
     assert abs(got.value - theta) <= 1e-12 * max(1.0, abs(theta)), (q, z, tol, got, theta)
@@ -323,25 +325,14 @@ class TestThetaMatchesReference:
             assert 0 < errors < len(walk)
 
     def test_certain_overflow_tabulates_nothing(self):
-        # The direct sum: the stop index is 68, and the largest term, at
-        # k = 33, is about e^765, so evaluate raises before it tabulates any
-        # factor.
-        prepared = ThetaSeries(QBase(0.5))
-        z = 1e20 * complex(math.cos(0.7), math.sin(0.7))
+        # The stop index is 634,396, and the largest term, at k = 288,127, is
+        # about e^83017: evaluate raises before it tabulates any factor.
+        prepared = ThetaSeries(QBase(0.999999))
+        z = 0.562 * complex(math.cos(0.7), math.sin(0.7))
         want = ("NonConvergentError", "theta sum overflowed the double range")
         assert _outcome(prepared.evaluate, z, 1e-14) == want
         assert prepared._powers == []
-        assert _outcome(ref.eval_theta, 0.5, z, 1e-14) == want
-        # The transformed sum tabulates nothing, and its largest term is not
-        # the direct sum's: at q = 0.999 the direct sum's largest term is
-        # about e^722, while theta is about 2e-119.
-        prepared = ThetaSeries(QBase(0.999))
-        z = math.exp(-1.7) * complex(math.cos(2.0), math.sin(2.0))
-        assert _outcome(ref.eval_theta, 0.999, z, 1e-14) == want
-        got = prepared.evaluate(z, 1e-14)
-        theta = oracles.theta_accurate(0.999, z, floor=1e-150)
-        assert abs(got.value - theta) <= 1e-12 * abs(theta) and 1e-119 < abs(theta) < 1e-118
-        assert prepared._powers == []
+        assert _outcome(ref.eval_theta, 0.999999, z, 1e-14) == want
 
     @pytest.mark.parametrize("wing", [1.0, -1.0])
     def test_outcomes_near_the_overflow_threshold(self, wing):
@@ -472,11 +463,12 @@ class TestStopPathsOnDenseGrids:
     def test_theta(self, q):
         assert q > THETA_TRANSFORM_Q
         prepared = ThetaSeries(QBase(q))
+        points = _dense_points(log_grid(1e-8, 1e8, 81))
         errors = 0
-        for z in _dense_points(log_grid(1e-8, 1e8, 81)):
+        for z in points:
             theta = oracles.theta_accurate(q, z)
             errors += sum(_check_theta(prepared.evaluate, q, z, tol, theta) for tol in self.TOLS)
-        assert 0 < errors < 82 * 3 * len(self.TOLS)
+        assert 0 < errors < len(points) * len(self.TOLS)
 
     @pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
     def test_laurent(self, q):
