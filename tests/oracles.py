@@ -144,7 +144,9 @@ def _theta_wing(lq, a, log_floor):
     while True:
         k += 1
         ratio = (2 * k + 1) * lq + a
-        if ratio < 0.0 and (k + 1) ** 2 * lq + (k + 1) * a - math.log1p(-math.exp(ratio)) < log_floor:
+        if ratio >= 0.0:
+            continue
+        if (k + 1) ** 2 * lq + (k + 1) * a - math.log1p(-math.exp(ratio)) < log_floor:
             return k
 
 
@@ -163,7 +165,7 @@ def _power(re, im, n):
     return pr, pi
 
 
-def _theta_decimal(q, z, log_scale):
+def _theta_extended(q, z, log_scale):
     """sum_k q^{k^2} z^k in decimal and fixed-point arithmetic, as (re, im)
     Decimals, with an absolute error below 1e-40 e^log_scale.
 
@@ -186,7 +188,8 @@ def _theta_decimal(q, z, log_scale):
     log_floor = log_scale - log_factor - 45.0 * _LN10
     k_plus, k_minus = _theta_wing(lq, a_w, log_floor), _theta_wing(lq, -a_w, log_floor)
     k_max = max(k_plus, k_minus, abs(m))
-    digits = math.ceil(46.0 + (log_factor - log_scale) / _LN10 + math.log10(64.0 * (k_max + 1) ** 3))
+    digits = math.ceil(
+        46.0 + (log_factor - log_scale) / _LN10 + math.log10(64.0 * (k_max + 1) ** 3))
     bits = math.ceil((digits + 3) * math.log2(10.0))
     context = decimal.Context(prec=max(digits, 20), Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
     with decimal.localcontext(context):
@@ -244,7 +247,7 @@ def theta_accurate(q, z, floor=1.0):
     gap = 30.0 * _LN10 + math.atan2(z.imag, z.real) ** 2 / (-4.0 * lq)
     while True:
         log_scale = max(log_peak - gap, log_floor)
-        re, im = _theta_decimal(q, z, log_scale)
+        re, im = _theta_extended(q, z, log_scale)
         modulus = (re * re + im * im).sqrt()
         if log_scale <= log_floor or modulus and modulus.ln() >= log_scale - 20.0 * _LN10:
             break

@@ -120,19 +120,24 @@ def _compare(family, prepared, reference, points, tol):
     return errors
 
 
+def _theta_or_overflow(q, z):
+    """oracles.theta_accurate(q, z), or None where a theta series must raise
+    its overflow error: where the direct sum's largest term is above e^711
+    (the oracle is not needed there) or |theta| is beyond the doubles."""
+    return None if oracles.theta_log_peak(q, z) > 711.0 else oracles.theta_accurate(q, z)
+
+
 def _check_theta(evaluate, q, z, tol, theta):
-    """evaluate(z, tol) against theta = oracles.theta_accurate(q, z): the
-    overflow error where |theta| is beyond the doubles or the direct sum's
-    largest term is above e^711, else a value within 1e-12 max(1, |theta|),
-    the 2K + 1 terms of the reference's stop index K and a tail of at most
-    tol.  Returns whether it raised."""
-    overflow = theta is None or oracles.theta_log_peak(q, z) > 711.0
+    """evaluate(z, tol) against theta = _theta_or_overflow(q, z): the
+    overflow error where theta is None, else a value within
+    1e-12 max(1, |theta|), the 2K + 1 terms of the reference's stop index K
+    and a tail of at most tol.  Returns whether it raised."""
     try:
         got = evaluate(z, tol)
     except QSeriesError as exc:
-        assert overflow and str(exc) == _OVERFLOW_MESSAGE["theta"], (q, z, tol, exc)
+        assert theta is None and str(exc) == _OVERFLOW_MESSAGE["theta"], (q, z, tol, exc)
         return True
-    assert not overflow, (q, z, tol, got)
+    assert theta is not None, (q, z, tol, got)
     k_stop = ref.theta_stop_index(math.log(q), abs(math.log(abs(z))), math.log(tol))
     assert got.terms_used == 2 * k_stop + 1 and got.tail_bound <= tol, (q, z, tol, got)
     assert abs(got.value - theta) <= 1e-12 * max(1.0, abs(theta)), (q, z, tol, got, theta)
@@ -276,7 +281,7 @@ class TestThetaMatchesReference:
                     )
                 else:
                     for z in points:
-                        _check_theta(prepared.evaluate, q, z, tol, oracles.theta_accurate(q, z))
+                        _check_theta(prepared.evaluate, q, z, tol, _theta_or_overflow(q, z))
 
     @pytest.mark.parametrize("q, want_terms", [(0.4, [13, 7, 59, 15, 3]),
                                                (0.7, [21, 13, 95, 27, 7])])
@@ -286,7 +291,7 @@ class TestThetaMatchesReference:
         if q <= THETA_TRANSFORM_Q:
             terms = _walk(prepared, lambda z, tol: ref.eval_theta(q, z, tol), z, tols)
         else:
-            theta = oracles.theta_accurate(q, z)
+            theta = _theta_or_overflow(q, z)
             for tol in tols:
                 _check_theta(prepared.evaluate, q, z, tol, theta)
             terms = [prepared.evaluate(z, tol).terms_used for tol in tols]
@@ -365,7 +370,7 @@ class TestThetaMatchesReference:
                 assert _outcome(ThetaSeries(QBase(q)).evaluate, z, 1e-14) == want, (q, z)
                 seen[centre].add((len(want) == 2, peak > 711.0))
             else:
-                theta = oracles.theta_accurate(q, z)
+                theta = _theta_or_overflow(q, z)
                 transformed.add(_check_theta(ThetaSeries(QBase(q)).evaluate, q, z, 1e-14, theta))
             checked += 1
         # For the direct sum, both windows hold finite sums and overflows, and
@@ -466,7 +471,7 @@ class TestStopPathsOnDenseGrids:
         points = _dense_points(log_grid(1e-8, 1e8, 81))
         errors = 0
         for z in points:
-            theta = oracles.theta_accurate(q, z)
+            theta = _theta_or_overflow(q, z)
             errors += sum(_check_theta(prepared.evaluate, q, z, tol, theta) for tol in self.TOLS)
         assert 0 < errors < len(points) * len(self.TOLS)
 
