@@ -141,7 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--draws", type=int, default=0,
                          help="random parameter draws instead of fixed parameters "
                               "(f, phi; not with --l, --a, --b)")
-    p_audit.add_argument("--seed", type=int, default=0)
+    p_audit.add_argument("--seed", type=int, default=None,
+                         help="seed of the parameter draws (default 0; only with --draws)")
     p_audit.add_argument("--out", default=None, help="output path (default: stdout)")
     p_audit.add_argument("--format", choices=("csv", "json"), default="csv")
     p_audit.set_defaults(handler=_cmd_audit)
@@ -346,7 +347,7 @@ def _cmd_audit(args) -> int:
         abs_z_grid=args.grid,
         angle_count=args.angles,
         parameter_draws=args.draws,
-        seed=args.seed,
+        seed=args.seed or 0,
         tol=args.tol,
     )
     if args.draws > 0:
@@ -354,6 +355,8 @@ def _cmd_audit(args) -> int:
             return _usage_error("--draws requires --function f or phi")
         if args.l is not None or args.a is not None or args.b is not None:
             return _usage_error("--draws draws its own parameters; drop --l, --a and --b")
+    elif args.seed is not None:
+        return _usage_error("--seed seeds the parameter draws; it needs --draws")
     _reject_inapplicable(args)
     tag = "confluent_f" if fn == "f" else fn
     if args.draws > 0:

@@ -33,11 +33,16 @@ without locks.  A ThetaSeries also remembers, for the last (|log|z||, tol)
 pair it met, the work that depends on |z| alone (the stop index, the
 certain-overflow verdict, the tail and the transformed sum's phases), and
 publishes that memo the same way, as one tuple: the angles of one
-modulus share that work.
+modulus share that work.  Two more facts ride with the tables: once a
+GaussianSeries has overflowed, the modulus r_ovf beyond which its sum
+certainly overflows, so it raises there at once; and a LaurentSeries's z0,
+from which its tabulated coefficients are all zero, so the sum cannot change
+and a search finds the loop's outcome.  The classes prove both rules.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Callable, NamedTuple
 
@@ -182,6 +187,21 @@ class LaurentSpec(FrozenValue):
         self._set_fields(center, coeff, alpha, q, c_weighted)
 
 
+def _overflow_radius(rows: list) -> tuple:
+    """(r_ovf, column) of GaussianSeries over ``rows``, up to a den_j of 0."""
+    column, log_c, floor, best = [], 0.0, -math.inf, math.inf
+    for k, (nw, den, _, _) in enumerate(rows, 1):
+        if not den:
+            break
+        log_nw = math.log(abs(nw)) if nw else -math.inf
+        floor = max(floor, -700.0 - log_nw)
+        log_c += log_nw - math.log(den)
+        column.append(log_c)
+        best = min(best, max((711.0 - log_c) / k, floor))
+        floor = max(floor, (-700.0 - log_c) / k)
+    return (math.exp(best) if best < 709.0 else math.inf), column
+
+
 class GaussianSeries:
     """A prepared one-sided sum with term_0 = 1 and term ratio
 
@@ -196,10 +216,27 @@ class GaussianSeries:
     a nonincreasing bound on |r_k| for every k >= K, is below 1 and
     |term_{K+1}| / (1 - rho_K) <= tol max(1, |partial|).  With ``negate`` the
     series is evaluated at -z.
+
+    Certain overflow.  With the tabulated rows taken as exact, term_k is
+    c_k z^k, c_k = prod_{j<k} num_j w_j / den_j.  When a sum first raises
+    "series term left the double range", the series fills the column
+    L_k = log|c_k| over its rows and keeps r_ovf, the least |z| at which
+    some k has L_k + k log|z| >= 711 while L_j + j log|z| and
+    log|num_j w_j z| stay >= -700 for j < k.  These hold at every larger
+    |z|, where evaluate then raises that error at once, and so would the
+    loop, at or before index k, whatever tol.  While the moduli stay above
+    e^-700 a step loses at most about 5u of relative modulus (Brent,
+    Percival and Zimmermann, Math. Comp. 76, 2007), an underflowing part at
+    most e^-744, so over k <= len(rows) <= TERM_CAP + 1 steps term_k keeps
+    all but a factor e^-0.001 of |c_k z^k|, and L_k is within 1e-6: term_k
+    or an earlier term is not finite.  Nor can the loop stop at some K < k:
+    that needs a finite |term_{K+1}| and rho_K < 1, and rho_K bounds every
+    later ratio to within that rounding, so |c_k z^k| < e^709.9 would
+    follow.  A later overflow, once the table has grown, fills it afresh.
     """
 
     __slots__ = ("_a_list", "_b_list", "_q", "_l", "_shift", "_negate", "_num_cap",
-                 "_den_floor", "_rows")
+                 "_den_floor", "_table")
 
     def __init__(
         self,
@@ -224,11 +261,16 @@ class GaussianSeries:
             den_floor *= 1.0 - b
         self._num_cap = num_cap
         self._den_floor = den_floor
-        # Row k: (num_k w_k, den_k, w_k, (1 - q^{k+1}) den_floor) with
-        # w_k = q^{l(2k+shift)}.  An evaluation that needs more rows extends a
-        # private copy and publishes it with one assignment, so a concurrent
-        # reader never sees a half-grown table.
-        self._rows: list[tuple[complex, float, float, float]] = []
+        # (rows, r_ovf, column).  Row k: (num_k w_k, den_k, w_k,
+        # (1 - q^{k+1}) den_floor) with w_k = q^{l(2k+shift)}; column entry
+        # k - 1 is L_k.  An evaluation that needs more rows, or fills the
+        # column, publishes the new tuple with one assignment, so a
+        # concurrent reader never sees a half-grown table.
+        self._table: tuple = ([], math.inf, [])
+
+    @property
+    def _rows(self) -> list[tuple[complex, float, float, float]]:
+        return self._table[0]
 
     def evaluate(self, z: complex, tol: float) -> EvalResult:
         """The sum at z with its certified tail; see eval_confluent_f."""
@@ -239,7 +281,7 @@ class GaussianSeries:
         if z == 0:
             return EvalResult(1.0 + 0.0j, 1, 0.0)
         num_cap = self._num_cap
-        rows = self._rows
+        rows, r_ovf, _ = table = self._table
         size = len(rows)
         grown = False
         term: complex = 1.0 + 0.0j
@@ -248,6 +290,8 @@ class GaussianSeries:
         inf, min_stop, term_cap = math.inf, MIN_STOP_INDEX, TERM_CAP
         try:
             abs_z = abs(z)
+            if abs_z > r_ovf:
+                raise NonConvergentError("series term left the double range")
             while k <= term_cap:
                 if k == size:
                     # Extend a private copy; the finally clause publishes it.
@@ -275,26 +319,31 @@ class GaussianSeries:
                 nxt = term * (nw * z / den)
                 abs_nxt = abs(nxt)
                 if not abs_nxt < inf:
-                    raise NonConvergentError("series term left the double range")
+                    break
                 if k >= min_stop:
                     bound = w * abs_z * num_cap / dd
                     if bound < 1.0:
                         tail = abs_nxt / (1.0 - bound)
                         abs_partial = abs(partial)
                         if not abs_partial < inf:
-                            raise NonConvergentError("series term left the double range")
+                            break
                         if tail <= tol * (abs_partial if abs_partial > 1.0 else 1.0):
                             return _new_tuple(EvalResult, (partial, k + 1, tail))
                 partial += nxt
                 term = nxt
                 k += 1
-        except OverflowError as exc:
+            else:
+                raise NonConvergentError(f"no certified stop within {TERM_CAP} terms")
+        except OverflowError:
             # abs() of a complex with finite parts raises once its modulus overflows.
-            raise NonConvergentError("series term left the double range") from exc
+            pass
         finally:
             if grown:
-                self._rows = rows
-        raise NonConvergentError(f"no certified stop within {TERM_CAP} terms")
+                self._table = table = (rows, *table[1:])
+        # The sum left the double range.
+        if len(table[2]) < len(rows):
+            self._table = (rows, *_overflow_radius(rows))
+        raise NonConvergentError("series term left the double range")
 
 
 def prepare_confluent_f(params: ConfluentParams) -> GaussianSeries:
@@ -603,9 +652,26 @@ class LaurentSeries:
     w^k or w^-k certainly leaves the double range raises "Laurent sum
     overflowed the double range" at once, without calling coeff for any
     k >= 1: the sum would raise that error by then.
+
+    Zero tail.  Beside its rows the series keeps z0, the start of the
+    trailing run of rows whose coeff(k) and coeff(-k) are exactly zero (a
+    stream such as q^{k^2} underflows long before its stop rule passes).
+    From z0 >= 2 on, while both powers of w are finite, a row adds zeros,
+    which change no part of the partial sum but a -0.0 one (that falls back
+    to the loop); the loop's other events are its stop test, now with a
+    fixed target, and the cap.  Each decay is within a few u of
+    (alpha+1) k^alpha log q, which decreases in k, so a row whose ratio test
+    fails by 1e-12 of its size rules out every earlier one: a bisection
+    finds the last such row, and a walk from it runs the loop's tests up to
+    the first passing index K.  The powers up to K are finite where
+    K log M <= 708 (|w| >= e^-708 is normal, and they keep all but e^-0.001
+    of |w|^{+-k}) and not from ceil(711 / log M) on, as above: at most K,
+    that index makes the series raise the overflow error, and the band
+    between falls back to the loop.  With no passing index, a table at
+    LAURENT_K_CAP raises the cap error likewise; a shorter one falls back.
     """
 
-    __slots__ = ("_spec", "_lq", "_ap1", "_log_c", "_c0", "_rows")
+    __slots__ = ("_spec", "_lq", "_ap1", "_log_c", "_c0", "_table")
 
     def __init__(self, spec: LaurentSpec) -> None:
         self._spec = spec
@@ -613,10 +679,14 @@ class LaurentSeries:
         self._ap1 = spec.alpha + 1.0
         self._log_c = math.log(spec.c_weighted)
         self._c0: complex | None = None
-        # Row k - 1: (coeff(k), coeff(-k), (alpha+1) k^alpha log q,
+        # (rows, z0).  Row k - 1: (coeff(k), coeff(-k), (alpha+1) k^alpha log q,
         # (k+1)^(alpha+1) log q).  An evaluation that needs more rows extends a
-        # private copy and publishes it with one assignment.
-        self._rows: list[tuple[complex, complex, float, float]] = []
+        # private copy and publishes it with its z0 in one assignment.
+        self._table: tuple = ([], 1)
+
+    @property
+    def _rows(self) -> list[tuple[complex, complex, float, float]]:
+        return self._table[0]
 
     def evaluate(self, z: complex, tol: float) -> EvalResult:
         """The expansion at z with its certified tail; see eval_laurent."""
@@ -637,7 +707,7 @@ class LaurentSeries:
         if c0 is None:
             c0 = self._c0 = complex(spec.coeff(0))
         partial = c0
-        rows = self._rows
+        rows, z0 = self._table
         size = len(rows)
         grown = False
         plus: complex = 1.0 + 0.0j
@@ -676,10 +746,15 @@ class LaurentSeries:
                         rows = list(rows)
                         coeff, alpha, ap1, lq = spec.coeff, spec.alpha, self._ap1, self._lq
                         grown = True
-                    rows.append(
-                        (coeff(k), coeff(-k), ap1 * k**alpha * lq, (k + 1) ** ap1 * lq)
-                    )
+                    up, down = coeff(k), coeff(-k)
+                    rows.append((up, down, ap1 * k**alpha * lq, (k + 1) ** ap1 * lq))
+                    if up or down:
+                        z0 = k + 1
                     size += 1
+                elif k == z0 and k > 1:
+                    found = _zero_tail(rows, k, log_m, law, log_c, partial, abs_partial, tol)
+                    if found is not None:
+                        return found
                 up, down, decay, next_weight = rows[k - 1]
                 plus *= w
                 minus *= w_inv
@@ -702,19 +777,57 @@ class LaurentSeries:
                 # exceeds target_log the tail test cannot pass.
                 if log_c + (next_weight + (k + 1) * log_m) > target_log:
                     continue
-                # The majorant term just past the current index can still exceed
-                # the double range, so the wing tails are compared in log space.
-                wing_logs = []
-                for sgn in (1.0, -1.0):
-                    wing_rho = math.exp(decay + sgn * law)
-                    wing_logs.append(next_weight + sgn * (k + 1) * law - math.log1p(-wing_rho))
-                hi = max(wing_logs)
-                tail_log = log_c + hi + math.log1p(math.exp(min(wing_logs) - hi))
+                tail_log = _tail_log(k, decay, next_weight, law, log_c)
                 if tail_log <= target_log:
                     return _new_tuple(EvalResult, (partial, 2 * k + 1, math.exp(tail_log)))
         finally:
             if grown:
-                self._rows = rows
+                self._table = (rows, z0)
+
+
+def _tail_log(k: int, decay: float, next_weight: float, law: float, log_c: float) -> float:
+    """The log of LaurentSeries's two-wing tail bound past index k."""
+    # The majorant term just past the current index can still exceed
+    # the double range, so the wing tails are compared in log space.
+    wing_logs = []
+    for sgn in (1.0, -1.0):
+        wing_rho = math.exp(decay + sgn * law)
+        wing_logs.append(next_weight + sgn * (k + 1) * law - math.log1p(-wing_rho))
+    hi = max(wing_logs)
+    return log_c + hi + math.log1p(math.exp(min(wing_logs) - hi))
+
+
+def _zero_tail(rows: list, k0: int, log_m: float, law: float, log_c: float, partial: complex,
+               abs_partial: float, tol: float) -> EvalResult | None:
+    """LaurentSeries's outcome over its trailing zero rows from k0 >= 2 on,
+    given the partial sum and its modulus before row k0: the result, a
+    raised error, or None where the loop must decide (see the class)."""
+    if any(not part and math.copysign(1.0, part) < 0.0 for part in (partial.real, partial.imag)):
+        return None
+    target_log = math.log(tol * (abs_partial if abs_partial > 1.0 else 1.0))
+    size = len(rows)
+    # Rows k0 - 1 (checked by the loop) to lo fail their ratio tests.
+    lo = bisect.bisect_left(rows, True, k0 - 1, size, key=lambda row: (
+        row[2] + log_m <= _LOG_HALF + 1e-12 * (1.0 - row[2] + log_m)))
+    k_stop = 0
+    for k in range(lo + 1, size + 1):
+        _, _, decay, next_weight = rows[k - 1]
+        if decay + log_m > _LOG_HALF or log_c + (next_weight + (k + 1) * log_m) > target_log:
+            continue
+        tail_log = _tail_log(k, decay, next_weight, law, log_c)
+        if tail_log <= target_log:
+            k_stop = k
+            break
+    k_last = k_stop or size
+    if k_last * log_m > 708.0:
+        if math.ceil(711.0 / log_m) <= k_last:
+            raise NonConvergentError("Laurent sum overflowed the double range")
+        return None
+    if k_stop:
+        return _new_tuple(EvalResult, (partial, 2 * k_stop + 1, math.exp(tail_log)))
+    if size == LAURENT_K_CAP:
+        raise NonConvergentError(f"weighted tail did not meet tol within |k| <= {LAURENT_K_CAP}")
+    return None
 
 
 def eval_laurent(spec: LaurentSpec, z: complex, tol: float) -> EvalResult:

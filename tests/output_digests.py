@@ -64,6 +64,14 @@ _EDGE_SWEEPS = (
     ["aq", "0.999999", "--grid", "1e-3:1:2", "--angles", "2"],
     *(["laurent", "0.999", "--alpha", alpha, "--grid", "1e-4:1e6:41", "--angles", "8"]
       for alpha in ("0.25", "0.9")),
+    # Through the first modulus where a term of f exceeds e^711 (the
+    # overflow radius starts there); phi's records whose largest term is
+    # near e^710.5 and must still be summed; Laurent sums that reach the
+    # index cap in the stream's zero tail, on both sides of the band where
+    # w^10000 leaves the doubles.
+    ["f", "0.95", "--l", "1", "--grid", "1.1e5:1.6e5:41", "--angles", "8"],
+    ["phi", "0.9", "--a=0.5", "--b", "0.3", "--grid", "1e5:1e6:21", "--angles", "8"],
+    ["laurent", "0.999", "--alpha", "0.25", "--grid", "0.93:1.075:25", "--angles", "8"],
 )
 
 _SINGLE = (

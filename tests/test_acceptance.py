@@ -359,7 +359,7 @@ def test_criterion_10_audit_determinism(tmp_path):
     pairs = []
     for stem, argv in (
         ("theta", ["audit", "--function", "theta", "--q", "0.3", "--alpha", "0.5",
-                   "--grid", "1e-3:1e3:11", "--angles", "4", "--seed", "11"]),
+                   "--grid", "1e-3:1e3:11", "--angles", "4"]),
         ("draws", ["audit", "--function", "f", "--q", "0.5",
                    "--grid", "1e-3:1e3:2", "--angles", "1", "--draws", "200",
                    "--seed", "11"]),

@@ -305,6 +305,27 @@ class TestAuditCommand:
         assert captured.out == ""
         assert captured.err == "error: --draws draws its own parameters; drop --l, --a and --b\n"
 
+    @pytest.mark.parametrize("draws", [[], ["--draws", "0"]])
+    def test_seed_without_draws_is_a_usage_error(self, capsys, draws):
+        # --seed seeds only the parameter draws, so without them it would be
+        # silently ignored.
+        code = run(
+            ["audit", "--function", "theta", "--q", "0.5", "--alpha", "0.5", "--grid", "1:2:2",
+             "--angles", "1", "--seed", "5", *draws]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: --seed seeds the parameter draws; it needs --draws\n"
+
+    def test_draws_without_seed_use_seed_zero(self, capsys):
+        argv = ["audit", "--function", "f", "--q", "0.5", "--grid", "1e-1:1e1:2", "--angles", "1",
+                "--draws", "20"]
+        assert run(argv) == 0
+        unseeded = capsys.readouterr().out
+        assert run(argv + ["--seed", "0"]) == 0
+        assert capsys.readouterr().out == unseeded
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_unwritable_output_is_a_usage_error(self, tmp_path, capsys, fmt):
         out = tmp_path / "missing" / "x.csv"

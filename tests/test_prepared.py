@@ -219,6 +219,96 @@ class TestGaussianMatchesReference:
         )
 
 
+def _log_coefficients(a_list, b_list, q, l, shift, count=4000):
+    """log|c_k| for 1 <= k <= count, term_k = c_k z^k, from the factors of
+    the reference's term ratio; -inf once a numerator factor is 0."""
+    logs, log_c = [], 0.0
+    for k in range(count):
+        qk = q**k
+        num = 1.0 + 0.0j
+        for a in a_list:
+            num *= 1.0 - a * qk
+        den = 1.0 - q ** (k + 1)
+        for b in b_list:
+            den *= 1.0 - b * qk
+        mod = abs(num * q ** (l * (2 * k + shift)))
+        log_c += (math.log(mod) if mod else -math.inf) - math.log(den)
+        logs.append(log_c)
+    return logs
+
+
+def _moduli_at_peaks(log_coefficients, peaks):
+    """For each peak t, the modulus at which the largest term has log t."""
+    return [math.exp(min((t - log_c) / k for k, log_c in enumerate(log_coefficients, 1)
+                         if log_c > -math.inf)) for t in peaks]
+
+
+class TestGaussianOverflowVerdict:
+    """Around the modulus where the largest term reaches e^711, a series
+    that has filled its log-coefficient column raises at once beyond its
+    r_ovf and sums below it, with the reference's outcome at every point:
+    walking |z| up (the first overflow fills the column), down, then growing
+    the table with a tiny tol and walking up again."""
+
+    TOLS = (1e-14, 1e-9, 1e100)
+    # Largest-term logs from 690 to 720: the loop returns values up to about
+    # e^709.8 and overflows beyond, and e^711 is where r_ovf starts.
+    PEAKS = [690.0 + 1.25 * i for i in range(25)]
+
+    @staticmethod
+    def _check(prepared, a_list, b_list, q, l, shift, sign):
+        log_coefficients = _log_coefficients(a_list, b_list, q, l, shift)
+        moduli = _moduli_at_peaks(log_coefficients, TestGaussianOverflowVerdict.PEAKS)
+        points = [mod * complex(math.cos(ang), math.sin(ang)) for mod in moduli
+                  for ang in (0.3, 2.9)]
+        tols = TestGaussianOverflowVerdict.TOLS
+        want = {(z, tol): _expected("gaussian", ref.eval_gaussian, a_list, b_list, q, l, shift,
+                                    sign * z, tol)
+                for z in points for tol in tols}
+        # The largest modulus with a value at every tol, for the tiny tol.
+        grow = max((z for z in points if all(len(want[z, tol]) > 2 for tol in tols)), key=abs)
+        want[grow, 1e-300] = _expected("gaussian", ref.eval_gaussian, a_list, b_list, q, l,
+                                       shift, sign * grow, 1e-300)
+        for z in [*points, *points[::-1]]:
+            for tol in tols:
+                assert _outcome(prepared.evaluate, z, tol) == want[z, tol], (q, z, tol)
+        rows, r_ovf = len(prepared._rows), prepared._table[1]
+        assert r_ovf < math.inf and len(prepared._table[2]) == rows
+        # A tiny tol grows the table after r_ovf is set (unless the series
+        # terminates, when the walk has tabulated the rows it needs); the
+        # next overflow extends the column over the new rows.
+        assert _outcome(prepared.evaluate, grow, 1e-300) == want[grow, 1e-300]
+        assert len(prepared._rows) > rows or -math.inf in log_coefficients
+        for z in points:
+            for tol in tols:
+                assert _outcome(prepared.evaluate, z, tol) == want[z, tol], (q, z, tol)
+        assert len(prepared._table[2]) == len(prepared._rows)
+        assert prepared._table[1] <= r_ovf
+        outcomes = list(want.values())
+        assert 0 < sum(len(got) == 2 for got in outcomes) < len(outcomes)
+
+    @pytest.mark.parametrize("q", [0.9, 0.95, 0.99, 0.999])
+    def test_confluent_f_and_aq(self, q):
+        for a, b, l in (((0.5 + 0.5j,), (0.3,), 1.0), ((), (), 1.0)):
+            params = ConfluentParams(a_list=a, b_list=b, l=l, q=QBase(q))
+            self._check(prepare_confluent_f(params), a, b, q, l, 1, 1.0)
+
+    @pytest.mark.parametrize("q", [0.9, 0.99])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_phi_odd_and_even_order(self, q, m):
+        a, b = (0.5,), (0.3,) * m
+        params = PhiParams(a_list=a, b_list=b, q=QBase(q))
+        assert params.confluence_order == m
+        self._check(prepare_phi(params), a, b, q, m / 2.0, 0, -1.0 if m % 2 else 1.0)
+
+    @pytest.mark.parametrize("a", [0.9**-3, 0.9**-5 * (1.0 + 2.0**-50)])
+    def test_terminating_and_nearly_terminating_numerator(self, a):
+        # q^-3 stops the series after four terms (or leaves tiny ones past
+        # them); q^-5 (1 + 2^-50) leaves a factor of about 1e-15 at k = 5.
+        params = ConfluentParams(a_list=(a,), b_list=(0.2,), l=1.0, q=QBase(0.9))
+        self._check(prepare_confluent_f(params), (complex(a),), (0.2,), 0.9, 1.0, 1, 1.0)
+
+
 NON_FINITE = [complex(math.nan, 0.0), complex(math.inf, 0.0), complex(0.0, -math.inf),
               complex(math.inf, math.nan)]
 
@@ -649,21 +739,126 @@ class TestLaurentOverflowProbe:
                 checked[sgn] += 1
 
 
+def _stream(q, zero=0.0, zeros=()):
+    """coeff(k) = q^{k^2} as a complex, or ``zero`` where |k| is in ``zeros``
+    or q^{k^2} underflows."""
+    def coeff(k):
+        value = q ** (k * k)
+        return zero if abs(k) in zeros or not value else complex(value)
+    return coeff
+
+
+class TestLaurentZeroTail:
+    """Where every tabulated row from z0 on is zero, the search over those
+    rows gives the loop's outcome bit for bit: the first passing index and
+    its tail, the overflow error, the cap error, or the loop itself where it
+    cannot decide (a -0.0 part, the uncertain overflow band, rows not yet
+    tabulated).  Each test records what the search returned."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        kinds = []
+        search = series._zero_tail
+
+        def recorded(*args):
+            try:
+                found = search(*args)
+            except NonConvergentError as exc:
+                kinds.append(str(exc))
+                raise
+            kinds.append("loop" if found is None else "value")
+            return found
+
+        monkeypatch.setattr(series, "_zero_tail", recorded)
+        return kinds
+
+    @staticmethod
+    def _walk(spec, moduli, tols, angles=(0.3, 2.0, math.pi)):
+        prepared = LaurentSeries(spec)
+        points = [spec.center + mod * complex(math.cos(a), math.sin(a))
+                  for mod in moduli for a in angles]
+        for tol in tols:
+            _compare("laurent", prepared, lambda z, tol: ref.eval_laurent(spec, z, tol), points,
+                     tol)
+        return prepared
+
+    def test_zero_run_that_ends_before_the_stop(self, searches):
+        # Rows 5 to 40 are zero and the stream underflows from k = 86 on:
+        # the table's trailing run starts at 5 until a stop index past 40
+        # tabulates nonzero rows, and at 86 once one passes 85.
+        spec = LaurentSpec(0.5, _stream(0.9, zeros=range(5, 41)), 0.5, QBase(0.9), 3.0)
+        moduli = [1.0, *(math.exp(x / 8.0) for x in (-1, 2, 5, 9, 12, 4, 1, -6, 0))]
+        self._walk(spec, moduli, (1e-12, 1e-6))
+        assert {"value", "loop"} <= set(searches)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0, 0, 0j, complex(-0.0, -0.0)])
+    def test_zeros_of_either_sign_and_type(self, searches, zero):
+        # The stream is zero from k = 33 on, where these moduli stop.
+        spec = LaurentSpec(0.0, _stream(0.5, zero), 0.5, QBase(0.5), 3.0)
+        self._walk(spec, [math.exp(x) for x in (5.0, -4.0, 4.5, -5.5, 5.0)], (1e-12,))
+        assert "value" in searches
+
+    def test_real_axis_partial_sum_with_negative_zero(self, searches):
+        # On the positive real axis each nonzero row adds an imaginary part
+        # of -0.0, so the partial sum keeps coeff(0)'s -0.0 until the first
+        # zero row (k = 33) adds +0.0: the search must leave that to the
+        # loop.  These moduli stop past 33.
+        def coeff(k):
+            value = 0.5 ** (k * k)
+            return complex(-value if value else 0.0, -0.0)
+
+        spec = LaurentSpec(0.0, coeff, 0.5, QBase(0.5), 3.0)
+        prepared = LaurentSeries(spec)
+        for z in (math.exp(5.0), math.exp(4.0), math.exp(4.5)):
+            want = _outcome(ref.eval_laurent, spec, z, 1e-12)
+            assert want[1] == (0.0).hex()
+            assert _outcome(prepared.evaluate, z, 1e-12) == want
+        assert searches == ["loop", "loop"]
+
+    def test_stops_near_the_overflow_band(self, searches):
+        # The theta stream at q = 0.5 is zero from k = 33 on; with
+        # |log|w|| from 6 to 10 the stop index crosses 708 / |log|w|| and
+        # 711 / |log|w||, where the powers of w leave the doubles.
+        spec = _theta_spec(0.5, 0.5)
+        logs = [6.0 + 0.05 * i for i in range(81)]
+        moduli = [math.exp(sgn * x) for x in (*logs, 9.0, *logs[::-1]) for sgn in (1.0, -1.0)]
+        for tol in (1e-12, 1e100):
+            self._walk(spec, moduli, (tol,), angles=(0.3, math.pi))
+        overflow = "Laurent sum overflowed the double range"
+        assert {"value", "loop", overflow} <= set(searches)
+
+    def test_stops_at_the_index_cap(self, searches):
+        # q = 0.999, alpha = 1/4: the stream is zero from k = 863 on and the
+        # ratio test is blocked up to the cap while |log|w|| > 0.0178.  At
+        # 10000 |log|w|| <= 708 the search raises the cap error itself, and
+        # in the band up to 711 it leaves the overflow to the loop; past
+        # that the closed-form test raises before the sum starts.
+        spec = _theta_spec(0.999, 0.25)
+        logs = (0.05, 0.0707, 0.07085, 0.0709, 0.0711, 0.0712, 0.05)
+        self._walk(spec, [math.exp(x) for x in logs], (1e-12,), angles=(0.3, 2.0))
+        cap = f"weighted tail did not meet tol within |k| <= {LAURENT_K_CAP}"
+        assert {cap, "loop"} <= set(searches)
+
+
 def test_shared_targets_under_thread_contention():
     """Four threads share one prepared target per family at interleaved points.
 
     Each round starts from fresh targets, so the threads race to grow the
     same tables, and to replace and hit the theta memo: each thread takes two
-    angles per modulus, and theta two tols.  Every result must equal a fresh
-    evaluation.
+    angles per modulus, and theta two tols.  They also race to publish the
+    Gaussian series' overflow radius (its sum overflows from |z| of about
+    2e3 on) and the zero-tail start of a Laurent stream that underflows
+    from k = 273 on.  Every result must equal a fresh evaluation.
     """
     gaussian_params = ConfluentParams(a_list=(0.5 + 0.5j,), b_list=(0.3,), l=0.5, q=QBase(0.95))
     theta_base = QBase(0.97)
     spec = _theta_spec(0.9, 0.5)
+    zero_tail_spec = _theta_spec(0.99, 0.5)
     families = (
         ("gaussian", lambda: prepare_confluent_f(gaussian_params), (1e-14,)),
         ("theta", lambda: ThetaSeries(theta_base), (1e-14, 1e-6)),
         ("laurent", lambda: LaurentSeries(spec), (1e-12,)),
+        ("laurent zero tail", lambda: LaurentSeries(zero_tail_spec), (1e-12,)),
     )
     moduli = [10.0 ** (e / 4.0) for e in range(-8, 17)]
 
@@ -691,6 +886,11 @@ def test_shared_targets_under_thread_contention():
                 thread.join(timeout=60.0)
             assert not any(thread.is_alive() for thread in threads)
             rounds.append(results)
+            gaussian, zero_tail = shared[0], shared[3]
+            rows, r_ovf, column = gaussian._table
+            assert r_ovf < math.inf and 0 < len(column) <= len(rows)
+            rows, z0 = zero_tail._table
+            assert z0 == 273 < len(rows)
     finally:
         sys.setswitchinterval(old)
     fresh = {name: prepare for name, prepare, _ in families}
