@@ -42,7 +42,6 @@ and a search finds the loop's outcome.  The classes prove both rules.
 
 from __future__ import annotations
 
-import bisect
 import math
 from typing import Callable, NamedTuple
 
@@ -806,9 +805,16 @@ def _zero_tail(rows: list, k0: int, log_m: float, law: float, log_c: float, part
         return None
     target_log = math.log(tol * (abs_partial if abs_partial > 1.0 else 1.0))
     size = len(rows)
-    # Rows k0 - 1 (checked by the loop) to lo fail their ratio tests.
-    lo = bisect.bisect_left(rows, True, k0 - 1, size, key=lambda row: (
-        row[2] + log_m <= _LOG_HALF + 1e-12 * (1.0 - row[2] + log_m)))
+    # Bisect for lo: rows k0 - 1 (checked by the loop) to lo fail their
+    # ratio tests, and row hi <= size + 1 does not fail it by the margin.
+    lo, hi = k0 - 1, size + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        decay = rows[mid - 1][2]
+        if decay + log_m > _LOG_HALF + 1e-12 * (1.0 - decay + log_m):
+            lo = mid
+        else:
+            hi = mid
     k_stop = 0
     for k in range(lo + 1, size + 1):
         _, _, decay, next_weight = rows[k - 1]
