@@ -227,7 +227,7 @@ class GaussianSeries:
     e^-700 a step loses at most about 5u of relative modulus (Brent,
     Percival and Zimmermann, Math. Comp. 76, 2007), an underflowing part at
     most e^-744, so over k <= len(rows) <= TERM_CAP + 1 steps term_k keeps
-    all but a factor e^-0.001 of |c_k z^k|, and L_k is within 1e-6: term_k
+    all but a factor e^-0.001 of |c_k z^k|, and L_k is within 0.01: term_k
     or an earlier term is not finite.  Nor can the loop stop at some K < k:
     that needs a finite |term_{K+1}| and rho_K < 1, and rho_K bounds every
     later ratio to within that rounding, so |c_k z^k| < e^709.9 would

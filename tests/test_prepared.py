@@ -287,6 +287,18 @@ class TestGaussianOverflowVerdict:
         outcomes = list(want.values())
         assert 0 < sum(len(got) == 2 for got in outcomes) < len(outcomes)
 
+    def test_radius_keeps_the_path_in_the_normal_range(self):
+        # Rows whose first factor is 1e-320: term 3 reaches e^711 from
+        # |z| = e^22.1 on, but below |z| = e^36.8 the loop's first term is
+        # below e^-700, near the subnormals, where products lose their
+        # relative accuracy, so r_ovf is e^36.8.  A zero factor ends every
+        # later term.
+        rows = [(complex(nw), 1.0, 0.0, 0.0) for nw in (1e-320, 1e300, 1e300, 0.0, 1e300)]
+        r_ovf, column = series._overflow_radius(rows)
+        assert r_ovf == pytest.approx(math.exp(-700.0 - math.log(1e-320)), rel=1e-12)
+        assert column[:3] == pytest.approx([math.log(1e-320), math.log(1e-20), math.log(1e280)])
+        assert column[3:] == [-math.inf, -math.inf]
+
     @pytest.mark.parametrize("q", [0.9, 0.95, 0.99, 0.999])
     def test_confluent_f_and_aq(self, q):
         for a, b, l in (((0.5 + 0.5j,), (0.3,), 1.0), ((), (), 1.0)):
@@ -773,7 +785,7 @@ class TestLaurentZeroTail:
         return kinds
 
     @staticmethod
-    def _walk(spec, moduli, tols, angles=(0.3, 2.0, math.pi)):
+    def _sweep(spec, moduli, tols, angles=(0.3, 2.0, math.pi)):
         prepared = LaurentSeries(spec)
         points = [spec.center + mod * complex(math.cos(a), math.sin(a))
                   for mod in moduli for a in angles]
@@ -783,19 +795,20 @@ class TestLaurentZeroTail:
         return prepared
 
     def test_zero_run_that_ends_before_the_stop(self, searches):
-        # Rows 5 to 40 are zero and the stream underflows from k = 86 on:
-        # the table's trailing run starts at 5 until a stop index past 40
-        # tabulates nonzero rows, and at 86 once one passes 85.
+        # Rows 5 to 40 are zero and the stream underflows from k = 85 on.
+        # The huge tol stops near k = 20, so the table's trailing run starts
+        # at 5 until a stop index past 40 tabulates nonzero rows, and at 85
+        # once one passes 84.
         spec = LaurentSpec(0.5, _stream(0.9, zeros=range(5, 41)), 0.5, QBase(0.9), 3.0)
         moduli = [1.0, *(math.exp(x / 8.0) for x in (-1, 2, 5, 9, 12, 4, 1, -6, 0))]
-        self._walk(spec, moduli, (1e-12, 1e-6))
+        self._sweep(spec, moduli, (1e100, 1e-12, 1e-6))
         assert {"value", "loop"} <= set(searches)
 
     @pytest.mark.parametrize("zero", [0.0, -0.0, 0, 0j, complex(-0.0, -0.0)])
     def test_zeros_of_either_sign_and_type(self, searches, zero):
         # The stream is zero from k = 33 on, where these moduli stop.
         spec = LaurentSpec(0.0, _stream(0.5, zero), 0.5, QBase(0.5), 3.0)
-        self._walk(spec, [math.exp(x) for x in (5.0, -4.0, 4.5, -5.5, 5.0)], (1e-12,))
+        self._sweep(spec, [math.exp(x) for x in (5.0, -4.0, 4.5, -5.5, 5.0)], (1e-12,))
         assert "value" in searches
 
     def test_real_axis_partial_sum_with_negative_zero(self, searches):
@@ -823,19 +836,19 @@ class TestLaurentZeroTail:
         logs = [6.0 + 0.05 * i for i in range(81)]
         moduli = [math.exp(sgn * x) for x in (*logs, 9.0, *logs[::-1]) for sgn in (1.0, -1.0)]
         for tol in (1e-12, 1e100):
-            self._walk(spec, moduli, (tol,), angles=(0.3, math.pi))
+            self._sweep(spec, moduli, (tol,), angles=(0.3, math.pi))
         overflow = "Laurent sum overflowed the double range"
         assert {"value", "loop", overflow} <= set(searches)
 
     def test_stops_at_the_index_cap(self, searches):
         # q = 0.999, alpha = 1/4: the stream is zero from k = 863 on and the
-        # ratio test is blocked up to the cap while |log|w|| > 0.0178.  At
+        # ratio test is blocked up to the cap at every modulus.  At
         # 10000 |log|w|| <= 708 the search raises the cap error itself, and
         # in the band up to 711 it leaves the overflow to the loop; past
         # that the closed-form test raises before the sum starts.
         spec = _theta_spec(0.999, 0.25)
         logs = (0.05, 0.0707, 0.07085, 0.0709, 0.0711, 0.0712, 0.05)
-        self._walk(spec, [math.exp(x) for x in logs], (1e-12,), angles=(0.3, 2.0))
+        self._sweep(spec, [math.exp(x) for x in logs], (1e-12,), angles=(0.3, 2.0))
         cap = f"weighted tail did not meet tol within |k| <= {LAURENT_K_CAP}"
         assert {cap, "loop"} <= set(searches)
 
