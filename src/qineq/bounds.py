@@ -44,7 +44,8 @@ import sys
 from typing import Callable, NamedTuple
 
 from .errors import InvalidArgumentError, NonConvergentError
-from .qcore import QBase, _factor_count, _modulus, _products, _q_power, _require_pos_tol, _set
+from .qcore import QBase, _count_target, _factor_count, _modulus, _products, _q_power
+from .qcore import _require_pos_tol, _set
 # Not called here since the constants come from one table per base, but
 # perfbench/tracing.py rebinds both names in this module.
 from .qcore import multishifted, pochhammer_infinite  # noqa: F401
@@ -243,7 +244,7 @@ def _product_log(value: float, xs: list, counts: list[int], qq: float) -> float:
     """
     if _MIN_NORMAL <= value < math.inf:
         return math.log(value)
-    return math.fsum([math.log1p(-x * qq**k) for x, n in zip(xs, counts) for k in range(n)])
+    return math.fsum(math.log1p(-x * qq**k) for x, n in zip(xs, counts) for k in range(n))
 
 
 def _field_logs(a_list: tuple, b_list: tuple, l: float, q: QBase) -> tuple[float, float, float]:
@@ -260,8 +261,9 @@ def _field_logs(a_list: tuple, b_list: tuple, l: float, q: QBase) -> tuple[float
     ql = _q_power(q, l)
     r = len(a_list)
     xs = [-abs(a) for a in a_list] + list(b_list) + [ql]
-    counts = [_factor_count(x, qq, lq, _POCH_TOL) for x in xs]
-    values = _products(xs, qq, counts)
+    target, log_target = _count_target(qq, _POCH_TOL)
+    counts = [_factor_count(x, qq, lq, target, log_target) for x in xs]
+    values = _products(xs, q, counts)
     # Each factor of num is >= 1 and each of den and ql_poch <= 1, so each
     # is a normal double exactly where it passes its one-sided test.
     num, den = math.prod(values[:r], start=1.0), math.prod(values[r:-1], start=1.0)

@@ -7,13 +7,14 @@ propagate rigorous error budgets instead of heuristics.
 
 Every product runs through one private routine that builds one table of
 q**k per base, up to the largest factor count among the parameters it is
-given, and multiplies each parameter's factors 1 - x q^k left to right.  A
-list of parameters at one base (multishifted, or the envelope constants in
-bounds) thus pays for each power once, and each product has the bits of the
-plain loop value = value * (1 - x * q**k) however many share the table.
-That routine checks no value, since bounds takes the log of a product that
-leaves the doubles in log space; every public product whose modulus is not
-a finite double raises NonConvergentError.
+given (or to where q**k underflows to 0.0), and keeps for each parameter a
+running product value *= 1 - x q^k, left to right from 1.0, with no list of
+factors.  A list of parameters at one base (multishifted, or the envelope
+constants in bounds) thus pays for each power once, and each product has the
+bits of the plain loop value = value * (1 - x * q**k) however many share the
+table.  That routine checks no value, since bounds takes the log of a
+product that leaves the doubles in log space; every public product whose
+modulus is not a finite double raises NonConvergentError.
 
 It also holds the argument rules the other layers share: a positive tol, a
 modulus that reads as inf where it overflows, and a q^l that rounds below 1.
@@ -154,34 +155,51 @@ class PochhammerValue(NamedTuple):
     tail_log_bound: float = 0.0
 
 
-def _products(xs: list | tuple, qq: float, counts: list[int]) -> list:
+def _products(xs: list | tuple, q: QBase, counts: list[int]) -> list:
     """(x_i;q)_{n_i} for each x_i and n_i, every factor from one table of q**k.
 
-    Each product is math.prod over [1 - x q^k for k < n], which multiplies
-    left to right from 1 exactly as a running loop value = value * (1 - x q^k)
-    does, so the bits do not depend on how many products share the table.
-    The empty product is the float 1.0.
+    Each product is the running product value *= 1 - x q^k over k < n from
+    value = 1.0, the plain loop's factors in its order, real or complex, so
+    the bits do not depend on how many products share the table.  The empty
+    product is the float 1.0.  The table ends by the first B with
+    q^B < e^-746, from where q**k is 0.0.  Each later factor is 1 - x * 0.0,
+    and applying it more than twice changes no bit: it is 1.0 or 1+0j for a
+    finite x, which can flip the sign of a zero part only in its first two
+    applications, and nan otherwise.  So a long product stops growing there.
     """
     top = max(counts, default=0)
-    table = [qq**k for k in range(top)]
+    table = [q.q**k for k in range(min(top, int(746.0 / q.log_inv_q) + 2))]
+    m = len(table)
     products = []
     for x, n in zip(xs, counts):
-        factors = [1.0 - x * p for p in (table if n == top else table[:n])]
-        products.append(math.prod(factors) if n else 1.0)
+        value = 1.0
+        for p in table if n >= m else table[:n]:
+            value *= 1.0 - x * p
+        if n > m:
+            for _ in range(min(n - m, 2)):
+                value *= 1.0 - x * 0.0
+        products.append(value)
     return products
 
 
-def _factor_count(a: complex | float, qq: float, lq: float, tol: float) -> int:
-    """Smallest N with |a| q^N <= min(tol (1-q), 1/2), lq = log q; see
-    pochhammer_infinite."""
+def _count_target(qq: float, tol: float) -> tuple[float, float]:
+    """(target, log target), target = min(tol (1-q), 1/2), for every factor
+    count at one base; a log of 0.0 marks a target of 0.0 (see _factor_count)."""
     _require_pos_tol(tol)
+    target = min(tol * (1.0 - qq), 0.5)
+    return target, (math.log(target) if target else 0.0)
+
+
+def _factor_count(a: complex | float, qq: float, lq: float, target: float, log_target: float) -> int:
+    """Smallest N with |a| q^N <= target, lq = log q and (target, log_target)
+    from _count_target; see pochhammer_infinite."""
     abs_a = _modulus(a)
     if not math.isfinite(abs_a):
         raise NonConvergentError(f"non-finite parameter {a!r} in infinite product")
     if abs_a == 0.0:
         return 0
-    target = min(tol * (1.0 - qq), 0.5)
-    guess = (math.log(target) - math.log(abs_a)) / lq
+    # For a target of 0.0 this takes its log, and raises, as it always did.
+    guess = ((log_target or math.log(target)) - math.log(abs_a)) / lq
     n_trunc = max(0, math.ceil(guess))
     if n_trunc > FACTOR_CAP:
         raise NonConvergentError(
@@ -216,14 +234,15 @@ def _infinite_parts(xs: tuple, q: QBase, tol: float) -> list[PochhammerValue]:
     qq, lq = q.q, q.log_q
     counts: list[int] = []
     error = None
-    for x in xs:
-        try:
-            counts.append(_factor_count(x, qq, lq, tol))
-        except QSeriesError as exc:
-            error = exc
-            break
+    try:
+        # As in a per-parameter loop, an empty list checks no tol.
+        target, log_target = _count_target(qq, tol) if xs else (0.0, 0.0)
+        for x in xs:
+            counts.append(_factor_count(x, qq, lq, target, log_target))
+    except QSeriesError as exc:
+        error = exc
     parts = []
-    for x, n, value in zip(xs, counts, _products(xs, qq, counts)):
+    for x, n, value in zip(xs, counts, _products(xs, q, counts)):
         a_qn = abs(x) * qq**n
         tail = a_qn / ((1.0 - qq) * (1.0 - a_qn))
         parts.append(PochhammerValue(_finite(value, "infinite"), n, tail))
@@ -236,7 +255,7 @@ def pochhammer_finite(a: complex | float, q: QBase, n: int) -> PochhammerValue:
     """Product of the n factors (1 - a q^k), k = 0..n-1; the empty product is 1."""
     if not isinstance(n, int) or n < 0:
         raise InvalidArgumentError(f"factor count must be a nonnegative integer, got {n!r}")
-    return PochhammerValue(_finite(_products((a,), q.q, [n])[0], "finite"), n)
+    return PochhammerValue(_finite(_products((a,), q, [n])[0], "finite"), n)
 
 
 def pochhammer_infinite(a: complex | float, q: QBase, tol: float) -> PochhammerValue:
@@ -272,7 +291,7 @@ def multishifted(
     if not infinite and (not isinstance(n, int) or n < 0):
         raise InvalidArgumentError(f"order must be a nonnegative integer or math.inf, got {n!r}")
     if not infinite:
-        values = _products(a_list, q.q, [n] * len(a_list))
+        values = _products(a_list, q, [n] * len(a_list))
         return PochhammerValue(_finite(math.prod(values, start=1.0), "finite"), n if a_list else 0)
     value: complex | float = 1.0
     tail = 0.0

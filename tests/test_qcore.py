@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 import sys
+import tracemalloc
 
 import mpmath as mp
 import pytest
@@ -297,6 +298,74 @@ class TestSharedTableMatchesReference:
         got = _outcome(call, *args)
         assert got == ("NonConvergentError", f"{kind} product overflowed the double range")
         assert got == _outcome(getattr(ref, call.__name__), *args)
+
+    def test_shared_base_with_different_counts(self):
+        # Real and complex parameters of one base need different factor
+        # counts, so all but the longest product run over a prefix of the
+        # table; zeros of either sign and -0.0 imaginary parts included.
+        parameters = [0.9, 0.3 + 0.4j, 1e-5, -2.0, 0.0, -0.0, complex(0.7, -0.0),
+                      complex(-0.0, -0.0), complex(-0.0, 0.5), 1e300]
+        for q in (0.1, 0.5, 0.93):
+            base = QBase(q)
+            for tol in (1e-16, 1e-3):
+                for a in parameters:
+                    args = (a, base, tol)
+                    assert _outcome(pochhammer_infinite, *args) == _outcome(ref.pochhammer_infinite, *args)
+                for pair in zip(parameters, reversed(parameters)):
+                    args = (list(pair), base, math.inf, tol)
+                    assert _outcome(multishifted, *args) == _outcome(ref.multishifted, *args)
+                args = (parameters, base, math.inf, tol)
+                assert _outcome(multishifted, *args) == _outcome(ref.multishifted, *args)
+
+    @pytest.mark.parametrize("a_list, tol", [
+        ([], -1.0), ([], math.nan), ([math.inf], -1.0), ([complex(1.5e308, 1.5e308)], 0.0),
+        ([math.nan, 0.5], math.nan),
+        # tol (1 - q) underflows to 0.0: a zero parameter needs no factor,
+        # a non-finite one raises its own error, and any other one fails the
+        # log of the target, in the order a per-parameter loop met them.
+        ([0.0], 5e-324), ([0.0, math.inf], 5e-324), ([0.5], 5e-324), ([0.0, 0.5, math.inf], 5e-324),
+    ])
+    def test_tol_is_checked_once_and_first(self, a_list, tol):
+        base = QBase(0.5)
+        args = (a_list, base, math.inf, tol)
+        got = _outcome(multishifted, *args)
+        assert got == _outcome(ref.multishifted, *args)
+        if not a_list:
+            assert got[0] == ("float", "0x1.0000000000000p+0")
+        elif not tol > 0.0:
+            assert got == ("InvalidArgumentError", f"tol must be positive, got {tol!r}")
+        if len(a_list) == 1:
+            args = (a_list[0], base, tol)
+            assert _outcome(pochhammer_infinite, *args) == _outcome(ref.pochhammer_infinite, *args)
+
+    @pytest.mark.parametrize("q", [0.5, 0.1, 0.7, 1e-3])
+    def test_products_past_the_underflow_of_q_to_the_k(self, q):
+        # q**k is 0.0 from some k0 on, so every later factor is 1 - a * 0.0;
+        # the orders around k0 and well past it keep the reference bits.
+        k0 = next(k for k in range(5000) if q**k == 0.0)
+        orders = sorted({*range(k0 - 2, k0 + 3), *range(1073, 1078), 2000})
+        parameters = [0.5, -0.75, 2.0, 0.0, -0.0, 1e300, -1e300, math.nan, math.inf,
+                      complex(0.5, -0.0), complex(-0.0, 0.25), complex(-0.0, -0.0), complex(2.0, -0.0),
+                      complex(-1.0, -0.0), complex(math.nan, 0.0), complex(1.0, math.inf), 0.25 + 0.1j]
+        base = QBase(q)
+        for n in orders:
+            for a in parameters:
+                args = (a, base, n)
+                assert _outcome(pochhammer_finite, *args) == _outcome(ref.pochhammer_finite, *args)
+            for pair in zip(parameters, parameters[1:]):
+                args = (list(pair), base, n)
+                assert _outcome(multishifted, *args) == _outcome(ref.multishifted, *args)
+
+    def test_a_long_finite_product_holds_no_factor_list(self):
+        base = QBase(0.5)
+        tracemalloc.start()
+        try:
+            got = pochhammer_finite(0.5, base, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == (0.2887880950866024, 10**6, 0.0)
+        assert peak < 2**20
 
     def test_overflow_is_raised_before_a_later_count_error(self):
         # The first product overflows and the second parameter needs more
