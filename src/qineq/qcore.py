@@ -167,8 +167,8 @@ def _products(xs: list | tuple, q: QBase, counts: list[int]) -> list:
     finite x, which can flip the sign of a zero part only in its first two
     applications, and nan otherwise.  So a long product stops growing there.
     """
-    top = max(counts, default=0)
-    table = [q.q**k for k in range(min(top, int(746.0 / q.log_inv_q) + 2))]
+    qq, top = q.q, max(counts, default=0)
+    table = [qq**k for k in range(min(top, int(746.0 / q.log_inv_q) + 2))]
     m = len(table)
     products = []
     for x, n in zip(xs, counts):
