@@ -163,9 +163,9 @@ def _products(xs: list | tuple, q: QBase, counts: list[int]) -> list:
     the bits do not depend on how many products share the table.  The empty
     product is the float 1.0.  The table ends by the first B with
     q^B < e^-746, from where q**k is 0.0.  Each later factor is 1 - x * 0.0,
-    and applying it more than twice changes no bit: it is 1.0 or 1+0j for a
-    finite x, which can flip the sign of a zero part only in its first two
-    applications, and nan otherwise.  So a long product stops growing there.
+    and applying it more than twice changes no bit: for a finite x it is 1.0
+    or a complex 1 with a zero imaginary part, which can flip the sign of a
+    zero part only in its first two applications, and otherwise it holds a nan.
     """
     qq, top = q.q, max(counts, default=0)
     table = [qq**k for k in range(min(top, int(746.0 / q.log_inv_q) + 2))]
