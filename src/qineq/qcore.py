@@ -184,7 +184,8 @@ def _products(xs: list | tuple, q: QBase, counts: list[int]) -> list:
 
 def _count_target(qq: float, tol: float) -> tuple[float, float]:
     """(target, log target), target = min(tol (1-q), 1/2), for every factor
-    count at one base; a log of 0.0 marks a target of 0.0 (see _factor_count)."""
+    count at one base; a target of 0.0 has no log and stands as 0.0 (see
+    _factor_count)."""
     _require_pos_tol(tol)
     target = min(tol * (1.0 - qq), 0.5)
     return target, (math.log(target) if target else 0.0)
@@ -198,8 +199,9 @@ def _factor_count(a: complex | float, qq: float, lq: float, target: float, log_t
         raise NonConvergentError(f"non-finite parameter {a!r} in infinite product")
     if abs_a == 0.0:
         return 0
-    # For a target of 0.0 this takes its log, and raises, as it always did.
-    guess = ((log_target or math.log(target)) - math.log(abs_a)) / lq
+    if not target:
+        raise InvalidArgumentError(f"tol too small at q = {qq!r}: tol (1 - q) underflows to 0")
+    guess = (log_target - math.log(abs_a)) / lq
     n_trunc = max(0, math.ceil(guess))
     if n_trunc > FACTOR_CAP:
         raise NonConvergentError(

@@ -445,6 +445,25 @@ def _series_sum_mp(
     double-precision residual then reflects the identity and the product
     route, not summation noise.
 
+    The arithmetic is mpmath's, on its raw tuples: each step is the
+    ``mpmath.libmp`` call that the mpc/mpf expression of the per-term loop
+    (tests/reference_verify.py) makes, at prec = dps_to_prec(_SERIES_DPS) =
+    136 bits and round_nearest.  1 - q^{k+1} is mpf_sub; the recurrence is
+    mpc_div_mpf, mpc_mul and mpc_add; 1 - a q^k is mpc_mul_mpf, then mpc_sub
+    from (1, 0); the exact stop test is mpc_abs, then mpf_div and mpf_mul
+    against from_float of the doubles, compared by mpf_le; a carried power
+    is read at 136 bits by normalize, as mp.mpf reads a tuple; the sum is
+    returned by mpc_to_complex.  No mpmath number is built per term and the
+    precision is an argument of every call, so the kernel neither reads nor
+    sets mpmath's context: a caller's mp.prec stays as it was, and another
+    thread using mpmath sees no change while a residual is computed.
+
+    Where z, and a if given, have zero imaginary parts, the same loop runs on
+    real tuples, with mpf_mul, mpf_div, mpf_add, mpf_sub and mpf_abs in place
+    of the mpc calls.  The bits are the same: mpmath has no signed zero, and
+    each complex call on (x, 0) rounds its real part exactly as the real
+    call rounds x, and returns an exact zero imaginary part.
+
     q^k and q^{k+1} are carried from one term to the next: q^{k+1} as a
     product rounded to _SERIES_GUARD bits beyond _SERIES_DPS digits, which
     each term reads rounded to _SERIES_DPS digits.  mpmath's ``q**n`` is
@@ -479,41 +498,74 @@ def _series_sum_mp(
     _SERIES_STOP.  A part beyond the doubles is infinite: t = inf skips only
     where p is finite, and |term| / d is then beyond the doubles too, so the
     exact test fails; p = inf never skips.
-    """
-    import mpmath as mp
-    from mpmath.libmp import from_float, mpf_mul, round_nearest
 
+    The screen reads moduli only, so each of its doubles is
+    math.ldexp(man, exp) of a part (sign, man, exp, bc), with an
+    OverflowError read as inf.  That is |to_float(part, False, round_nearest)|,
+    subnormals included: the int-to-float conversion rounds man to 53 bits,
+    to nearest with ties to even, as to_float's normalize does, and ldexp then
+    rounds the same real number once more only below the normal doubles.  (A
+    gmpy integer backend may truncate instead; the screen's 2^-50 margins
+    cover that second ulp, so it still never skips a passing index.)
+    """
+    from mpmath.libmp import (
+        dps_to_prec, fone, from_float, fzero, mpc_abs, mpc_add, mpc_div_mpf, mpc_mul,
+        mpc_mul_mpf, mpc_sub, mpc_to_complex, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_le,
+        mpf_mul, mpf_sub, normalize, round_nearest,
+    )
+
+    prec, rnd = dps_to_prec(_SERIES_DPS), round_nearest
+    wide = prec + _SERIES_GUARD
     abs_a = 0.0 if a is None else abs(a)
-    with mp.workdps(_SERIES_DPS):
-        z_mp = mp.mpc(z.real, z.imag)
-        q_raw = from_float(q)
-        wide = mp.mp.prec + _SERIES_GUARD
-        a_mp = None if a is None else mp.mpc(a.real, a.imag)
-        one = mp.mpf(1)
-        term = mp.mpc(1)
-        partial = mp.mpc(1)
-        q_wide = q_raw
-        q_k, q_k1 = one, mp.mpf(q_raw)
-        k = 0
-        while k <= _SERIES_CAP:
-            if a_mp is None:
-                term = term * (z_mp / (1 - q_k1))
-            else:
-                term = term * ((1 - a_mp * q_k) * z_mp / (1 - q_k1))
-            if k >= 8:
-                bound = (1.0 + abs_a * q**k) * abs_z / (1.0 - q ** (k + 1))
-                if bound < 1.0:
-                    d = 1.0 - bound
-                    tc, pc = complex(term), complex(partial)
-                    t = max(abs(tc.real), abs(tc.imag)) * _SCREEN_LOW / d
-                    p = abs(pc.real) + abs(pc.imag)
-                    if t <= _SERIES_STOP * max(1.0, p * _SCREEN_HIGH):
-                        if abs(term) / d <= _SERIES_STOP * max(one, abs(partial)):
-                            return complex(partial), k
-            partial += term
-            q_wide = mpf_mul(q_wide, q_raw, wide, round_nearest)
-            q_k, q_k1 = q_k1, mp.mpf(q_wide)
-            k += 1
+    real = z.imag == 0.0 and (a is None or a.imag == 0.0)
+    if real:
+        mul, scale, div, add, sub, modulus = mpf_mul, mpf_mul, mpf_div, mpf_add, mpf_sub, mpf_abs
+        z_raw, one = from_float(z.real), fone
+        a_raw = None if a is None else from_float(a.real)
+    else:
+        mul, scale, div, add, sub, modulus = (
+            mpc_mul, mpc_mul_mpf, mpc_div_mpf, mpc_add, mpc_sub, mpc_abs
+        )
+        z_raw, one = (from_float(z.real), from_float(z.imag)), (fone, fzero)
+        a_raw = None if a is None else (from_float(a.real), from_float(a.imag))
+    stop = from_float(_SERIES_STOP)
+    term = partial = one
+    q_raw = q_wide = from_float(q)
+    q_k, q_k1 = fone, normalize(*q_raw, prec, rnd)
+    ldexp, inf = math.ldexp, math.inf
+    k = 0
+    while k <= _SERIES_CAP:
+        if a_raw is None:
+            ratio = div(z_raw, mpf_sub(fone, q_k1, prec, rnd), prec, rnd)
+        else:
+            factor = mul(sub(one, scale(a_raw, q_k, prec, rnd), prec, rnd), z_raw, prec, rnd)
+            ratio = div(factor, mpf_sub(fone, q_k1, prec, rnd), prec, rnd)
+        term = mul(term, ratio, prec, rnd)
+        if k >= 8:
+            bound = (1.0 + abs_a * q**k) * abs_z / (1.0 - q ** (k + 1))
+            if bound < 1.0:
+                d = 1.0 - bound
+                tr, ti = (term, fzero) if real else term
+                pr, pi = (partial, fzero) if real else partial
+                try:
+                    t = max(ldexp(tr[1], tr[2]), ldexp(ti[1], ti[2])) * _SCREEN_LOW / d
+                except OverflowError:
+                    t = inf
+                try:
+                    p = ldexp(pr[1], pr[2]) + ldexp(pi[1], pi[2])
+                except OverflowError:
+                    p = inf
+                if t <= _SERIES_STOP * max(1.0, p * _SCREEN_HIGH):
+                    size = modulus(partial, prec, rnd)
+                    if mpf_le(
+                        mpf_div(modulus(term, prec, rnd), from_float(d), prec, rnd),
+                        mpf_mul(size if mpf_gt(size, fone) else fone, stop, prec, rnd),
+                    ):
+                        return mpc_to_complex((partial, fzero) if real else partial, False, rnd), k
+        partial = add(partial, term, prec, rnd)
+        q_wide = mpf_mul(q_wide, q_raw, wide, rnd)
+        q_k, q_k1 = q_k1, normalize(*q_wide, prec, rnd)
+        k += 1
     raise NonConvergentError(f"identity series did not settle within {_SERIES_CAP} terms")
 
 

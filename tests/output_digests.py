@@ -15,8 +15,9 @@ commands, error paths included (audits that fail while building their
 target among them, Laurent's index cap, tiny alpha and l, phi at a base
 whose scale overflows, aq at a base where |z| / sqrt(q) overflows,
 options that no longer exist, identity options that do not apply to
---which, a q^l that rounds to 1, a tol that is not positive, arguments
-whose modulus overflows and a denominator parameter outside [0, 1)), with envelopes
+--which, a q^l that rounds to 1, a tol that is not positive or whose
+tol (1 - q) underflows, arguments whose modulus overflows and a
+denominator parameter outside [0, 1)), with envelopes
 whose constants or exponents leave the double range; a command that lets
 an exception escape prints ``raised <exception>`` in place of a digest.  ``outputs()`` and
 ``run()`` are importable, for comparisons that first transform an output.
@@ -167,6 +168,7 @@ _SINGLE = (
     ["audit", "--function", "aq", "--q", "0.5", "--grid", "1:2:2", "--angles", "1",
      "--tol", "nan"],
     ["identity", "--which", "euler", "--q", "0.5", "--z", "0.5", "--tol", "0"],
+    ["identity", "--which", "euler", "--q", "0.5", "--z", "0.5", "--tol", "5e-324"],
     ["eval", "--function", "theta", "--q", "0.5", "--z=1.5e308+1.5e308i"],
     ["eval", "--function", "laurent", "--q", "0.5", "--alpha", "0.5", "--z=1.5e308+1.5e308i"],
     ["identity", "--which", "euler", "--q", "0.5", "--z=1.5e308+1.5e308i"],

@@ -48,6 +48,8 @@ def pochhammer_infinite(a, q: QBase, tol: float) -> PochhammerValue:
     target = min(tol * (1.0 - qq), 0.5)
     if abs_a == 0.0:
         n_trunc = 0
+    elif target == 0.0:
+        raise InvalidArgumentError(f"tol too small at q = {qq!r}: tol (1 - q) underflows to 0")
     else:
         guess = (math.log(target) - math.log(abs_a)) / math.log(qq)
         n_trunc = max(0, math.ceil(guess))

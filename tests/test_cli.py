@@ -636,6 +636,14 @@ class TestIdentityCommand:
         assert run(["identity", "--which", "triple", "--q", "1e-200", "--z", "1"]) == 2
         assert capsys.readouterr().err == "error: q^2 underflows to 0 at q = 1e-200\n"
 
+    def test_a_tol_whose_count_target_underflows_is_a_usage_error(self, capsys):
+        # tol (1 - q) underflows to 0.0, which has no log to count factors by.
+        assert run(["identity", "--which", "euler", "--q", "0.5", "--z", "0.5",
+                    "--tol", "5e-324"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: tol too small at q = 0.5: tol (1 - q) underflows to 0\n"
+
 
 class TestEnvironment:
     def test_module_entry_point(self):

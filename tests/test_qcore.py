@@ -321,8 +321,8 @@ class TestSharedTableMatchesReference:
         ([], -1.0), ([], math.nan), ([math.inf], -1.0), ([complex(1.5e308, 1.5e308)], 0.0),
         ([math.nan, 0.5], math.nan),
         # tol (1 - q) underflows to 0.0: a zero parameter needs no factor,
-        # a non-finite one raises its own error, and any other one fails the
-        # log of the target, in the order a per-parameter loop met them.
+        # a non-finite one raises its own error, and any other one raises
+        # InvalidArgumentError, in the order a per-parameter loop met them.
         ([0.0], 5e-324), ([0.0, math.inf], 5e-324), ([0.5], 5e-324), ([0.0, 0.5, math.inf], 5e-324),
     ])
     def test_tol_is_checked_once_and_first(self, a_list, tol):
@@ -334,6 +334,8 @@ class TestSharedTableMatchesReference:
             assert got[0] == ("float", "0x1.0000000000000p+0")
         elif not tol > 0.0:
             assert got == ("InvalidArgumentError", f"tol must be positive, got {tol!r}")
+        elif a_list[0] == 0.5:
+            assert got == ("InvalidArgumentError", "tol too small at q = 0.5: tol (1 - q) underflows to 0")
         if len(a_list) == 1:
             args = (a_list[0], base, tol)
             assert _outcome(pochhammer_infinite, *args) == _outcome(ref.pochhammer_infinite, *args)

@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import sys
 
 import pytest
 
@@ -552,3 +553,157 @@ class TestIdentitySeriesMatchesReference:
         # smallest subnormal, so the float screen sees zero.
         self._euler(sums, 0.5, z)
         self._qbinomial(sums, 1.5 - 0.5j, 0.5, z)
+
+    @pytest.mark.parametrize("q", [0.05, 0.5, 0.9])
+    @pytest.mark.parametrize("z", [-0.5, -0.9 + 0j, complex(-0.9, -0.0), -0.3, -0.75])
+    def test_real_negative_argument(self, sums, q, z):
+        # Alternating sums that cancel, on the kernel's real path; -0.0 is
+        # mpmath's zero, so complex(-0.9, -0.0) takes the real path too.
+        series, _ = self._euler(sums, q, z)
+        assert series.imag == 0.0 and math.copysign(1.0, series.imag) == 1.0
+
+    @pytest.mark.parametrize("q", [0.3, 0.7])
+    @pytest.mark.parametrize("a", [-1.5, 0.7, 1.9, complex(1.2, -0.0)])
+    @pytest.mark.parametrize("z", [0.4, -0.6, complex(0.55, -0.0)])
+    def test_qbinomial_at_a_real_parameter_and_argument(self, sums, q, a, z):
+        self._qbinomial(sums, a, q, z)
+
+    def test_real_draws(self, sums):
+        # Criterion 08's draw regions with real z and a, on a seed of their own.
+        rng = random.Random(31)
+        for _ in range(150):
+            q = rng.uniform(0.05, 0.9)
+            z = rng.uniform(-0.9, 0.9)
+            self._euler(sums, q, z)
+            self._qbinomial(sums, rng.uniform(-2.0, 2.0), q, z)
+        assert len(sums) == 300
+
+    def test_raw_sums_keep_every_bit(self, monkeypatch):
+        # The 136-bit sums themselves, read where each side hands its sum to
+        # mpmath.libmp.mpc_to_complex: the kernel by name at each call, the
+        # reference loop through complex() of an mpc.
+        import mpmath.ctx_mp_python
+        import mpmath.libmp
+
+        raw = []
+        convert = mpmath.libmp.mpc_to_complex
+
+        def recording(z, *args, **kwargs):
+            raw.append(z)
+            return convert(z, *args, **kwargs)
+
+        monkeypatch.setattr(mpmath.libmp, "mpc_to_complex", recording)
+        monkeypatch.setattr(mpmath.ctx_mp_python, "mpc_to_complex", recording)
+        rng = random.Random(53)
+        cases = [(-0.9 + 0j, None), (complex(-0.9, -0.0), 1.0 / -0.9), (-0.5, -1.5)]
+        for _ in range(40):
+            cases.append((_disk(rng, 0.9), _disk(rng, 2.0)))
+            cases.append((complex(rng.uniform(-0.9, 0.9)), rng.uniform(-2.0, 2.0)))
+        for z, a in cases:
+            for q in (0.3, 0.9):
+                del raw[:]
+                if a is None:
+                    verify._series_sum_mp(z, abs(z), q)
+                    reference_verify.euler_series(q, z)
+                else:
+                    verify._series_sum_mp(z, abs(z), q, complex(a))
+                    reference_verify.qbinomial_series(a, q, z)
+                assert len(raw) == 2 and raw[0] == raw[1], (z, a, q)
+
+
+def _screen_double(part):
+    """The raw mpf ``part`` as verify._series_sum_mp's float screen reads it,
+    math.ldexp of its mantissa and exponent with an OverflowError read as an
+    infinity; signed here, the screen takes the modulus."""
+    sign, man, exp, _ = part
+    try:
+        return math.ldexp(-man if sign else man, exp)
+    except OverflowError:
+        return -math.inf if sign else math.inf
+
+
+class TestSeriesKernelSurroundings:
+    """The screen's doubles are mpmath's to_float at round_nearest, and the
+    kernel leaves mpmath's context alone."""
+
+    @staticmethod
+    def _parts():
+        from mpmath.libmp import bitcount, fzero, normalize, round_nearest
+
+        def part(sign, man, exp):
+            return normalize(sign, man, exp, bitcount(man), 136, round_nearest)
+
+        rng = random.Random(41)
+        parts = [fzero]
+        for exp in (*range(-1300, 1100, 7), *range(-1215, -1150), *range(885, 895)):
+            for _ in range(4):
+                parts.append(part(rng.getrandbits(1), rng.getrandbits(136) | 1 << 135, exp))
+        top = (1 << 136) - 1
+        parts += [
+            part(0, top, 1024 - 136),  # rounds up to 2^1024, beyond the doubles
+            part(1, top, 1024 - 136),
+            # Just below half an ulp above the largest double, and at half of
+            # it, where ties to even round up beyond the doubles.
+            part(0, ((1 << 53) - 1 << 83) + (1 << 82) - 1, 1024 - 136),
+            part(0, ((1 << 53) - 1 << 83) + (1 << 82), 1024 - 136),
+            part(0, 1, 1023), part(0, 1, 1024),
+            part(0, 1, -1074), part(1, 1, -1075),  # half the least subnormal: 0.0
+            part(0, 3, -1076), part(0, (1 << 135) + 1, -1075 - 135),  # above half: 2^-1074
+            part(0, 3, -1075),  # 1.5 of the least subnormal: ties to 2 of it
+            part(0, (1 << 53) - 1, -1022 - 53), part(0, (1 << 54) - 1, -1022 - 54),
+            part(0, 1, -1022), part(0, top, -1022 - 136), part(0, top, -1200),
+        ]
+        return parts
+
+    def test_screen_doubles_are_to_float(self):
+        from mpmath.libmp import round_nearest, to_float
+
+        doubles = []
+        for part in self._parts():
+            want = to_float(part, False, round_nearest)
+            got = _screen_double(part)
+            assert got.hex() == want.hex(), part
+            doubles.append(abs(got))
+        assert len(doubles) > 1500
+        assert 0.0 in doubles and math.inf in doubles and 2.0**-1074 in doubles
+        assert any(0.0 < x < 2.0**-1022 for x in doubles)
+        assert sys.float_info.max in doubles
+
+    @staticmethod
+    def _residuals():
+        q = QBase(0.6)
+        return [
+            identity_euler(q, -0.85 + 0.2j, 1e-14).hex(),
+            identity_euler(q, -0.85, 1e-14).hex(),
+            identity_qbinomial_theorem(1.5 - 0.5j, q, -0.6 + 0.3j, 1e-14).hex(),
+            identity_qbinomial_theorem(-1.5, q, 0.45, 1e-14).hex(),
+            identity_ql_sum(0.3, q, 1e-14).hex(),
+        ]
+
+    @pytest.mark.parametrize("dps", [5, 60])
+    def test_mpmath_context_neither_matters_nor_changes(self, dps):
+        import mpmath
+
+        outside = self._residuals()
+        before = mpmath.mp.prec
+        with mpmath.mp.workdps(dps):
+            inside_prec = mpmath.mp.prec
+            assert self._residuals() == outside
+            assert mpmath.mp.prec == inside_prec
+        assert mpmath.mp.prec == before
+
+    def test_kernel_never_sets_mpmath_precision(self, monkeypatch):
+        import mpmath
+
+        writes = []
+        context = type(mpmath.mp)
+        for name in ("prec", "dps"):
+            kept = getattr(context, name)
+
+            def setter(ctx, value, name=name, kept=kept):
+                writes.append((name, value))
+                kept.fset(ctx, value)
+
+            monkeypatch.setattr(context, name, property(kept.fget, setter))
+        self._residuals()
+        assert writes == []
