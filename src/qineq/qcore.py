@@ -184,8 +184,8 @@ def _products(xs: list | tuple, q: QBase, counts: list[int]) -> list:
 
 def _count_target(qq: float, tol: float) -> tuple[float, float]:
     """(target, log target), target = min(tol (1-q), 1/2), for every factor
-    count at one base; a target of 0.0 has no log and stands as 0.0 (see
-    _factor_count)."""
+    count at one base.  A target that underflows to 0.0 comes with a log of
+    0.0, and _factor_count raises for it at the first parameter it counts."""
     _require_pos_tol(tol)
     target = min(tol * (1.0 - qq), 0.5)
     return target, (math.log(target) if target else 0.0)

@@ -12,7 +12,13 @@ for a fixed seed.
 
 Only _series_sum_mp, the extended-precision series side of identity_euler
 and identity_qbinomial_theorem, imports mpmath, when it is called; importing
-this module, the package or the CLI does not load it.
+this module, the package or the CLI does not load it.  It calls
+mpmath.libmp on raw tuples at an explicit 136 bits, the calls that mpc and
+mpf arithmetic would make (its docstring maps them), on real tuples where
+the arguments are real, and reads its float screen's doubles with
+math.ldexp; every sum has every bit of the same loop in mpc arithmetic.  It
+builds no mpmath number per term and neither reads nor sets mpmath's
+context.
 """
 
 from __future__ import annotations
