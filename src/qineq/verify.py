@@ -12,13 +12,8 @@ for a fixed seed.
 
 Only _series_sum_mp, the extended-precision series side of identity_euler
 and identity_qbinomial_theorem, imports mpmath, when it is called; importing
-this module, the package or the CLI does not load it.  It calls
-mpmath.libmp on raw tuples at an explicit 136 bits, the calls that mpc and
-mpf arithmetic would make (its docstring maps them), on real tuples where
-the arguments are real, and reads its float screen's doubles with
-math.ldexp; every sum has every bit of the same loop in mpc arithmetic.  It
-builds no mpmath number per term and neither reads nor sets mpmath's
-context.
+this module, the package or the CLI does not load it.  It leaves mpmath's
+context alone; its docstring maps its mpmath.libmp calls.
 """
 
 from __future__ import annotations
@@ -464,12 +459,6 @@ def _series_sum_mp(
     sets mpmath's context: a caller's mp.prec stays as it was, and another
     thread using mpmath sees no change while a residual is computed.
 
-    Where z, and a if given, have zero imaginary parts, the same loop runs on
-    real tuples, with mpf_mul, mpf_div, mpf_add, mpf_sub and mpf_abs in place
-    of the mpc calls.  The bits are the same: mpmath has no signed zero, and
-    each complex call on (x, 0) rounds its real part exactly as the real
-    call rounds x, and returns an exact zero imaginary part.
-
     q^k and q^{k+1} are carried from one term to the next: q^{k+1} as a
     product rounded to _SERIES_GUARD bits beyond _SERIES_DPS digits, which
     each term reads rounded to _SERIES_DPS digits.  mpmath's ``q**n`` is
@@ -516,43 +505,35 @@ def _series_sum_mp(
     """
     from mpmath.libmp import (
         dps_to_prec, fone, from_float, fzero, mpc_abs, mpc_add, mpc_div_mpf, mpc_mul,
-        mpc_mul_mpf, mpc_sub, mpc_to_complex, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_le,
-        mpf_mul, mpf_sub, normalize, round_nearest,
+        mpc_mul_mpf, mpc_sub, mpc_to_complex, mpf_div, mpf_gt, mpf_le, mpf_mul, mpf_sub,
+        normalize, round_nearest,
     )
 
     prec, rnd = dps_to_prec(_SERIES_DPS), round_nearest
     wide = prec + _SERIES_GUARD
     abs_a = 0.0 if a is None else abs(a)
-    real = z.imag == 0.0 and (a is None or a.imag == 0.0)
-    if real:
-        mul, scale, div, add, sub, modulus = mpf_mul, mpf_mul, mpf_div, mpf_add, mpf_sub, mpf_abs
-        z_raw, one = from_float(z.real), fone
-        a_raw = None if a is None else from_float(a.real)
-    else:
-        mul, scale, div, add, sub, modulus = (
-            mpc_mul, mpc_mul_mpf, mpc_div_mpf, mpc_add, mpc_sub, mpc_abs
-        )
-        z_raw, one = (from_float(z.real), from_float(z.imag)), (fone, fzero)
-        a_raw = None if a is None else (from_float(a.real), from_float(a.imag))
+    z_raw = (from_float(z.real), from_float(z.imag))
+    a_raw = None if a is None else (from_float(a.real), from_float(a.imag))
     stop = from_float(_SERIES_STOP)
-    term = partial = one
+    one = term = partial = (fone, fzero)
     q_raw = q_wide = from_float(q)
     q_k, q_k1 = fone, normalize(*q_raw, prec, rnd)
     ldexp, inf = math.ldexp, math.inf
     k = 0
     while k <= _SERIES_CAP:
         if a_raw is None:
-            ratio = div(z_raw, mpf_sub(fone, q_k1, prec, rnd), prec, rnd)
+            ratio = mpc_div_mpf(z_raw, mpf_sub(fone, q_k1, prec, rnd), prec, rnd)
         else:
-            factor = mul(sub(one, scale(a_raw, q_k, prec, rnd), prec, rnd), z_raw, prec, rnd)
-            ratio = div(factor, mpf_sub(fone, q_k1, prec, rnd), prec, rnd)
-        term = mul(term, ratio, prec, rnd)
+            factor = mpc_mul(
+                mpc_sub(one, mpc_mul_mpf(a_raw, q_k, prec, rnd), prec, rnd), z_raw, prec, rnd
+            )
+            ratio = mpc_div_mpf(factor, mpf_sub(fone, q_k1, prec, rnd), prec, rnd)
+        term = mpc_mul(term, ratio, prec, rnd)
         if k >= 8:
             bound = (1.0 + abs_a * q**k) * abs_z / (1.0 - q ** (k + 1))
             if bound < 1.0:
                 d = 1.0 - bound
-                tr, ti = (term, fzero) if real else term
-                pr, pi = (partial, fzero) if real else partial
+                (tr, ti), (pr, pi) = term, partial
                 try:
                     t = max(ldexp(tr[1], tr[2]), ldexp(ti[1], ti[2])) * _SCREEN_LOW / d
                 except OverflowError:
@@ -562,13 +543,13 @@ def _series_sum_mp(
                 except OverflowError:
                     p = inf
                 if t <= _SERIES_STOP * max(1.0, p * _SCREEN_HIGH):
-                    size = modulus(partial, prec, rnd)
+                    size = mpc_abs(partial, prec, rnd)
                     if mpf_le(
-                        mpf_div(modulus(term, prec, rnd), from_float(d), prec, rnd),
+                        mpf_div(mpc_abs(term, prec, rnd), from_float(d), prec, rnd),
                         mpf_mul(size if mpf_gt(size, fone) else fone, stop, prec, rnd),
                     ):
-                        return mpc_to_complex((partial, fzero) if real else partial, False, rnd), k
-        partial = add(partial, term, prec, rnd)
+                        return mpc_to_complex(partial, False, rnd), k
+        partial = mpc_add(partial, term, prec, rnd)
         q_wide = mpf_mul(q_wide, q_raw, wide, rnd)
         q_k, q_k1 = q_k1, normalize(*q_wide, prec, rnd)
         k += 1
