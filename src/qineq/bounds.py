@@ -44,8 +44,8 @@ import sys
 from typing import Callable, NamedTuple
 
 from .errors import InvalidArgumentError, NonConvergentError
-from .qcore import QBase, _count_target, _factor_count, _modulus, _products, _q_power
-from .qcore import _require_pos_tol, _set
+from .qcore import QBase, _count_target, _factor_count, _modulus, _product_log, _products
+from .qcore import _MIN_NORMAL, _q_power, _require_pos_tol, _set
 # Not called here since the constants come from one table per base, but
 # perfbench/tracing.py rebinds both names in this module.
 from .qcore import multishifted, pochhammer_infinite  # noqa: F401
@@ -60,7 +60,6 @@ __all__ = [
 
 _POCH_TOL = 1e-16
 _MAX_LOG = math.log(sys.float_info.max)
-_MIN_NORMAL = sys.float_info.min
 _CACHE_SIZE = 256
 WEIGHTED_SUM_CAP = 100_000
 THETA_CONSTANT_TOL = 1e-15
@@ -234,19 +233,6 @@ def term_peak(abs_z: float, l: float, q: QBase) -> float:
     return _entire_envelope(1.0, 0.0, 0.0, l, q.log_q, 1.0).result(abs_z)[4]
 
 
-def _product_log(value: float, xs: list, counts: list[int], qq: float) -> float:
-    """The log of ``value``, the product of truncated (x;q)_inf over ``xs``,
-    combined as multishifted combines them.
-
-    A product that is not a normal double has lost its bits to underflow or
-    overflow: its log is then math.fsum of log1p(-x q^k) over the same
-    factors, ``counts`` of them per x.
-    """
-    if _MIN_NORMAL <= value < math.inf:
-        return math.log(value)
-    return math.fsum(math.log1p(-x * qq**k) for x, n in zip(xs, counts) for k in range(n))
-
-
 def _field_logs(a_list: tuple, b_list: tuple, l: float, q: QBase) -> tuple[float, float, float]:
     """(constant_c, log constant_c, log (q^l;q)_inf) of these entire-class fields.
 
@@ -254,7 +240,7 @@ def _field_logs(a_list: tuple, b_list: tuple, l: float, q: QBase) -> tuple[float
     numerator, the denominator and their quotient are normal doubles this is
     (c, math.log(c), math.log((q^l;q)_inf)) with c = num / den, the bits of
     constant_c over multishifted; elsewhere the logs are taken in log space
-    (see _product_log) and c is exp(log c), math.inf when that overflows.
+    (see qcore._product_log) and c is exp(log c), math.inf when that overflows.
     An l so small that q^l rounds to 1 raises InvalidArgumentError.
     """
     qq, lq = q.q, q.log_q
@@ -264,14 +250,10 @@ def _field_logs(a_list: tuple, b_list: tuple, l: float, q: QBase) -> tuple[float
     target, log_target = _count_target(qq, _POCH_TOL)
     counts = [_factor_count(x, qq, lq, target, log_target) for x in xs]
     values = _products(xs, q, counts)
-    # Each factor of num is >= 1 and each of den and ql_poch <= 1, so each
-    # is a normal double exactly where it passes its one-sided test.
+    # Each factor of num is >= 1 and each of den <= 1, so each is a normal
+    # double exactly where it passes its one-sided test.
     num, den = math.prod(values[:r], start=1.0), math.prod(values[r:-1], start=1.0)
-    ql_poch = values[-1]
-    if ql_poch >= _MIN_NORMAL:
-        log_ql = _log(ql_poch)
-    else:
-        log_ql = _product_log(ql_poch, xs[-1:], counts[-1:], qq)
+    log_ql = _product_log(values[-1], xs[-1:], counts[-1:], qq)
     if num < _inf and den >= _MIN_NORMAL and num / den < _inf:
         c = num / den
         return c, _log(c), log_ql

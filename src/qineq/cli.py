@@ -181,7 +181,7 @@ _FUNCTION_OPTIONS = (
 )
 # eval reads --alpha for laurent's coefficients only; the theta series has no alpha.
 _EVAL_OPTIONS = _FUNCTION_OPTIONS[:-1] + (("alpha", "--alpha", ("laurent",)),)
-# Each identity-specific option: (attribute, flag, the identities it applies to).
+# Each identity-specific option: (attribute, flag, the identities it applies to, which require it).
 _IDENTITY_OPTIONS = (
     ("z", "--z", ("euler", "qbinomial", "triple")),
     ("a", "--a", ("qbinomial",)),
@@ -383,19 +383,17 @@ def _cmd_identity(args) -> int:
     qb = QBase(args.q)
     _reject_inapplicable(args, "which", _IDENTITY_OPTIONS)
     which = args.which
+    for attr, flag, identities in _IDENTITY_OPTIONS:
+        if which in identities:
+            _need(args, attr, flag, f"--which {which}")
     if which == "euler":
-        z = _need(args, "z", "--z", "--which euler")
-        residual = identity_euler(qb, z, args.tol)
+        residual = identity_euler(qb, args.z, args.tol)
     elif which == "qbinomial":
-        z = _need(args, "z", "--z", "--which qbinomial")
-        a = _need(args, "a", "--a", "--which qbinomial")
-        residual = identity_qbinomial_theorem(a, qb, z, args.tol)
+        residual = identity_qbinomial_theorem(args.a, qb, args.z, args.tol)
     elif which == "qlsum":
-        l = _need(args, "l", "--l", "--which qlsum")
-        residual = identity_ql_sum(l, qb, args.tol)
+        residual = identity_ql_sum(args.l, qb, args.tol)
     else:
-        z = _need(args, "z", "--z", "--which triple")
-        residual = identity_theta_triple_product(qb, z, args.tol)
+        residual = identity_theta_triple_product(qb, args.z, args.tol)
     print(f"residual = {residual!r}")
     return 0
 

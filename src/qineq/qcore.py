@@ -5,16 +5,16 @@ absolutely.  Finite products are exact up to rounding; truncated infinite
 products carry a certified bound on |log(true / computed)| so callers can
 propagate rigorous error budgets instead of heuristics.
 
-Every product runs through one private routine that builds one table of
-q**k per base, up to the largest factor count among the parameters it is
-given (or to where q**k underflows to 0.0), and keeps for each parameter a
-running product value *= 1 - x q^k, left to right from 1.0, with no list of
-factors.  A list of parameters at one base (multishifted, or the envelope
-constants in bounds) thus pays for each power once, and each product has the
-bits of the plain loop value = value * (1 - x * q**k) however many share the
-table.  That routine checks no value, since bounds takes the log of a
-product that leaves the doubles in log space; every public product whose
-modulus is not a finite double raises NonConvergentError.
+Every product runs through _products, which builds one table of q**k per
+base, up to the largest factor count among the parameters it is given (or
+to where q**k underflows to 0.0), and keeps for each parameter a running
+product value *= 1 - x q^k, left to right from 1.0, with no list of factors,
+so each has the bits of the plain loop value = value * (1 - x * q**k) however
+many share the table, as the envelope constants in bounds do.  _products
+checks no value: _product_log takes the log of a product that has left the
+normal doubles from its factors, and every public product whose modulus is
+not a finite double raises NonConvergentError.  multishifted multiplies the
+pochhammer values of its parameters one after another.
 
 It also holds the argument rules the other layers share: a positive tol, a
 modulus that reads as inf where it overflows, and a q^l that rounds below 1.
@@ -27,9 +27,10 @@ needs no coordination.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
-from .errors import InvalidArgumentError, NonConvergentError, QSeriesError
+from .errors import InvalidArgumentError, NonConvergentError
 
 __all__ = [
     "QBase", "PochhammerValue", "pochhammer_finite", "pochhammer_infinite", "multishifted",
@@ -38,6 +39,7 @@ __all__ = [
 
 DEFAULT_MAX_Q = 0.999999
 FACTOR_CAP = 1_000_000
+_MIN_NORMAL = sys.float_info.min
 
 
 _set = object.__setattr__
@@ -182,6 +184,19 @@ def _products(xs: list | tuple, q: QBase, counts: list[int]) -> list:
     return products
 
 
+def _product_log(value: float, xs: list, counts: list[int], qq: float) -> float:
+    """The log of ``value``, the product of the _products of ``xs`` with
+    ``counts`` factors each, multiplied left to right.
+
+    A product that is not a normal double has lost its bits to underflow or
+    overflow: its log is then math.fsum of log1p(-x q^k) over the same
+    factors.
+    """
+    if _MIN_NORMAL <= value < math.inf:
+        return math.log(value)
+    return math.fsum(math.log1p(-x * qq**k) for x, n in zip(xs, counts) for k in range(n))
+
+
 def _count_target(qq: float, tol: float) -> tuple[float, float]:
     """(target, log target), target = min(tol (1-q), 1/2), for every factor
     count at one base.  A target that underflows to 0.0 comes with a log of
@@ -225,34 +240,6 @@ def _finite(value: complex | float, kind: str) -> complex | float:
     return value
 
 
-def _infinite_parts(xs: tuple, q: QBase, tol: float) -> list[PochhammerValue]:
-    """pochhammer_infinite of each x_i, from one table of q**k.
-
-    Raises what a loop of pochhammer_infinite calls raises first: counting
-    stops at the first x_i whose factor count raises, and the products of
-    the parameters before it are checked for overflow before that error is
-    raised.
-    """
-    qq, lq = q.q, q.log_q
-    counts: list[int] = []
-    error = None
-    try:
-        # As in a per-parameter loop, an empty list checks no tol.
-        target, log_target = _count_target(qq, tol) if xs else (0.0, 0.0)
-        for x in xs:
-            counts.append(_factor_count(x, qq, lq, target, log_target))
-    except QSeriesError as exc:
-        error = exc
-    parts = []
-    for x, n, value in zip(xs, counts, _products(xs, q, counts)):
-        a_qn = abs(x) * qq**n
-        tail = a_qn / ((1.0 - qq) * (1.0 - a_qn))
-        parts.append(PochhammerValue(_finite(value, "infinite"), n, tail))
-    if error is not None:
-        raise error
-    return parts
-
-
 def pochhammer_finite(a: complex | float, q: QBase, n: int) -> PochhammerValue:
     """Product of the n factors (1 - a q^k), k = 0..n-1; the empty product is 1."""
     if not isinstance(n, int) or n < 0:
@@ -271,7 +258,11 @@ def pochhammer_infinite(a: complex | float, q: QBase, tol: float) -> PochhammerV
     which is stored as ``tail_log_bound``.  The returned value is exactly
     ``pochhammer_finite(a, q, N).value``.
     """
-    return _infinite_parts((a,), q, tol)[0]
+    qq = q.q
+    n = _factor_count(a, qq, q.log_q, *_count_target(qq, tol))
+    a_qn = abs(a) * qq**n
+    value = _finite(_products((a,), q, [n])[0], "infinite")
+    return PochhammerValue(value, n, a_qn / ((1.0 - qq) * (1.0 - a_qn)))
 
 
 def multishifted(
@@ -283,26 +274,23 @@ def multishifted(
     """Product of shifted factorials over an iterable of parameters; none gives 1.
 
     ``n`` may be ``math.inf``, in which case ``tol`` drives each truncated
-    factor and the log-tail bounds add up.  Every factor of every parameter
-    comes from one table of q**k, and the value has the bits of a
-    parameter-by-parameter product of pochhammer_finite or
-    pochhammer_infinite values.
+    factor and the log-tail bounds add up.  The value is the running product
+    value = value * part.value, left to right from 1.0, over the
+    pochhammer_finite or pochhammer_infinite value of each parameter, and the
+    first of them that raises raises here.
     """
-    a_list = tuple(a_list)
     infinite = n == math.inf
     if not infinite and (not isinstance(n, int) or n < 0):
         raise InvalidArgumentError(f"order must be a nonnegative integer or math.inf, got {n!r}")
-    if not infinite:
-        values = _products(a_list, q, [n] * len(a_list))
-        return PochhammerValue(_finite(math.prod(values, start=1.0), "finite"), n if a_list else 0)
     value: complex | float = 1.0
     tail = 0.0
     used = 0
-    for part in _infinite_parts(a_list, q, tol):
+    for a in a_list:
+        part = pochhammer_infinite(a, q, tol) if infinite else pochhammer_finite(a, q, n)
         value = value * part.value
         tail += part.tail_log_bound
         used = max(used, part.factors_used)
-    return PochhammerValue(_finite(value, "infinite"), used, tail)
+    return PochhammerValue(_finite(value, "infinite" if infinite else "finite"), used, tail)
 
 
 def q_binomial(n: int, k: int, q: QBase) -> float:

@@ -24,7 +24,8 @@ from typing import Callable, NamedTuple
 
 from . import bounds
 from .errors import InvalidArgumentError, NonConvergentError, QSeriesError
-from .qcore import FrozenValue, QBase, _modulus, _q_power, _require_pos_tol, pochhammer_infinite
+from .qcore import FrozenValue, QBase, _modulus, _q_power, _require_pos_tol
+from .qcore import multishifted, pochhammer_infinite
 from .series import (
     ConfluentParams,
     EvalResult,
@@ -564,18 +565,30 @@ def _series_side_modulus(z: complex) -> float:
     return abs_z
 
 
+def _residual(difference: complex, product: complex, series: complex) -> float:
+    """|difference|, or NonConvergentError naming both sides where it is not a finite double."""
+    residual = _modulus(difference)
+    if not residual < math.inf:
+        raise NonConvergentError(
+            f"identity residual is not a finite double: product {product!r}, series {series!r}"
+        )
+    return residual
+
+
 def identity_euler(q: QBase, z: complex, tol: float) -> float:
     """Residual |(z;q)_inf sum_k z^k/(q;q)_k - 1| from two independent routes.
 
     Requires |z| < 1 so the series side converges.  The product side runs in
     doubles through pochhammer_infinite at the given tol; the series side in
-    extended precision.
+    extended precision.  A residual that is not a finite double, as where the
+    product underflows and the series overflows near q = 1, raises
+    NonConvergentError.
     """
     z = complex(z)
     abs_z = _series_side_modulus(z)
     product = pochhammer_infinite(z, q, tol).value
     series = _series_sum_mp(z, abs_z, q.q)[0]
-    return abs(product * series - 1.0)
+    return _residual(product * series - 1.0, product, series)
 
 
 def identity_qbinomial_theorem(a: complex, q: QBase, z: complex, tol: float) -> float:
@@ -583,14 +596,20 @@ def identity_qbinomial_theorem(a: complex, q: QBase, z: complex, tol: float) -> 
 
     Requires |z| < 1 and a finite |a|.  The series stop uses the sharpened
     term-ratio bound (1 + |a| q^K)|z| / (1 - q^{K+1}), which tends to |z| < 1.
+    A (z;q)_inf that underflows to 0, and a residual that is not a finite
+    double, raise NonConvergentError.
     """
     a = complex(a)
     z = complex(z)
     abs_z = _series_side_modulus(z)
     _parameter_lists((a,), ())
-    lhs = pochhammer_infinite(a * z, q, tol).value / pochhammer_infinite(z, q, tol).value
+    numerator = pochhammer_infinite(a * z, q, tol).value
+    denominator = pochhammer_infinite(z, q, tol).value
+    if not denominator:
+        raise NonConvergentError(f"(z;q)_inf underflows to 0 at q = {q.q!r}, z = {z!r}")
+    lhs = numerator / denominator
     series = _series_sum_mp(z, abs_z, q.q, a)[0]
-    return abs(lhs - series)
+    return _residual(lhs - series, lhs, series)
 
 
 def identity_ql_sum(l: float, q: QBase, tol: float) -> float:
@@ -621,9 +640,5 @@ def identity_theta_triple_product(q: QBase, z: complex, tol: float) -> float:
     if q.q * q.q == 0.0:
         raise InvalidArgumentError(f"q^2 underflows to 0 at q = {q.q!r}")
     q2 = QBase(q.q * q.q)
-    product = (
-        pochhammer_infinite(q2.q, q2, tol).value
-        * pochhammer_infinite(-z * q.q, q2, tol).value
-        * pochhammer_infinite(-q.q / z, q2, tol).value
-    )
-    return abs(theta - product) / (1.0 + abs(theta))
+    product = multishifted((q2.q, -z * q.q, -q.q / z), q2, math.inf, tol).value
+    return _residual(theta - product, product, theta) / (1.0 + abs(theta))

@@ -16,8 +16,9 @@ target among them, Laurent's index cap, tiny alpha and l, phi at a base
 whose scale overflows, aq at a base where |z| / sqrt(q) overflows,
 options that no longer exist, identity options that do not apply to
 --which, a q^l that rounds to 1, a tol that is not positive or whose
-tol (1 - q) underflows, arguments whose modulus overflows and a
-denominator parameter outside [0, 1)), with envelopes
+tol (1 - q) underflows, arguments whose modulus overflows, a
+denominator parameter outside [0, 1) and identities whose sides leave the
+doubles near q = 1), with envelopes
 whose constants or exponents leave the double range; a command that lets
 an exception escape prints ``raised <exception>`` in place of a digest.  ``outputs()`` and
 ``run()`` are importable, for comparisons that first transform an output.
@@ -173,11 +174,15 @@ _SINGLE = (
     ["eval", "--function", "laurent", "--q", "0.5", "--alpha", "0.5", "--z=1.5e308+1.5e308i"],
     ["identity", "--which", "euler", "--q", "0.5", "--z=1.5e308+1.5e308i"],
     ["eval", "--function", "phi", "--q", "0.5", "--b", "1", "--z", "1"],
+    # Identities near q = 1 whose product underflows while the series overflows.
+    ["identity", "--which", "euler", "--q", "0.999", "--z", "0.99"],
+    ["identity", "--which", "qlsum", "--q", "0.999", "--l", "3"],
+    ["identity", "--which", "qbinomial", "--q", "0.999", "--a=0.5", "--z", "0.99"],
+    ["identity", "--which", "euler", "--q", "0.999", "--z", "0.9"],
 )
 
 
 def outputs():
-    """(label, argv) for every canonical output, in a fixed order."""
     for fmt in ("csv", "json"):
         for fn, q, *rest in _SWEEPS:
             argv = ["audit", "--function", fn, "--q", q, *rest, "--grid", LATTICE_GRID,

@@ -6,6 +6,10 @@ term's multiplier and each stop bound come from a lambda of the index that
 takes ``q**k`` afresh, and the exact stop test runs at every index from 8 on.
 ``verify._series_sum_mp`` must reproduce its sums bit for bit and stop at the
 same index.  The only change is that the loop also returns that index.
+
+``triple`` is the theta triple-product residual as it was before its product
+came from ``multishifted``: three ``pochhammer_infinite`` values multiplied
+by hand, left to right.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import mpmath as mp
 
 from qineq.errors import NonConvergentError
 from qineq.qcore import QBase, pochhammer_infinite
+from qineq.series import eval_theta
 from qineq.verify import _SERIES_CAP, _SERIES_DPS, _SERIES_STOP, _series_side_modulus
 
 
@@ -87,3 +92,16 @@ def qbinomial(a: complex, q: QBase, z: complex, tol: float) -> tuple[float, comp
     lhs = pochhammer_infinite(a * z, q, tol).value / pochhammer_infinite(z, q, tol).value
     series, k = qbinomial_series(a, q.q, z)
     return abs(lhs - series), series, k
+
+
+def triple(q: QBase, z: complex, tol: float) -> float:
+    """verify.identity_theta_triple_product's residual from three product calls."""
+    z = complex(z)
+    theta = eval_theta(q, z, tol).value
+    q2 = QBase(q.q * q.q)
+    product = (
+        pochhammer_infinite(q2.q, q2, tol).value
+        * pochhammer_infinite(-z * q.q, q2, tol).value
+        * pochhammer_infinite(-q.q / z, q2, tol).value
+    )
+    return abs(theta - product) / (1.0 + abs(theta))

@@ -644,6 +644,24 @@ class TestIdentityCommand:
         assert captured.out == ""
         assert captured.err == "error: tol too small at q = 0.5: tol (1 - q) underflows to 0\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        # Near q = 1 the product underflows to 0 or 5e-324 while the series
+        # side overflows, so the residual is nan or inf.
+        (["--which", "euler", "--q", "0.999", "--z", "0.99"],
+         "identity residual is not a finite double: product 0j, series (inf+0j)"),
+        (["--which", "qlsum", "--q", "0.999", "--l", "3"],
+         "identity residual is not a finite double: product 0j, series (inf+0j)"),
+        (["--which", "euler", "--q", "0.999", "--z", "0.9"],
+         "identity residual is not a finite double: product (5e-324+0j), series (inf+0j)"),
+        (["--which", "qbinomial", "--q", "0.999", "--a=0.5", "--z", "0.99"],
+         "(z;q)_inf underflows to 0 at q = 0.999, z = (0.99+0j)"),
+    ])
+    def test_sides_beyond_the_doubles_are_a_typed_error(self, capsys, argv, message):
+        assert run(["identity", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 class TestEnvironment:
     def test_module_entry_point(self):

@@ -600,6 +600,44 @@ class TestIdentitySeriesMatchesReference:
                 assert len(raw) == 2 and raw[0] == raw[1], (z, a, q)
 
 
+def _outcome(call, *args):
+    """("value", float.hex) of a residual, or (exception name, text)."""
+    try:
+        return "value", call(*args).hex()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestTripleProductMatchesReference:
+    """identity_theta_triple_product takes its product from multishifted;
+    tests/reference_verify.py multiplies three pochhammer_infinite values by
+    hand.  Each residual, or error, must be the reference's, bit for bit."""
+
+    def test_criterion_08_region(self):
+        # Criterion 08's triple region, on a seed of its own: q in
+        # [0.05, 0.8] and |z| log-uniform in [0.2, 5].
+        rng = random.Random(31)
+        for _ in range(2000):
+            q = QBase(rng.uniform(0.05, 0.8))
+            r = math.exp(rng.uniform(math.log(0.2), math.log(5.0)))
+            ang = rng.uniform(0.0, 2.0 * math.pi)
+            z = complex(r * math.cos(ang), r * math.sin(ang))
+            got = _outcome(identity_theta_triple_product, q, z, 1e-14)
+            assert got == _outcome(reference_verify.triple, q, z, 1e-14), (q, z)
+            assert got[0] == "value"
+
+    @pytest.mark.parametrize("q", [1e-3, 0.05, 0.8, 0.95, 0.999])
+    def test_edge_points(self, q):
+        # Both ends of the region's moduli, real and imaginary axes, a -0.0
+        # imaginary part, the product's zeros -1/q and -q up to rounding, and
+        # points where the product or the theta sum leaves the doubles at
+        # q = 0.999.
+        for z in (1.0, -1.0, 1j, 0.2, 5.0, -5j, complex(-2.0, -0.0), -1.0 / q, -q,
+                  1e-3, complex(0.0, -0.3), 1e3 + 1e3j):
+            got = _outcome(identity_theta_triple_product, QBase(q), z, 1e-14)
+            assert got == _outcome(reference_verify.triple, QBase(q), z, 1e-14), z
+
+
 def _screen_double(part):
     """The raw mpf ``part`` as verify._series_sum_mp's float screen reads it,
     math.ldexp of its mantissa and exponent with an OverflowError read as an
