@@ -8,7 +8,8 @@ with math.inf standing in when exp would overflow.
 The one-sided chain multiplies three pieces: the parameter constant
 (-|a_1|,...,-|a_r|;q)_inf / (b_1,...,b_s;q)_inf, the sum identity
 sum_k q^{kl}/(q;q)_k = 1/(q^l;q)_inf, and the real-k maximum of the
-Gaussian-weighted term (q^{l(k-1)} |z|)^k.  The two-sided bound instead uses
+Gaussian-weighted term (q^{l(k-1)} |z|)^k; qcore._quotient_logs forms the
+constant and (q^l;q)_inf with their logs.  The two-sided bound instead uses
 the weighted-coefficient constant c = sum_k |a_k| q^{-|k|^(alpha+1)} and the
 closed-form maximum of q^{|k|^(alpha+1)} |z - a|^k over all integers k, which
 gives exp(beta |log|z - a||^gamma) with
@@ -40,12 +41,11 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from typing import Callable, NamedTuple
 
 from .errors import InvalidArgumentError, NonConvergentError
-from .qcore import QBase, _count_target, _factor_count, _modulus, _product_log, _products
-from .qcore import _MIN_NORMAL, _q_power, _require_pos_tol, _set
+from .qcore import _MAX_LOG, QBase, _modulus, _new_tuple, _q_power, _quotient_logs
+from .qcore import _require_pos_tol, _set
 # Not called here since the constants come from one table per base, but
 # perfbench/tracing.py rebinds both names in this module.
 from .qcore import multishifted, pochhammer_infinite  # noqa: F401
@@ -59,13 +59,10 @@ __all__ = [
 ]
 
 _POCH_TOL = 1e-16
-_MAX_LOG = math.log(sys.float_info.max)
 _CACHE_SIZE = 256
 WEIGHTED_SUM_CAP = 100_000
 THETA_CONSTANT_TOL = 1e-15
 _LAURENT_CONSTANT_TOL = 1e-15
-# Makes a named tuple with no Python frame; result methods inline _assemble.
-_new_tuple = tuple.__new__
 _log, _exp, _inf = math.log, math.exp, math.inf
 
 
@@ -226,40 +223,19 @@ def term_peak(abs_z: float, l: float, q: QBase) -> float:
 
         (1/2) log|z| - (l/4) log q - log^2|z| / (4 l log q),
 
-    i.e. the log of (|z|^2 q^{-l})^{1/4} exp(-log^2|z| / (4 l log q)).
+    i.e. the log of (|z|^2 q^{-l})^{1/4} exp(-log^2|z| / (4 l log q)).  It
+    raises InvalidArgumentError where q^l rounds to 1, as envelope_entire does.
     """
     abs_z = _require_positive(abs_z, "abs_z")
     l = _require_positive(l, "l")
+    _q_power(q, l)
     return _entire_envelope(1.0, 0.0, 0.0, l, q.log_q, 1.0).result(abs_z)[4]
 
 
 def _field_logs(a_list: tuple, b_list: tuple, l: float, q: QBase) -> tuple[float, float, float]:
-    """(constant_c, log constant_c, log (q^l;q)_inf) of these entire-class fields.
-
-    One qcore table of q**k at _POCH_TOL serves every product.  Where the
-    numerator, the denominator and their quotient are normal doubles this is
-    (c, math.log(c), math.log((q^l;q)_inf)) with c = num / den, the bits of
-    constant_c over multishifted; elsewhere the logs are taken in log space
-    (see qcore._product_log) and c is exp(log c), math.inf when that overflows.
-    An l so small that q^l rounds to 1 raises InvalidArgumentError.
-    """
-    qq, lq = q.q, q.log_q
-    ql = _q_power(q, l)
-    r = len(a_list)
-    xs = [-abs(a) for a in a_list] + list(b_list) + [ql]
-    target, log_target = _count_target(qq, _POCH_TOL)
-    counts = [_factor_count(x, qq, lq, target, log_target) for x in xs]
-    values = _products(xs, q, counts)
-    # Each factor of num is >= 1 and each of den <= 1, so each is a normal
-    # double exactly where it passes its one-sided test.
-    num, den = math.prod(values[:r], start=1.0), math.prod(values[r:-1], start=1.0)
-    log_ql = _product_log(values[-1], xs[-1:], counts[-1:], qq)
-    if num < _inf and den >= _MIN_NORMAL and num / den < _inf:
-        c = num / den
-        return c, _log(c), log_ql
-    log_num = _product_log(num, xs[:r], counts[:r], qq)
-    log_c = log_num - _product_log(den, xs[r:-1], counts[r:-1], qq)
-    return (_inf if log_c > _MAX_LOG else _exp(log_c)), log_c, log_ql
+    """(constant_c, log constant_c, log (q^l;q)_inf): qcore._quotient_logs of
+    -|a_i| over b_j at x = q^l and _POCH_TOL; a q^l that rounds to 1 raises."""
+    return _quotient_logs([-abs(a) for a in a_list], b_list, _q_power(q, l), q, _POCH_TOL)
 
 
 def _entire_constants(params: ConfluentParams) -> _EntireEnvelope:
@@ -404,7 +380,10 @@ def laurent_weighted_constant(coeff: Callable[[int], complex], alpha: float, q: 
         if mags == 0.0:
             term = 0.0
         else:
-            log_term = math.log(mags) + k ** (alpha + 1.0) * linv
+            try:
+                log_term = math.log(mags) + k ** (alpha + 1.0) * linv
+            except OverflowError:  # k^(alpha+1) is beyond the doubles
+                log_term = math.inf
             if log_term > _MAX_LOG:
                 raise NonConvergentError(
                     f"weighted term at |k| = {k} overflowed; the stream looks divergent"

@@ -7,7 +7,7 @@ output is CSV (default) or JSON with a fixed column order, reproducible byte
 for byte for a fixed seed; errored records have null measurements in JSON,
 and the last column, error, says why (empty in CSV and null in JSON when
 the record has no error).  An option that does not apply to --function is a
-usage error, never silently ignored.
+usage error; only --q and --angles are accepted and ignored with --draws.
 
 Exit codes: 0 success, and for audit that no record violated its envelope;
 1 at least one audit record failed; 2 usage or validation errors or an
@@ -158,11 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ident.set_defaults(handler=_cmd_identity)
 
     return parser
-
-
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
 
 
 def _need(args, attr: str, flag: str, context: str):
@@ -352,11 +347,11 @@ def _cmd_audit(args) -> int:
     )
     if args.draws > 0:
         if fn not in ("f", "phi"):
-            return _usage_error("--draws requires --function f or phi")
+            raise InvalidArgumentError("--draws requires --function f or phi")
         if args.l is not None or args.a is not None or args.b is not None:
-            return _usage_error("--draws draws its own parameters; drop --l, --a and --b")
+            raise InvalidArgumentError("--draws draws its own parameters; drop --l, --a and --b")
     elif args.seed is not None:
-        return _usage_error("--seed seeds the parameter draws; it needs --draws")
+        raise InvalidArgumentError("--seed seeds the parameter draws; it needs --draws")
     _reject_inapplicable(args)
     tag = "confluent_f" if fn == "f" else fn
     if args.draws > 0:
@@ -417,7 +412,8 @@ def run(argv=None) -> int:
     try:
         return args.handler(args)
     except (QSeriesError, OSError) as exc:
-        return _usage_error(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -10,11 +10,12 @@ base, up to the largest factor count among the parameters it is given (or
 to where q**k underflows to 0.0), and keeps for each parameter a running
 product value *= 1 - x q^k, left to right from 1.0, with no list of factors,
 so each has the bits of the plain loop value = value * (1 - x * q**k) however
-many share the table, as the envelope constants in bounds do.  _products
-checks no value: _product_log takes the log of a product that has left the
-normal doubles from its factors, and every public product whose modulus is
-not a finite double raises NonConvergentError.  multishifted multiplies the
-pochhammer values of its parameters one after another.
+many share the table; _factor_counts truncates every infinite product.
+_products checks no value: _product_log takes the log of a product that has
+left the normal doubles from its factors, and every public product whose
+modulus is not a finite double raises NonConvergentError.  multishifted
+multiplies the pochhammer values of its parameters one after another, and
+_quotient_logs forms the envelope constants of bounds from one table.
 
 It also holds the argument rules the other layers share: a positive tol, a
 modulus that reads as inf where it overflows, and a q^l that rounds below 1.
@@ -40,9 +41,12 @@ __all__ = [
 DEFAULT_MAX_Q = 0.999999
 FACTOR_CAP = 1_000_000
 _MIN_NORMAL = sys.float_info.min
+_MAX_LOG = math.log(sys.float_info.max)
 
 
 _set = object.__setattr__
+# Makes a named tuple with no Python frame.
+_new_tuple = tuple.__new__
 
 
 class FrozenValue:
@@ -197,40 +201,57 @@ def _product_log(value: float, xs: list, counts: list[int], qq: float) -> float:
     return math.fsum(math.log1p(-x * qq**k) for x, n in zip(xs, counts) for k in range(n))
 
 
-def _count_target(qq: float, tol: float) -> tuple[float, float]:
-    """(target, log target), target = min(tol (1-q), 1/2), for every factor
-    count at one base.  A target that underflows to 0.0 comes with a log of
-    0.0, and _factor_count raises for it at the first parameter it counts."""
+def _factor_counts(xs: list | tuple, q: QBase, tol: float) -> list[int]:
+    """The smallest N_i with |x_i| q^N_i <= min(tol (1-q), 1/2) for each x_i in
+    order (see pochhammer_infinite); the first x_i that cannot be counted raises."""
     _require_pos_tol(tol)
+    qq, lq = q.q, q.log_q
     target = min(tol * (1.0 - qq), 0.5)
-    return target, (math.log(target) if target else 0.0)
-
-
-def _factor_count(a: complex | float, qq: float, lq: float, target: float, log_target: float) -> int:
-    """Smallest N with |a| q^N <= target, lq = log q and (target, log_target)
-    from _count_target; see pochhammer_infinite."""
-    abs_a = _modulus(a)
-    if not math.isfinite(abs_a):
-        raise NonConvergentError(f"non-finite parameter {a!r} in infinite product")
-    if abs_a == 0.0:
-        return 0
-    if not target:
-        raise InvalidArgumentError(f"tol too small at q = {qq!r}: tol (1 - q) underflows to 0")
-    guess = (log_target - math.log(abs_a)) / lq
-    n_trunc = max(0, math.ceil(guess))
-    if n_trunc > FACTOR_CAP:
-        raise NonConvergentError(
-            f"infinite product needs {n_trunc} factors, beyond the cap {FACTOR_CAP}"
-        )
-    while abs_a * qq**n_trunc > target:
-        n_trunc += 1
-        if n_trunc > FACTOR_CAP:
+    log_target = math.log(target) if target else 0.0
+    counts = []
+    for x in xs:
+        abs_x = _modulus(x)
+        if not math.isfinite(abs_x):
+            raise NonConvergentError(f"non-finite parameter {x!r} in infinite product")
+        if abs_x == 0.0:
+            counts.append(0)
+            continue
+        if not target:
+            raise InvalidArgumentError(f"tol too small at q = {qq!r}: tol (1 - q) underflows to 0")
+        n = max(0, math.ceil((log_target - math.log(abs_x)) / lq))
+        if n > FACTOR_CAP:
             raise NonConvergentError(
-                f"infinite product did not meet tol within {FACTOR_CAP} factors"
-            )
-    while n_trunc > 0 and abs_a * qq ** (n_trunc - 1) <= target:
-        n_trunc -= 1
-    return n_trunc
+                f"infinite product needs {n} factors, beyond the cap {FACTOR_CAP}")
+        while abs_x * qq**n > target:
+            n += 1
+            if n > FACTOR_CAP:
+                raise NonConvergentError(
+                    f"infinite product did not meet tol within {FACTOR_CAP} factors")
+        while n > 0 and abs_x * qq ** (n - 1) <= target:
+            n -= 1
+        counts.append(n)
+    return counts
+
+
+def _quotient_logs(nums: list, dens: list | tuple, x: float, q: QBase, tol: float) -> tuple:
+    """(c, log c, log (x;q)_inf), c = prod_i (nums_i;q)_inf / prod_j (dens_j;q)_inf
+    truncated at tol.  With nums_i <= 0 and dens_j in [0, 1), each factor of
+    num is >= 1 and each of den <= 1, so each is a normal double exactly where
+    it passes its one-sided test.  Where num, den and num / den are, c is
+    num / den and log c math.log(c); elsewhere log c comes from _product_log
+    and c is its exp, math.inf when that overflows."""
+    xs = [*nums, *dens, x]
+    counts = _factor_counts(xs, q, tol)
+    values = _products(xs, q, counts)
+    qq, r = q.q, len(nums)
+    num, den = math.prod(values[:r], start=1.0), math.prod(values[r:-1], start=1.0)
+    log_x = _product_log(values[-1], xs[-1:], counts[-1:], qq)
+    if num < math.inf and den >= _MIN_NORMAL and num / den < math.inf:
+        c = num / den
+        return c, math.log(c), log_x
+    log_c = (_product_log(num, xs[:r], counts[:r], qq)
+             - _product_log(den, xs[r:-1], counts[r:-1], qq))
+    return (math.inf if log_c > _MAX_LOG else math.exp(log_c)), log_c, log_x
 
 
 def _finite(value: complex | float, kind: str) -> complex | float:
@@ -259,7 +280,7 @@ def pochhammer_infinite(a: complex | float, q: QBase, tol: float) -> PochhammerV
     ``pochhammer_finite(a, q, N).value``.
     """
     qq = q.q
-    n = _factor_count(a, qq, q.log_q, *_count_target(qq, tol))
+    n = _factor_counts((a,), q, tol)[0]
     a_qn = abs(a) * qq**n
     value = _finite(_products((a,), q, [n])[0], "infinite")
     return PochhammerValue(value, n, a_qn / ((1.0 - qq) * (1.0 - a_qn)))

@@ -46,7 +46,7 @@ import math
 from typing import Callable, NamedTuple
 
 from .errors import CenterPoleError, InvalidArgumentError, NonConvergentError
-from .qcore import FrozenValue, QBase, _modulus, _require_pos_tol, _set
+from .qcore import FrozenValue, QBase, _modulus, _new_tuple, _require_pos_tol, _set
 
 __all__ = [
     "ConfluentParams", "PhiParams", "EvalResult", "LaurentSpec", "PhiReduction",
@@ -62,8 +62,6 @@ LAURENT_K_CAP = 10_000
 THETA_TRANSFORM_Q = 0.5
 _LOG_HALF = math.log(0.5)
 _LOG_TWO = math.log(2.0)
-# Makes a named tuple with no Python frame, as bounds makes its results.
-_new_tuple = tuple.__new__
 
 
 def _parameter_lists(a_list, b_list, *reals) -> tuple:
@@ -267,10 +265,6 @@ class GaussianSeries:
         # concurrent reader never sees a half-grown table.
         self._table: tuple = ([], math.inf, [])
 
-    @property
-    def _rows(self) -> list[tuple[complex, float, float, float]]:
-        return self._table[0]
-
     def evaluate(self, z: complex, tol: float) -> EvalResult:
         """The sum at z with its certified tail; see eval_confluent_f."""
         _require_pos_tol(tol)
@@ -333,8 +327,8 @@ class GaussianSeries:
                 k += 1
             else:
                 raise NonConvergentError(f"no certified stop within {TERM_CAP} terms")
-        except OverflowError:
-            # abs() of a complex with finite parts raises once its modulus overflows.
+        except (OverflowError, ZeroDivisionError):
+            # abs() of a complex whose modulus overflows, or a den_k of 0.0.
             pass
         finally:
             if grown:
@@ -683,10 +677,6 @@ class LaurentSeries:
         # private copy and publishes it with its z0 in one assignment.
         self._table: tuple = ([], 1)
 
-    @property
-    def _rows(self) -> list[tuple[complex, complex, float, float]]:
-        return self._table[0]
-
     def evaluate(self, z: complex, tol: float) -> EvalResult:
         """The expansion at z with its certified tail; see eval_laurent."""
         _require_pos_tol(tol)
@@ -727,8 +717,12 @@ class LaurentSeries:
         # the test, and the sum runs as before.
         if log_m > 0.0:
             k_ovf = max(1, math.ceil(711.0 / log_m))
-            if k_ovf <= LAURENT_K_CAP and (
-                    self._ap1 * (k_ovf - 1) ** spec.alpha * self._lq + log_m > _LOG_HALF):
+            try:  # a power beyond the doubles puts the ratio far below log(1/2)
+                blocked = k_ovf <= LAURENT_K_CAP and (
+                    self._ap1 * (k_ovf - 1) ** spec.alpha * self._lq + log_m > _LOG_HALF)
+            except OverflowError:
+                blocked = False
+            if blocked:
                 raise NonConvergentError("Laurent sum overflowed the double range")
         k = 0
         inf, log, log_half, k_cap = math.inf, math.log, _LOG_HALF, LAURENT_K_CAP
@@ -746,7 +740,10 @@ class LaurentSeries:
                         coeff, alpha, ap1, lq = spec.coeff, spec.alpha, self._ap1, self._lq
                         grown = True
                     up, down = coeff(k), coeff(-k)
-                    rows.append((up, down, ap1 * k**alpha * lq, (k + 1) ** ap1 * lq))
+                    try:
+                        rows.append((up, down, ap1 * k**alpha * lq, (k + 1) ** ap1 * lq))
+                    except OverflowError:
+                        raise NonConvergentError(f"stop-rule weight at |k| = {k} overflowed") from None
                     if up or down:
                         z0 = k + 1
                     size += 1
@@ -843,7 +840,7 @@ def eval_laurent(spec: LaurentSpec, z: complex, tol: float) -> EvalResult:
     |coeff(k)| <= c_weighted q^{|k|^(alpha+1)}, using the superlinear growth
     of |k|^(alpha+1) to certify a geometric remainder.  Raises
     NonConvergentError if LAURENT_K_CAP is hit before the tail meets tol, or if the
-    partial sum leaves the double range.  This is
+    partial sum or a stop-rule weight k^alpha leaves the double range.  This is
     LaurentSeries(spec).evaluate(z, tol).
     """
     return LaurentSeries(spec).evaluate(z, tol)

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 
 from . import bounds
 from .errors import InvalidArgumentError, NonConvergentError, QSeriesError
-from .qcore import FrozenValue, QBase, _modulus, _q_power, _require_pos_tol
+from .qcore import FrozenValue, QBase, _modulus, _new_tuple, _q_power, _require_pos_tol
 from .qcore import multishifted, pochhammer_infinite
 from .series import (
     ConfluentParams,
@@ -60,8 +60,6 @@ AUDIT_SLACK = 1e-12
 _LOG_SLACK = math.log1p(AUDIT_SLACK)
 L_CHOICES = (0.5, 1.0, 1.5, 2.5)
 _TWO_PI = 2.0 * math.pi
-# Makes a named tuple with no Python frame, as bounds makes its results.
-_new_tuple = tuple.__new__
 
 
 def log_grid(lo: float, hi: float, count: int) -> tuple[float, ...]:

@@ -17,8 +17,10 @@ whose scale overflows, aq at a base where |z| / sqrt(q) overflows,
 options that no longer exist, identity options that do not apply to
 --which, a q^l that rounds to 1, a tol that is not positive or whose
 tol (1 - q) underflows, arguments whose modulus overflows, a
-denominator parameter outside [0, 1) and identities whose sides leave the
-doubles near q = 1), with envelopes
+denominator parameter outside [0, 1), identities whose sides leave the
+doubles near q = 1, and an eval and an audit whose 25 denominator
+parameters at 1 - 2^-53 make the product of the 1 - b_j underflow to 0),
+with envelopes
 whose constants or exponents leave the double range; a command that lets
 an exception escape prints ``raised <exception>`` in place of a digest.  ``outputs()`` and
 ``run()`` are importable, for comparisons that first transform an output.
@@ -179,6 +181,11 @@ _SINGLE = (
     ["identity", "--which", "qlsum", "--q", "0.999", "--l", "3"],
     ["identity", "--which", "qbinomial", "--q", "0.999", "--a=0.5", "--z", "0.99"],
     ["identity", "--which", "euler", "--q", "0.999", "--z", "0.9"],
+    # 25 denominator parameters at 1 - 2^-53, whose product 1 - b_j underflows to 0.
+    ["eval", "--function", "f", "--q", "0.5", "--l", "1", "--z", "1",
+     *["--b", "0.9999999999999999"] * 25],
+    ["audit", "--function", "phi", "--q", "0.5", "--a=0.5", "--grid", "1e-3:1e3:3",
+     "--angles", "2", *["--b", "0.9999999999999999"] * 25],
 )
 
 

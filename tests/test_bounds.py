@@ -98,6 +98,16 @@ class TestTermPeak:
         with pytest.raises(InvalidArgumentError):
             term_peak(0.0, 1.0, QBase(0.5))
 
+    @pytest.mark.parametrize("l", [5e-324, 1e-17])
+    def test_rejects_a_weight_that_rounds_q_to_the_l_to_one(self, l):
+        # At l = 5e-324, 4 l log q underflows to 0 as well.
+        base = QBase(0.999999)
+        message = f"q^l rounds to 1 at q = 0.999999, l = {l!r}"
+        with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+            term_peak(1e-308, l, base)
+        with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+            envelope_entire(ConfluentParams(a_list=(), b_list=(), l=l, q=base), 1e-308)
+
 
 class TestEnvelopeEntire:
     def test_reference_value(self):
@@ -365,6 +375,13 @@ class TestThetaWeightedConstant:
         with pytest.raises(InvalidArgumentError):
             theta_weighted_constant(alpha, QBase(0.5), 1e-14)
 
+    def test_cap(self):
+        # At alpha = 1 - 2^-53, 1 + alpha rounds to 2.0: every term is q^0 = 1,
+        # so none falls below tol.
+        with pytest.raises(NonConvergentError,
+                           match=f"did not settle within {bounds.WEIGHTED_SUM_CAP} terms"):
+            theta_weighted_constant(1.0 - 2.0**-53, QBase(0.5), 1e-14)
+
 
 class TestLaurentWeightedConstant:
     def test_matches_theta_stream(self):
@@ -380,6 +397,11 @@ class TestLaurentWeightedConstant:
     def test_divergent_stream_raises(self):
         with pytest.raises(NonConvergentError):
             laurent_weighted_constant(lambda k: 1.0, 0.5, QBase(0.5))
+
+    def test_weight_power_beyond_the_doubles_raises(self):
+        # 2^2001 overflows, so the weighted term at |k| = 2 does too.
+        with pytest.raises(NonConvergentError, match=re.escape("weighted term at |k| = 2 overflowed")):
+            laurent_weighted_constant(lambda k: 0.5 ** (k * k), 2000.0, QBase(0.5))
 
     @pytest.mark.parametrize("bad_k, coefficient, message", [
         (3, complex(1.5e308, 1.5e308), "weighted term at |k| = 3 overflowed"),

@@ -455,6 +455,31 @@ class TestModulusOverflow:
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+_NEAR_ONE_BS = ["--b", "0.9999999999999999"] * 25
+
+
+class TestDenominatorUnderflow:
+    """25 denominator parameters at 1 - 2^-53: the product of the 1 - b_j
+    underflows to 0.0, and the sums raise the typed overflow error."""
+
+    def test_eval_exits_two_with_one_error_line(self, capsys):
+        argv = ["eval", "--function", "f", "--q", "0.5", "--l", "1", "--z", "1", *_NEAR_ONE_BS]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: series term left the double range\n"
+
+    def test_audit_reports_error_records(self, capsys):
+        argv = ["audit", "--function", "phi", "--q", "0.5", "--a=0.5", "--grid", "1e-3:1e3:3",
+                "--angles", "2", *_NEAR_ONE_BS]
+        assert run(argv) == 0
+        captured = capsys.readouterr()
+        rows = list(csv.DictReader(captured.out.splitlines()))
+        assert len(rows) == 6
+        assert {row["error"] for row in rows} == {"series term left the double range"}
+        assert captured.err == "records=6 passed=0 failed=0 errors=6\n"
+
+
 class TestEnvelopesBeyondTheDoubleRange:
     """Audits at envelope exponents or scaled moduli beyond the double range
     give error records or verdicts, never an escaping exception."""

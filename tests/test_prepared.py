@@ -272,17 +272,17 @@ class TestGaussianOverflowVerdict:
         for z in [*points, *points[::-1]]:
             for tol in tols:
                 assert _outcome(prepared.evaluate, z, tol) == want[z, tol], (q, z, tol)
-        rows, r_ovf = len(prepared._rows), prepared._table[1]
+        rows, r_ovf = len(prepared._table[0]), prepared._table[1]
         assert r_ovf < math.inf and len(prepared._table[2]) == rows
         # A tiny tol grows the table after r_ovf is set (unless the series
         # terminates, when the walk has tabulated the rows it needs); the
         # next overflow extends the column over the new rows.
         assert _outcome(prepared.evaluate, grow, 1e-300) == want[grow, 1e-300]
-        assert len(prepared._rows) > rows or -math.inf in log_coefficients
+        assert len(prepared._table[0]) > rows or -math.inf in log_coefficients
         for z in points:
             for tol in tols:
                 assert _outcome(prepared.evaluate, z, tol) == want[z, tol], (q, z, tol)
-        assert len(prepared._table[2]) == len(prepared._rows)
+        assert len(prepared._table[2]) == len(prepared._table[0])
         assert prepared._table[1] <= r_ovf
         outcomes = list(want.values())
         assert 0 < sum(len(got) == 2 for got in outcomes) < len(outcomes)
@@ -298,6 +298,18 @@ class TestGaussianOverflowVerdict:
         assert r_ovf == pytest.approx(math.exp(-700.0 - math.log(1e-320)), rel=1e-12)
         assert column[:3] == pytest.approx([math.log(1e-320), math.log(1e-20), math.log(1e280)])
         assert column[3:] == [-math.inf, -math.inf]
+
+    def test_a_denominator_that_underflows_ends_the_column(self):
+        # prod_j (1 - b_j) underflows to 0.0, so den_0 = 0.0 and the first term
+        # divides by zero; the column stops before row 0 and leaves r_ovf at inf.
+        params = ConfluentParams(a_list=(), b_list=(1.0 - 2.0**-53,) * 25, l=1.0, q=QBase(0.5))
+        prepared = prepare_confluent_f(params)
+        for z in (1.0, 1e-300, 1j):
+            assert _outcome(prepared.evaluate, z, 1e-14) == (
+                "NonConvergentError", "series term left the double range")
+        rows, r_ovf, column = prepared._table
+        assert len(rows) == 1 and rows[0][1] == 0.0
+        assert r_ovf == math.inf and column == []
 
     @pytest.mark.parametrize("q", [0.9, 0.95, 0.99, 0.999])
     def test_confluent_f_and_aq(self, q):
@@ -339,7 +351,7 @@ class TestNonFiniteArguments:
         for prepared in (prepare_confluent_f(f_params), prepare_phi(phi_params),
                          prepare_confluent_f(aq_params)):
             assert _outcome(prepared.evaluate, w, 1e-14) == want
-            assert prepared._rows == []
+            assert prepared._table[0] == []
         assert _outcome(eval_confluent_f, f_params, w, 1e-14) == want
         assert _outcome(eval_phi, phi_params, w, 1e-14) == want
         assert _outcome(eval_ramanujan_aq, QBase(0.5), w, 1e-14) == want
@@ -708,7 +720,7 @@ class TestLaurentOverflowProbe:
         want = ("InvalidArgumentError", f"argument must be finite, got {w!r}")
         prepared = LaurentSeries(spec)
         assert _outcome(prepared.evaluate, w, 1e-12) == want
-        assert calls == [] and prepared._rows == [] and prepared._c0 is None
+        assert calls == [] and prepared._table[0] == [] and prepared._c0 is None
         assert _expected("laurent", ref.eval_laurent, spec, w, 1e-12) == want
         assert calls == []
 

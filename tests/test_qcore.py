@@ -105,6 +105,15 @@ class TestPochhammerInfinite:
         with pytest.raises(NonConvergentError):
             pochhammer_infinite(1e300, QBase(0.999999), 1e-16)
 
+    def test_count_corrected_down_from_the_log_guess(self):
+        # The target is min(0.125 (1 - 0.5), 1/2) = 0.0625 = 0.125 * 0.5 exactly,
+        # but the rounded log guess is just above 1 and ceils to 2.
+        target = 0.125 * (1.0 - 0.5)
+        assert math.ceil((math.log(target) - math.log(0.125)) / math.log(0.5)) == 2
+        got = pochhammer_infinite(0.125, QBase(0.5), 0.125)
+        assert got.factors_used == 1
+        assert got.value == 1.0 - 0.125
+
 
 class TestMultishifted:
     def test_empty_list(self):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +21,7 @@ from qineq import (
     phi_to_f,
     theta_weighted_constant,
 )
-from qineq.series import LAURENT_K_CAP, THETA_TRANSFORM_Q
+from qineq.series import LAURENT_K_CAP, TERM_CAP, THETA_TRANSFORM_Q, TWO_SIDED_CAP
 
 import oracles
 import reference_series as ref
@@ -118,6 +119,12 @@ class TestConfluentF:
         )
         with pytest.raises(NonConvergentError, match="series term left the double range"):
             eval_confluent_f(params, 20634.951624499743 + 2784.315869689865j, 1e-14)
+
+    def test_term_cap(self):
+        # With q^l rounded to 1 the ratio bound stays above 1 at |z| > 1 while
+        # the terms grow too slowly to overflow within the cap.
+        with pytest.raises(NonConvergentError, match=f"no certified stop within {TERM_CAP} terms$"):
+            eval_confluent_f(_entire(0.5, l=1e-300), 1.0000001, 1e-14)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(InvalidArgumentError):
@@ -256,6 +263,11 @@ class TestTheta:
         with pytest.raises(InvalidArgumentError):
             eval_theta(QBase(0.5), 0.0, 1e-14)
 
+    def test_stop_index_cap(self):
+        with pytest.raises(NonConvergentError,
+                           match=f"no certified stop within \\|k\\| <= {TWO_SIDED_CAP}$"):
+            eval_theta(QBase(0.999999), 1e10, 1e-14)
+
     @settings(max_examples=60, deadline=None)
     @given(
         q=st.floats(0.05, 0.95),
@@ -385,6 +397,25 @@ class TestLaurent:
         )
         with pytest.raises(NonConvergentError, match="Laurent sum overflowed the double range"):
             eval_laurent(spec, 1.0, 1e-14)
+
+    @pytest.mark.parametrize("alpha, z, message", [
+        # (k_ovf - 1)^alpha overflows before the loop: no certain-overflow verdict.
+        (2000.0, 2.0, "stop-rule weight at |k| = 1 overflowed"),
+        # |z| = 1 skips that check; 2^(alpha + 1) overflows at |k| = 1.
+        (1e300, 1.0, "stop-rule weight at |k| = 1 overflowed"),
+        # The stop rule passes before any weight overflows, with and without
+        # an overflowing (k_ovf - 1)^alpha.
+        (200.0, 2.0, None),
+        (80.0, 2.0, None),
+    ])
+    def test_weight_beyond_the_doubles(self, alpha, z, message):
+        spec = LaurentSpec(center=0j, coeff=_theta_stream(0.5), alpha=alpha, q=QBase(0.5),
+                           c_weighted=3.0)
+        if message is None:
+            assert eval_laurent(spec, z, 1e-14) == (2.25 + 0j, 3, 0.0)
+        else:
+            with pytest.raises(NonConvergentError, match=re.escape(message)):
+                eval_laurent(spec, z, 1e-14)
 
     def test_k_cap_guard(self):
         # Near q = 1 with a slow decay the stop rule stays blocked at |w| = 1.05.
