@@ -66,7 +66,7 @@ LAURENT_K_CAP = 10_000
 THETA_TRANSFORM_Q = 0.5
 _LOG_HALF = math.log(0.5)
 _LOG_TWO = math.log(2.0)
-# The headroom band of GaussianSeries's fast rows.
+# The headroom band of GaussianSeries's fast rows (see _headroom).
 _HEAD_LO = math.exp(-700.0)
 _HEAD_HI = math.exp(709.0)
 
@@ -208,9 +208,9 @@ def _overflow_radius(rows: list) -> tuple:
 
 def _headroom(rows: list, abs_z: float) -> bool:
     """Whether GaussianSeries's fast rows over ``rows`` may skip their
-    overflow test at |z| = abs_z: each |num_k w_k| abs_z and each running
-    modulus product m_{k+1} = m_k (|num_k w_k| abs_z / den_k), m_0 = 1, stays
-    in the band [e^-700, e^709] (see the class)."""
+    overflow test at |z| = abs_z: each a_k = |num_k w_k| abs_z is at least
+    e^-700 and each running product m_{k+1} = m_k (a_k / den_k), m_0 = 1,
+    lies in [e^-700, e^709] (see the class)."""
     m = 1.0
     for nw, den, _, _ in rows:
         a = _modulus(nw) * abs_z
@@ -256,18 +256,18 @@ class GaussianSeries:
     Memo.  Below k_b, the first k >= MIN_STOP_INDEX with rho_k < 1, the stop
     test cannot pass, and rho_k depends on z only through |z|.  The first
     evaluation at a modulus whose loop reaches k_b publishes the memo
-    (|z|, k_b, None) as one tuple; a later evaluation at that |z| forms
-    term_1..term_{k_b} as term = term * (nw_k z / den_k); partial += term,
-    the loop's own arithmetic, and enters the loop at k_b.  Terms with a
-    non-finite part stay non-finite through every later product and
-    quotient, so the loop's test at k_b still raises on them.  What the fast
-    rows could miss is a term with finite parts whose modulus is beyond the
-    doubles (abs raises there), so they call abs on each term unless the
-    first such evaluation finds headroom, which it stores in the memo: in
-    doubles, every |num_k w_k| |z| and every m_{k+1} = m_k |num_k w_k| |z| /
-    den_k for k < k_b lies in [e^-700, e^709].  m_k is then within e^0.001
-    of |c_k| |z|^k, and at any angle so is |term_k|, by the argument above,
-    so |term_k| <= e^709.002 < DBL_MAX.
+    (|z|, k_b, None) as one tuple.  A later evaluation at that |z| forms
+    term_1..term_{k_b} with the loop's own arithmetic,
+    term = term * (num_k w_k z / den_k); partial += term, and enters the
+    loop at k_b.  A term with a non-finite part makes every later term
+    non-finite, so the loop's test at k_b still raises on it.  What these
+    fast rows could miss is a term with finite parts and a modulus beyond
+    the doubles, where abs raises.  So they call abs on each term, unless
+    the first of them finds headroom and stores it in the memo: in doubles,
+    for k < k_b every a_k = |num_k w_k| |z| is at least e^-700 and every
+    m_{k+1} = m_k (a_k / den_k), m_0 = 1, lies in [e^-700, e^709].  Then
+    m_k is within e^0.001 of |c_k| |z|^k, and by the argument above so is
+    |term_k| at every angle: |term_k| <= e^709.002 < DBL_MAX.
     """
 
     __slots__ = ("_a_list", "_b_list", "_q", "_l", "_shift", "_negate", "_num_cap",
@@ -788,7 +788,8 @@ class LaurentSeries:
         # at k_ovf - 1 cannot have returned before k_ovf <= LAURENT_K_CAP; it
         # raises there, before its stop test, unless it raised the same error
         # sooner.  An infinite log_m gives k_ovf = 1; log_m = 0 or nan skips
-        # the test, and the sum runs as before.
+        # the test, and the sum runs as before.  A memo hit skips it: the
+        # evaluation that recorded the memo passed it at the same log_m.
         memo_log_m, k_r = self._memo
         hit = log_m == memo_log_m
         if log_m > 0.0 and not hit:

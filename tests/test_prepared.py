@@ -958,8 +958,8 @@ class TestRingSweepsMatchReference:
         # modulus where the largest term reaches the top of the doubles.
         f_params = ConfluentParams(a_list=(), b_list=(), l=1.0, q=QBase(0.95))
         f_out, _ = _ring_sweep("gaussian", prepare_confluent_f(f_params),
-                            lambda z, tol: ref.eval_gaussian((), (), 0.95, 1.0, 1, z, tol),
-                            log_grid(1.1e5, 1.6e5, 41))
+                               lambda z, tol: ref.eval_gaussian((), (), 0.95, 1.0, 1, z, tol),
+                               log_grid(1.1e5, 1.6e5, 41))
         phi = prepare_phi(PhiParams(a_list=(0.5,), b_list=(0.3,), q=QBase(0.9)))
         phi_out, _ = _ring_sweep(
             "gaussian", phi,
