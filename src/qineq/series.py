@@ -33,11 +33,11 @@ without locks.  A ThetaSeries also remembers, for the last (|log|z||, tol)
 pair it met, the work that depends on |z| alone (the stop index, the
 certain-overflow verdict, the tail and the transformed sum's phases), and
 publishes that memo the same way, as one tuple: the angles of one
-modulus share that work.  A GaussianSeries and a LaurentSeries keep a
-one-entry memo too, keyed by the last modulus (|z|, and log M) that reached
-its stop-rule region: the index below which the stop test cannot pass.  At
-that modulus's other angles the rows below it are term arithmetic only, with
-the same bits.  Two more facts ride with the tables: once a
+modulus share that work.  A GaussianSeries keeps a one-entry memo too,
+keyed by the last |z| that reached its stop-rule region: the index below
+which the stop test cannot pass.  At that modulus's other angles the rows
+below it are term arithmetic only, with the same bits.  Two more facts ride
+with the tables: once a
 GaussianSeries has overflowed, the modulus r_ovf beyond which its sum
 certainly overflows, so it raises there at once; and a LaurentSeries's z0,
 from which its tabulated coefficients are all zero, so the sum cannot change
@@ -66,9 +66,6 @@ LAURENT_K_CAP = 10_000
 THETA_TRANSFORM_Q = 0.5
 _LOG_HALF = math.log(0.5)
 _LOG_TWO = math.log(2.0)
-# The headroom band of GaussianSeries's fast rows (see _headroom).
-_HEAD_LO = math.exp(-700.0)
-_HEAD_HI = math.exp(709.0)
 
 
 def _parameter_lists(a_list, b_list, *reals) -> tuple:
@@ -206,20 +203,6 @@ def _overflow_radius(rows: list) -> tuple:
     return (math.exp(best) if best < 709.0 else math.inf), column
 
 
-def _headroom(rows: list, abs_z: float) -> bool:
-    """Whether GaussianSeries's fast rows over ``rows`` may skip their
-    overflow test at |z| = abs_z: each a_k = |num_k w_k| abs_z is at least
-    e^-700 and each running product m_{k+1} = m_k (a_k / den_k), m_0 = 1,
-    lies in [e^-700, e^709] (see the class)."""
-    m = 1.0
-    for nw, den, _, _ in rows:
-        a = _modulus(nw) * abs_z
-        m *= a / den
-        if not (a >= _HEAD_LO and _HEAD_LO <= m <= _HEAD_HI):
-            return False
-    return True
-
-
 class GaussianSeries:
     """A prepared one-sided sum with term_0 = 1 and term ratio
 
@@ -256,18 +239,13 @@ class GaussianSeries:
     Memo.  Below k_b, the first k >= MIN_STOP_INDEX with rho_k < 1, the stop
     test cannot pass, and rho_k depends on z only through |z|.  The first
     evaluation at a modulus whose loop reaches k_b publishes the memo
-    (|z|, k_b, None) as one tuple.  A later evaluation at that |z| forms
+    (|z|, k_b) as one tuple.  A later evaluation at that |z| forms
     term_1..term_{k_b} with the loop's own arithmetic,
     term = term * (num_k w_k z / den_k); partial += term, and enters the
     loop at k_b.  A term with a non-finite part makes every later term
-    non-finite, so the loop's test at k_b still raises on it.  What these
-    fast rows could miss is a term with finite parts and a modulus beyond
-    the doubles, where abs raises.  So they call abs on each term, unless
-    the first of them finds headroom and stores it in the memo: in doubles,
-    for k < k_b every a_k = |num_k w_k| |z| is at least e^-700 and every
-    m_{k+1} = m_k (a_k / den_k), m_0 = 1, lies in [e^-700, e^709].  Then
-    m_k is within e^0.001 of |c_k| |z|^k, and by the argument above so is
-    |term_k| at every angle: |term_k| <= e^709.002 < DBL_MAX.
+    non-finite, so the loop's test at k_b still raises on it; a term with
+    finite parts and a modulus beyond the doubles makes the fast rows' own
+    abs raise, as the loop's would.
     """
 
     __slots__ = ("_a_list", "_b_list", "_q", "_l", "_shift", "_negate", "_num_cap",
@@ -302,8 +280,8 @@ class GaussianSeries:
         # column, publishes the new tuple with one assignment, so a
         # concurrent reader never sees a half-grown table.
         self._table: tuple = ([], math.inf, [])
-        # (|z|, k_b, headroom), headroom None until a second evaluation at |z|.
-        self._memo: tuple = (None, 0, None)
+        # (|z|, k_b); no |z| equals None.
+        self._memo: tuple = (None, 0)
 
     def evaluate(self, z: complex, tol: float) -> EvalResult:
         """The sum at z with its certified tail; see eval_confluent_f."""
@@ -325,24 +303,16 @@ class GaussianSeries:
             abs_z = abs(z)
             if abs_z > r_ovf:
                 raise NonConvergentError("series term left the double range")
-            memo_z, k_b, headroom = self._memo
+            memo_z, k_b = self._memo
             hit = abs_z == memo_z
             if hit:
                 # A table shorter than k_b (a thread published a shorter
                 # copy) caps the fast rows.
                 fast = rows[:k_b]
-                if headroom is None:
-                    headroom = _headroom(fast, abs_z)
-                    self._memo = (abs_z, len(fast), headroom)
-                if headroom:
-                    for nw, den, _, _ in fast:
-                        term = term * (nw * z / den)
-                        partial += term
-                else:
-                    for nw, den, _, _ in fast:
-                        term = term * (nw * z / den)
-                        abs(term)  # OverflowError where the modulus leaves the doubles
-                        partial += term
+                for nw, den, _, _ in fast:
+                    term = term * (nw * z / den)
+                    abs(term)  # OverflowError where the modulus leaves the doubles
+                    partial += term
                 k = len(fast)
             while k <= term_cap:
                 if k == size:
@@ -376,7 +346,7 @@ class GaussianSeries:
                     bound = w * abs_z * num_cap / dd
                     if bound < 1.0:
                         if not hit:
-                            self._memo = (abs_z, k, None)
+                            self._memo = (abs_z, k)
                             hit = True
                         tail = abs_nxt / (1.0 - bound)
                         abs_partial = abs(partial)
@@ -726,17 +696,9 @@ class LaurentSeries:
     that index makes the series raise the overflow error, and the band
     between falls back to the loop.  With no passing index, a table at
     LAURENT_K_CAP raises the cap error likewise; a shorter one falls back.
-
-    Memo.  Below k_r, the first k with decay + log M <= log(1/2), the loop
-    only sums, and that test depends on z only through log M = |log|w||.
-    The first evaluation at a log M whose loop reaches k_r publishes
-    (log M, k_r) as one tuple.  A later evaluation at that log M, which
-    passed the overflow probe then, skips the probe and runs the rows below
-    k_r, z0 and the table's end as the loop's arithmetic and overflow check
-    alone, then enters the loop; no coeff call or table growth happens there.
     """
 
-    __slots__ = ("_spec", "_lq", "_ap1", "_log_c", "_c0", "_table", "_memo")
+    __slots__ = ("_spec", "_lq", "_ap1", "_log_c", "_c0", "_table")
 
     def __init__(self, spec: LaurentSpec) -> None:
         self._spec = spec
@@ -748,8 +710,6 @@ class LaurentSeries:
         # (k+1)^(alpha+1) log q).  An evaluation that needs more rows extends a
         # private copy and publishes it with its z0 in one assignment.
         self._table: tuple = ([], 1)
-        # (log M, k_r); no log M equals None.
-        self._memo: tuple = (None, 0)
 
     def evaluate(self, z: complex, tol: float) -> EvalResult:
         """The expansion at z with its certified tail; see eval_laurent."""
@@ -788,11 +748,8 @@ class LaurentSeries:
         # at k_ovf - 1 cannot have returned before k_ovf <= LAURENT_K_CAP; it
         # raises there, before its stop test, unless it raised the same error
         # sooner.  An infinite log_m gives k_ovf = 1; log_m = 0 or nan skips
-        # the test, and the sum runs as before.  A memo hit skips it: the
-        # evaluation that recorded the memo passed it at the same log_m.
-        memo_log_m, k_r = self._memo
-        hit = log_m == memo_log_m
-        if log_m > 0.0 and not hit:
+        # the test, and the sum runs as before.
+        if log_m > 0.0:
             k_ovf = max(1, math.ceil(711.0 / log_m))
             try:  # a power beyond the doubles puts the ratio far below log(1/2)
                 blocked = k_ovf <= LAURENT_K_CAP and (
@@ -803,19 +760,6 @@ class LaurentSeries:
                 raise NonConvergentError("Laurent sum overflowed the double range")
         k = 0
         inf, log, log_half, k_cap = math.inf, math.log, _LOG_HALF, LAURENT_K_CAP
-        if hit:
-            fast = rows[:min(k_r, z0) - 1]
-            for up, down, _, _ in fast:
-                plus *= w
-                minus *= w_inv
-                partial += up * plus + down * minus
-                try:
-                    abs_partial = abs(partial)
-                except OverflowError:
-                    abs_partial = inf
-                if not abs_partial < inf:
-                    raise NonConvergentError("Laurent sum overflowed the double range")
-            k = len(fast)
         try:
             while True:
                 k += 1
@@ -853,9 +797,6 @@ class LaurentSeries:
                     raise NonConvergentError("Laurent sum overflowed the double range")
                 if decay + log_m > log_half:
                     continue
-                if not hit:
-                    self._memo = (log_m, k)
-                    hit = True
                 target_log = log(tol * (abs_partial if abs_partial > 1.0 else 1.0))
                 # Screen: the wing whose sign is that of law computes exactly
                 # next_weight + (k + 1) * log_m and then subtracts

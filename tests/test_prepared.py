@@ -870,40 +870,41 @@ _UNITS = tuple(complex(math.cos(2.0 * math.pi * j / 8), math.sin(2.0 * math.pi *
                for j in range(8))
 
 
-def _memo_key(name, z):
-    """The memo key of an evaluation at z (center 0), or None for theta."""
-    if name == "gaussian":
-        return abs(z)
-    if name.startswith("laurent"):
-        return abs(math.log(abs(z)))
-    return None
+def _gaussian_hit(prepared, z, tol):
+    """The outcome of ``prepared.evaluate(z, tol)`` and whether it hit the
+    Gaussian memo: the memo it saw had its |z| and stayed published (each
+    publish is a new tuple, so no other memo came between)."""
+    memo = prepared._memo
+    got = _outcome(prepared.evaluate, z, tol)
+    return got, memo[0] == abs(z) and prepared._memo is memo
 
 
 def _ring_sweep(family, prepared, reference, moduli, tols=(1e-14,)):
     """Sweep ``prepared`` over each modulus at the eight audit angles, each
     tol in turn at one modulus, requiring the reference outcome at every
-    point.  Returns the outcomes in order and how many evaluations hit the
-    memo: the memo they saw had their key and stayed published (a publish
-    is a new tuple), which misses a Gaussian memo's first hit."""
+    point.  Returns the outcomes in order and, for a Gaussian series, how
+    many evaluations hit its memo."""
     outcomes, hits = [], 0
     for mod in moduli:
         for tol in tols:
             for unit in _UNITS:
                 z = mod * unit
-                memo = prepared._memo
-                got = _outcome(prepared.evaluate, z, tol)
-                hits += memo[0] == _memo_key(family, z) and prepared._memo is memo
+                if family == "gaussian":
+                    got, hit = _gaussian_hit(prepared, z, tol)
+                    hits += hit
+                else:
+                    got = _outcome(prepared.evaluate, z, tol)
                 assert got == _expected(family, reference, z, tol), (z, tol)
                 outcomes.append(got)
     return outcomes, hits
 
 
 class TestRingSweepsMatchReference:
-    """Grid x angle sweeps, the way audits run, where a modulus's angles
-    share its stop-rule memo: every outcome is the reference's, bit for bit.
-    The moduli revisit one modulus after another, and three tols share each
-    modulus, since the memo does not depend on tol; the huge one stops at
-    the first index whose ratio test passes."""
+    """Grid x angle sweeps, the way audits run, where a Gaussian series's
+    angles share its stop-rule memo: every outcome is the reference's, bit
+    for bit.  The moduli revisit one modulus after another, and three tols
+    share each modulus, since the memo does not depend on tol; the huge one
+    stops at the first index whose ratio test passes."""
 
     MODULI = (*log_grid(1e-4, 1e6, 11), 1.0, 1e3, 1.0)
     TOLS = (1e-14, 1e-6, 1e100)
@@ -925,33 +926,12 @@ class TestRingSweepsMatchReference:
             assert hits > len(self.MODULI) and prepared._memo[0] == 1.0
 
     @pytest.mark.parametrize("q", [0.1, 0.5, 0.9, 0.99])
-    def test_laurent_theta_stream(self, q, monkeypatch):
+    def test_laurent_theta_stream(self, q):
+        # At q <= 0.5 the stream underflows to zero from z0 on, and the
+        # large moduli stop past it.
         spec = _theta_spec(q, 0.5)
-        prepared = LaurentSeries(spec)
-        outcomes, hits = _ring_sweep(
-            "laurent", prepared, lambda z, tol: ref.eval_laurent(spec, z, tol), self.MODULI,
-            self.TOLS)
-        assert hits > len(self.MODULI) and prepared._memo[0] == 0.0
-        if q > 0.5:
-            return
-        # The stream underflows to zero from z0 on, and large moduli stop
-        # past it.  A fresh series's first evaluation at such a modulus
-        # tabulates past z0 and may record a k_r beyond it; the other angles
-        # hit that memo, and their fast rows end before z0, so each still
-        # searches the zero rows once.
-        calls = []
-        search = series._zero_tail
-        monkeypatch.setattr(series, "_zero_tail", lambda *args: calls.append(1) or search(*args))
-        past = 0
-        for mod in (*self.MODULI, 300.0, 2e6):
-            prepared = LaurentSeries(spec)
-            for unit in _UNITS:
-                calls.clear()
-                got = _outcome(prepared.evaluate, mod * unit, 1e-14)
-                if unit != 1.0 and len(got) > 2 and prepared._memo[1] > prepared._table[1]:
-                    assert calls == [1], (mod, unit)
-                    past += 1
-        assert past >= 7
+        _ring_sweep("laurent", LaurentSeries(spec), lambda z, tol: ref.eval_laurent(spec, z, tol),
+                    (*self.MODULI, 300.0, 2e6), self.TOLS)
 
     def test_digest_edge_grids(self):
         # The digest listing's f q=0.95 and phi q=0.9 sweeps near the
@@ -970,51 +950,24 @@ class TestRingSweepsMatchReference:
 
 
 class TestGaussianMemoGuards:
-    """White-box checks of the Gaussian memo's headroom rule and of the
-    overflow column's coverage."""
+    """White-box checks of the Gaussian memo's fast rows near the top of the
+    doubles and of the overflow column's coverage."""
 
-    PHI = PhiParams(a_list=(0.5,), b_list=(0.3,), q=QBase(0.9))
-
-    def _phi_reference(self, z, tol):
-        return ref.eval_gaussian((0.5 + 0.0j,), (0.3,), 0.9, 0.5, 0, -complex(z), tol)
-
-    def test_no_unchecked_rows_past_the_top_of_the_doubles(self):
-        # On the phi q=0.9 edge grid the largest term is about e^697 at
-        # |z| = 1.585e5 and e^710.5 at 1.778e5, where every angle raises.
-        # No memo for such a modulus may drop the fast rows' overflow test.
-        prepared = prepare_phi(self.PHI)
-        for mod in log_grid(1e5, 1e6, 21)[4:]:
-            for unit in _UNITS:
-                z = mod * unit
-                want = _expected("gaussian", self._phi_reference, z, 1e-14)
-                assert _outcome(prepared.evaluate, z, 1e-14) == want
-                memo_z, _, headroom = prepared._memo
-                if mod > 1.6e5:
-                    assert want[0] == "NonConvergentError"
-                    assert memo_z != abs(z) or headroom is not True, (mod, prepared._memo)
-
-    def test_rows_keep_their_check_where_headroom_fails(self):
-        # With the largest term at e^709.4 the alternating sum (phi's odd
-        # order negates z) returns values at most angles and overflows near
-        # the negative axis.  A term above e^709 refuses the headroom rule,
-        # so the fast rows call abs; at e^708 the rule holds.
-        log_coefficients = _log_coefficients((0.5 + 0.0j,), (0.3,), 0.9, 0.5, 0)
-        for peak, headroom in ((709.4, False), (708.0, True)):
-            (mod,) = _moduli_at_peaks(log_coefficients, [peak])
-            prepared = prepare_phi(self.PHI)
-            outcomes, _ = _ring_sweep("gaussian", prepared, self._phi_reference, [mod])
-            assert prepared._memo[0] == abs(mod * _UNITS[-1]), prepared._memo
-            assert prepared._memo[2] is headroom
-            assert 0 < sum(len(got) == 2 for got in outcomes) < len(outcomes) / 2
-
-    def test_headroom_rule_refuses_tiny_terms(self):
-        # At |z| = 1e-250 the terms fall below e^-700 within the eight rows
-        # before any stop test, so the rule fails and the fast rows call abs.
-        prepared = prepare_confluent_f(ConfluentParams(a_list=(), b_list=(), l=1.0,
-                                                       q=QBase(0.5)))
-        _ring_sweep("gaussian", prepared, lambda z, tol: ref.eval_gaussian(
-            (), (), 0.5, 1.0, 1, z, tol), [1e-250])
-        assert prepared._memo[0] is not None and prepared._memo[2] is False
+    def test_fast_rows_keep_their_overflow_check(self):
+        # At |z| = r the largest term of f at q = 0.99 is within rounding of
+        # DBL_MAX.  On the positive axis every term stays finite and the
+        # memo is recorded; at z, of the same |z|, that term has finite
+        # parts and a modulus beyond the doubles.  The fast rows' abs must
+        # raise there, as the loop's does; without it the sum returns about
+        # e^684 from that term's cancelling neighbours.
+        r = float.fromhex("0x1.c92fb8ae3c9bcp+6")
+        z = complex(float.fromhex("0x1.a6c6c9192c3a3p+5"), float.fromhex("0x1.9561bf159c6aap+6"))
+        prepared = prepare_confluent_f(ConfluentParams(a_list=(), b_list=(), l=1.0, q=QBase(0.99)))
+        for point in (r, z):
+            got, hit = _gaussian_hit(prepared, point, 1e-14)
+            assert got == _expected("gaussian", lambda z, tol: ref.eval_gaussian(
+                (), (), 0.99, 1.0, 1, z, tol), point, 1e-14)
+        assert abs(z) == r and hit and got[0] == "NonConvergentError"
 
     def test_a_zero_denominator_leaves_the_column_alone(self, monkeypatch):
         # den_0 = 0.0 ends every sum at row 0, so an empty column already
@@ -1040,15 +993,12 @@ def test_shared_targets_under_thread_contention():
     """Four threads share one prepared target per family at interleaved points.
 
     Each round starts from fresh targets, so the threads race to grow the
-    same tables, and to replace and hit the memos of each family: each thread
-    takes two angles per modulus, and theta two tols.  They also race to
-    publish the Gaussian series' overflow radius (its sum overflows from |z|
-    of about 2e3 on) and the zero-tail start of a Laurent stream that
-    underflows from k = 273 on.  Every result must equal a fresh evaluation.
-    A Gaussian or Laurent memo was hit when the memo an evaluation saw first
-    had its key and was still the published one afterwards (each publish is
-    a new tuple, so no other memo came between), or when a Gaussian memo's
-    headroom was filled meanwhile.
+    same tables, and to replace and hit the Gaussian and theta memos: each
+    thread takes two angles per modulus, and theta two tols.  They also race
+    to publish the Gaussian series' overflow radius (its sum overflows from
+    |z| of about 2e3 on) and the zero-tail start of a Laurent stream that
+    underflows from k = 273 on.  Every result must equal a fresh evaluation,
+    and some Gaussian evaluations must have hit its memo.
     """
     gaussian_params = ConfluentParams(a_list=(0.5 + 0.5j,), b_list=(0.3,), l=0.5, q=QBase(0.95))
     theta_base = QBase(0.97)
@@ -1068,17 +1018,14 @@ def test_shared_targets_under_thread_contention():
                 for tol in tols:
                     for phase in (index + mod, index - mod):
                         z = mod * complex(math.cos(phase), math.sin(phase))
-                        memo = prepared._memo
-                        got = _outcome(prepared.evaluate, z, tol)
-                        if name in hits:
-                            after = prepared._memo
-                            # Only a hit fills a Gaussian memo's headroom.
-                            hits[name] += (memo[0] == _memo_key(name, z) and after is memo
-                                           or name == "gaussian" and memo[2] is None
-                                           and after[2] is not None)
+                        if name == "gaussian":
+                            got, hit = _gaussian_hit(prepared, z, tol)
+                            hits.append(hit)
+                        else:
+                            got = _outcome(prepared.evaluate, z, tol)
                         results.append((name, z, tol, got))
 
-    hits = dict.fromkeys(("gaussian", "laurent", "laurent zero tail"), 0)
+    hits = []
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -1100,10 +1047,10 @@ def test_shared_targets_under_thread_contention():
             assert r_ovf < math.inf and 0 < len(column) <= len(rows)
             rows, z0 = zero_tail._table
             assert z0 == 273 < len(rows)
-            assert gaussian._memo[0] is not None and shared[2]._memo[0] is not None
+            assert gaussian._memo[0] is not None
     finally:
         sys.setswitchinterval(old)
-    assert all(hits.values()), hits
+    assert any(hits)
     fresh = {name: prepare for name, prepare, _ in families}
     per_modulus = 2 * sum(len(tols) for _, _, tols in families)
     for results in rounds:
