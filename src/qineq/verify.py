@@ -13,7 +13,10 @@ for a fixed seed.
 Only _series_sum_mp, the extended-precision series side of identity_euler
 and identity_qbinomial_theorem, imports mpmath, when it is called; importing
 this module, the package or the CLI does not load it.  It leaves mpmath's
-context alone; its docstring maps its mpmath.libmp calls.
+context alone; its docstring maps its mpmath.libmp calls.  Its one memo,
+_power_memo, holds the 136-bit powers of q of the last base it was called at,
+at most _POWER_ROWS rows of one base (about 0.3 MB); it starts empty and
+changes no bit of any sum.
 """
 
 from __future__ import annotations
@@ -430,6 +433,11 @@ _SERIES_CAP = 200_000
 _SERIES_GUARD = 64
 _SCREEN_LOW = 1.0 - 2.0**-50
 _SCREEN_HIGH = 1.0 + 2.0**-50
+# _series_sum_mp's memo of its last base's powers (see its docstring):
+# (q, q^k for k < n, 1 - q^{k+1} for k < n, the wide q^n), n <= _POWER_ROWS.
+_POWER_ROWS = 1024
+_NO_POWERS = (None, (), (), None)
+_power_memo = _NO_POWERS
 
 
 def _series_sum_mp(
@@ -468,6 +476,23 @@ def _series_sum_mp(
     moved a sum that cancels to 1e-32 of its largest term in its seventh
     digit.
 
+    Those rows are kept for the last base, since an identity check evaluates
+    several series at one q.  _power_memo is one tuple (q, powers,
+    denominators, wide): for k below n <= _POWER_ROWS, powers[k] is the
+    136-bit q^k (the normalize of the carried wide power) and
+    denominators[k] the 136-bit 1 - q^{k+1}; wide is the carried q^n behind
+    the last row.  A call at the memo's q reads the rows below n and carries
+    the power on from wide; a call at another q first empties the memo, so
+    the old rows can be freed before it makes its own, and the memo never
+    holds two bases' rows.  A call that made rows below the cap publishes
+    copies extended by them in one assignment, and a published tuple is
+    never changed, so a call holds consistent rows whatever another thread
+    publishes meanwhile.  Rows past the cap are made and dropped; at the cap
+    the memo takes about 0.3 MB.  No bit can change: every row is the
+    mpf_mul, normalize or mpf_sub of the same arguments as in a call with an
+    empty memo, whose wide power starts at 1 (1 times q is q's own tuple), so
+    the rows, sums and stop indices are that call's.
+
     From k = 8 on, with rho = (1 + |a| q^k) |z| / (1 - q^{k+1}) (|a| = 0 for
     a=None) in doubles, which bounds the term ratio for indices >= k, the sum
     stops before adding term_{k+1} at the first k where rho < 1 and the
@@ -502,6 +527,7 @@ def _series_sum_mp(
     gmpy integer backend may truncate instead; the screen's 2^-50 margins
     cover that second ulp, so it still never skips a passing index.)
     """
+    global _power_memo
     from mpmath.libmp import (
         dps_to_prec, fone, from_float, fzero, mpc_abs, mpc_add, mpc_div_mpf, mpc_mul,
         mpc_mul_mpf, mpc_sub, mpc_to_complex, mpf_div, mpf_gt, mpf_le, mpf_mul, mpf_sub,
@@ -515,18 +541,35 @@ def _series_sum_mp(
     a_raw = None if a is None else (from_float(a.real), from_float(a.imag))
     stop = from_float(_SERIES_STOP)
     one = term = partial = (fone, fzero)
-    q_raw = q_wide = from_float(q)
-    q_k, q_k1 = fone, normalize(*q_raw, prec, rnd)
+    q_raw = from_float(q)
+    memo = _power_memo
+    if memo[0] != q:
+        _power_memo = _NO_POWERS
+        memo = (q, (), (), fone)
+    _, powers, denominators, q_wide = memo
+    rows = len(denominators)
+    q_k1 = normalize(*q_wide, prec, rnd)
+    made_powers, made_denominators = [], []
     ldexp, inf = math.ldexp, math.inf
     k = 0
     while k <= _SERIES_CAP:
+        if k < rows:
+            q_k, denominator = powers[k], denominators[k]
+        else:
+            q_k, q_wide = q_k1, mpf_mul(q_wide, q_raw, wide, rnd)
+            q_k1 = normalize(*q_wide, prec, rnd)
+            denominator = mpf_sub(fone, q_k1, prec, rnd)
+            if k < _POWER_ROWS:
+                made_powers.append(q_k)
+                made_denominators.append(denominator)
+                memo_wide = q_wide
         if a_raw is None:
-            ratio = mpc_div_mpf(z_raw, mpf_sub(fone, q_k1, prec, rnd), prec, rnd)
+            ratio = mpc_div_mpf(z_raw, denominator, prec, rnd)
         else:
             factor = mpc_mul(
                 mpc_sub(one, mpc_mul_mpf(a_raw, q_k, prec, rnd), prec, rnd), z_raw, prec, rnd
             )
-            ratio = mpc_div_mpf(factor, mpf_sub(fone, q_k1, prec, rnd), prec, rnd)
+            ratio = mpc_div_mpf(factor, denominator, prec, rnd)
         term = mpc_mul(term, ratio, prec, rnd)
         if k >= 8:
             bound = (1.0 + abs_a * q**k) * abs_z / (1.0 - q ** (k + 1))
@@ -547,12 +590,16 @@ def _series_sum_mp(
                         mpf_div(mpc_abs(term, prec, rnd), from_float(d), prec, rnd),
                         mpf_mul(size if mpf_gt(size, fone) else fone, stop, prec, rnd),
                     ):
-                        return mpc_to_complex(partial, False, rnd), k
+                        break
         partial = mpc_add(partial, term, prec, rnd)
-        q_wide = mpf_mul(q_wide, q_raw, wide, rnd)
-        q_k, q_k1 = q_k1, normalize(*q_wide, prec, rnd)
         k += 1
-    raise NonConvergentError(f"identity series did not settle within {_SERIES_CAP} terms")
+    if made_powers:
+        _power_memo = (
+            q, powers + tuple(made_powers), denominators + tuple(made_denominators), memo_wide
+        )
+    if k > _SERIES_CAP:
+        raise NonConvergentError(f"identity series did not settle within {_SERIES_CAP} terms")
+    return mpc_to_complex(partial, False, rnd), k
 
 
 def _series_side_modulus(z: complex) -> float:

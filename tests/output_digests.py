@@ -19,7 +19,9 @@ options that no longer exist, identity options that do not apply to
 tol (1 - q) underflows, arguments whose modulus overflows, a
 denominator parameter outside [0, 1), identities whose sides leave the
 doubles near q = 1, and an eval and an audit whose 25 denominator
-parameters at 1 - 2^-53 make the product of the 1 - b_j underflow to 0),
+parameters at 1 - 2^-53 make the product of the 1 - b_j underflow to 0;
+last, three identities at one base whose series stop below, within and
+past the rows of the identity kernel's memo of powers of q),
 with envelopes
 whose constants or exponents leave the double range; a command that lets
 an exception escape prints ``raised <exception>`` in place of a digest.  ``outputs()`` and
@@ -186,6 +188,11 @@ _SINGLE = (
      *["--b", "0.9999999999999999"] * 25],
     ["audit", "--function", "phi", "--q", "0.5", "--a=0.5", "--grid", "1e-3:1e3:3",
      "--angles", "2", *["--b", "0.9999999999999999"] * 25],
+    # Three identity series at one base, stopping at k = 62, 463 and 1247:
+    # the kernel's powers of q are made, then read and extended, then capped.
+    ["identity", "--which", "euler", "--q", "0.9", "--z", "0.3"],
+    ["identity", "--which", "qbinomial", "--q", "0.9", "--a=1.5-0.5i", "--z=-0.85+0.2i"],
+    ["identity", "--which", "qlsum", "--q", "0.9", "--l", "0.5"],
 )
 
 

@@ -1,7 +1,9 @@
+import functools
 import gc
 import math
 import random
 import sys
+import threading
 
 import pytest
 
@@ -598,6 +600,152 @@ class TestIdentitySeriesMatchesReference:
                     verify._series_sum_mp(z, abs(z), q, complex(a))
                     reference_verify.qbinomial_series(a, q, z)
                 assert len(raw) == 2 and raw[0] == raw[1], (z, a, q)
+
+
+@pytest.fixture
+def raw_sums(monkeypatch):
+    """(thread id, 136-bit sum) of every kernel and reference call, in order:
+    each side hands its sum to mpmath.libmp.mpc_to_complex, the kernel by
+    name at each call, the reference loop through complex() of an mpc."""
+    import mpmath.ctx_mp_python
+    import mpmath.libmp
+
+    raw = []
+    convert = mpmath.libmp.mpc_to_complex
+
+    def recording(z, *args, **kwargs):
+        raw.append((threading.get_ident(), z))
+        return convert(z, *args, **kwargs)
+
+    monkeypatch.setattr(mpmath.libmp, "mpc_to_complex", recording)
+    monkeypatch.setattr(mpmath.ctx_mp_python, "mpc_to_complex", recording)
+    return raw
+
+
+def _memo_rows(memo):
+    """A copy of the kernel memo's rows, to compare after later calls."""
+    key, powers, denominators, wide = memo
+    return key, list(powers), list(denominators), wide
+
+
+class TestIdentitySeriesMemo:
+    """verify._series_sum_mp keeps the 136-bit q^k, 1 - q^{k+1} and the wide
+    power behind them for its last base, at most verify._POWER_ROWS rows.  A
+    call that reads, extends, caps or replaces those rows must return the
+    136-bit sum and the stop index of a cold call (memo emptied first) and of
+    tests/reference_verify.py."""
+
+    @staticmethod
+    def _kernel(raw, z, q, a):
+        series, k = verify._series_sum_mp(z, abs(z), q, a)
+        return raw[-1][1], series, k
+
+    def _check(self, raw, monkeypatch, q, z, a=None):
+        """(stop index, memo rows) of a warm call, checked against a cold
+        call and the reference loop; the warm call's memo is kept."""
+        z = complex(z)
+        before = verify._power_memo
+        kept = _memo_rows(before)
+        warm = self._kernel(raw, z, q, a)
+        after = verify._power_memo
+        monkeypatch.setattr(verify, "_power_memo", verify._NO_POWERS)
+        cold = self._kernel(raw, z, q, a)
+        cold_memo = verify._power_memo
+        monkeypatch.setattr(verify, "_power_memo", after)
+        if a is None:
+            series, k = reference_verify.euler_series(q, z)
+        else:
+            series, k = reference_verify.qbinomial_series(a, q, z)
+        assert warm == cold == (raw[-1][1], series, k), (q, z, a)
+
+        # Published rows are never mutated, and the memo holds one base's
+        # rows, up to the cap, whose bits are the cold call's.
+        assert _memo_rows(before) == kept
+        key, powers, denominators, wide = after
+        rows = len(denominators)
+        assert key == q and len(powers) == rows
+        assert rows == min(verify._POWER_ROWS, max(k + 1, len(kept[2]) if kept[0] == q else 0))
+        cold_rows = len(cold_memo[2])
+        assert cold_rows == min(verify._POWER_ROWS, k + 1)
+        assert powers[:cold_rows] == cold_memo[1] and denominators[:cold_rows] == cold_memo[2]
+        if rows == cold_rows:
+            assert wide == cold_memo[3]
+        return k, rows
+
+    def test_reads_extends_caps_and_replaces(self, raw_sums, monkeypatch):
+        check = functools.partial(self._check, raw_sums, monkeypatch)
+        monkeypatch.setattr(verify, "_power_memo", verify._NO_POWERS)
+        # One base: a short sum, a longer one with a complex parameter, a
+        # read of rows already held, then a sum past the cap.
+        assert check(0.9, 0.3) == (62, 63)
+        assert check(0.9, -0.85 + 0.2j, 1.5 - 0.5j) == (463, 464)
+        kept = verify._power_memo
+        assert check(0.9, 0.3j, -2.0 + 0j) == (76, 464)
+        assert verify._power_memo is kept
+        assert check(0.9, 0.9**0.5) == (1247, 1024)
+        assert check(0.9, -0.85, 0.5 + 1j)[1] == 1024
+        # Another base in between, then back.
+        assert check(0.5, -0.5 + 0.5j)[1] == 194
+        assert check(0.5, 0.6, 1.5 - 0.5j)[1] == 194
+        assert check(0.9, -0.6 + 0.3j, 1.5 - 0.5j)[1] < 1024
+        # Past the cap from an empty memo: a real and a complex argument.
+        assert check(0.99, 0.995)[0] == 13344
+        assert check(0.99, 0.95j, 0.5 + 1j) == (2841, 1024)
+
+    def test_two_threads_alternating_bases(self, raw_sums, monkeypatch):
+        # Each thread takes a short and then a longer sum at one base, then
+        # the same at the other base; the two start at the first base, so
+        # the first call to run extends the memo captured below.
+        bases = (0.9, 0.7)
+        plans = [
+            [(q, r * complex(math.cos(i + j), math.sin(i + j)), a)
+             for j, q in enumerate(bases * 3)
+             for r, a in ((0.3, None), (0.85, 1.5 - 0.5j))]
+            for i in (0, 1)
+        ]
+        monkeypatch.setattr(verify, "_power_memo", verify._NO_POWERS)
+        verify._series_sum_mp(0.2 + 0j, 0.2, bases[0])
+        captured = verify._power_memo
+        kept = _memo_rows(captured)
+        assert 8 < len(captured[2]) < 100
+
+        results = [[], []]
+        unchanged = []
+
+        def work(plan, out):
+            for q, z, a in plan:
+                before = verify._power_memo
+                rows = _memo_rows(before)
+                series, k = verify._series_sum_mp(z, abs(z), q, a)
+                out.append((series, k))
+                if before[0] == q and k + 1 > len(rows[2]):
+                    unchanged.append(_memo_rows(before) == rows)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(plan, out)) for plan, out in zip(plans, results)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(old)
+        assert _memo_rows(captured) == kept
+        assert all(unchanged)
+        warm = {thread.ident: [] for thread in threads}
+        for ident, raw in raw_sums:
+            if ident in warm:
+                warm[ident].append(raw)
+        for thread, plan, out in zip(threads, plans, results):
+            assert len(out) == len(warm[thread.ident]) == len(plan) == 12
+            for (q, z, a), got, raw in zip(plan, out, warm[thread.ident]):
+                monkeypatch.setattr(verify, "_power_memo", verify._NO_POWERS)
+                assert (raw, *got) == self._kernel(raw_sums, z, q, a), (q, z, a)
+        assert verify._power_memo[0] in bases and len(verify._power_memo[2]) <= verify._POWER_ROWS
 
 
 def _outcome(call, *args):
