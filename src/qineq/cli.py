@@ -19,9 +19,7 @@ counted in the summary line on stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import sys
 
 from . import bounds
@@ -271,46 +269,38 @@ def _csv_cell_l(l: float | None) -> str:
     return "" if l is None else repr(l)
 
 
+def _csv_cell(text: str) -> str:
+    """text as one CSV cell: in quotes, its quotes doubled, where it holds a
+    comma, a quote or a line break (RFC 4180), and as it is otherwise."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _write_csv(records, stream) -> None:
     """Write the report in one piece.
 
-    The function, q, l and param_digest cells repeat across a sweep, so each
-    distinct run of them is rendered once: joined directly, with a digest
-    such as b=0.2,0.6 in quotes as ``csv`` quotes it, and through ``csv``
-    where the digest holds a quote or a line break.  Each distinct error
-    message (it can hold a comma) is rendered through ``csv`` once.  An
-    audit hands one envelope_log float object to every record at a modulus,
-    so that cell is rendered again only when the object changes.  The other
-    cells are float reprs, true/false and ints, which never need quoting, and
-    are joined directly.
+    The digest and error cells go through _csv_cell; the other cells are
+    column names, float reprs, true/false and ints, which never need
+    quoting, and are joined directly.  The function, q, l and param_digest
+    cells repeat across a sweep, so each distinct run of them is rendered
+    once, and so is each distinct error message.  An audit hands one
+    envelope_log float object to every record at a modulus, so that cell is
+    rendered again only when the object changes.
     """
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-
-    def render(cells) -> str:
-        buffer.seek(0)
-        buffer.truncate()
-        writer.writerow(cells)
-        return buffer.getvalue()[:-1]
-
-    lines = [render(CSV_COLUMNS)]
+    lines = [",".join(CSV_COLUMNS)]
     key = prefix = envelope_log = envelope_cell = None
-    error_cells = {"": ""}
+    error_cells: dict[str, str] = {}
     for (function_tag, q, l, digest, z, abs_value, envelope, ratio, passed, terms_used,
          tail_bound, error) in records:
         if (function_tag, q, l, digest) != key:
             key = (function_tag, q, l, digest)
-            if '"' in digest or "\n" in digest or "\r" in digest:
-                prefix = render((function_tag, repr(q), _csv_cell_l(l), digest))
-            else:
-                if "," in digest:
-                    digest = f'"{digest}"'
-                prefix = f"{function_tag},{q!r},{_csv_cell_l(l)},{digest}"
+            prefix = f"{function_tag},{q!r},{_csv_cell_l(l)},{_csv_cell(digest)}"
         if envelope is not envelope_log:
             envelope_log, envelope_cell = envelope, repr(envelope)
         error_cell = error_cells.get(error)
         if error_cell is None:
-            error_cell = error_cells[error] = render((error,))
+            error_cell = error_cells[error] = _csv_cell(error)
         lines.append(
             f"{prefix},{z.real!r},{z.imag!r},{abs_value!r},{envelope_cell},{ratio!r},"
             f"{'true' if passed else 'false'},{terms_used},{tail_bound!r},{error_cell}"

@@ -23,25 +23,15 @@ trigger a premature exit.
 
 Each family has a prepared series, built once per parameter set:
 prepare_confluent_f and prepare_phi build a GaussianSeries, and ThetaSeries
-and LaurentSeries take a base and a LaurentSpec.  Its evaluate(z, tol)
-tabulates the terms' z-independent factors the first time an evaluation
-needs them and reuses them at every later point, so a sweep over many z pays
-for them once.  Each eval_* prepares a series and evaluates it once: one code
-path, and the same bits either way.  A table grows by publishing an extended
-copy with one assignment, so a prepared series may be shared between threads
-without locks.  A ThetaSeries also remembers, for the last (|log|z||, tol)
-pair it met, the work that depends on |z| alone (the stop index, the
-certain-overflow verdict, the tail and the transformed sum's phases), and
-publishes that memo the same way, as one tuple: the angles of one
-modulus share that work.  A GaussianSeries keeps a one-entry memo too,
-keyed by the last |z| that reached its stop-rule region: the index below
-which the stop test cannot pass.  At that modulus's other angles the rows
-below it are term arithmetic only, with the same bits.  Two more facts ride
-with the tables: once a
-GaussianSeries has overflowed, the modulus r_ovf beyond which its sum
-certainly overflows, so it raises there at once; and a LaurentSeries's z0,
-from which its tabulated coefficients are all zero, so the sum cannot change
-and a search finds the loop's outcome.  The classes prove these rules.
+and LaurentSeries take a base and a LaurentSpec.  Its evaluate(z, tol) keeps
+the terms' z-independent factors, and the work that depends on |z| alone, for
+later points, so a sweep over many z pays for them once.  Each eval_*
+prepares a series and evaluates it once: one code path, and the same bits
+either way.  A series publishes what it keeps with one assignment, so a
+prepared series may be shared between threads without locks.  Each class
+docstring states what its series keeps and the rules it proves from it:
+GaussianSeries's table, overflow radius r_ovf and stop-index memo,
+ThetaSeries's per-modulus memo, and LaurentSeries's table and zero tail z0.
 """
 
 from __future__ import annotations
@@ -516,12 +506,11 @@ class ThetaSeries:
     1 <= k <= K, is above e^711 (that sum would overflow), so they return
     values on the same set of points.
 
-    For q <= THETA_TRANSFORM_Q the series sums those 2K + 1 terms: it extends
-    its table of the factors q^{2k-1} to K in one step and sums in one plain
-    loop, and later evaluations reuse the table.  Its rounding error is about
-    K u times the sum of the terms' moduli, which exceeds |theta| by at most
-    about e^{pi^2 / (4L)} <= 35 away from the zeros of theta, with
-    L = log(1/q) and u the unit roundoff.
+    For q <= THETA_TRANSFORM_Q the series sums those 2K + 1 terms in one
+    plain loop over the factors q^{2k-1}, 1 <= k <= K.  Its rounding error
+    is about K u times the sum of the terms' moduli, which exceeds |theta|
+    by at most about e^{pi^2 / (4L)} <= 35 away from the zeros of theta,
+    with L = log(1/q) and u the unit roundoff.
 
     For q > THETA_TRANSFORM_Q, where that factor grows without bound as
     q -> 1, the series sums Jacobi's imaginary transformation instead
@@ -542,26 +531,26 @@ class ThetaSeries:
     with log|theta| the prefactor's log plus log|S|, so it also raises the
     overflow error exactly where log|theta| leaves the doubles.
 
-    The stop index, the overflow verdict, the direct path's tail and the
-    transformed path's N, tail, prefactor log and phases e^{-i c n |a|}
-    depend on |z| only through log M = |log|z|| and on tol, so the series
-    keeps them for the last (log M, tol) pair in a one-entry memo:
-    (log M, tol, K, tail, prefactor log, rows), with K = 0 for the overflow
-    verdict and no rows on the direct path.  The angles of one modulus share
-    it.  A new pair replaces the memo with one tuple assignment, like the
-    table, so a concurrent reader sees either memo whole.  The key floats
-    are compared with ==, which for log M >= 0 and tol > 0 is bit equality.
+    Memo.  The stop index, the overflow verdict, the direct path's tail and
+    factors and the transformed path's N, tail, prefactor log and phases
+    e^{-i c n |a|} depend on |z| only through log M = |log|z|| and on tol,
+    so the series keeps them for the last (log M, tol) pair in a one-entry
+    memo: (log M, tol, K, tail, prefactor log, rows).  The rows are the
+    direct path's q^{2k-1} for 1 <= k <= K, formed by the same pow calls at
+    every fill, or the transformed path's (c n, pi n, cos, -sin); the
+    overflow verdict has K = 0 and no rows.  The angles of one modulus share
+    it.  A new pair replaces the memo with one tuple assignment, so a
+    concurrent reader sees either memo whole.  The key floats are compared
+    with ==, which for log M >= 0 and tol > 0 is bit equality.
     """
 
-    __slots__ = ("_q", "_lq", "_c", "_powers", "_memo")
+    __slots__ = ("_q", "_lq", "_c", "_memo")
 
     def __init__(self, q: QBase) -> None:
         self._q = q.q
         self._lq = q.log_q
         # c = pi / log(1/q) selects the transformed sum; 0.0 the direct one.
         self._c = math.pi / q.log_inv_q if q.q > THETA_TRANSFORM_Q else 0.0
-        # q^{2k-1} at index k - 1.  A published list is never modified.
-        self._powers: list[float] = []
         # No log M equals None, so the first evaluation fills the memo.
         self._memo: tuple = (None, None, 0, 0.0, 0.0, ())
 
@@ -595,12 +584,14 @@ class ThetaSeries:
             # value they return.
             k_peak = min(k_stop, max(1, round(log_m / (-2.0 * lq))))
             if k_peak * k_peak * lq + k_peak * log_m > 711.0:
-                k_stop, tail = 0, 0.0
+                k_stop, tail, rows = 0, 0.0, ()
             elif c:
                 tail, log_pref, rows = _transform_stop(c, lq, log_m, log_tol)
             else:
                 rho2 = math.exp(min((2 * k_stop + 3) * lq + log_m, _LOG_HALF))
                 tail = 2.0 * math.exp((k_stop + 1) ** 2 * lq + (k_stop + 1) * log_m) / (1.0 - rho2)
+                qq = self._q
+                rows = [qq ** (2 * k - 1) for k in range(1, k_stop + 1)]
             self._memo = (log_m, tol, k_stop, tail, log_pref, rows)
         if not k_stop:
             raise NonConvergentError("theta sum overflowed the double range")
@@ -628,16 +619,11 @@ class ThetaSeries:
             return _new_tuple(EvalResult, (
                 complex(modulus * math.cos(arg), modulus * math.sin(arg)), 2 * k_stop + 1, tail))
 
-        powers = self._powers
-        if len(powers) < k_stop:
-            qq = self._q
-            powers = powers + [qq ** (2 * k - 1) for k in range(len(powers) + 1, k_stop + 1)]
-            self._powers = powers
         value: complex = 1.0 + 0.0j
         plus: complex = 1.0 + 0.0j
         minus: complex = 1.0 + 0.0j
         z_inv = 1.0 / z
-        for f in powers[:k_stop]:
+        for f in rows:
             plus *= f * z
             minus *= f * z_inv
             value += plus + minus

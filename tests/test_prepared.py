@@ -365,7 +365,7 @@ class TestNonFiniteArguments:
         want = ("InvalidArgumentError", f"argument must be finite, got {w!r}")
         prepared = ThetaSeries(QBase(0.5))
         assert _outcome(prepared.evaluate, w, 1e-14) == want
-        assert prepared._powers == []
+        assert prepared._memo[5] == ()
         assert _outcome(ref.eval_theta, 0.5, w, 1e-14) == want
 
     def test_finite_argument_with_overflowing_modulus_keeps_its_error(self):
@@ -450,8 +450,37 @@ class TestThetaMatchesReference:
         z = 0.562 * complex(math.cos(0.7), math.sin(0.7))
         want = ("NonConvergentError", "theta sum overflowed the double range")
         assert _outcome(prepared.evaluate, z, 1e-14) == want
-        assert prepared._powers == []
+        assert prepared._memo[5] == ()
         assert _outcome(ref.eval_theta, 0.999999, z, 1e-14) == want
+
+    @pytest.mark.parametrize("q", [0.1, 0.5])
+    def test_direct_path_memo_rows_are_the_factors(self, q):
+        # Each new (|log|z||, tol) pair refills the rows with q^(2k-1) for
+        # 1 <= k <= K, shorter or longer than the previous pair's.
+        prepared = ThetaSeries(QBase(q))
+        points = [(3.0 + 4.0j, 1e-14), (0.01j, 1e-14), (-1e5, 1e-300), (0.5, 1e-6),
+                  (2.0, 1e-6), (-0.5j, 1e-6), (1e-8, 1e-14)]
+        lengths = set()
+        for z, tol in points:
+            assert _outcome(prepared.evaluate, z, tol) == _outcome(ref.eval_theta, q, z, tol)
+            k_stop, rows = prepared._memo[2], prepared._memo[5]
+            assert prepared.evaluate(z, tol).terms_used == 2 * k_stop + 1
+            assert [f.hex() for f in rows] == [(q ** (2 * k - 1)).hex()
+                                               for k in range(1, k_stop + 1)]
+            lengths.add(len(rows))
+        assert len(lengths) > 3
+
+    def test_overflow_verdict_after_the_direct_path_keeps_no_rows(self):
+        # At q = 0.5 the direct sum's largest term at |z| = 1e30 is about
+        # e^1717: the verdict replaces the rows of the previous modulus.
+        prepared = ThetaSeries(QBase(0.5))
+        prepared.evaluate(2.0, 1e-14)
+        assert len(prepared._memo[5]) == prepared._memo[2] > 0
+        want = ("NonConvergentError", "theta sum overflowed the double range")
+        assert _outcome(prepared.evaluate, 1e30j, 1e-14) == want
+        assert prepared._memo[2] == 0 and prepared._memo[5] == ()
+        assert _outcome(ref.eval_theta, 0.5, 1e30j, 1e-14) == want
+        assert _outcome(prepared.evaluate, 2.0, 1e-14) == _outcome(ref.eval_theta, 0.5, 2.0, 1e-14)
 
     @pytest.mark.parametrize("wing", [1.0, -1.0])
     def test_outcomes_near_the_overflow_threshold(self, wing):
@@ -994,14 +1023,16 @@ def test_shared_targets_under_thread_contention():
 
     Each round starts from fresh targets, so the threads race to grow the
     same tables, and to replace and hit the Gaussian and theta memos: each
-    thread takes two angles per modulus, and theta two tols.  They also race
-    to publish the Gaussian series' overflow radius (its sum overflows from
-    |z| of about 2e3 on) and the zero-tail start of a Laurent stream that
-    underflows from k = 273 on.  Every result must equal a fresh evaluation,
-    and some Gaussian evaluations must have hit its memo.
+    thread takes two angles per modulus, and theta, on its transformed and
+    its direct path, two tols.  They also race to publish the Gaussian
+    series' overflow radius (its sum overflows from |z| of about 2e3 on) and
+    the zero-tail start of a Laurent stream that underflows from k = 273 on.
+    Every result must equal a fresh evaluation, and some Gaussian
+    evaluations must have hit its memo.
     """
     gaussian_params = ConfluentParams(a_list=(0.5 + 0.5j,), b_list=(0.3,), l=0.5, q=QBase(0.95))
     theta_base = QBase(0.97)
+    theta_direct_base = QBase(0.3)
     spec = _theta_spec(0.9, 0.5)
     zero_tail_spec = _theta_spec(0.99, 0.5)
     families = (
@@ -1009,6 +1040,7 @@ def test_shared_targets_under_thread_contention():
         ("theta", lambda: ThetaSeries(theta_base), (1e-14, 1e-6)),
         ("laurent", lambda: LaurentSeries(spec), (1e-12,)),
         ("laurent zero tail", lambda: LaurentSeries(zero_tail_spec), (1e-12,)),
+        ("theta direct", lambda: ThetaSeries(theta_direct_base), (1e-14, 1e-6)),
     )
     moduli = [10.0 ** (e / 4.0) for e in range(-8, 17)]
 

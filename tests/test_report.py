@@ -1,8 +1,10 @@
-"""Audit reports: the CSV writer against a plain csv.writer reference, the
-error column and key, and one envelope per modulus in a lattice sweep."""
+"""Audit reports: the CSV writer against a plain csv.writer reference, its
+cell quoting, the error column and key, and one envelope per modulus in a
+lattice sweep."""
 
 import csv
 import io
+import itertools
 import json
 import math
 
@@ -21,7 +23,7 @@ from qineq import (
     theta_weighted_constant,
 )
 from qineq import verify
-from qineq.cli import CSV_COLUMNS, _write_csv, run
+from qineq.cli import CSV_COLUMNS, _csv_cell, _write_csv, run
 
 import reference_report
 
@@ -133,6 +135,40 @@ class TestCsvWriterMatchesReference:
 
     def test_empty(self):
         _assert_matches_reference([])
+
+
+def _read_back(cell: str) -> list[list[str]]:
+    return list(csv.reader(io.StringIO(cell + ",a\n", newline="")))
+
+
+class TestCsvCell:
+    def test_matches_csv_writer_on_short_strings(self):
+        # All 41,371 strings of up to four characters over the CSV specials
+        # and characters of float reprs and digests.  csv.writer may leave a
+        # cell whose one special character is \r unquoted, and csv.reader
+        # reads such a cell back whole only when it is quoted.
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        alphabet = 'a ,"\n\r;=.-+e0\t'
+        strings = [""]
+        for n in range(1, 5):
+            strings += ["".join(chars) for chars in itertools.product(alphabet, repeat=n)]
+        for text in strings:
+            buffer.seek(0)
+            buffer.truncate()
+            writer.writerow((text, "a"))
+            want = buffer.getvalue()[:-len(",a\n")]
+            got = _csv_cell(text)
+            if got != want:
+                assert "\r" in text and not any(c in text for c in ',"\n'), repr(text)
+                assert got == f'"{text}"'
+            assert _read_back(got) == [[text, "a"]], repr(text)
+
+    @pytest.mark.parametrize("text", ["\r", "a\rb", "\r0.5\r"])
+    def test_a_lone_carriage_return_is_quoted(self, text):
+        assert _csv_cell(text) == f'"{text}"'
+        assert _read_back(_csv_cell(text)) == [[text, "a"]]
+        assert _read_back(text) != [[text, "a"]]
 
 
 class TestErrorColumn:
