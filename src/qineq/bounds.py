@@ -20,15 +20,17 @@ gives exp(beta |log|z - a||^gamma) with
 Each envelope is a constant times a closed form in |z|, written once, in
 the ``result`` method of a prepared envelope: an immutable named tuple of
 what does not depend on |z|: the constant and its log, -log (q^l;q)_inf, l,
-|scale|, sqrt(q), beta, gamma, and the |z|-free sums and products of the
-closed form, grouped as left-to-right evaluation groups them so that no bit
-changes.  _EntireEnvelope serves envelope_entire and envelope_phi (the
-entire envelope of its phi_to_f reduction at |scale| |z|, built from the
-reduction's fields: the PhiParams' own lists, l = m/2 and |scale|, with no
-reduced ConfluentParams), _AqEnvelope envelope_aq_gaussian, and
-_MeromorphicEnvelope envelope_theta and envelope_meromorphic.  Each is
-built by _entire_constants, _phi_constants, _aq_constant or _theta_constant,
-which keep it on the parameter object (``_envelope``, ``_aq_envelope``, or
+|scale|, beta, gamma, and the |z|-free sums and products of the closed
+form, grouped as left-to-right evaluation groups them so that no bit
+changes.  There are two classes.  _EntireEnvelope, the one-sided one,
+serves envelope_entire, envelope_phi (the entire envelope of its phi_to_f
+reduction at |scale| |z|, built from the reduction's fields: the PhiParams'
+own lists, l = m/2 and |scale|, with no reduced ConfluentParams) and
+envelope_aq_gaussian (the entire envelope at r = s = 0, l = 1).
+_MeromorphicEnvelope, the two-sided one, serves envelope_theta and
+envelope_meromorphic.  _entire_constants, _phi_constants and _aq_constant
+build the first through one body, _theta_constant the second; each keeps
+what it builds on the parameter object (``_envelope``, ``_aq_envelope``, or
 ``_theta_envelopes`` by alpha, up to _CACHE_SIZE alphas), so a repeat call
 with that object reads one attribute; two threads may both build, and one
 store of the same bits wins.  _meromorphic_constants, with no owning object,
@@ -103,8 +105,8 @@ def _log_bound(envelope, abs_z: float) -> float:
 
 
 class _EntireEnvelope(NamedTuple):
-    """Prepared entire-class envelope at |scale| |z|: scale is 1 for f and
-    that of the phi_to_f reduction for phi; prefactor_log = -log (q^l;q)_inf."""
+    """Prepared entire-class envelope at |scale| |z|: scale is 1 for f and aq
+    and that of the phi_to_f reduction for phi; prefactor_log = -log (q^l;q)_inf."""
 
     constant_c: float
     log_c: float
@@ -135,28 +137,6 @@ class _EntireEnvelope(NamedTuple):
 def _entire_envelope(c, log_c, prefactor_log, l, log_q, scale) -> _EntireEnvelope:
     return _EntireEnvelope(c, log_c, prefactor_log, l, scale, log_c + prefactor_log,
                            0.25 * l * log_q, 4.0 * l * log_q)
-
-
-class _AqEnvelope(NamedTuple):
-    """Prepared envelope_aq_gaussian; neg_log_poch is -log (q;q)_inf."""
-
-    neg_log_poch: float
-    sqrt_q: float
-    four_log_q: float  # 4.0 * log q
-
-    def result(self, abs_z: float) -> EnvelopeResult:
-        abs_z = float(abs_z)
-        if not 0.0 < abs_z < _inf:
-            _require_positive(abs_z, "abs_z")
-        lz = _log(abs_z)
-        x = abs_z / self[1]  # overflows at a tiny base; its log is then a difference
-        prefactor_log = self[0] + (0.5 * _log(x) if x < _inf else 0.5 * (lz - _log(self.sqrt_q)))
-        exponent_term = -lz * lz / self[2]
-        log_bound = 0.0 + prefactor_log + exponent_term
-        bound = _inf if log_bound > _MAX_LOG else _exp(log_bound)
-        return _new_tuple(EnvelopeResult, (log_bound, bound, 1.0, prefactor_log, exponent_term))
-
-    log_bound = _log_bound
 
 
 class _MeromorphicEnvelope(NamedTuple):
@@ -238,26 +218,26 @@ def _field_logs(a_list: tuple, b_list: tuple, l: float, q: QBase) -> tuple[float
     return _quotient_logs([-abs(a) for a in a_list], b_list, _q_power(q, l), q, _POCH_TOL)
 
 
-def _entire_constants(params: ConfluentParams) -> _EntireEnvelope:
-    c, log_c, log_ql = _field_logs(params.a_list, params.b_list, params.l, params.q)
-    envelope = _entire_envelope(c, log_c, -log_ql, params.l, params.q.log_q, 1.0)
-    _set(params, "_envelope", envelope)
+def _one_sided(owner, slot: str, a_list: tuple, b_list: tuple, l: float, q: QBase,
+               scale: float) -> _EntireEnvelope:
+    c, log_c, log_ql = _field_logs(a_list, b_list, l, q)
+    envelope = _entire_envelope(c, log_c, -log_ql, l, q.log_q, scale)
+    _set(owner, slot, envelope)
     return envelope
+
+
+def _entire_constants(params: ConfluentParams) -> _EntireEnvelope:
+    return _one_sided(params, "_envelope", params.a_list, params.b_list, params.l, params.q, 1.0)
 
 
 def _phi_constants(params: PhiParams) -> _EntireEnvelope:
     l, scale = _phi_weight_scale(params)
-    c, log_c, log_ql = _field_logs(params.a_list, params.b_list, l, params.q)
-    envelope = _entire_envelope(c, log_c, -log_ql, l, params.q.log_q, abs(scale))
-    _set(params, "_envelope", envelope)
-    return envelope
+    return _one_sided(params, "_envelope", params.a_list, params.b_list, l, params.q, abs(scale))
 
 
-def _aq_constant(q: QBase) -> _AqEnvelope:
-    log_poch = _field_logs((), (), 1.0, q)[2]
-    envelope = _AqEnvelope(-log_poch, math.sqrt(q.q), 4.0 * q.log_q)
-    _set(q, "_aq_envelope", envelope)
-    return envelope
+def _aq_constant(q: QBase) -> _EntireEnvelope:
+    """_entire_constants of ConfluentParams((), (), 1.0, q), kept on q."""
+    return _one_sided(q, "_aq_envelope", (), (), 1.0, q, 1.0)
 
 
 def envelope_entire(params: ConfluentParams, abs_z: float) -> EnvelopeResult:
@@ -284,8 +264,9 @@ def envelope_phi(params: PhiParams, abs_z: float) -> EnvelopeResult:
 def envelope_aq_gaussian(q: QBase, abs_z: float) -> EnvelopeResult:
     """Gaussian envelope (|z|/sqrt(q))^{1/2} exp(-log^2|z|/(4 log q)) / (q;q)_inf.
 
-    This is the r = s = 0, l = 1 specialization of envelope_entire, assembled
-    from its own closed form so the two code paths stay independent.
+    A_q is the r = s = 0, l = 1 member of the entire class, so this is
+    envelope_entire of ConfluentParams((), (), 1.0, q), bit for bit:
+    prefactor_log is -log((q;q)_inf) and exponent_term is term_peak(abs_z, 1, q).
     """
     return (q._aq_envelope or _aq_constant(q)).result(abs_z)
 

@@ -115,8 +115,9 @@ class QBase(FrozenValue):
     The guard DEFAULT_MAX_Q rejects bases so close to 1 that factor counts
     explode.  ``log_q`` (log q, always negative) and ``log_inv_q`` (log(1/q),
     always positive) are computed once, here.  They and the envelopes bounds
-    keeps in ``_aq_envelope`` and ``_theta_envelopes`` (by alpha) take no
-    part in repr, equality or hashing, which depend on q alone.
+    keeps in ``_aq_envelope`` (the entire-class envelope at r = s = 0, l = 1)
+    and ``_theta_envelopes`` (by alpha) take no part in repr, equality or
+    hashing, which depend on q alone.
     """
 
     __slots__ = ("q", "log_q", "log_inv_q", "_aq_envelope", "_theta_envelopes")

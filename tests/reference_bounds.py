@@ -9,7 +9,11 @@ the result through ``_assemble`` and ``_as_linear``, with the same argument
 checks in the same order.  No constant is cached.  The prepared envelopes
 must reproduce them bit for bit, and raise the same errors; the one
 deliberate difference is which of two invalid arguments a phi, aq or theta
-envelope reports first (see ``PARAMETERS_FIRST``).  Where |scale| abs_z
+envelope reports first (see ``PARAMETERS_FIRST``).  The exception is
+``envelope_aq_gaussian``: bounds builds it as the entire-class envelope at
+r = s = 0, l = 1, so it reproduces ``envelope_aq_entire`` bit for bit (see
+``BIT_ROUTES``), and the independent closed form here groups the same bound
+differently and agrees with it to a few ulp.  Where |scale| abs_z
 overflows, ``envelope_phi`` takes its log as log(abs_z) + log|scale|; where
 abs_z / sqrt(q) overflows, ``envelope_aq_gaussian`` takes its log as
 log(abs_z) - log sqrt(q); and a meromorphic exponent beyond the double range
@@ -134,6 +138,15 @@ def envelope_aq_gaussian(q: QBase, abs_z: float) -> EnvelopeResult:
         prefactor_log = -log_poch + 0.5 * math.log(quotient)
     exponent_term = -lz * lz / (4.0 * lq)
     return _assemble(1.0, prefactor_log, exponent_term)
+
+
+def envelope_aq_entire(q: QBase, abs_z: float) -> EnvelopeResult:
+    return envelope_entire(ConfluentParams(a_list=(), b_list=(), l=1.0, q=q), abs_z)
+
+
+# The route each public envelope reproduces bit for bit, where it is not the
+# reference of the same name.
+BIT_ROUTES = {"envelope_aq_gaussian": envelope_aq_entire}
 
 
 def envelope_meromorphic(

@@ -2,11 +2,15 @@
 
 ``qineq.cli._write_csv`` renders the cells that repeat across a sweep once
 and joins the others directly; it must write exactly what this loop writes.
+Each row is written with the RFC 4180 terminator ``\r\n``, so that
+``csv.writer`` quotes every cell holding a ``\r`` or a ``\n``, and that
+terminator is then replaced with ``\n``.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 
 COLUMNS = (
     "function", "q", "l", "param_digest", "re_z", "im_z", "abs_value", "envelope_log",
@@ -15,10 +19,18 @@ COLUMNS = (
 
 
 def write_csv(records, stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(COLUMNS)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\r\n")
+
+    def writerow(row) -> None:
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow(row)
+        stream.write(buffer.getvalue()[:-len("\r\n")] + "\n")
+
+    writerow(COLUMNS)
     for r in records:
-        writer.writerow(
+        writerow(
             (
                 r.function_tag,
                 repr(r.q),

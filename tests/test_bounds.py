@@ -4,6 +4,7 @@ import math
 import pickle
 import random
 import re
+import sys
 
 import mpmath as mp
 import pytest
@@ -35,7 +36,7 @@ from qineq import (
     term_peak,
     theta_weighted_constant,
 )
-from qineq import LaurentSpec, QSeriesError, audit_target, bounds
+from qineq import LaurentSpec, QSeriesError, SweepPlan, audit_envelope, audit_target, bounds, log_grid
 
 import oracles
 import reference_bounds as refb
@@ -217,14 +218,51 @@ class TestEnvelopePhi:
 
 class TestEnvelopeAqGaussian:
     def test_agrees_with_entire_specialization(self):
-        for q in (0.1, 0.5, 0.9):
+        # A_q is the entire class at r = s = 0, l = 1: every field, bit for bit.
+        for q in (1e-300, 1e-3, 0.1, 0.5, 0.9, 0.99, 0.999):
             base = QBase(q)
             params = _entire(q)
-            for i in range(100):
-                abs_z = math.exp(math.log(1e-6) + i * (math.log(1e6) - math.log(1e-6)) / 99)
-                a = envelope_aq_gaussian(base, abs_z).log_bound
-                b = envelope_entire(params, abs_z).log_bound
-                assert abs(a - b) <= 1e-13 * max(1.0, abs(a))
+            moduli = [math.exp(math.log(1e-6) + i * (math.log(1e6) - math.log(1e-6)) / 99)
+                      for i in range(100)]
+            if q == 1e-300:
+                moduli.append(1e200)
+            for abs_z in moduli:
+                a = envelope_aq_gaussian(base, abs_z)
+                b = envelope_entire(params, abs_z)
+                assert [x.hex() for x in a] == [x.hex() for x in b], (q, abs_z)
+
+    def test_independent_closed_form_within_a_few_ulps(self):
+        # tests/reference_bounds.envelope_aq_gaussian groups the same bound as
+        # (|z|/sqrt(q))^{1/2} / (q;q)_inf times exp(-log^2|z| / (4 log q)).
+        # Both routes round a few operations on summands whose magnitudes add
+        # up to S, so they agree to 4 ulp of max(1, S); cancellation between
+        # the summands can leave log_bound itself much smaller than S.
+        rng = random.Random(36)
+        for _ in range(3000):
+            if rng.random() < 0.5:
+                base = QBase(math.exp(rng.uniform(math.log(1e-300), math.log(0.999))))
+            else:
+                base = QBase(rng.uniform(1e-3, 0.999))
+            abs_z = math.exp(rng.uniform(math.log(1e-307), math.log(1e308)))
+            got = envelope_aq_gaussian(base, abs_z)
+            want = refb.envelope_aq_gaussian(base, abs_z)
+            lz = math.log(abs_z)
+            size = (abs(got.prefactor_log) + 0.5 * abs(lz) + 0.25 * base.log_inv_q
+                    + lz * lz / (4.0 * base.log_inv_q))
+            assert abs(got.log_bound - want.log_bound) <= 4.0 * sys.float_info.epsilon * max(1.0, size)
+            assert got.constant_c == want.constant_c == 1.0
+
+    def test_aq_and_f_audits_certify_the_same_envelope_cells(self):
+        # The aq target and the f target with l = 1 and no parameters sweep
+        # the same series against the same envelope.
+        base = QBase(0.99)
+        plan = SweepPlan(abs_z_grid=log_grid(1e-4, 1e6, 41), angle_count=8)
+        aq = audit_envelope(plan, "aq", base)
+        f = audit_envelope(plan, "confluent_f", _entire(0.99))
+        assert len(aq) == len(f) == 328
+        assert [r.envelope_log.hex() for r in aq] == [r.envelope_log.hex() for r in f]
+        assert [(r.z, r.abs_value, r.passed, r.error) for r in aq] == [
+            (r.z, r.abs_value, r.passed, r.error) for r in f]
 
     def test_log_argument_one(self):
         # At |z| = e the exponent reduces to 1/(4 log 2) and the prefactor to
@@ -236,7 +274,8 @@ class TestEnvelopeAqGaussian:
         assert math.isclose(env.log_bound, want, rel_tol=1e-12)
 
     def test_modulus_over_sqrt_q_beyond_the_doubles(self):
-        # |z| / sqrt(q) overflows at these bases; its log is a difference of logs.
+        # |z| / sqrt(q) overflows at these bases; the entire-class closed form
+        # never forms it, and its log_bound still matches.
         mp.mp.dps = 30
         try:
             for q, abs_z in ((1e-300, 1e200), (1e-200, 1.7e308), (1e-100, 1e300)):
@@ -511,9 +550,8 @@ class TestConstantCache:
         shape = meromorphic_bound_params(0.25, base)
         for abs_z in MODULI:
             lz = math.log(abs_z)
-            prefactor_log = -math.log(poch) + 0.5 * math.log(abs_z / math.sqrt(0.9))
-            exponent_term = -lz * lz / (4.0 * base.log_q)
-            want = refb._assemble(1.0, prefactor_log, exponent_term)
+            # The entire-class envelope at r = s = 0, l = 1.
+            want = refb._assemble(1.0, -math.log(poch), term_peak(abs_z, 1.0, base))
             assert _bits(envelope_aq_gaussian(base, abs_z)) == _bits(want)
             want = refb._assemble(c, 0.0, shape.beta * abs(lz) ** shape.gamma)
             assert _bits(envelope_theta(0.25, base, abs_z)) == _bits(want)
@@ -605,7 +643,7 @@ class TestConstantsMatchReference:
                 # up to log (e^(-4 pi^2 / t); e^(-4 pi^2 / t))_inf, below e^-39000 here.
                 t = -mp.log(mp.mpf(q))
                 want = float(mp.log(2 * mp.pi / t) / 2 - mp.pi**2 / (6 * t) + t / 24)
-                assert math.isclose(-bounds._aq_constant(QBase(q)).neg_log_poch, want, rel_tol=1e-14)
+                assert math.isclose(-bounds._aq_constant(QBase(q)).prefactor_log, want, rel_tol=1e-14)
                 assert math.isclose(_entire_logs(_entire(q))[2], want, rel_tol=1e-14)
             # (0.9;q)_inf at q = 0.9985 has log -867.0; as a double product it
             # stalls at a subnormal whose log is -743.7.  Here
@@ -625,9 +663,10 @@ class TestConstantsMatchReference:
         aq = envelope_aq_gaussian(base, 1.0)
         entire = envelope_entire(_entire(q), 1.0)
         assert math.isfinite(aq.log_bound) and math.isfinite(entire.log_bound)
-        want = bounds._aq_constant(base).neg_log_poch + 0.5 * math.log(1.0 / math.sqrt(q))
-        assert aq.prefactor_log.hex() == want.hex()
-        assert entire.prefactor_log.hex() == (-_entire_logs(_entire(q))[2]).hex()
+        want = -_entire_logs(_entire(q))[2]
+        assert aq.prefactor_log.hex() == bounds._aq_constant(base).prefactor_log.hex() == want.hex()
+        assert entire.prefactor_log.hex() == want.hex()
+        assert aq.exponent_term.hex() == entire.exponent_term.hex() == term_peak(1.0, 1.0, base).hex()
         phi = envelope_phi(PhiParams((), (0.9,), base), 1.0)
         log_c = bounds._phi_constants(PhiParams((), (0.9,), base)).log_c
         assert math.isclose(phi.constant_c, refb._as_linear(log_c), rel_tol=1e-12)
@@ -680,7 +719,7 @@ def _family_draws(rng):
         alpha, base, c = rng.uniform(0.1, 3.0), QBase(rng.uniform(0.05, 0.95)), math.exp(rng.uniform(-3, 3))
         spec = LaurentSpec(0.0, lambda k: 0.0j, alpha, base, c)
         yield "envelope_meromorphic", (meromorphic_bound_params(alpha, base), c), ("laurent", spec)
-    for q in (1e-300, 1e-200, 1e-100):  # abs_z / sqrt(q) overflows at abs_z = 1e300
+    for q in (1e-300, 1e-200, 1e-100):  # abs_z / sqrt(q) would overflow at abs_z = 1e300
         base = QBase(q)
         yield "envelope_aq_gaussian", (base,), ("aq", base)
     near_one = QBase(0.999999)
@@ -699,7 +738,8 @@ def _family_draws(rng):
 class TestPreparedEnvelopesMatchReference:
     """Every public envelope, built from a cold cache and then read from the
     envelope kept on its parameter object, against its per-call route in
-    tests/reference_bounds.py: the same bits in every field, or the same
+    tests/reference_bounds.py (for aq, envelope_entire's at l = 1; see
+    BIT_ROUTES there): the same bits in every field, or the same
     exception type and text, overflow branches included.  Each audit target
     certifies the public log_bound bit for bit."""
 
@@ -707,7 +747,7 @@ class TestPreparedEnvelopesMatchReference:
     INVALID = (0.0, -1.0, math.nan, math.inf)
 
     def _expected(self, name, args, abs_z):
-        reference = getattr(refb, name)
+        reference = refb.BIT_ROUTES.get(name) or getattr(refb, name)
         want = _envelope_outcome(reference, *args, abs_z)
         if name in refb.PARAMETERS_FIRST:
             at_one = _envelope_outcome(reference, *args, 1.0)

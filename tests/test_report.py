@@ -124,6 +124,23 @@ class TestCsvWriterMatchesReference:
         _assert_matches_reference(records)
         assert len(list(csv.reader(io.StringIO(_written(_write_csv, records))))) == 7
 
+    def test_cells_whose_only_special_is_a_carriage_return(self):
+        # RFC 4180 quotes a cell holding \r; the reference writes each row
+        # with \r\n so that csv.writer does, and then ends it with \n.
+        base = audit_envelope(SweepPlan(abs_z_grid=(0.5, 2.0), angle_count=2), "aq", QBase(0.5))[0]
+        records = [
+            base._replace(param_digest="a=0.5\rb=0.3"),
+            base._replace(error="line\rbreak"),
+            base._replace(param_digest="\r", error="\r"),
+            base,
+        ]
+        _assert_matches_reference(records)
+        written = _written(reference_report.write_csv, records)
+        assert '"a=0.5\rb=0.3"' in written and '"line\rbreak"' in written
+        rows = list(csv.reader(io.StringIO(written, newline="")))
+        assert [(row[3], row[12]) for row in rows[1:]] == [
+            (r.param_digest, r.error) for r in records]
+
     def test_digest_with_a_comma_beside_one_without(self):
         base = audit_envelope(SweepPlan(abs_z_grid=(0.5, 2.0), angle_count=2), "phi",
                               PhiParams((), (0.2, 0.6), QBase(0.5)))

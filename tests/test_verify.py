@@ -28,7 +28,7 @@ from qineq import (
     theta_weighted_constant,
     tightness_search,
 )
-from qineq import bounds, verify
+from qineq import bounds, qcore, verify
 from qineq.cli import run
 from qineq.series import LAURENT_K_CAP
 from qineq.verify import coarse_layout
@@ -445,6 +445,43 @@ class TestIdentities:
             z = r * complex(math.cos(ang), math.sin(ang))
             assert identity_euler(q, z, 1e-14) <= 1e-11
             assert identity_ql_sum(rng.uniform(0.1, 5.0), q, 1e-14) <= 1e-11
+
+
+class TestIdentityCallsThroughRebindableNames:
+    """A wrapper bound to verify.identity_euler or qcore.multishifted, as
+    perfbench/tracing.py binds them, sees each direct call once: q^l sums do
+    not pass through the public Euler name, and every triple product reaches
+    the one on qcore."""
+
+    def test_ql_sum_does_not_call_the_public_euler_name(self, monkeypatch):
+        original, calls = identity_euler, []
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(verify, "identity_euler", counting)
+        q = QBase(0.7)
+        residual = verify.identity_ql_sum(1.5, q, 1e-14)
+        assert calls == []
+        assert residual.hex() == original(q, 0.7**1.5, 1e-14).hex()
+        verify.identity_euler(q, 0.3, 1e-14)
+        assert len(calls) == 1
+
+    def test_triple_product_reads_multishifted_from_qcore(self, monkeypatch):
+        original, calls = qcore.multishifted, []
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(qcore, "multishifted", counting)
+        points = ((0.5, 1.0), (0.3, 2.0 + 1.0j), (0.05, -0.2j))
+        for q, z in points:
+            got = identity_theta_triple_product(QBase(q), z, 1e-14)
+            assert got.hex() == reference_verify.triple(QBase(q), z, 1e-14).hex()
+        assert len(calls) == len(points)
+        assert not hasattr(verify, "multishifted")
 
 
 def _disk(rng, radius):
