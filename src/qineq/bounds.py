@@ -221,7 +221,9 @@ def _field_logs(a_list: tuple, b_list: tuple, l: float, q: QBase) -> tuple[float
 def _one_sided(owner, slot: str, a_list: tuple, b_list: tuple, l: float, q: QBase,
                scale: float) -> _EntireEnvelope:
     c, log_c, log_ql = _field_logs(a_list, b_list, l, q)
-    envelope = _entire_envelope(c, log_c, -log_ql, l, q.log_q, scale)
+    # 0.0 - log_ql, not -log_ql: a product that rounds to 1 has log 0.0,
+    # whose negation would print as -0.0.
+    envelope = _entire_envelope(c, log_c, 0.0 - log_ql, l, q.log_q, scale)
     _set(owner, slot, envelope)
     return envelope
 

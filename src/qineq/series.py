@@ -56,6 +56,12 @@ LAURENT_K_CAP = 10_000
 THETA_TRANSFORM_Q = 0.5
 _LOG_HALF = math.log(0.5)
 _LOG_TWO = math.log(2.0)
+# GaussianSeries's memo: the cap on the sum of term moduli, the guard factor,
+# the least tol dd_0 for a floor past k_b and the rounding margin of k_f.
+_SUM_CAP = 1e300
+_GUARD = 2.0**-960
+_DEEP_TOL = 2.0**-900
+_MARGIN = 1.0 + 1e-9
 
 
 def _parameter_lists(a_list, b_list, *reals) -> tuple:
@@ -179,11 +185,10 @@ class LaurentSpec(FrozenValue):
 
 
 def _overflow_radius(rows: list) -> tuple:
-    """(r_ovf, column) of GaussianSeries over ``rows``, up to a den_j of 0."""
+    """(r_ovf, column) of GaussianSeries over ``rows``, whose den_j are all
+    positive: evaluate fills the column only where den_0 is."""
     column, log_c, floor, best = [], 0.0, -math.inf, math.inf
     for k, (nw, den, _, _) in enumerate(rows, 1):
-        if not den:
-            break
         log_nw = math.log(abs(nw)) if nw else -math.inf
         floor = max(floor, -700.0 - log_nw)
         log_c += log_nw - math.log(den)
@@ -223,23 +228,57 @@ class GaussianSeries:
     or an earlier term is not finite.  Nor can the loop stop at some K < k:
     that needs a finite |term_{K+1}| and rho_K < 1, and rho_K bounds every
     later ratio to within that rounding, so |c_k z^k| < e^709.9 would
-    follow.  A later overflow, once the table has grown, fills it afresh; a
-    column that stops at a den_j of 0 covers every row a sum can reach.
+    follow.  A later overflow, once the table has grown, fills it afresh.
+    den_j is nondecreasing in j (each factor 1 - b_i q^j and 1 - q^{j+1}
+    grows as q^j falls, and rounding is monotone), so a den_0 of 0, which
+    ends every sum at row 0, leaves the column empty, and otherwise every
+    den_j is positive.
 
     Memo.  Below k_b, the first k >= MIN_STOP_INDEX with rho_k < 1, the stop
-    test cannot pass, and rho_k depends on z only through |z|.  The first
-    evaluation at a modulus whose loop reaches k_b publishes the memo
-    (|z|, k_b) as one tuple.  A later evaluation at that |z| forms
-    term_1..term_{k_b} with the loop's own arithmetic,
+    test cannot pass, and rho_k depends on z only through |z|.  Past k_b a
+    row k can stop only where
+    |term_{k+1}| / (1 - rho_k) <= tol max(1, |partial|), and |partial| is
+    at most S_k = sum_{j<=k} |term_j| >= 1, a sum that every angle of one
+    |z| shares to within rounding.  An evaluation that misses the memo adds
+    each |term_{k+1}| to S_k, and at each row with no stop test it checks
+    the guard |term_{k+1}| >= 2^-960 S_k / dd_0, with dd_0 = (1 - q)
+    prod_j (1 - b_j), which is den_0, and so at most every den_k, to within
+    rounding.  It publishes, as one tuple (|z|, tol, k_f, bounded), the first
+    k_f >= k_b with rho_{k_f} < 1 at which S_{k_f} >= 1e300 or the tail is
+    at most tol S_{k_f} (1 + 1e-9), S_k reading inf from a row that failed
+    the guard on; k_f is k_b where tol < 2^-900 / dd_0.  bounded says that
+    S_{k_f} < 1e300.  A later evaluation at the same |z| bits and tol forms
+    term_1..term_{k_f} with the loop's own arithmetic,
     term = term * (num_k w_k z / den_k); partial += term, and enters the
-    loop at k_b.  A term with a non-finite part makes every later term
-    non-finite, so the loop's test at k_b still raises on it; a term with
-    finite parts and a modulus beyond the doubles makes the fast rows' own
-    abs raise, as the loop's would.
+    loop at k_f; unless bounded, each of those terms also takes the loop's
+    abs(), which raises where a modulus with finite parts leaves the
+    doubles, as the loop's would.
+
+    No skipped test could pass, and no skipped abs() could raise.  Every
+    row j below k_f has |term_{j+1}| den_j >= 2^-961 S_j: by the guard, or,
+    past k_b, because its tail failed the margin, so that |term_{j+1}| >
+    (1 - rho_j) tol S_j >= 2^-53 tol S_j, with tol dd_0 >= 2^-900.  As
+    S_j >= max(1, |term_j|) and den_j <= 1, this keeps |term_{j+1}|,
+    |num_j w_j z| and its quotient by den_j above 2^-962, so an underflowing
+    part costs them at most 2^-110 of relative modulus (subnormal moduli
+    never enter).  A row then keeps all but 8u of it (two complex products,
+    sqrt(5) u each by Brent, Percival and Zimmermann, Math. Comp. 76, 2007,
+    the division by den_j u, and two arguments whose rounded moduli agree
+    differ by at most 2u), so over at most TERM_CAP + 1 rows the terms of
+    any two angles of one |z|, and their abs(), agree to a factor
+    1 +- 2e-10, and each |partial| is at most S_k (1 + 3e-10).  A skipped
+    row k in [k_b, k_f) therefore has a tail above tol max(1, |partial|) at
+    every angle: a threshold that rounds below the normal range is rounded
+    absolutely, and the tail is above 2^-962.  abs(partial) stays below
+    1e300 (1 + 3e-10), finite, and so do the parts and the abs() of every
+    skipped term where bounded holds.  A term with a non-finite part makes
+    every later term non-finite, so the loop's test at k_f still raises on
+    it.  A table shorter than k_f (a thread published a shorter copy) caps
+    the skipped rows, and the loop tests the rest.
     """
 
     __slots__ = ("_a_list", "_b_list", "_q", "_l", "_shift", "_negate", "_num_cap",
-                 "_den_floor", "_table", "_memo")
+                 "_den_floor", "_guard", "_deep_tol", "_table", "_memo")
 
     def __init__(
         self,
@@ -264,14 +303,20 @@ class GaussianSeries:
             den_floor *= 1.0 - b
         self._num_cap = num_cap
         self._den_floor = den_floor
+        # The memo's guard factor and its least tol for a floor past k_b,
+        # from dd_0 = (1 - q) den_floor, den_0 to within rounding; see Memo.
+        dd_0 = (1.0 - q) * den_floor
+        self._guard, self._deep_tol = (_GUARD / dd_0, _DEEP_TOL / dd_0) if dd_0 else (
+            math.inf, math.inf)
         # (rows, r_ovf, column).  Row k: (num_k w_k, den_k, w_k,
         # (1 - q^{k+1}) den_floor) with w_k = q^{l(2k+shift)}; column entry
-        # k - 1 is L_k.  An evaluation that needs more rows, or fills the
+        # k - 1 is L_k, filled only where den_0, and so every den_k, is
+        # positive.  An evaluation that needs more rows, or fills the
         # column, publishes the new tuple with one assignment, so a
         # concurrent reader never sees a half-grown table.
         self._table: tuple = ([], math.inf, [])
-        # (|z|, k_b); no |z| equals None.
-        self._memo: tuple = (None, 0)
+        # (|z|, tol, k_f, bounded); no |z| equals None.
+        self._memo: tuple = (None, None, 0, False)
 
     def evaluate(self, z: complex, tol: float) -> EvalResult:
         """The sum at z with its certified tail; see eval_confluent_f."""
@@ -289,21 +334,32 @@ class GaussianSeries:
         partial = term
         k = 0
         inf, min_stop, term_cap = math.inf, MIN_STOP_INDEX, TERM_CAP
+        sum_cap = _SUM_CAP
         try:
             abs_z = abs(z)
             if abs_z > r_ovf:
                 raise NonConvergentError("series term left the double range")
-            memo_z, k_b = self._memo
-            hit = abs_z == memo_z
-            if hit:
-                # A table shorter than k_b (a thread published a shorter
-                # copy) caps the fast rows.
-                fast = rows[:k_b]
-                for nw, den, _, _ in fast:
-                    term = term * (nw * z / den)
-                    abs(term)  # OverflowError where the modulus leaves the doubles
-                    partial += term
+            memo_z, memo_tol, k_f, bounded = self._memo
+            pending = abs_z != memo_z or tol != memo_tol
+            if pending:
+                # Below the deep tol the floor stays at k_b: tol_m = inf
+                # publishes there.
+                tol_m = tol * _MARGIN if tol >= self._deep_tol else inf
+                guard = self._guard
+            else:
+                fast = rows[:k_f]
+                if bounded:
+                    for nw, den, _, _ in fast:
+                        term = term * (nw * z / den)
+                        partial += term
+                else:
+                    for nw, den, _, _ in fast:
+                        term = term * (nw * z / den)
+                        abs(term)  # OverflowError where the modulus leaves the doubles
+                        partial += term
                 k = len(fast)
+            # S_k while the memo is pending, or inf once a row fails the guard.
+            total = 1.0
             while k <= term_cap:
                 if k == size:
                     # Extend a private copy; the finally clause publishes it.
@@ -332,18 +388,20 @@ class GaussianSeries:
                 abs_nxt = abs(nxt)
                 if not abs_nxt < inf:
                     break
-                if k >= min_stop:
-                    bound = w * abs_z * num_cap / dd
-                    if bound < 1.0:
-                        if not hit:
-                            self._memo = (abs_z, k)
-                            hit = True
-                        tail = abs_nxt / (1.0 - bound)
-                        abs_partial = abs(partial)
-                        if not abs_partial < inf:
-                            break
-                        if tail <= tol * (abs_partial if abs_partial > 1.0 else 1.0):
-                            return _new_tuple(EvalResult, (partial, k + 1, tail))
+                bound = w * abs_z * num_cap / dd if k >= min_stop else 1.0
+                if bound < 1.0:
+                    tail = abs_nxt / (1.0 - bound)
+                    if pending and not (total < sum_cap and tail > total * tol_m):
+                        self._memo = (abs_z, tol, k, total < sum_cap)
+                        pending = False
+                    abs_partial = abs(partial)
+                    if not abs_partial < inf:
+                        break
+                    if tail <= tol * (abs_partial if abs_partial > 1.0 else 1.0):
+                        return _new_tuple(EvalResult, (partial, k + 1, tail))
+                elif pending and abs_nxt < total * guard:
+                    total = inf
+                total += abs_nxt
                 partial += nxt
                 term = nxt
                 k += 1
@@ -355,8 +413,9 @@ class GaussianSeries:
         finally:
             if grown:
                 self._table = table = (rows, *table[1:])
-        # The sum left the double range.  The column stops at a den_j of 0,
-        # which no sum passes, so it then covers every reachable row.
+        # The sum left the double range.  The first uncovered row's den is
+        # 0 only where den_0 is (den_j is nondecreasing), and then no sum
+        # passes row 0, so the empty column covers every reachable row.
         covered = len(table[2])
         if covered < len(rows) and rows[covered][1]:
             self._table = (rows, *_overflow_radius(rows))
@@ -693,8 +752,9 @@ class LaurentSeries:
         self._log_c = math.log(spec.c_weighted)
         self._c0: complex | None = None
         # (rows, z0).  Row k - 1: (coeff(k), coeff(-k), (alpha+1) k^alpha log q,
-        # (k+1)^(alpha+1) log q).  An evaluation that needs more rows extends a
-        # private copy and publishes it with its z0 in one assignment.
+        # (k+1)^(alpha+1) log q), each -inf where its power leaves the
+        # doubles.  An evaluation that needs more rows extends a private copy
+        # and publishes it with its z0 in one assignment.
         self._table: tuple = ([], 1)
 
     def evaluate(self, z: complex, tol: float) -> EvalResult:
@@ -760,10 +820,7 @@ class LaurentSeries:
                         coeff, alpha, ap1, lq = spec.coeff, spec.alpha, self._ap1, self._lq
                         grown = True
                     up, down = coeff(k), coeff(-k)
-                    try:
-                        rows.append((up, down, ap1 * k**alpha * lq, (k + 1) ** ap1 * lq))
-                    except OverflowError:
-                        raise NonConvergentError(f"stop-rule weight at |k| = {k} overflowed") from None
+                    rows.append((up, down, ap1 * _power(k, alpha) * lq, _power(k + 1, ap1) * lq))
                     if up or down:
                         z0 = k + 1
                     size += 1
@@ -801,6 +858,15 @@ class LaurentSeries:
                 self._table = (rows, z0)
 
 
+def _power(k: int, e: float) -> float:
+    """k^e, or inf where it leaves the doubles: a stop-rule weight times
+    log q < 0 is then -inf, the log of q^inf = 0."""
+    try:
+        return k**e
+    except OverflowError:
+        return math.inf
+
+
 def _tail_log(k: int, decay: float, next_weight: float, law: float, log_c: float) -> float:
     """The log of LaurentSeries's two-wing tail bound past index k."""
     # The majorant term just past the current index can still exceed
@@ -810,6 +876,8 @@ def _tail_log(k: int, decay: float, next_weight: float, law: float, log_c: float
         wing_rho = math.exp(decay + sgn * law)
         wing_logs.append(next_weight + sgn * (k + 1) * law - math.log1p(-wing_rho))
     hi = max(wing_logs)
+    if hi == -math.inf:  # both wings vanish: a weight beyond the doubles
+        return hi
     return log_c + hi + math.log1p(math.exp(min(wing_logs) - hi))
 
 
@@ -860,7 +928,8 @@ def eval_laurent(spec: LaurentSpec, z: complex, tol: float) -> EvalResult:
     |coeff(k)| <= c_weighted q^{|k|^(alpha+1)}, using the superlinear growth
     of |k|^(alpha+1) to certify a geometric remainder.  Raises
     NonConvergentError if LAURENT_K_CAP is hit before the tail meets tol, or if the
-    partial sum or a stop-rule weight k^alpha leaves the double range.  This is
-    LaurentSeries(spec).evaluate(z, tol).
+    partial sum leaves the double range.  A stop-rule weight |k|^(alpha+1)
+    beyond the doubles stands for q^inf = 0, so its wing tails vanish.  This
+    is LaurentSeries(spec).evaluate(z, tol).
     """
     return LaurentSeries(spec).evaluate(z, tol)

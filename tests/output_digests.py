@@ -24,8 +24,12 @@ last, three identities at one base whose series stop below, within and
 past the rows of the identity kernel's memo of powers of q),
 with envelopes
 whose constants or exponents leave the double range; a command that lets
-an exception escape prints ``raised <exception>`` in place of a digest.  ``outputs()`` and
-``run()`` are importable, for comparisons that first transform an output.
+an exception escape prints ``raised <exception>`` in place of a digest.
+Last come three library calls that no command line reaches, labelled
+``library ...``: a Laurent eval at alpha = 2000, whose stop-rule weights
+leave the doubles, and an audit of the zero stream in CSV and JSON.
+``outputs()`` and ``run()`` are importable, for comparisons that first
+transform an output.
 """
 
 from __future__ import annotations
@@ -33,8 +37,9 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import sys
 
-from qineq import cli
+from qineq import LaurentSpec, QBase, SweepPlan, audit_envelope, cli, eval_laurent
 
 LATTICE_GRID = "1e-4:1e6:41"
 LATTICE_ANGLES = "8"
@@ -196,6 +201,31 @@ _SINGLE = (
 )
 
 
+def _laurent_eval(alpha: float) -> int:
+    """eval_laurent of the theta stream at q = 0.5, c_weighted 3 and z = 2,
+    printed as eval prints it; the CLI takes no alpha of 1 or more."""
+    spec = LaurentSpec(0j, lambda k: 0.5 ** (k * k), alpha, QBase(0.5), 3.0)
+    print(eval_laurent(spec, 2.0, 1e-14))
+    return 0
+
+
+def _zero_stream_audit(write) -> int:
+    """An audit of the zero stream, whose records all have abs_value 0.0,
+    written as the CLI writes a report; the CLI takes only the theta stream."""
+    spec = LaurentSpec(0j, lambda k: 0.0, 0.5, QBase(0.5), 1.0)
+    write(audit_envelope(SweepPlan(abs_z_grid=(0.5, 2.0), angle_count=2), "laurent", spec),
+          sys.stdout)
+    return 0
+
+
+# Library calls with no command line, each printing one output.
+_LIBRARY = (
+    ("library eval_laurent alpha=2000", lambda: _laurent_eval(2000.0)),
+    *((f"library audit zero stream --format {fmt}", lambda write=write: _zero_stream_audit(write))
+      for fmt, write in (("csv", cli._write_csv), ("json", cli._write_json))),
+)
+
+
 def outputs():
     for fmt in ("csv", "json"):
         for fn, q, *rest in _SWEEPS:
@@ -212,13 +242,15 @@ def outputs():
             yield " ".join(argv[1:]), argv
     for argv in _SINGLE:
         yield " ".join(argv), list(argv)
+    yield from _LIBRARY
 
 
-def run(argv: list[str]) -> tuple[int, str, str]:
-    """(exit code, stdout, stderr) of one command line."""
+def run(argv) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one command line, or of one library
+    call of _LIBRARY."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.run(argv)
+        code = argv() if callable(argv) else cli.run(argv)
     return code, out.getvalue(), err.getvalue()
 
 

@@ -106,7 +106,8 @@ def _entire_logs(params: ConfluentParams) -> tuple[float, float, float]:
 
 def envelope_entire(params: ConfluentParams, abs_z: float) -> EnvelopeResult:
     c, log_c, log_ql = _entire_logs(params)
-    return _assemble(c, -log_ql, term_peak(abs_z, params.l, params.q), log_c)
+    # 0.0 - log_ql: +0.0, not -0.0, where (q^l;q)_inf rounds to 1.
+    return _assemble(c, 0.0 - log_ql, term_peak(abs_z, params.l, params.q), log_c)
 
 
 def _phi_constants(params: PhiParams) -> tuple[float, float, float, float, float]:
@@ -122,7 +123,7 @@ def envelope_phi(params: PhiParams, abs_z: float) -> EnvelopeResult:
         peak = _peak_at_log(math.log(abs_z) + math.log(scale), l, params.q)
     else:
         peak = term_peak(abs_z * scale, l, params.q)
-    return _assemble(c, -log_ql, peak, log_c)
+    return _assemble(c, 0.0 - log_ql, peak, log_c)
 
 
 def envelope_aq_gaussian(q: QBase, abs_z: float) -> EnvelopeResult:

@@ -264,6 +264,16 @@ class TestEnvelopeAqGaussian:
         assert [(r.z, r.abs_value, r.passed, r.error) for r in aq] == [
             (r.z, r.abs_value, r.passed, r.error) for r in f]
 
+    def test_prefactor_of_a_product_that_rounds_to_one_is_positive_zero(self):
+        # (q;q)_inf rounds to 1 at q = 1e-300, so its log is 0.0; the
+        # prefactor -log (q;q)_inf is +0.0 there, never -0.0, for aq and
+        # for f at l = 1, with the log_bound of the grouping log c +
+        # prefactor + exponent.
+        base = QBase(1e-300)
+        for env in (envelope_aq_gaussian(base, 1e200), envelope_entire(_entire(1e-300), 1e200)):
+            assert env.prefactor_log == 0.0 and math.copysign(1.0, env.prefactor_log) == 1.0
+            assert env.log_bound == env.exponent_term == term_peak(1e200, 1.0, base)
+
     def test_log_argument_one(self):
         # At |z| = e the exponent reduces to 1/(4 log 2) and the prefactor to
         # 1/2 + (log 2)/4.
@@ -622,7 +632,7 @@ class TestConstantsMatchReference:
             assert reduction.params.l.hex() == (m / 2.0).hex()
             assert reduction.scale.hex() == ((-1.0) ** m * params.q.q ** (-m / 2.0)).hex()
             c, log_c, log_ql, l, scale = refb._phi_constants(params)
-            want = bounds._entire_envelope(c, log_c, -log_ql, l, params.q.log_q, scale)
+            want = bounds._entire_envelope(c, log_c, 0.0 - log_ql, l, params.q.log_q, scale)
             got = bounds._phi_constants(params)
             assert [x.hex() for x in got] == [x.hex() for x in want]
 

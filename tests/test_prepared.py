@@ -1018,6 +1018,121 @@ class TestGaussianMemoGuards:
         assert prepared._table[1:] == (math.inf, [])
 
 
+def _gaussian_families(q):
+    """(name, make, reference) for aq, f with parameters and phi at base q;
+    make() builds a fresh prepared series."""
+    a, b = (0.5 + 0.0j,), (0.3,)
+    f_params = ConfluentParams(a_list=(1.0 - 0.5j,), b_list=(0.2, 0.6), l=1.5, q=QBase(q))
+    return (
+        ("aq", lambda: series.GaussianSeries((), (), q, 1.0, 1, True),
+         lambda z, tol: ref.eval_gaussian((), (), q, 1.0, 1, -complex(z), tol)),
+        ("f", lambda: prepare_confluent_f(f_params),
+         lambda z, tol: ref.eval_gaussian(f_params.a_list, f_params.b_list, q, 1.5, 1, z, tol)),
+        ("phi", lambda: prepare_phi(PhiParams(a_list=a, b_list=b, q=QBase(q))),
+         lambda z, tol: ref.eval_gaussian(a, b, q, 0.5, 0, -complex(z), tol)),
+    )
+
+
+class TestGaussianStopFloor:
+    """The Gaussian memo's stop floor k_f, published from the sum of the
+    term moduli: later angles of a modulus skip every row below it, and must
+    still return the bits of a fresh series."""
+
+    @staticmethod
+    def _evaluate(prepared, z, tol):
+        """_gaussian_hit, and a check that a floor published for this |z|
+        and tol is at most the stop index K = terms_used - 1 here."""
+        got, hit = _gaussian_hit(prepared, z, tol)
+        memo_z, memo_tol, k_f, _ = prepared._memo
+        if len(got) == 5 and memo_z == abs(z) and memo_tol == tol:
+            assert k_f <= got[2] - 1, (z, tol)
+        return got, hit
+
+    @pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
+    def test_cancelling_angles_on_the_negative_axis(self, q):
+        # One of z = r and z = -r puts the summation variable on the
+        # negative real axis, where the terms alternate and |partial| is far
+        # below the sum of the term moduli; the other has no cancellation.
+        # Either angle may come first and publish the floor.
+        moduli = log_grid(1e-2, 1e3, 16)
+        deep = 0
+        for name, make, reference in _gaussian_families(q):
+            cancelled = 0
+            for order in ((1.0, -1.0), (-1.0, 1.0)):
+                prepared = make()
+                for r in moduli:
+                    outcomes = []
+                    for sign in order:
+                        z = complex(sign * r, 0.0)
+                        got, hit = self._evaluate(prepared, z, 1e-14)
+                        assert got == _outcome(make().evaluate, z, 1e-14), (name, z)
+                        assert got == _expected("gaussian", reference, z, 1e-14), (name, z)
+                        outcomes.append(got)
+                        if len(got) == 5 and hit:
+                            deep += prepared._memo[2] > series.MIN_STOP_INDEX
+                    if all(len(got) == 5 for got in outcomes):
+                        values = [abs(complex(float.fromhex(got[0]), float.fromhex(got[1])))
+                                  for got in outcomes]
+                        cancelled += min(values) < 0.1 * max(values)
+            assert cancelled, name
+        # Some hits skip rows past MIN_STOP_INDEX.
+        assert deep
+
+    def test_tol_walk_at_one_modulus(self):
+        # Each tol publishes its own floor at the first angle; the second
+        # angle hits it.  1e100 stops at the first row whose ratio test
+        # passes, 1e-300 runs deep.
+        z = 7.0 * complex(math.cos(2.0), math.sin(2.0))
+        for name, make, reference in _gaussian_families(0.9):
+            prepared = make()
+            terms = []
+            for tol in (1e-14, 1e-6, 1e-300, 1e-14, 1e100, 1e-14):
+                outcomes = []
+                for point in (z, z.conjugate(), -z):
+                    got, hit = self._evaluate(prepared, point, tol)
+                    assert got == _outcome(make().evaluate, point, tol), (name, point, tol)
+                    assert got == _expected("gaussian", reference, point, tol), (name, point, tol)
+                    outcomes.append(got)
+                    assert hit == (point != z)
+                terms.append(outcomes[0][2])
+            assert terms[0] == terms[3] == terms[5] and terms[4] < terms[1] < terms[0] < terms[2]
+
+    def test_sum_past_the_cap_keeps_the_probes(self):
+        # f at q = 0.95 through its overflow radius: where the largest term
+        # passes 1e300 the floor is published unbounded, and the fast rows
+        # keep their abs() probes; beyond the radius every angle raises.
+        params = ConfluentParams(a_list=(), b_list=(), l=1.0, q=QBase(0.95))
+        prepared = prepare_confluent_f(params)
+        bounded = []
+        for r in log_grid(1.1e5, 1.6e5, 41):
+            for unit in _UNITS:
+                z = r * unit
+                memo = prepared._memo
+                got, hit = self._evaluate(prepared, z, 1e-14)
+                assert got == _outcome(prepare_confluent_f(params).evaluate, z, 1e-14), z
+                assert got == _expected("gaussian", lambda z, tol: ref.eval_gaussian(
+                    (), (), 0.95, 1.0, 1, z, tol), z, 1e-14), z
+                if hit and len(got) == 5:
+                    bounded.append(memo[3])
+        assert True in bounded and False in bounded
+
+    def test_probe_free_rows_stay_below_the_cap(self, monkeypatch):
+        # With the cap lowered to 1e10 every modulus whose largest term
+        # passes it publishes an unbounded floor, and the outcomes stay.
+        monkeypatch.setattr(series, "_SUM_CAP", 1e10)
+        for name, make, reference in _gaussian_families(0.9):
+            prepared = make()
+            bounded = []
+            for r in log_grid(1e-1, 1e4, 11):
+                for unit in _UNITS:
+                    memo = prepared._memo
+                    got, hit = self._evaluate(prepared, r * unit, 1e-14)
+                    assert got == _expected("gaussian", reference, r * unit, 1e-14), (name, r)
+                    if hit and len(got) == 5:
+                        bounded.append(memo[3])
+            assert True in bounded and False in bounded, name
+
+
 def test_shared_targets_under_thread_contention():
     """Four threads share one prepared target per family at interleaved points.
 

@@ -1,6 +1,5 @@
 import cmath
 import math
-import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +20,7 @@ from qineq import (
     phi_to_f,
     theta_weighted_constant,
 )
+from qineq import series
 from qineq.series import LAURENT_K_CAP, TERM_CAP, THETA_TRANSFORM_Q, TWO_SIDED_CAP
 
 import oracles
@@ -398,24 +398,28 @@ class TestLaurent:
         with pytest.raises(NonConvergentError, match="Laurent sum overflowed the double range"):
             eval_laurent(spec, 1.0, 1e-14)
 
-    @pytest.mark.parametrize("alpha, z, message", [
-        # (k_ovf - 1)^alpha overflows before the loop: no certain-overflow verdict.
-        (2000.0, 2.0, "stop-rule weight at |k| = 1 overflowed"),
-        # |z| = 1 skips that check; 2^(alpha + 1) overflows at |k| = 1.
-        (1e300, 1.0, "stop-rule weight at |k| = 1 overflowed"),
+    @pytest.mark.parametrize("alpha, z, value", [
         # The stop rule passes before any weight overflows, with and without
         # an overflowing (k_ovf - 1)^alpha.
-        (200.0, 2.0, None),
-        (80.0, 2.0, None),
+        (80.0, 2.0, 2.25 + 0j),
+        (200.0, 2.0, 2.25 + 0j),
+        # (k_ovf - 1)^alpha and 2^(alpha + 1) overflow: a weight beyond the
+        # doubles is q^inf = 0, so both wing tails vanish at |k| = 1.
+        (2000.0, 2.0, 2.25 + 0j),
+        # |z| = 1 skips the closed-form check; 2^(alpha + 1) overflows at |k| = 1.
+        (1e300, 1.0, 2.0 + 0j),
     ])
-    def test_weight_beyond_the_doubles(self, alpha, z, message):
+    def test_weight_beyond_the_doubles(self, alpha, z, value):
         spec = LaurentSpec(center=0j, coeff=_theta_stream(0.5), alpha=alpha, q=QBase(0.5),
                            c_weighted=3.0)
-        if message is None:
-            assert eval_laurent(spec, z, 1e-14) == (2.25 + 0j, 3, 0.0)
-        else:
-            with pytest.raises(NonConvergentError, match=re.escape(message)):
-                eval_laurent(spec, z, 1e-14)
+        got = eval_laurent(spec, z, 1e-14)
+        assert got == (value, 3, 0.0)
+        assert math.copysign(1.0, got.tail_bound) == 1.0
+
+    def test_tail_log_of_vanishing_wings(self):
+        # Both wing logs are -inf: the bound is -inf, not the nan of -inf - -inf.
+        assert series._tail_log(1, -math.inf, -math.inf, math.log(2.0), math.log(3.0)) == -math.inf
+        assert series._tail_log(1, -2000.0 * math.log(2.0), -math.inf, 0.0, 0.0) == -math.inf
 
     def test_k_cap_guard(self):
         # Near q = 1 with a slow decay the stop rule stays blocked at |w| = 1.05.

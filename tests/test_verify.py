@@ -1,5 +1,6 @@
 import functools
 import gc
+import io
 import math
 import random
 import sys
@@ -29,7 +30,7 @@ from qineq import (
     tightness_search,
 )
 from qineq import bounds, qcore, verify
-from qineq.cli import run
+from qineq.cli import _write_csv, run
 from qineq.series import LAURENT_K_CAP
 from qineq.verify import coarse_layout
 
@@ -188,6 +189,31 @@ class TestAuditEnvelope:
         ] * 2
         assert all(math.isfinite(abs(eval_theta(QBase(1.0 / math.e), r.z, plan.tol).value))
                    for r in records)
+
+    def test_zero_valued_records(self):
+        # The zero stream sums to exactly 0 at every point: abs_value 0.0
+        # has no log, so the record's ratio is 0.0 and it passes.
+        spec = LaurentSpec(0j, lambda k: 0.0, 0.5, QBase(0.5), 1.0)
+        plan = SweepPlan(abs_z_grid=(0.5, 2.0), angle_count=2)
+        records = audit_envelope(plan, "laurent", spec)
+        assert [r.z for r in records] == [0.5, complex(-0.5, 6.123233995736766e-17),
+                                          2.0, complex(-2.0, 2.4492935982947064e-16)]
+        tail = 3.684095299321098e-15
+        for r in records:
+            assert (r.abs_value, r.ratio, r.passed, r.terms_used, r.tail_bound, r.error) == (
+                0.0, 0.0, True, 31, tail, "")
+            assert math.copysign(1.0, r.abs_value) == math.copysign(1.0, r.ratio) == 1.0
+            assert r.envelope_log == 0.10268847119406596
+        stream = io.StringIO()
+        _write_csv(records, stream)
+        prefix = "laurent,0.5,,alpha=0.5;c_weighted=1.0"
+        cells = "0.0,0.10268847119406596,0.0,true,31,3.684095299321098e-15,"
+        assert stream.getvalue().splitlines()[1:] == [
+            f"{prefix},0.5,0.0,{cells}",
+            f"{prefix},-0.5,6.123233995736766e-17,{cells}",
+            f"{prefix},2.0,0.0,{cells}",
+            f"{prefix},-2.0,2.4492935982947064e-16,{cells}",
+        ]
 
     def test_knobs_are_constants(self):
         # The slack and the Laurent index cap are fixed, not per-plan settings.
