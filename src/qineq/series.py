@@ -56,11 +56,10 @@ LAURENT_K_CAP = 10_000
 THETA_TRANSFORM_Q = 0.5
 _LOG_HALF = math.log(0.5)
 _LOG_TWO = math.log(2.0)
-# GaussianSeries's memo: the cap on the sum of term moduli, the guard factor,
-# the least tol dd_0 for a floor past k_b and the rounding margin of k_f.
+# GaussianSeries's memo: the cap on the sum of term moduli, the guard factor
+# and the rounding margin of k_f.
 _SUM_CAP = 1e300
 _GUARD = 2.0**-960
-_DEEP_TOL = 2.0**-900
 _MARGIN = 1.0 + 1e-9
 
 
@@ -240,45 +239,41 @@ class GaussianSeries:
     |term_{k+1}| / (1 - rho_k) <= tol max(1, |partial|), and |partial| is
     at most S_k = sum_{j<=k} |term_j| >= 1, a sum that every angle of one
     |z| shares to within rounding.  An evaluation that misses the memo adds
-    each |term_{k+1}| to S_k, and at each row with no stop test it checks
-    the guard |term_{k+1}| >= 2^-960 S_k / dd_0, with dd_0 = (1 - q)
-    prod_j (1 - b_j), which is den_0, and so at most every den_k, to within
-    rounding.  It publishes, as one tuple (|z|, tol, k_f, bounded), the first
-    k_f >= k_b with rho_{k_f} < 1 at which S_{k_f} >= 1e300 or the tail is
-    at most tol S_{k_f} (1 + 1e-9), S_k reading inf from a row that failed
-    the guard on; k_f is k_b where tol < 2^-900 / dd_0.  bounded says that
-    S_{k_f} < 1e300.  A later evaluation at the same |z| bits and tol forms
-    term_1..term_{k_f} with the loop's own arithmetic,
-    term = term * (num_k w_k z / den_k); partial += term, and enters the
-    loop at k_f; unless bounded, each of those terms also takes the loop's
-    abs(), which raises where a modulus with finite parts leaves the
-    doubles, as the loop's would.
+    each |term_{k+1}| to S_k, and at each row it first checks the guard
+    |term_{k+1}| >= 2^-960 S_k / dd_0, with dd_0 = (1 - q) prod_j (1 - b_j),
+    which is den_0, and so at most every den_k, to within rounding; S_k
+    reads inf from a row that fails it on.  At the first k >= k_b with
+    rho_k < 1 at which S_k >= 1e300 or the tail is at most
+    tol S_k (1 + 1e-9), it publishes, as one tuple (|z|, tol, k_f), k_f = k
+    if S_k < 1e300 and k_f = 0 otherwise.  A later evaluation at the same
+    |z| bits and tol forms term_1..term_{k_f} with the loop's own
+    arithmetic, term = term * (num_k w_k z / den_k); partial += term, and
+    enters the loop at k_f.
 
     No skipped test could pass, and no skipped abs() could raise.  Every
-    row j below k_f has |term_{j+1}| den_j >= 2^-961 S_j: by the guard, or,
-    past k_b, because its tail failed the margin, so that |term_{j+1}| >
-    (1 - rho_j) tol S_j >= 2^-53 tol S_j, with tol dd_0 >= 2^-900.  As
-    S_j >= max(1, |term_j|) and den_j <= 1, this keeps |term_{j+1}|,
-    |num_j w_j z| and its quotient by den_j above 2^-962, so an underflowing
-    part costs them at most 2^-110 of relative modulus (subnormal moduli
-    never enter).  A row then keeps all but 8u of it (two complex products,
-    sqrt(5) u each by Brent, Percival and Zimmermann, Math. Comp. 76, 2007,
-    the division by den_j u, and two arguments whose rounded moduli agree
-    differ by at most 2u), so over at most TERM_CAP + 1 rows the terms of
-    any two angles of one |z|, and their abs(), agree to a factor
-    1 +- 2e-10, and each |partial| is at most S_k (1 + 3e-10).  A skipped
-    row k in [k_b, k_f) therefore has a tail above tol max(1, |partial|) at
-    every angle: a threshold that rounds below the normal range is rounded
-    absolutely, and the tail is above 2^-962.  abs(partial) stays below
-    1e300 (1 + 3e-10), finite, and so do the parts and the abs() of every
-    skipped term where bounded holds.  A term with a non-finite part makes
-    every later term non-finite, so the loop's test at k_f still raises on
-    it.  A table shorter than k_f (a thread published a shorter copy) caps
-    the skipped rows, and the loop tests the rest.
+    row j below k_f passed the guard with S_j < 1e300, so
+    |term_{j+1}| den_j >= 2^-961 S_j.  As S_j >= max(1, |term_j|) and
+    den_j <= 1, this keeps |term_{j+1}|, |num_j w_j z| and its quotient by
+    den_j above 2^-962, so an underflowing part costs them at most 2^-110 of
+    relative modulus (subnormal moduli never enter).  A row then keeps all
+    but 8u of it (two complex products, sqrt(5) u each by Brent, Percival
+    and Zimmermann, Math. Comp. 76, 2007, the division by den_j u, and two
+    arguments whose rounded moduli agree differ by at most 2u), so over at
+    most TERM_CAP + 1 rows the terms of any two angles of one |z|, and their
+    abs(), agree to a factor 1 +- 2e-10, and each |partial| is at most
+    S_k (1 + 3e-10).  A skipped row k in [k_b, k_f) therefore has a tail
+    above tol max(1, |partial|) at every angle, as the margin covers that
+    rounding: a floor past 0 needs a row that passed the guard, whose tail
+    of at least 2^-960 S_k is within the margin of tol S_k, so
+    tol > 2^-961 and no threshold leaves the normal range.  abs(partial)
+    stays below 1e300 (1 + 3e-10), finite, and so do the parts and the
+    abs() of every skipped term.  A table shorter than k_f (a thread
+    published a shorter copy) caps the skipped rows, and the loop tests the
+    rest.
     """
 
     __slots__ = ("_a_list", "_b_list", "_q", "_l", "_shift", "_negate", "_num_cap",
-                 "_den_floor", "_guard", "_deep_tol", "_table", "_memo")
+                 "_den_floor", "_guard", "_table", "_memo")
 
     def __init__(
         self,
@@ -303,11 +298,10 @@ class GaussianSeries:
             den_floor *= 1.0 - b
         self._num_cap = num_cap
         self._den_floor = den_floor
-        # The memo's guard factor and its least tol for a floor past k_b,
-        # from dd_0 = (1 - q) den_floor, den_0 to within rounding; see Memo.
+        # The memo's guard factor, from dd_0 = (1 - q) den_floor, den_0 to
+        # within rounding; see Memo.
         dd_0 = (1.0 - q) * den_floor
-        self._guard, self._deep_tol = (_GUARD / dd_0, _DEEP_TOL / dd_0) if dd_0 else (
-            math.inf, math.inf)
+        self._guard = _GUARD / dd_0 if dd_0 else math.inf
         # (rows, r_ovf, column).  Row k: (num_k w_k, den_k, w_k,
         # (1 - q^{k+1}) den_floor) with w_k = q^{l(2k+shift)}; column entry
         # k - 1 is L_k, filled only where den_0, and so every den_k, is
@@ -315,8 +309,8 @@ class GaussianSeries:
         # column, publishes the new tuple with one assignment, so a
         # concurrent reader never sees a half-grown table.
         self._table: tuple = ([], math.inf, [])
-        # (|z|, tol, k_f, bounded); no |z| equals None.
-        self._memo: tuple = (None, None, 0, False)
+        # (|z|, tol, k_f); no |z| equals None.
+        self._memo: tuple = (None, None, 0)
 
     def evaluate(self, z: complex, tol: float) -> EvalResult:
         """The sum at z with its certified tail; see eval_confluent_f."""
@@ -339,24 +333,16 @@ class GaussianSeries:
             abs_z = abs(z)
             if abs_z > r_ovf:
                 raise NonConvergentError("series term left the double range")
-            memo_z, memo_tol, k_f, bounded = self._memo
+            memo_z, memo_tol, k_f = self._memo
             pending = abs_z != memo_z or tol != memo_tol
             if pending:
-                # Below the deep tol the floor stays at k_b: tol_m = inf
-                # publishes there.
-                tol_m = tol * _MARGIN if tol >= self._deep_tol else inf
+                tol_m = tol * _MARGIN
                 guard = self._guard
             else:
                 fast = rows[:k_f]
-                if bounded:
-                    for nw, den, _, _ in fast:
-                        term = term * (nw * z / den)
-                        partial += term
-                else:
-                    for nw, den, _, _ in fast:
-                        term = term * (nw * z / den)
-                        abs(term)  # OverflowError where the modulus leaves the doubles
-                        partial += term
+                for nw, den, _, _ in fast:
+                    term = term * (nw * z / den)
+                    partial += term
                 k = len(fast)
             # S_k while the memo is pending, or inf once a row fails the guard.
             total = 1.0
@@ -388,19 +374,19 @@ class GaussianSeries:
                 abs_nxt = abs(nxt)
                 if not abs_nxt < inf:
                     break
+                if pending and abs_nxt < total * guard:
+                    total = inf
                 bound = w * abs_z * num_cap / dd if k >= min_stop else 1.0
                 if bound < 1.0:
                     tail = abs_nxt / (1.0 - bound)
                     if pending and not (total < sum_cap and tail > total * tol_m):
-                        self._memo = (abs_z, tol, k, total < sum_cap)
+                        self._memo = (abs_z, tol, k if total < sum_cap else 0)
                         pending = False
                     abs_partial = abs(partial)
                     if not abs_partial < inf:
                         break
                     if tail <= tol * (abs_partial if abs_partial > 1.0 else 1.0):
                         return _new_tuple(EvalResult, (partial, k + 1, tail))
-                elif pending and abs_nxt < total * guard:
-                    total = inf
                 total += abs_nxt
                 partial += nxt
                 term = nxt

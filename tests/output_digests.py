@@ -10,7 +10,8 @@ Each line is ``<sha256>  <label>``.  The digest covers the exit code, stdout
 and stderr of one ``qineq`` command line, run in process through
 ``qineq.cli.run``.  The outputs are the benchmark's lattice sweeps (and the
 phi q=0.99 sweep) in CSV and JSON, f and phi draw audits, dense theta,
-Laurent and aq sweeps out to q = 0.999999, and eval, envelope and identity
+Laurent and aq sweeps out to q = 0.999999, an f sweep at tol 1e-300, and
+eval, envelope and identity
 commands, error paths included (audits that fail while building their
 target among them, Laurent's index cap, tiny alpha and l, phi at a base
 whose scale overflows, aq at a base where |z| / sqrt(q) overflows,
@@ -76,13 +77,16 @@ _EDGE_SWEEPS = (
     *(["laurent", "0.999", "--alpha", alpha, "--grid", "1e-4:1e6:41", "--angles", "8"]
       for alpha in ("0.25", "0.9")),
     # Through the first modulus where a term of f exceeds e^711 (the
-    # overflow radius starts there); phi's records whose largest term is
+    # overflow radius starts there; the sum of its term moduli passes
+    # 1e300 before, where the Gaussian memo's floor is 0); phi's records whose largest term is
     # near e^710.5 and must still be summed; Laurent sums that reach the
     # index cap in the stream's zero tail, on both sides of the band where
     # w^10000 leaves the doubles.
     ["f", "0.95", "--l", "1", "--grid", "1.1e5:1.6e5:41", "--angles", "8"],
     ["phi", "0.9", "--a=0.5", "--b", "0.3", "--grid", "1e5:1e6:21", "--angles", "8"],
     ["laurent", "0.999", "--alpha", "0.25", "--grid", "0.93:1.075:25", "--angles", "8"],
+    # A tol far below the Gaussian memo's guard of 2^-960 S_k / dd_0.
+    ["f", "0.9", "--l", "1", "--grid", "1e-2:1e3:16", "--angles", "8", "--tol", "1e-300"],
 )
 
 _SINGLE = (

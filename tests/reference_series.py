@@ -160,6 +160,14 @@ def eval_theta(qq: float, z: complex, tol: float, force_k: int | None = None) ->
     return EvalResult(value=value, terms_used=2 * k_stop + 1, tail_bound=tail)
 
 
+def _weight_power(k: int, e: float) -> float:
+    """k^e, or inf beyond the doubles, so that a weight k^e log q reads -inf."""
+    try:
+        return k**e
+    except OverflowError:
+        return math.inf
+
+
 def eval_laurent(
     spec: LaurentSpec, z: complex, tol: float, force_k: int | None = None
 ) -> EvalResult:
@@ -198,16 +206,19 @@ def eval_laurent(
             if k >= force_k:
                 return EvalResult(value=partial, terms_used=2 * k + 1, tail_bound=0.0)
             continue
-        decay = ap1 * k**alpha * lq
+        decay = ap1 * _weight_power(k, alpha) * lq
         if decay + log_m > _LOG_HALF:
             continue
-        next_weight = (k + 1) ** ap1 * lq
+        next_weight = _weight_power(k + 1, ap1) * lq
         wing_logs = []
         for sgn in (1.0, -1.0):
             wing_rho = math.exp(decay + sgn * law)
             wing_logs.append(next_weight + sgn * (k + 1) * law - math.log1p(-wing_rho))
         hi = max(wing_logs)
-        tail_log = log_c + hi + math.log1p(math.exp(min(wing_logs) - hi))
+        if hi == -math.inf:
+            tail_log = hi
+        else:
+            tail_log = log_c + hi + math.log1p(math.exp(min(wing_logs) - hi))
         if tail_log <= math.log(tol * max(1.0, abs(partial))):
             return EvalResult(
                 value=partial, terms_used=2 * k + 1, tail_bound=math.exp(tail_log)

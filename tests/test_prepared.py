@@ -932,8 +932,9 @@ class TestRingSweepsMatchReference:
     """Grid x angle sweeps, the way audits run, where a Gaussian series's
     angles share its stop-rule memo: every outcome is the reference's, bit
     for bit.  The moduli revisit one modulus after another, and three tols
-    share each modulus, since the memo does not depend on tol; the huge one
-    stops at the first index whose ratio test passes."""
+    take turns at each modulus; the memo is keyed by (|z|, tol), so each tol
+    publishes its own floor and only the angles within one tol hit it.  The
+    huge tol stops at the first index whose ratio test passes."""
 
     MODULI = (*log_grid(1e-4, 1e6, 11), 1.0, 1e3, 1.0)
     TOLS = (1e-14, 1e-6, 1e100)
@@ -1043,7 +1044,7 @@ class TestGaussianStopFloor:
         """_gaussian_hit, and a check that a floor published for this |z|
         and tol is at most the stop index K = terms_used - 1 here."""
         got, hit = _gaussian_hit(prepared, z, tol)
-        memo_z, memo_tol, k_f, _ = prepared._memo
+        memo_z, memo_tol, k_f = prepared._memo
         if len(got) == 5 and memo_z == abs(z) and memo_tol == tol:
             assert k_f <= got[2] - 1, (z, tol)
         return got, hit
@@ -1098,12 +1099,12 @@ class TestGaussianStopFloor:
             assert terms[0] == terms[3] == terms[5] and terms[4] < terms[1] < terms[0] < terms[2]
 
     def test_sum_past_the_cap_keeps_the_probes(self):
-        # f at q = 0.95 through its overflow radius: where the largest term
-        # passes 1e300 the floor is published unbounded, and the fast rows
-        # keep their abs() probes; beyond the radius every angle raises.
+        # f at q = 0.95 through its overflow radius: where the sum of the
+        # term moduli passes 1e300 the floor is 0, and the loop keeps every
+        # abs() probe; beyond the radius every angle raises.
         params = ConfluentParams(a_list=(), b_list=(), l=1.0, q=QBase(0.95))
         prepared = prepare_confluent_f(params)
-        bounded = []
+        floors = []
         for r in log_grid(1.1e5, 1.6e5, 41):
             for unit in _UNITS:
                 z = r * unit
@@ -1113,24 +1114,48 @@ class TestGaussianStopFloor:
                 assert got == _expected("gaussian", lambda z, tol: ref.eval_gaussian(
                     (), (), 0.95, 1.0, 1, z, tol), z, 1e-14), z
                 if hit and len(got) == 5:
-                    bounded.append(memo[3])
-        assert True in bounded and False in bounded
+                    floors.append(memo[2])
+        assert 0 in floors and max(floors) > 0
 
     def test_probe_free_rows_stay_below_the_cap(self, monkeypatch):
-        # With the cap lowered to 1e10 every modulus whose largest term
-        # passes it publishes an unbounded floor, and the outcomes stay.
+        # With the cap lowered to 1e10 every modulus whose sum of term
+        # moduli passes it publishes a floor of 0, and the outcomes stay.
         monkeypatch.setattr(series, "_SUM_CAP", 1e10)
         for name, make, reference in _gaussian_families(0.9):
             prepared = make()
-            bounded = []
+            floors = []
             for r in log_grid(1e-1, 1e4, 11):
                 for unit in _UNITS:
                     memo = prepared._memo
                     got, hit = self._evaluate(prepared, r * unit, 1e-14)
                     assert got == _expected("gaussian", reference, r * unit, 1e-14), (name, r)
                     if hit and len(got) == 5:
-                        bounded.append(memo[3])
-            assert True in bounded and False in bounded, name
+                        floors.append(memo[2])
+            assert 0 in floors and max(floors) > 0, name
+
+    @pytest.mark.parametrize("q", [0.3, 0.9, 0.99])
+    @pytest.mark.parametrize("tol", [1e-300, 2.0**-900, 5e-324])
+    def test_deep_tol_ring_sweep(self, q, tol):
+        # Tiny tols, where the guard can fail past k_b.  A floor past 0 needs
+        # a row whose tail passed the guard and is within the margin of
+        # tol S_k, so tol > 2^-961: below it every floor is 0.
+        for name, make, reference in _gaussian_families(q):
+            prepared = make()
+            hits, floors = 0, set()
+            for r in log_grid(1e-2, 1e3, 16):
+                for unit in _UNITS:
+                    z = r * unit
+                    got, hit = self._evaluate(prepared, z, tol)
+                    assert got == _expected("gaussian", reference, z, tol), (name, z)
+                    if hit:
+                        hits += 1
+                        assert got == _outcome(make().evaluate, z, tol), (name, z)
+                    floors.add(prepared._memo[2])
+            assert hits, name
+            if tol < 2.0**-961:
+                assert floors == {0}, name
+            else:
+                assert max(floors) > 0, name
 
 
 def test_shared_targets_under_thread_contention():

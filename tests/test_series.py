@@ -415,6 +415,7 @@ class TestLaurent:
         got = eval_laurent(spec, z, 1e-14)
         assert got == (value, 3, 0.0)
         assert math.copysign(1.0, got.tail_bound) == 1.0
+        assert got == ref.eval_laurent(spec, z, 1e-14)
 
     def test_tail_log_of_vanishing_wings(self):
         # Both wing logs are -inf: the bound is -inf, not the nan of -inf - -inf.
