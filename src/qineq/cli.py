@@ -7,7 +7,7 @@ output is CSV (default) or JSON with a fixed column order, reproducible byte
 for byte for a fixed seed; errored records have null measurements in JSON,
 and the last column, error, says why (empty in CSV and null in JSON when
 the record has no error).  An option that does not apply to --function is a
-usage error; only --q and --angles are accepted and ignored with --draws.
+usage error; --draws accepts and ignores --q, --angles and the grid count.
 
 Exit codes: 0 success, and for audit that no record violated its envelope;
 1 at least one audit record failed; 2 usage or validation errors or an

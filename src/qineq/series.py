@@ -783,12 +783,9 @@ class LaurentSeries:
         # the test, and the sum runs as before.
         if log_m > 0.0:
             k_ovf = max(1, math.ceil(711.0 / log_m))
-            try:  # a power beyond the doubles puts the ratio far below log(1/2)
-                blocked = k_ovf <= LAURENT_K_CAP and (
-                    self._ap1 * (k_ovf - 1) ** spec.alpha * self._lq + log_m > _LOG_HALF)
-            except OverflowError:
-                blocked = False
-            if blocked:
+            # A power beyond the doubles reads as inf: the ratio is -inf.
+            if k_ovf <= LAURENT_K_CAP and (
+                    self._ap1 * _power(k_ovf - 1, spec.alpha) * self._lq + log_m > _LOG_HALF):
                 raise NonConvergentError("Laurent sum overflowed the double range")
         k = 0
         inf, log, log_half, k_cap = math.inf, math.log, _LOG_HALF, LAURENT_K_CAP

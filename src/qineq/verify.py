@@ -203,15 +203,6 @@ def audit_target(function_tag: str, fixed_params) -> AuditTarget:
     return _new_tuple(AuditTarget, (function_tag, q, l, digest, center, evaluate, envelope_log))
 
 
-def _ratio(result: EvalResult, envelope_log: float) -> tuple[float, float, float]:
-    """(|value|, log|value|, clamped ratio) of a result against its envelope."""
-    abs_value = abs(result.value)
-    if abs_value == 0.0:
-        return abs_value, -math.inf, 0.0
-    log_value = math.log(abs_value)
-    return abs_value, log_value, math.exp(min(log_value - envelope_log, bounds._MAX_LOG))
-
-
 def _error_record(target: AuditTarget, z: complex, exc: QSeriesError) -> AuditRecord:
     return _new_tuple(AuditRecord, (
         target.function_tag, target.q, target.l, target.param_digest, z,
@@ -252,7 +243,12 @@ def _records_at(
         if isinstance(envelope, QSeriesError):
             records.append(_error_record(target, z, envelope))
             continue
-        abs_value, log_value, ratio = _ratio(result, envelope)
+        abs_value = abs(result.value)
+        if abs_value == 0.0:
+            log_value, ratio = -math.inf, 0.0
+        else:
+            log_value = math.log(abs_value)
+            ratio = math.exp(min(log_value - envelope, bounds._MAX_LOG))
         records.append(
             _new_tuple(AuditRecord, (
                 function_tag, q, l, digest, z, abs_value, envelope, ratio,
@@ -368,41 +364,44 @@ def tightness_search(
 ) -> tuple[float, float, float]:
     """Largest observed |value| / envelope ratio over moduli and angles.
 
-    Each point is evaluated at DEFAULT_TOL, the default audit tolerance.
+    Each point is scored as audit_envelope scores it, at DEFAULT_TOL, the
+    default audit tolerance.  A point whose evaluation or envelope raises,
+    which an audit marks an error record, is skipped; with no evaluable
+    point the search returns (lo, 0.0, -1.0).
 
     A coarse log-grid scan locates the best cell, then golden-section
     refinement in log-modulus at the best angle spends the remaining budget.
     The incumbent only ever improves, so the returned ratio is at least the
-    ratio at every coarse grid point.  Deterministic for a fixed budget.
-    Returns (best_abs_z, best_angle, best_ratio).
+    ratio at every evaluable coarse grid point.  Deterministic for a fixed
+    budget.  Returns (best_abs_z, best_angle, best_ratio).
     """
     if not isinstance(budget, int) or budget < 32:
         raise InvalidArgumentError(f"budget must be an integer >= 32, got {budget!r}")
     target = audit_target(function_tag, fixed_params)
     radii, angles = coarse_layout(budget, abs_z_range)
-
-    def ratio_at(abs_z: float, angle: float) -> float:
-        result = target.evaluate(target.center + abs_z * _unit(angle), DEFAULT_TOL)
-        return _ratio(result, target.envelope_log(abs_z))[2]
-
+    units = tuple(map(_unit, angles))
+    # An error record's ratio is nan, which no comparison below adopts.
     best_ratio = -1.0
     best_r = radii[0]
     best_angle = angles[0]
+    records: list[AuditRecord] = []
     for r in radii:
-        for ang in angles:
-            rho = ratio_at(r, ang)
-            if rho > best_ratio:
-                best_ratio, best_r, best_angle = rho, r, ang
+        _records_at(target, r, units, DEFAULT_TOL, records)
+        for ang, record in zip(angles, records[-len(angles):]):
+            if record.ratio > best_ratio:
+                best_ratio, best_r, best_angle = record.ratio, r, ang
     i = radii.index(best_r)
     a = math.log(radii[max(0, i - 1)])
     b = math.log(radii[min(len(radii) - 1, i + 1)])
     remaining = budget - len(radii) * len(angles)
     if remaining >= 2 and b > a:
         invphi = (math.sqrt(5.0) - 1.0) / 2.0
+        best_unit = (_unit(best_angle),)
 
         def probe(x: float) -> float:
             nonlocal best_ratio, best_r
-            f = ratio_at(math.exp(x), best_angle)
+            _records_at(target, math.exp(x), best_unit, DEFAULT_TOL, records)
+            f = records[-1].ratio
             if f > best_ratio:
                 best_ratio, best_r = f, math.exp(x)
             return f

@@ -26,9 +26,11 @@ past the rows of the identity kernel's memo of powers of q),
 with envelopes
 whose constants or exponents leave the double range; a command that lets
 an exception escape prints ``raised <exception>`` in place of a digest.
-Last come three library calls that no command line reaches, labelled
+Last come library calls that no command line reaches, labelled
 ``library ...``: a Laurent eval at alpha = 2000, whose stop-rule weights
-leave the doubles, and an audit of the zero stream in CSV and JSON.
+leave the doubles, an audit of the zero stream in CSV and JSON, and five
+tightness_search calls, each printing the float.hex of its three values
+(at q = 0.99 the far moduli raise, and the search skips them).
 ``outputs()`` and ``run()`` are importable, for comparisons that first
 transform an output.
 """
@@ -38,9 +40,12 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import math
 import sys
 
-from qineq import LaurentSpec, QBase, SweepPlan, audit_envelope, cli, eval_laurent
+from qineq import (
+    LaurentSpec, QBase, SweepPlan, audit_envelope, cli, eval_laurent, tightness_search,
+)
 
 LATTICE_GRID = "1e-4:1e6:41"
 LATTICE_ANGLES = "8"
@@ -222,11 +227,31 @@ def _zero_stream_audit(write) -> int:
     return 0
 
 
+def _tightness(function_tag: str, fixed_params, abs_z_range, budget: int) -> int:
+    """tightness_search's (best_abs_z, best_angle, best_ratio), bit for bit."""
+    print(*(x.hex() for x in tightness_search(function_tag, fixed_params, abs_z_range, budget)))
+    return 0
+
+
+# The constant Laurent stream, whose search attains the ratio 1.
+_CONSTANT_STREAM = LaurentSpec(0.0, lambda k: 1.0 if k == 0 else 0.0, 1.0, QBase(1.0 / math.e), 1.0)
+
 # Library calls with no command line, each printing one output.
 _LIBRARY = (
     ("library eval_laurent alpha=2000", lambda: _laurent_eval(2000.0)),
     *((f"library audit zero stream --format {fmt}", lambda write=write: _zero_stream_audit(write))
       for fmt, write in (("csv", cli._write_csv), ("json", cli._write_json))),
+    *((f"library tightness_search {label}", lambda args=args: _tightness(*args))
+      for label, args in (
+          ("aq q=0.5 1e-3:1e3 budget=200", ("aq", QBase(0.5), (1e-3, 1e3), 200)),
+          ("theta q=0.3 alpha=0.5 1e-2:1e2 budget=100",
+           ("theta", (QBase(0.3), 0.5), (1e-2, 1e2), 100)),
+          ("laurent constant stream 0.5:2 budget=64",
+           ("laurent", _CONSTANT_STREAM, (0.5, 2.0), 64)),
+          ("aq q=0.99 1e-4:1e6 budget=200", ("aq", QBase(0.99), (1e-4, 1e6), 200)),
+          ("theta q=0.99 alpha=0.5 1e-4:1e6 budget=200",
+           ("theta", (QBase(0.99), 0.5), (1e-4, 1e6), 200)),
+      )),
 )
 
 

@@ -326,6 +326,16 @@ class TestAuditCommand:
         assert run(argv + ["--seed", "0"]) == 0
         assert capsys.readouterr().out == unseeded
 
+    def test_draws_ignore_angles_and_grid_count(self, capsys):
+        # Only the grid's extremes bound the drawn moduli, and each record
+        # draws its own angle, so --angles and the grid's count go unused.
+        outputs = []
+        for grid, angles in (("1e-3:1e3:2", "1"), ("1e-3:1e3:2", "5"), ("1e-3:1e3:7", "1")):
+            code = run(["audit", "--function", "f", "--q", "0.5", "--grid", grid,
+                        "--angles", angles, "--draws", "3", "--seed", "1"])
+            outputs.append((code, *capsys.readouterr()))
+        assert outputs[0] == outputs[1] == outputs[2]
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_unwritable_output_is_a_usage_error(self, tmp_path, capsys, fmt):
         out = tmp_path / "missing" / "x.csv"

@@ -408,6 +408,24 @@ class TestTightnessSearch:
         with pytest.raises(InvalidArgumentError):
             tightness_search("aq", QBase(0.5), (0.1, 10.0), 31)
 
+    @pytest.mark.parametrize("tag, params", [("aq", QBase(0.99)), ("theta", (QBase(0.99), 0.5))])
+    def test_unevaluable_points_are_skipped(self, tag, params):
+        # At q = 0.99 the far moduli raise; the search scores the rest as an
+        # audit of the coarse layout does.
+        abs_z_range, budget = (1e-4, 1e6), 200
+        _, _, ratio = tightness_search(tag, params, abs_z_range, budget)
+        assert 0.0 < ratio <= 1.0 + 1e-12
+        radii, angles = coarse_layout(budget, abs_z_range)
+        plan = SweepPlan(abs_z_grid=radii, angle_count=len(angles))
+        records = audit_envelope(plan, tag, params)
+        assert any(r.error for r in records)
+        assert all(r.ratio <= ratio for r in records if not r.error)
+        if tag == "theta":
+            assert ratio == pytest.approx(0.837, abs=1e-3)
+
+    def test_no_evaluable_point(self):
+        assert tightness_search("aq", QBase(0.99), (1e5, 1e6), 64) == (1e5, 0.0, -1.0)
+
 
 class TestIdentities:
     def test_euler_at_zero(self):
