@@ -286,10 +286,13 @@ def _write_csv(records, stream) -> None:
     cells repeat across a sweep, so each distinct run of them is rendered
     once, and so is each distinct error message.  An audit hands one
     envelope_log float object to every record at a modulus, so that cell is
-    rendered again only when the object changes.
+    rendered again only when the object changes.  Theta and Laurent tails
+    repeat across a modulus's angles, so the tail_bound cell is rendered
+    again only when the float differs from the previous record's or is
+    zero, whose two signs compare equal.
     """
     lines = [",".join(CSV_COLUMNS)]
-    key = prefix = envelope_log = envelope_cell = None
+    key = prefix = envelope_log = envelope_cell = tail = tail_cell = None
     error_cells: dict[str, str] = {}
     for (function_tag, q, l, digest, z, abs_value, envelope, ratio, passed, terms_used,
          tail_bound, error) in records:
@@ -298,12 +301,14 @@ def _write_csv(records, stream) -> None:
             prefix = f"{function_tag},{q!r},{_csv_cell_l(l)},{_csv_cell(digest)}"
         if envelope is not envelope_log:
             envelope_log, envelope_cell = envelope, repr(envelope)
+        if tail_bound != tail or not tail_bound:
+            tail, tail_cell = tail_bound, repr(tail_bound)
         error_cell = error_cells.get(error)
         if error_cell is None:
             error_cell = error_cells[error] = _csv_cell(error)
         lines.append(
             f"{prefix},{z.real!r},{z.imag!r},{abs_value!r},{envelope_cell},{ratio!r},"
-            f"{'true' if passed else 'false'},{terms_used},{tail_bound!r},{error_cell}"
+            f"{'true' if passed else 'false'},{terms_used},{tail_cell},{error_cell}"
         )
     lines.append("")
     stream.write("\n".join(lines))

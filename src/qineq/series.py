@@ -56,11 +56,12 @@ LAURENT_K_CAP = 10_000
 THETA_TRANSFORM_Q = 0.5
 _LOG_HALF = math.log(0.5)
 _LOG_TWO = math.log(2.0)
-# GaussianSeries's memo: the cap on the sum of term moduli, the guard factor
-# and the rounding margin of k_f.
+# GaussianSeries's memo: the cap on the sum of term moduli, the guard factor,
+# the rounding margin of k_f and the relative window of |z| above the memo's.
 _SUM_CAP = 1e300
 _GUARD = 2.0**-960
 _MARGIN = 1.0 + 1e-9
+_WINDOW = 1.0 + 2.0**-50
 
 
 def _parameter_lists(a_list, b_list, *reals) -> tuple:
@@ -246,9 +247,12 @@ class GaussianSeries:
     rho_k < 1 at which S_k >= 1e300 or the tail is at most
     tol S_k (1 + 1e-9), it publishes, as one tuple (|z|, tol, k_f), k_f = k
     if S_k < 1e300 and k_f = 0 otherwise.  A later evaluation at the same
-    |z| bits and tol forms term_1..term_{k_f} with the loop's own
+    tol whose |z'| lies in the window |z| <= |z'| <= |z| (1 + 2^-50), the
+    product rounded, forms term_1..term_{k_f} with the loop's own
     arithmetic, term = term * (num_k w_k z / den_k); partial += term, and
-    enters the loop at k_f.
+    enters the loop at k_f.  Any other evaluation misses and publishes
+    afresh; a |z'| below the memo's stays a miss, as rho_k falls with |z|
+    and can move k_b down.
 
     No skipped test could pass, and no skipped abs() could raise.  Every
     row j below k_f passed the guard with S_j < 1e300, so
@@ -261,12 +265,20 @@ class GaussianSeries:
     arguments whose rounded moduli agree differ by at most 2u), so over at
     most TERM_CAP + 1 rows the terms of any two angles of one |z|, and their
     abs(), agree to a factor 1 +- 2e-10, and each |partial| is at most
-    S_k (1 + 3e-10).  A skipped row k in [k_b, k_f) therefore has a tail
-    above tol max(1, |partial|) at every angle, as the margin covers that
-    rounding: a floor past 0 needs a row that passed the guard, whose tail
+    S_k (1 + 3e-10).  A |z'| = |z| (1 + d) in the window has 0 <= d < 2^-49
+    (the window's product is rounded).  The computed w_k |z| num_cap / dd_k
+    is nondecreasing in |z| (each rounding is monotone), so no row that had
+    no stop test at |z| gains one at |z'|, and a row that has one keeps a
+    tail at least the one at |z|, to within the rounding above.  Term j's
+    modulus grows by (1 + d)^j, so the terms stay above 2^-962 and each
+    |partial| is at most S_k (1 + 3e-10) (1 + d)^(TERM_CAP + 1), below
+    S_k (1 + 3e-10) (1 + 2e-10).  A skipped row k in [k_b, k_f) therefore
+    has a tail above tol max(1, |partial|) at every angle of every |z'| in
+    the window, as the margin covers that rounding and growth, 7e-10 of its
+    1e-9: a floor past 0 needs a row that passed the guard, whose tail
     of at least 2^-960 S_k is within the margin of tol S_k, so
     tol > 2^-961 and no threshold leaves the normal range.  abs(partial)
-    stays below 1e300 (1 + 3e-10), finite, and so do the parts and the
+    stays below 1e300 (1 + 5e-10), finite, and so do the parts and the
     abs() of every skipped term.  A table shorter than k_f (a thread
     published a shorter copy) caps the skipped rows, and the loop tests the
     rest.
@@ -309,8 +321,8 @@ class GaussianSeries:
         # column, publishes the new tuple with one assignment, so a
         # concurrent reader never sees a half-grown table.
         self._table: tuple = ([], math.inf, [])
-        # (|z|, tol, k_f); no |z| equals None.
-        self._memo: tuple = (None, None, 0)
+        # (|z|, tol, k_f); no finite |z| is in the window of inf.
+        self._memo: tuple = (math.inf, None, 0)
 
     def evaluate(self, z: complex, tol: float) -> EvalResult:
         """The sum at z with its certified tail; see eval_confluent_f."""
@@ -334,7 +346,7 @@ class GaussianSeries:
             if abs_z > r_ovf:
                 raise NonConvergentError("series term left the double range")
             memo_z, memo_tol, k_f = self._memo
-            pending = abs_z != memo_z or tol != memo_tol
+            pending = tol != memo_tol or not memo_z <= abs_z <= memo_z * _WINDOW
             if pending:
                 tol_m = tol * _MARGIN
                 guard = self._guard

@@ -28,9 +28,11 @@ whose constants or exponents leave the double range; a command that lets
 an exception escape prints ``raised <exception>`` in place of a digest.
 Last come library calls that no command line reaches, labelled
 ``library ...``: a Laurent eval at alpha = 2000, whose stop-rule weights
-leave the doubles, an audit of the zero stream in CSV and JSON, and five
+leave the doubles, an audit of the zero stream in CSV and JSON, five
 tightness_search calls, each printing the float.hex of its three values
-(at q = 0.99 the far moduli raise, and the search skips them).
+(at q = 0.99 the far moduli raise, and the search skips them), and
+GaussianSeries evaluations at |z| = 10.0, a few ulps off it and at the
+eight audit phases of 10.0, on one prepared series.
 ``outputs()`` and ``run()`` are importable, for comparisons that first
 transform an output.
 """
@@ -44,7 +46,8 @@ import math
 import sys
 
 from qineq import (
-    LaurentSpec, QBase, SweepPlan, audit_envelope, cli, eval_laurent, tightness_search,
+    ConfluentParams, LaurentSpec, QBase, SweepPlan, audit_envelope, cli, eval_laurent,
+    prepare_confluent_f, tightness_search,
 )
 
 LATTICE_GRID = "1e-4:1e6:41"
@@ -233,6 +236,22 @@ def _tightness(function_tag: str, fixed_params, abs_z_range, budget: int) -> int
     return 0
 
 
+def _gaussian_ulp_ring() -> int:
+    """f at q = 0.9, l = 1 on one prepared series: |z| = 10.0, its two
+    neighbouring doubles and the eight audit phases of 10.0, in that order,
+    each printed as the float.hex of the value's parts, terms_used and the
+    float.hex of tail_bound.  Points a few ulps above the memo's |z| reuse
+    its stop floor, so this pins their bits."""
+    prepared = prepare_confluent_f(ConfluentParams(a_list=(), b_list=(), l=1.0, q=QBase(0.9)))
+    phases = (10.0 * complex(math.cos(2.0 * math.pi * j / 8), math.sin(2.0 * math.pi * j / 8))
+              for j in range(8))
+    for z in (10.0, math.nextafter(10.0, math.inf), math.nextafter(10.0, 0.0), *phases):
+        result = prepared.evaluate(z, 1e-14)
+        print(result.value.real.hex(), result.value.imag.hex(), result.terms_used,
+              result.tail_bound.hex())
+    return 0
+
+
 # The constant Laurent stream, whose search attains the ratio 1.
 _CONSTANT_STREAM = LaurentSpec(0.0, lambda k: 1.0 if k == 0 else 0.0, 1.0, QBase(1.0 / math.e), 1.0)
 
@@ -252,6 +271,7 @@ _LIBRARY = (
           ("theta q=0.99 alpha=0.5 1e-4:1e6 budget=200",
            ("theta", (QBase(0.99), 0.5), (1e-4, 1e6), 200)),
       )),
+    ("library GaussianSeries ulp ring", _gaussian_ulp_ring),
 )
 
 

@@ -901,11 +901,14 @@ _UNITS = tuple(complex(math.cos(2.0 * math.pi * j / 8), math.sin(2.0 * math.pi *
 
 def _gaussian_hit(prepared, z, tol):
     """The outcome of ``prepared.evaluate(z, tol)`` and whether it hit the
-    Gaussian memo: the memo it saw had its |z| and stayed published (each
-    publish is a new tuple, so no other memo came between)."""
+    Gaussian memo: the memo it saw had its tol and a |z| from abs(z) over
+    series._WINDOW up to abs(z), and it stayed published (each publish is
+    a new tuple, so no other memo came between)."""
     memo = prepared._memo
     got = _outcome(prepared.evaluate, z, tol)
-    return got, memo[0] == abs(z) and prepared._memo is memo
+    memo_z, memo_tol, _ = memo
+    in_window = memo_z <= abs(z) <= memo_z * series._WINDOW
+    return got, memo_tol == tol and in_window and prepared._memo is memo
 
 
 def _ring_sweep(family, prepared, reference, moduli, tols=(1e-14,)):
@@ -1017,6 +1020,45 @@ class TestGaussianMemoGuards:
                 "NonConvergentError", "series term left the double range")
         assert calls == []
         assert prepared._table[1:] == (math.inf, [])
+
+
+class TestGaussianMemoWindow:
+    """f at q = 0.9, l = 1, whose memo the positive axis at |z| = 10.0
+    publishes with a floor past MIN_STOP_INDEX.  A |z| a few ulps above the
+    memo's hits it; a |z| below it, or past the window, publishes its own."""
+
+    TOL = 1e-14
+
+    def _published(self):
+        prepared = prepare_confluent_f(ConfluentParams(a_list=(), b_list=(), l=1.0, q=QBase(0.9)))
+        self._check(prepared, 10.0, hit=False)
+        assert prepared._memo[0] == 10.0 and prepared._memo[2] > series.MIN_STOP_INDEX
+        return prepared
+
+    def _check(self, prepared, z, hit):
+        memo = prepared._memo
+        got, was_hit = _gaussian_hit(prepared, z, self.TOL)
+        assert got == _expected("gaussian", lambda z, tol: ref.eval_gaussian(
+            (), (), 0.9, 1.0, 1, z, tol), z, self.TOL), z
+        assert was_hit == hit and (prepared._memo is memo) == hit, z
+        if not hit:
+            assert prepared._memo[:2] == (abs(z), self.TOL), z
+
+    def test_an_ulp_above_hits(self):
+        prepared = self._published()
+        self._check(prepared, math.nextafter(10.0, math.inf), hit=True)
+
+    def test_an_ulp_below_publishes_and_the_modulus_then_hits(self):
+        prepared = self._published()
+        self._check(prepared, math.nextafter(10.0, 0.0), hit=False)
+        for z in (10.0, math.nextafter(10.0, math.inf), *(10.0 * unit for unit in _UNITS)):
+            self._check(prepared, z, hit=True)
+
+    def test_past_the_window_publishes(self):
+        prepared = self._published()
+        far = 10.0 * (1.0 + 2.0**-45)
+        self._check(prepared, far, hit=False)
+        self._check(prepared, math.nextafter(far, math.inf), hit=True)
 
 
 def _gaussian_families(q):

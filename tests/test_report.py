@@ -150,6 +150,16 @@ class TestCsvWriterMatchesReference:
         rows = list(csv.reader(io.StringIO(_written(_write_csv, records))))
         assert [row[3] for row in rows[1:]] == ["a=;b=0.2,0.6"] * 4 + ["a=;b=0.2"] * 4 + ["a=;b=0.2,0.6"]
 
+    def test_tail_cells_that_repeat(self):
+        # A tail equal to the record before reuses its cell, but 0.0 and
+        # -0.0 compare equal with different reprs, and nan equals nothing.
+        base = audit_envelope(SweepPlan(abs_z_grid=(0.5, 2.0), angle_count=2), "aq", QBase(0.5))[0]
+        tails = (1e-15, 1e-15, 0.0, -0.0, -0.0, math.nan, math.nan, math.inf, math.inf)
+        records = [base._replace(tail_bound=tail) for tail in tails]
+        _assert_matches_reference(records)
+        rows = list(csv.reader(io.StringIO(_written(_write_csv, records))))
+        assert [row[11] for row in rows[1:]] == list(map(repr, tails))
+
     def test_empty(self):
         _assert_matches_reference([])
 
