@@ -24,14 +24,12 @@ trigger a premature exit.
 Each family has a prepared series, built once per parameter set:
 prepare_confluent_f and prepare_phi build a GaussianSeries, and ThetaSeries
 and LaurentSeries take a base and a LaurentSpec.  Its evaluate(z, tol) keeps
-the terms' z-independent factors, and the work that depends on |z| alone, for
-later points, so a sweep over many z pays for them once.  Each eval_*
-prepares a series and evaluates it once: one code path, and the same bits
-either way.  A series publishes what it keeps with one assignment, so a
-prepared series may be shared between threads without locks.  Each class
-docstring states what its series keeps and the rules it proves from it:
-GaussianSeries's table, overflow radius r_ovf and stop-index memo,
-ThetaSeries's per-modulus memo, and LaurentSeries's table and zero tail z0.
+the terms' z-independent factors for later points, so a sweep over many z
+pays for them once; an audit hands what depends on |z| alone from angle to
+angle as a ring state (_step).  Each eval_* prepares a series and evaluates
+it once: the same bits either way.  A series publishes what it keeps with one
+assignment, so it may be shared between threads without locks.  Each class
+docstring states what it keeps and the rules it proves from it.
 """
 
 from __future__ import annotations
@@ -56,8 +54,8 @@ LAURENT_K_CAP = 10_000
 THETA_TRANSFORM_Q = 0.5
 _LOG_HALF = math.log(0.5)
 _LOG_TWO = math.log(2.0)
-# GaussianSeries's memo: the cap on the sum of term moduli, the guard factor,
-# the rounding margin of k_f and the relative window of |z| above the memo's.
+# GaussianSeries's stop floor: the cap on the sum of term moduli, the guard
+# factor, the rounding margin of k_f and the relative window of |z| above it.
 _SUM_CAP = 1e300
 _GUARD = 2.0**-960
 _MARGIN = 1.0 + 1e-9
@@ -184,6 +182,13 @@ class LaurentSpec(FrozenValue):
         self._set_fields(center, coeff, alpha, q, c_weighted)
 
 
+def _ring_error(message: str, state) -> NonConvergentError:
+    """NonConvergentError(message) handing ``state`` on to the ring's next step."""
+    error = NonConvergentError(message)
+    error._ring_state = state
+    return error
+
+
 def _overflow_radius(rows: list) -> tuple:
     """(r_ovf, column) of GaussianSeries over ``rows``, whose den_j are all
     positive: evaluate fills the column only where den_0 is."""
@@ -234,25 +239,25 @@ class GaussianSeries:
     ends every sum at row 0, leaves the column empty, and otherwise every
     den_j is positive.
 
-    Memo.  Below k_b, the first k >= MIN_STOP_INDEX with rho_k < 1, the stop
-    test cannot pass, and rho_k depends on z only through |z|.  Past k_b a
-    row k can stop only where
+    Ring state.  Below k_b, the first k >= MIN_STOP_INDEX with rho_k < 1,
+    the stop test cannot pass, and rho_k depends on z only through |z|.
+    Past k_b a row k can stop only where
     |term_{k+1}| / (1 - rho_k) <= tol max(1, |partial|), and |partial| is
     at most S_k = sum_{j<=k} |term_j| >= 1, a sum that every angle of one
-    |z| shares to within rounding.  An evaluation that misses the memo adds
-    each |term_{k+1}| to S_k, and at each row it first checks the guard
-    |term_{k+1}| >= 2^-960 S_k / dd_0, with dd_0 = (1 - q) prod_j (1 - b_j),
-    which is den_0, and so at most every den_k, to within rounding; S_k
-    reads inf from a row that fails it on.  At the first k >= k_b with
-    rho_k < 1 at which S_k >= 1e300 or the tail is at most
-    tol S_k (1 + 1e-9), it publishes, as one tuple (|z|, tol, k_f), k_f = k
-    if S_k < 1e300 and k_f = 0 otherwise.  A later evaluation at the same
-    tol whose |z'| lies in the window |z| <= |z'| <= |z| (1 + 2^-50), the
-    product rounded, forms term_1..term_{k_f} with the loop's own
-    arithmetic, term = term * (num_k w_k z / den_k); partial += term, and
-    enters the loop at k_f.  Any other evaluation misses and publishes
-    afresh; a |z'| below the memo's stays a miss, as rho_k falls with |z|
-    and can move k_b down.
+    |z| shares to within rounding.  _step(z, tol, state), a point of a ring
+    at one tol, given () or a floor whose window misses its |z|, adds each
+    |term_{k+1}| to S_k and first checks on each row the guard
+    |term_{k+1}| >= 2^-960 S_k / dd_0, dd_0 = (1 - q) prod_j (1 - b_j), which
+    is den_0, and so at most every den_k, to within rounding; S_k reads inf
+    from a row that fails it on.  At the first k >= k_b with rho_k < 1 at
+    which S_k >= 1e300 or the tail is at most tol S_k (1 + 1e-9), it hands
+    on, with its result or error, the floor (|z|, k_f), k_f = k if
+    S_k < 1e300 and 0 otherwise.  A later step given it whose |z'| lies in
+    the window |z| <= |z'| <= |z| (1 + 2^-50), the product rounded, forms
+    term_1..term_{k_f} with the loop's own arithmetic,
+    term = term * (num_k w_k z / den_k); partial += term, and enters the
+    loop at k_f; a |z'| below |z| misses, as rho_k falls with |z| and can
+    move k_b down.  evaluate is _step(z, tol, None)[0], with no S_k.
 
     No skipped test could pass, and no skipped abs() could raise.  Every
     row j below k_f passed the guard with S_j < 1e300, so
@@ -285,7 +290,7 @@ class GaussianSeries:
     """
 
     __slots__ = ("_a_list", "_b_list", "_q", "_l", "_shift", "_negate", "_num_cap",
-                 "_den_floor", "_guard", "_table", "_memo")
+                 "_den_floor", "_guard", "_table")
 
     def __init__(
         self,
@@ -310,8 +315,8 @@ class GaussianSeries:
             den_floor *= 1.0 - b
         self._num_cap = num_cap
         self._den_floor = den_floor
-        # The memo's guard factor, from dd_0 = (1 - q) den_floor, den_0 to
-        # within rounding; see Memo.
+        # The floor's guard factor, from dd_0 = (1 - q) den_floor, den_0 to
+        # within rounding; see Ring state.
         dd_0 = (1.0 - q) * den_floor
         self._guard = _GUARD / dd_0 if dd_0 else math.inf
         # (rows, r_ovf, column).  Row k: (num_k w_k, den_k, w_k,
@@ -321,17 +326,19 @@ class GaussianSeries:
         # column, publishes the new tuple with one assignment, so a
         # concurrent reader never sees a half-grown table.
         self._table: tuple = ([], math.inf, [])
-        # (|z|, tol, k_f); no finite |z| is in the window of inf.
-        self._memo: tuple = (math.inf, None, 0)
 
     def evaluate(self, z: complex, tol: float) -> EvalResult:
         """The sum at z with its certified tail; see eval_confluent_f."""
+        return self._step(z, tol, None)[0]
+
+    def _step(self, z: complex, tol: float, state) -> tuple:
+        """(evaluate(z, tol), the ring's next state); see Ring state."""
         _require_pos_tol(tol)
         z = _require_finite(z)
         if self._negate:
             z = -z
         if z == 0:
-            return EvalResult(1.0 + 0.0j, 1, 0.0)
+            return EvalResult(1.0 + 0.0j, 1, 0.0), state
         num_cap = self._num_cap
         rows, r_ovf, _ = table = self._table
         size = len(rows)
@@ -345,18 +352,15 @@ class GaussianSeries:
             abs_z = abs(z)
             if abs_z > r_ovf:
                 raise NonConvergentError("series term left the double range")
-            memo_z, memo_tol, k_f = self._memo
-            pending = tol != memo_tol or not memo_z <= abs_z <= memo_z * _WINDOW
-            if pending:
-                tol_m = tol * _MARGIN
-                guard = self._guard
-            else:
-                fast = rows[:k_f]
+            pending, tol_m, guard = state is not None, tol * _MARGIN, self._guard
+            if state and state[0] <= abs_z <= state[0] * _WINDOW:
+                pending = False
+                fast = rows[:state[1]]
                 for nw, den, _, _ in fast:
                     term = term * (nw * z / den)
                     partial += term
                 k = len(fast)
-            # S_k while the memo is pending, or inf once a row fails the guard.
+            # S_k while a floor is pending, or inf once a row fails the guard.
             total = 1.0
             while k <= term_cap:
                 if k == size:
@@ -392,19 +396,19 @@ class GaussianSeries:
                 if bound < 1.0:
                     tail = abs_nxt / (1.0 - bound)
                     if pending and not (total < sum_cap and tail > total * tol_m):
-                        self._memo = (abs_z, tol, k if total < sum_cap else 0)
+                        state = (abs_z, k if total < sum_cap else 0)
                         pending = False
                     abs_partial = abs(partial)
                     if not abs_partial < inf:
                         break
                     if tail <= tol * (abs_partial if abs_partial > 1.0 else 1.0):
-                        return _new_tuple(EvalResult, (partial, k + 1, tail))
+                        return _new_tuple(EvalResult, (partial, k + 1, tail)), state
                 total += abs_nxt
                 partial += nxt
                 term = nxt
                 k += 1
             else:
-                raise NonConvergentError(f"no certified stop within {TERM_CAP} terms")
+                raise _ring_error(f"no certified stop within {TERM_CAP} terms", state)
         except (OverflowError, ZeroDivisionError):
             # abs() of a complex whose modulus overflows, or a den_k of 0.0.
             pass
@@ -417,7 +421,7 @@ class GaussianSeries:
         covered = len(table[2])
         if covered < len(rows) and rows[covered][1]:
             self._table = (rows, *_overflow_radius(rows))
-        raise NonConvergentError("series term left the double range")
+        raise _ring_error("series term left the double range", state)
 
 
 def prepare_confluent_f(params: ConfluentParams) -> GaussianSeries:
@@ -588,31 +592,31 @@ class ThetaSeries:
     with log|theta| the prefactor's log plus log|S|, so it also raises the
     overflow error exactly where log|theta| leaves the doubles.
 
-    Memo.  The stop index, the overflow verdict, the direct path's tail and
-    factors and the transformed path's N, tail, prefactor log and phases
-    e^{-i c n |a|} depend on |z| only through log M = |log|z|| and on tol,
-    so the series keeps them for the last (log M, tol) pair in a one-entry
-    memo: (log M, tol, K, tail, prefactor log, rows).  The rows are the
-    direct path's q^{2k-1} for 1 <= k <= K, formed by the same pow calls at
-    every fill, or the transformed path's (c n, pi n, cos, -sin); the
-    overflow verdict has K = 0 and no rows.  The angles of one modulus share
-    it.  A new pair replaces the memo with one tuple assignment, so a
-    concurrent reader sees either memo whole.  The key floats are compared
-    with ==, which for log M >= 0 and tol > 0 is bit equality.
+    Ring state.  The stop index, the overflow verdict, the direct path's
+    tail and factors and the transformed path's N, tail, prefactor log and
+    phases e^{-i c n |a|} depend on |z| only through log M = |log|z|| and on
+    tol.  _step(z, tol, state), a point of a ring at one tol, hands them on
+    with its result or error as (log M, K, tail, prefactor log, rows), and
+    reuses a state of its log M (==, bit equality for log M >= 0); evaluate
+    is _step(z, tol, None)[0].  The rows are the direct path's q^{2k-1},
+    1 <= k <= K, formed by the same pow calls at every fill, or the
+    transformed path's (c n, pi n, cos, -sin); a verdict has K = 0, no rows.
     """
 
-    __slots__ = ("_q", "_lq", "_c", "_memo")
+    __slots__ = ("_q", "_lq", "_c")
 
     def __init__(self, q: QBase) -> None:
         self._q = q.q
         self._lq = q.log_q
         # c = pi / log(1/q) selects the transformed sum; 0.0 the direct one.
         self._c = math.pi / q.log_inv_q if q.q > THETA_TRANSFORM_Q else 0.0
-        # No log M equals None, so the first evaluation fills the memo.
-        self._memo: tuple = (None, None, 0, 0.0, 0.0, ())
 
     def evaluate(self, z: complex, tol: float) -> EvalResult:
         """The sum at z with its certified tail; see eval_theta."""
+        return self._step(z, tol, None)[0]
+
+    def _step(self, z: complex, tol: float, state) -> tuple:
+        """(evaluate(z, tol), the ring's next state); see Ring state."""
         _require_pos_tol(tol)
         z = _require_finite(z)
         if z == 0:
@@ -623,8 +627,9 @@ class ThetaSeries:
             raise NonConvergentError("theta sum overflowed the double range")
         log_z = math.log(abs_z)
         log_m = abs(log_z)
-        memo_log_m, memo_tol, k_stop, tail, log_pref, rows = self._memo
-        if log_m != memo_log_m or tol != memo_tol:
+        if state and state[0] == log_m:
+            _, k_stop, tail, log_pref, rows = state
+        else:
             log_tol = math.log(tol)
             k_stop = _theta_stop_index(lq, log_m, log_tol)
             # Certain overflow, in closed form.  k^2 lq + k log_m is concave
@@ -641,17 +646,17 @@ class ThetaSeries:
             # value they return.
             k_peak = min(k_stop, max(1, round(log_m / (-2.0 * lq))))
             if k_peak * k_peak * lq + k_peak * log_m > 711.0:
-                k_stop, tail, rows = 0, 0.0, ()
+                k_stop, tail, log_pref, rows = 0, 0.0, 0.0, ()
             elif c:
                 tail, log_pref, rows = _transform_stop(c, lq, log_m, log_tol)
             else:
                 rho2 = math.exp(min((2 * k_stop + 3) * lq + log_m, _LOG_HALF))
                 tail = 2.0 * math.exp((k_stop + 1) ** 2 * lq + (k_stop + 1) * log_m) / (1.0 - rho2)
                 qq = self._q
-                rows = [qq ** (2 * k - 1) for k in range(1, k_stop + 1)]
-            self._memo = (log_m, tol, k_stop, tail, log_pref, rows)
+                log_pref, rows = 0.0, [qq ** (2 * k - 1) for k in range(1, k_stop + 1)]
+            state = None if state is None else (log_m, k_stop, tail, log_pref, rows)
         if not k_stop:
-            raise NonConvergentError("theta sum overflowed the double range")
+            raise _ring_error("theta sum overflowed the double range", state)
         if c:
             # S = 1 + sum over 1 <= n <= N of the n-th and (-n)-th terms,
             # e^{-c n (pi n -+ b)} e^{-+i c n log|z|}; pi n -+ b is exact where
@@ -671,10 +676,10 @@ class ThetaSeries:
             try:
                 modulus = exp(log_theta)
             except OverflowError:
-                raise NonConvergentError("theta sum overflowed the double range") from None
+                raise _ring_error("theta sum overflowed the double range", state) from None
             arg = 2.0 * log_z * b * inv_4l + math.atan2(s_im, s_re)
             return _new_tuple(EvalResult, (
-                complex(modulus * math.cos(arg), modulus * math.sin(arg)), 2 * k_stop + 1, tail))
+                complex(modulus * math.cos(arg), modulus * math.sin(arg)), 2 * k_stop + 1, tail)), state
 
         value: complex = 1.0 + 0.0j
         plus: complex = 1.0 + 0.0j
@@ -685,8 +690,8 @@ class ThetaSeries:
             minus *= f * z_inv
             value += plus + minus
         if not _modulus(value) < math.inf:
-            raise NonConvergentError("theta sum overflowed the double range")
-        return _new_tuple(EvalResult, (value, 2 * k_stop + 1, tail))
+            raise _ring_error("theta sum overflowed the double range", state)
+        return _new_tuple(EvalResult, (value, 2 * k_stop + 1, tail)), state
 
 
 def eval_theta(q: QBase, z: complex, tol: float) -> EvalResult:

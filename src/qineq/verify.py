@@ -134,7 +134,7 @@ class AuditTarget(NamedTuple):
     l: float | None
     param_digest: str
     center: complex
-    evaluate: Callable[[complex, float], EvalResult]
+    step: Callable[[complex, float, object], tuple[EvalResult, object]]
     envelope_log: Callable[[float], float]
 
 
@@ -161,11 +161,11 @@ def audit_target(function_tag: str, fixed_params) -> AuditTarget:
     Ramanujan's normalization; its envelope depends on |z| only, so the sweep
     coverage is the same.
 
-    ``evaluate`` is the method of a prepared series (GaussianSeries,
-    ThetaSeries or LaurentSeries) that the target holds, so every point of a
-    sweep reuses the z-independent term factors that earlier points
-    tabulated.  The table lives and dies with the target and holds only what
-    its evaluations needed, so a target used once pays nothing extra.
+    ``step(z, tol, state)`` is the _step of a prepared series that the
+    target holds (Laurent's: its evaluate, state None), so every point of a
+    sweep reuses the term factors that earlier points tabulated.  The table
+    lives and dies with the target and holds only what its evaluations
+    needed, so a target used once pays nothing extra.
 
     ``envelope_log`` is the log_bound method of the prepared envelope that the
     public envelope keeps on the parameter object, built and kept here if it
@@ -175,32 +175,33 @@ def audit_target(function_tag: str, fixed_params) -> AuditTarget:
     if function_tag == "confluent_f":
         params: ConfluentParams = fixed_params
         q, l, digest = params.q.q, params.l, f"{_digest_confluent(params)};l={params.l!r}"
-        evaluate = prepare_confluent_f(params).evaluate
+        step = prepare_confluent_f(params)._step
         envelope_log = (params._envelope or bounds._entire_constants(params)).log_bound
     elif function_tag == "phi":
         phi_params: PhiParams = fixed_params
         envelope = phi_params._envelope or bounds._phi_constants(phi_params)
         q, l, digest = phi_params.q.q, envelope.l, _digest_confluent(phi_params)
-        evaluate, envelope_log = prepare_phi(phi_params).evaluate, envelope.log_bound
+        step, envelope_log = prepare_phi(phi_params)._step, envelope.log_bound
     elif function_tag == "aq":
         qb: QBase = fixed_params
         envelope_log = (qb._aq_envelope or bounds._aq_constant(qb)).log_bound
         q, l, digest = qb.q, 1.0, ""
-        evaluate = prepare_confluent_f(ConfluentParams((), (), 1.0, qb)).evaluate
+        step = prepare_confluent_f(ConfluentParams((), (), 1.0, qb))._step
     elif function_tag == "theta":
         theta_q, alpha = fixed_params
         envelope = theta_q._theta_envelopes.get(alpha) or bounds._theta_constant(alpha, theta_q)
         q, l, digest = theta_q.q, None, f"alpha={float(alpha)!r}"
-        evaluate, envelope_log = ThetaSeries(theta_q).evaluate, envelope.log_bound
+        step, envelope_log = ThetaSeries(theta_q)._step, envelope.log_bound
     elif function_tag == "laurent":
         spec: LaurentSpec = fixed_params
         shape = bounds.meromorphic_bound_params(spec.alpha, spec.q)
         envelope_log = bounds._meromorphic_constants(shape, spec.c_weighted).log_bound
         q, l, digest = spec.q.q, None, f"alpha={spec.alpha!r};c_weighted={spec.c_weighted!r}"
         center, evaluate = spec.center, LaurentSeries(spec).evaluate
+        step = lambda z, tol, state: (evaluate(z, tol), None)  # noqa: E731
     else:
         raise InvalidArgumentError(f"unknown function tag {function_tag!r}; expected {FUNCTION_TAGS}")
-    return _new_tuple(AuditTarget, (function_tag, q, l, digest, center, evaluate, envelope_log))
+    return _new_tuple(AuditTarget, (function_tag, q, l, digest, center, step, envelope_log))
 
 
 def _error_record(target: AuditTarget, z: complex, exc: QSeriesError) -> AuditRecord:
@@ -219,18 +220,21 @@ def _records_at(
 ) -> None:
     """Append the records of the target at abs_z times each unit, in order.
 
-    Each point is evaluated first; an evaluation error is that record's
-    error.  The envelope depends on |z| only, so it is computed once, when
-    the first evaluation at this modulus succeeds, and an envelope error
-    becomes the error of every record here whose evaluation succeeded.
+    Each point is evaluated first, in a ring of states: () first, then what
+    the step before returned or raised with, or None for one unit.  An
+    evaluation error is its record's error.  The envelope depends on |z|
+    only, so it is computed once, at the first success here, and an envelope
+    error becomes the error of every record here whose evaluation succeeded.
     """
-    function_tag, q, l, digest, center, evaluate, envelope_log = target
+    function_tag, q, l, digest, center, step, envelope_log = target
     envelope: float | QSeriesError | None = None
+    state = () if len(units) > 1 else None
     for unit in units:
         z = center + abs_z * unit
         try:
-            result = evaluate(z, tol)
+            result, state = step(z, tol, state)
         except QSeriesError as exc:
+            state = getattr(exc, "_ring_state", state)
             records.append(_error_record(target, z, exc))
             continue
         if envelope is None:

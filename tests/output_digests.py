@@ -240,8 +240,9 @@ def _gaussian_ulp_ring() -> int:
     """f at q = 0.9, l = 1 on one prepared series: |z| = 10.0, its two
     neighbouring doubles and the eight audit phases of 10.0, in that order,
     each printed as the float.hex of the value's parts, terms_used and the
-    float.hex of tail_bound.  Points a few ulps above the memo's |z| reuse
-    its stop floor, so this pins their bits."""
+    float.hex of tail_bound.  In an audit ring the points a few ulps above
+    10.0 reuse its stop floor; these one-shot bits are the ones they must
+    give."""
     prepared = prepare_confluent_f(ConfluentParams(a_list=(), b_list=(), l=1.0, q=QBase(0.9)))
     phases = (10.0 * complex(math.cos(2.0 * math.pi * j / 8), math.sin(2.0 * math.pi * j / 8))
               for j in range(8))

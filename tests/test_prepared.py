@@ -144,6 +144,23 @@ def _check_theta(evaluate, q, z, tol, theta):
     return False
 
 
+def _ring_step(prepared, z, tol, state):
+    """The outcome of ``prepared._step(z, tol, state)`` and the state it
+    hands on, returned or carried by its error, as verify._records_at reads
+    it."""
+    handed = [state]
+
+    def step(z, tol):
+        try:
+            result, handed[0] = prepared._step(z, tol, state)
+        except QSeriesError as exc:
+            handed[0] = getattr(exc, "_ring_state", state)
+            raise
+        return result
+
+    return _outcome(step, z, tol), handed[0]
+
+
 def _walk(prepared, reference, z, tols):
     """Evaluate one prepared series at z for each tol in turn, requiring the
     reference outcome each time; returns the terms used.
@@ -365,7 +382,8 @@ class TestNonFiniteArguments:
         want = ("InvalidArgumentError", f"argument must be finite, got {w!r}")
         prepared = ThetaSeries(QBase(0.5))
         assert _outcome(prepared.evaluate, w, 1e-14) == want
-        assert prepared._memo[5] == ()
+        # Raised before the stop index: the ring keeps the state it had.
+        assert _ring_step(prepared, w, 1e-14, ()) == (want, ())
         assert _outcome(ref.eval_theta, 0.5, w, 1e-14) == want
 
     def test_finite_argument_with_overflowing_modulus_keeps_its_error(self):
@@ -415,17 +433,22 @@ class TestThetaMatchesReference:
     def test_memo_walk(self, q, monkeypatch):
         # One series walks each lattice modulus at 8 angles, steps to a new
         # modulus and back, then walks the modulus again at the other tol.
-        # At q = 0.99 the moduli from 1e3 on are certain overflows.  Every
-        # outcome is a fresh series' outcome, and the stop index is searched
-        # only where (|log|z||, tol) differs from the previous evaluation's.
+        # Each (modulus, tol) is one ring, whose state the walk threads
+        # through its points, the point it steps back to included.  At
+        # q = 0.99 the moduli from 1e3 on are certain overflows, and the
+        # verdict's state is handed on with its error.  Every outcome is a
+        # fresh series' outcome, and the stop index is searched only where a
+        # ring's state is () or holds another |log|z||: 136 times in 738
+        # points, at every q.
         base = QBase(q)
         units = [complex(math.cos(math.pi * j / 4), math.sin(math.pi * j / 4)) for j in range(8)]
         walk = []
         for mod in log_grid(1e-4, 1e6, 41):
-            walk += [(mod * u, 1e-14) for u in units]
-            walk += [(1.5 * mod * units[3], 1e-14), (mod * units[5], 1e-14)]
-            walk += [(mod * u, 1e-6) for u in units]
-        wants = [_outcome(ThetaSeries(base).evaluate, z, tol) for z, tol in walk]
+            walk += [(mod * u, 1e-14, (mod, 1e-14)) for u in units]
+            walk += [(1.5 * mod * units[3], 1e-14, (1.5 * mod, 1e-14)),
+                     (mod * units[5], 1e-14, (mod, 1e-14))]
+            walk += [(mod * u, 1e-6, (mod, 1e-6)) for u in units]
+        wants = [_outcome(ThetaSeries(base).evaluate, z, tol) for z, tol, _ in walk]
 
         searches = []
 
@@ -435,10 +458,13 @@ class TestThetaMatchesReference:
 
         monkeypatch.setattr(series, "_theta_stop_index", counted)
         prepared = ThetaSeries(base)
-        for (z, tol), want in zip(walk, wants):
-            assert _outcome(prepared.evaluate, z, tol) == want, (q, z, tol)
-        keys = [(abs(math.log(abs(z))), tol) for z, tol in walk]
-        assert len(searches) == 1 + sum(a != b for a, b in zip(keys, keys[1:])) < len(walk)
+        states, fills = {}, 0
+        for (z, tol, ring), want in zip(walk, wants):
+            state = states.get(ring, ())
+            fills += not state or state[0] != abs(math.log(abs(z)))
+            got, states[ring] = _ring_step(prepared, z, tol, state)
+            assert got == want, (q, z, tol)
+        assert len(searches) == fills == 136
         errors = sum(len(want) == 2 for want in wants)
         if q == 0.99:
             assert 0 < errors < len(walk)
@@ -450,20 +476,24 @@ class TestThetaMatchesReference:
         z = 0.562 * complex(math.cos(0.7), math.sin(0.7))
         want = ("NonConvergentError", "theta sum overflowed the double range")
         assert _outcome(prepared.evaluate, z, 1e-14) == want
-        assert prepared._memo[5] == ()
+        got, state = _ring_step(prepared, z, 1e-14, ())
+        assert got == want and state[1:] == (0, 0.0, 0.0, ())
         assert _outcome(ref.eval_theta, 0.999999, z, 1e-14) == want
 
     @pytest.mark.parametrize("q", [0.1, 0.5])
     def test_direct_path_memo_rows_are_the_factors(self, q):
-        # Each new (|log|z||, tol) pair refills the rows with q^(2k-1) for
-        # 1 <= k <= K, shorter or longer than the previous pair's.
+        # One state is threaded while tol stays the same.  Each new
+        # |log|z|| refills the rows with q^(2k-1) for 1 <= k <= K, shorter
+        # or longer than the previous state's.
         prepared = ThetaSeries(QBase(q))
         points = [(3.0 + 4.0j, 1e-14), (0.01j, 1e-14), (-1e5, 1e-300), (0.5, 1e-6),
                   (2.0, 1e-6), (-0.5j, 1e-6), (1e-8, 1e-14)]
-        lengths = set()
+        lengths, state, last_tol = set(), (), None
         for z, tol in points:
-            assert _outcome(prepared.evaluate, z, tol) == _outcome(ref.eval_theta, q, z, tol)
-            k_stop, rows = prepared._memo[2], prepared._memo[5]
+            got, state = _ring_step(prepared, z, tol, state if tol == last_tol else ())
+            last_tol = tol
+            assert got == _outcome(ref.eval_theta, q, z, tol)
+            _, k_stop, _, _, rows = state
             assert prepared.evaluate(z, tol).terms_used == 2 * k_stop + 1
             assert [f.hex() for f in rows] == [(q ** (2 * k - 1)).hex()
                                                for k in range(1, k_stop + 1)]
@@ -474,13 +504,14 @@ class TestThetaMatchesReference:
         # At q = 0.5 the direct sum's largest term at |z| = 1e30 is about
         # e^1717: the verdict replaces the rows of the previous modulus.
         prepared = ThetaSeries(QBase(0.5))
-        prepared.evaluate(2.0, 1e-14)
-        assert len(prepared._memo[5]) == prepared._memo[2] > 0
+        _, state = _ring_step(prepared, 2.0, 1e-14, ())
+        assert len(state[4]) == state[1] > 0
         want = ("NonConvergentError", "theta sum overflowed the double range")
-        assert _outcome(prepared.evaluate, 1e30j, 1e-14) == want
-        assert prepared._memo[2] == 0 and prepared._memo[5] == ()
+        got, state = _ring_step(prepared, 1e30j, 1e-14, state)
+        assert got == want and state[1] == 0 and state[4] == ()
         assert _outcome(ref.eval_theta, 0.5, 1e30j, 1e-14) == want
-        assert _outcome(prepared.evaluate, 2.0, 1e-14) == _outcome(ref.eval_theta, 0.5, 2.0, 1e-14)
+        got, state = _ring_step(prepared, 2.0, 1e-14, state)
+        assert got == _outcome(ref.eval_theta, 0.5, 2.0, 1e-14) and len(state[4]) == state[1] > 0
 
     @pytest.mark.parametrize("wing", [1.0, -1.0])
     def test_outcomes_near_the_overflow_threshold(self, wing):
@@ -899,45 +930,43 @@ _UNITS = tuple(complex(math.cos(2.0 * math.pi * j / 8), math.sin(2.0 * math.pi *
                for j in range(8))
 
 
-def _gaussian_hit(prepared, z, tol):
-    """The outcome of ``prepared.evaluate(z, tol)`` and whether it hit the
-    Gaussian memo: the memo it saw had its tol and a |z| from abs(z) over
-    series._WINDOW up to abs(z), and it stayed published (each publish is
-    a new tuple, so no other memo came between)."""
-    memo = prepared._memo
-    got = _outcome(prepared.evaluate, z, tol)
-    memo_z, memo_tol, _ = memo
-    in_window = memo_z <= abs(z) <= memo_z * series._WINDOW
-    return got, memo_tol == tol and in_window and prepared._memo is memo
+def _gaussian_step(prepared, z, tol, state):
+    """_ring_step, and whether the step hit the floor it was given: the
+    floor's window held abs(z), and the step handed that floor on."""
+    got, handed = _ring_step(prepared, z, tol, state)
+    in_window = bool(state) and state[0] <= abs(z) <= state[0] * series._WINDOW
+    return got, handed, in_window and handed is state
 
 
 def _ring_sweep(family, prepared, reference, moduli, tols=(1e-14,)):
     """Sweep ``prepared`` over each modulus at the eight audit angles, each
-    tol in turn at one modulus, requiring the reference outcome at every
-    point.  Returns the outcomes in order and, for a Gaussian series, how
-    many evaluations hit its memo."""
-    outcomes, hits = [], 0
+    tol in turn at one modulus and each (modulus, tol) one ring, requiring
+    the reference outcome at every point.  Returns the outcomes in order,
+    how many Gaussian steps hit their ring's floor, and the last state."""
+    outcomes, hits, state = [], 0, None
     for mod in moduli:
         for tol in tols:
+            state = ()
             for unit in _UNITS:
                 z = mod * unit
                 if family == "gaussian":
-                    got, hit = _gaussian_hit(prepared, z, tol)
+                    got, state, hit = _gaussian_step(prepared, z, tol, state)
                     hits += hit
                 else:
                     got = _outcome(prepared.evaluate, z, tol)
                 assert got == _expected(family, reference, z, tol), (z, tol)
                 outcomes.append(got)
-    return outcomes, hits
+    return outcomes, hits, state
 
 
 class TestRingSweepsMatchReference:
     """Grid x angle sweeps, the way audits run, where a Gaussian series's
-    angles share its stop-rule memo: every outcome is the reference's, bit
-    for bit.  The moduli revisit one modulus after another, and three tols
-    take turns at each modulus; the memo is keyed by (|z|, tol), so each tol
-    publishes its own floor and only the angles within one tol hit it.  The
-    huge tol stops at the first index whose ratio test passes."""
+    angles of one modulus and tol, a ring, share its stop floor: every
+    outcome is the reference's, bit for bit.  The moduli revisit one
+    modulus after another, and three tols take turns at each modulus; each
+    tol is its own ring, so it keeps its own floor and only the angles
+    within one tol hit it.  The huge tol stops at the first index whose
+    ratio test passes."""
 
     MODULI = (*log_grid(1e-4, 1e6, 11), 1.0, 1e3, 1.0)
     TOLS = (1e-14, 1e-6, 1e100)
@@ -955,8 +984,8 @@ class TestRingSweepsMatchReference:
              lambda z, tol: ref.eval_gaussian(a, b, q, 0.5, 0, -complex(z), tol)),
         )
         for prepared, reference in cases:
-            _, hits = _ring_sweep("gaussian", prepared, reference, self.MODULI, self.TOLS)
-            assert hits > len(self.MODULI) and prepared._memo[0] == 1.0
+            _, hits, state = _ring_sweep("gaussian", prepared, reference, self.MODULI, self.TOLS)
+            assert hits > len(self.MODULI) and state[0] == 1.0
 
     @pytest.mark.parametrize("q", [0.1, 0.5, 0.9, 0.99])
     def test_laurent_theta_stream(self, q):
@@ -970,11 +999,11 @@ class TestRingSweepsMatchReference:
         # The digest listing's f q=0.95 and phi q=0.9 sweeps near the
         # modulus where the largest term reaches the top of the doubles.
         f_params = ConfluentParams(a_list=(), b_list=(), l=1.0, q=QBase(0.95))
-        f_out, _ = _ring_sweep("gaussian", prepare_confluent_f(f_params),
+        f_out, _, _ = _ring_sweep("gaussian", prepare_confluent_f(f_params),
                                lambda z, tol: ref.eval_gaussian((), (), 0.95, 1.0, 1, z, tol),
                                log_grid(1.1e5, 1.6e5, 41))
         phi = prepare_phi(PhiParams(a_list=(0.5,), b_list=(0.3,), q=QBase(0.9)))
-        phi_out, _ = _ring_sweep(
+        phi_out, _, _ = _ring_sweep(
             "gaussian", phi,
             lambda z, tol: ref.eval_gaussian((0.5 + 0.0j,), (0.3,), 0.9, 0.5, 0, -complex(z), tol),
             log_grid(1e5, 1e6, 21))
@@ -983,21 +1012,22 @@ class TestRingSweepsMatchReference:
 
 
 class TestGaussianMemoGuards:
-    """White-box checks of the Gaussian memo's fast rows near the top of the
-    doubles and of the overflow column's coverage."""
+    """White-box checks of the Gaussian stop floor's fast rows near the top
+    of the doubles and of the overflow column's coverage."""
 
     def test_fast_rows_keep_their_overflow_check(self):
         # At |z| = r the largest term of f at q = 0.99 is within rounding of
         # DBL_MAX.  On the positive axis every term stays finite and the
-        # memo is recorded; at z, of the same |z|, that term has finite
+        # ring keeps a floor; at z, of the same |z|, that term has finite
         # parts and a modulus beyond the doubles.  The fast rows' abs must
         # raise there, as the loop's does; without it the sum returns about
         # e^684 from that term's cancelling neighbours.
         r = float.fromhex("0x1.c92fb8ae3c9bcp+6")
         z = complex(float.fromhex("0x1.a6c6c9192c3a3p+5"), float.fromhex("0x1.9561bf159c6aap+6"))
         prepared = prepare_confluent_f(ConfluentParams(a_list=(), b_list=(), l=1.0, q=QBase(0.99)))
+        state = ()
         for point in (r, z):
-            got, hit = _gaussian_hit(prepared, point, 1e-14)
+            got, state, hit = _gaussian_step(prepared, point, 1e-14, state)
             assert got == _expected("gaussian", lambda z, tol: ref.eval_gaussian(
                 (), (), 0.99, 1.0, 1, z, tol), point, 1e-14)
         assert abs(z) == r and hit and got[0] == "NonConvergentError"
@@ -1023,42 +1053,43 @@ class TestGaussianMemoGuards:
 
 
 class TestGaussianMemoWindow:
-    """f at q = 0.9, l = 1, whose memo the positive axis at |z| = 10.0
-    publishes with a floor past MIN_STOP_INDEX.  A |z| a few ulps above the
-    memo's hits it; a |z| below it, or past the window, publishes its own."""
+    """f at q = 0.9, l = 1, whose ring the positive axis at |z| = 10.0
+    starts with a floor past MIN_STOP_INDEX.  A |z| a few ulps above the
+    floor's hits it; a |z| below it, or past the window, keeps its own."""
 
     TOL = 1e-14
 
     def _published(self):
         prepared = prepare_confluent_f(ConfluentParams(a_list=(), b_list=(), l=1.0, q=QBase(0.9)))
-        self._check(prepared, 10.0, hit=False)
-        assert prepared._memo[0] == 10.0 and prepared._memo[2] > series.MIN_STOP_INDEX
-        return prepared
+        state = self._check(prepared, (), 10.0, hit=False)
+        assert state[0] == 10.0 and state[1] > series.MIN_STOP_INDEX
+        return prepared, state
 
-    def _check(self, prepared, z, hit):
-        memo = prepared._memo
-        got, was_hit = _gaussian_hit(prepared, z, self.TOL)
+    def _check(self, prepared, state, z, hit):
+        """Step the ring at z from ``state``; returns the state handed on."""
+        got, handed, was_hit = _gaussian_step(prepared, z, self.TOL, state)
         assert got == _expected("gaussian", lambda z, tol: ref.eval_gaussian(
             (), (), 0.9, 1.0, 1, z, tol), z, self.TOL), z
-        assert was_hit == hit and (prepared._memo is memo) == hit, z
+        assert was_hit == hit and (handed is state) == hit, z
         if not hit:
-            assert prepared._memo[:2] == (abs(z), self.TOL), z
+            assert handed[0] == abs(z), z
+        return handed
 
     def test_an_ulp_above_hits(self):
-        prepared = self._published()
-        self._check(prepared, math.nextafter(10.0, math.inf), hit=True)
+        prepared, state = self._published()
+        self._check(prepared, state, math.nextafter(10.0, math.inf), hit=True)
 
     def test_an_ulp_below_publishes_and_the_modulus_then_hits(self):
-        prepared = self._published()
-        self._check(prepared, math.nextafter(10.0, 0.0), hit=False)
+        prepared, state = self._published()
+        state = self._check(prepared, state, math.nextafter(10.0, 0.0), hit=False)
         for z in (10.0, math.nextafter(10.0, math.inf), *(10.0 * unit for unit in _UNITS)):
-            self._check(prepared, z, hit=True)
+            self._check(prepared, state, z, hit=True)
 
     def test_past_the_window_publishes(self):
-        prepared = self._published()
+        prepared, state = self._published()
         far = 10.0 * (1.0 + 2.0**-45)
-        self._check(prepared, far, hit=False)
-        self._check(prepared, math.nextafter(far, math.inf), hit=True)
+        state = self._check(prepared, state, far, hit=False)
+        self._check(prepared, state, math.nextafter(far, math.inf), hit=True)
 
 
 def _gaussian_families(q):
@@ -1077,26 +1108,25 @@ def _gaussian_families(q):
 
 
 class TestGaussianStopFloor:
-    """The Gaussian memo's stop floor k_f, published from the sum of the
-    term moduli: later angles of a modulus skip every row below it, and must
+    """The Gaussian stop floor k_f of a ring, kept from the sum of the term
+    moduli: later angles of a modulus skip every row below it, and must
     still return the bits of a fresh series."""
 
     @staticmethod
-    def _evaluate(prepared, z, tol):
-        """_gaussian_hit, and a check that a floor published for this |z|
-        and tol is at most the stop index K = terms_used - 1 here."""
-        got, hit = _gaussian_hit(prepared, z, tol)
-        memo_z, memo_tol, k_f = prepared._memo
-        if len(got) == 5 and memo_z == abs(z) and memo_tol == tol:
-            assert k_f <= got[2] - 1, (z, tol)
-        return got, hit
+    def _step(prepared, z, tol, state):
+        """_gaussian_step, and a check that a floor kept for this |z| is at
+        most the stop index K = terms_used - 1 here."""
+        got, state, hit = _gaussian_step(prepared, z, tol, state)
+        if len(got) == 5 and state and state[0] == abs(z):
+            assert state[1] <= got[2] - 1, (z, tol)
+        return got, state, hit
 
     @pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
     def test_cancelling_angles_on_the_negative_axis(self, q):
         # One of z = r and z = -r puts the summation variable on the
         # negative real axis, where the terms alternate and |partial| is far
         # below the sum of the term moduli; the other has no cancellation.
-        # Either angle may come first and publish the floor.
+        # Either angle may come first and keep the floor.
         moduli = log_grid(1e-2, 1e3, 16)
         deep = 0
         for name, make, reference in _gaussian_families(q):
@@ -1104,15 +1134,15 @@ class TestGaussianStopFloor:
             for order in ((1.0, -1.0), (-1.0, 1.0)):
                 prepared = make()
                 for r in moduli:
-                    outcomes = []
+                    outcomes, state = [], ()
                     for sign in order:
                         z = complex(sign * r, 0.0)
-                        got, hit = self._evaluate(prepared, z, 1e-14)
+                        got, state, hit = self._step(prepared, z, 1e-14, state)
                         assert got == _outcome(make().evaluate, z, 1e-14), (name, z)
                         assert got == _expected("gaussian", reference, z, 1e-14), (name, z)
                         outcomes.append(got)
                         if len(got) == 5 and hit:
-                            deep += prepared._memo[2] > series.MIN_STOP_INDEX
+                            deep += state[1] > series.MIN_STOP_INDEX
                     if all(len(got) == 5 for got in outcomes):
                         values = [abs(complex(float.fromhex(got[0]), float.fromhex(got[1])))
                                   for got in outcomes]
@@ -1122,17 +1152,17 @@ class TestGaussianStopFloor:
         assert deep
 
     def test_tol_walk_at_one_modulus(self):
-        # Each tol publishes its own floor at the first angle; the second
-        # angle hits it.  1e100 stops at the first row whose ratio test
-        # passes, 1e-300 runs deep.
+        # Each tol is a ring that keeps its own floor at the first angle;
+        # the later angles hit it.  1e100 stops at the first row whose ratio
+        # test passes, 1e-300 runs deep.
         z = 7.0 * complex(math.cos(2.0), math.sin(2.0))
         for name, make, reference in _gaussian_families(0.9):
             prepared = make()
             terms = []
             for tol in (1e-14, 1e-6, 1e-300, 1e-14, 1e100, 1e-14):
-                outcomes = []
+                outcomes, state = [], ()
                 for point in (z, z.conjugate(), -z):
-                    got, hit = self._evaluate(prepared, point, tol)
+                    got, state, hit = self._step(prepared, point, tol, state)
                     assert got == _outcome(make().evaluate, point, tol), (name, point, tol)
                     assert got == _expected("gaussian", reference, point, tol), (name, point, tol)
                     outcomes.append(got)
@@ -1148,31 +1178,31 @@ class TestGaussianStopFloor:
         prepared = prepare_confluent_f(params)
         floors = []
         for r in log_grid(1.1e5, 1.6e5, 41):
+            state = ()
             for unit in _UNITS:
                 z = r * unit
-                memo = prepared._memo
-                got, hit = self._evaluate(prepared, z, 1e-14)
+                got, state, hit = self._step(prepared, z, 1e-14, state)
                 assert got == _outcome(prepare_confluent_f(params).evaluate, z, 1e-14), z
                 assert got == _expected("gaussian", lambda z, tol: ref.eval_gaussian(
                     (), (), 0.95, 1.0, 1, z, tol), z, 1e-14), z
                 if hit and len(got) == 5:
-                    floors.append(memo[2])
+                    floors.append(state[1])
         assert 0 in floors and max(floors) > 0
 
     def test_probe_free_rows_stay_below_the_cap(self, monkeypatch):
         # With the cap lowered to 1e10 every modulus whose sum of term
-        # moduli passes it publishes a floor of 0, and the outcomes stay.
+        # moduli passes it keeps a floor of 0, and the outcomes stay.
         monkeypatch.setattr(series, "_SUM_CAP", 1e10)
         for name, make, reference in _gaussian_families(0.9):
             prepared = make()
             floors = []
             for r in log_grid(1e-1, 1e4, 11):
+                state = ()
                 for unit in _UNITS:
-                    memo = prepared._memo
-                    got, hit = self._evaluate(prepared, r * unit, 1e-14)
+                    got, state, hit = self._step(prepared, r * unit, 1e-14, state)
                     assert got == _expected("gaussian", reference, r * unit, 1e-14), (name, r)
                     if hit and len(got) == 5:
-                        floors.append(memo[2])
+                        floors.append(state[1])
             assert 0 in floors and max(floors) > 0, name
 
     @pytest.mark.parametrize("q", [0.3, 0.9, 0.99])
@@ -1185,14 +1215,16 @@ class TestGaussianStopFloor:
             prepared = make()
             hits, floors = 0, set()
             for r in log_grid(1e-2, 1e3, 16):
+                state = ()
                 for unit in _UNITS:
                     z = r * unit
-                    got, hit = self._evaluate(prepared, z, tol)
+                    got, state, hit = self._step(prepared, z, tol, state)
                     assert got == _expected("gaussian", reference, z, tol), (name, z)
                     if hit:
                         hits += 1
                         assert got == _outcome(make().evaluate, z, tol), (name, z)
-                    floors.add(prepared._memo[2])
+                    if state:
+                        floors.add(state[1])
             assert hits, name
             if tol < 2.0**-961:
                 assert floors == {0}, name
@@ -1200,17 +1232,84 @@ class TestGaussianStopFloor:
                 assert max(floors) > 0, name
 
 
+class TestRingOrder:
+    """A ring's angles may come in any order: over log_grid(1e-4, 1e6, 11)
+    x the eight audit angles, each ring stepped in plan order, in reverse
+    and least |z| first gives every point a fresh evaluate's outcome, which
+    is the reference's bit for bit (the oracle's, for theta above
+    THETA_TRANSFORM_Q)."""
+
+    POINTS = tuple(mod * unit for mod in log_grid(1e-4, 1e6, 11) for unit in _UNITS)
+    ORDERS = (list, lambda zs: zs[::-1], lambda zs: sorted(zs, key=abs))
+
+    @staticmethod
+    def _sweep(make, wants, step):
+        """Step a fresh make() through every ring in each order, requiring
+        wants[z] at each point; returns how many steps hit a floor."""
+        hits = 0
+        for order in TestRingOrder.ORDERS:
+            prepared = make()
+            for i in range(0, len(TestRingOrder.POINTS), len(_UNITS)):
+                state = ()
+                for z in order(TestRingOrder.POINTS[i:i + len(_UNITS)]):
+                    got, state, hit = step(prepared, z, 1e-14, state)
+                    assert got == wants[z], (order, z)
+                    hits += hit
+        return hits
+
+    @pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
+    def test_gaussian_families(self, q):
+        for name, make, reference in _gaussian_families(q):
+            wants = {z: _outcome(make().evaluate, z, 1e-14) for z in self.POINTS}
+            assert all(wants[z] == _expected("gaussian", reference, z, 1e-14)
+                       for z in self.POINTS), name
+            assert self._sweep(make, wants, _gaussian_step), name
+
+    @pytest.mark.parametrize("q", [0.3, 0.97])
+    def test_theta(self, q):
+        base = QBase(q)
+        wants = {z: _outcome(ThetaSeries(base).evaluate, z, 1e-14) for z in self.POINTS}
+        for z in self.POINTS:
+            if q <= THETA_TRANSFORM_Q:
+                assert wants[z] == _expected("theta", ref.eval_theta, q, z, 1e-14), z
+            else:
+                _check_theta(ThetaSeries(base).evaluate, q, z, 1e-14, _theta_or_overflow(q, z))
+        self._sweep(lambda: ThetaSeries(base), wants,
+                    lambda *args: (*_ring_step(*args), False))
+
+
+class TestOneShot:
+    """evaluate keeps nothing but the table: every other slot holds the same
+    object after it, and _step(z, tol, None) hands on the state None, with
+    its result or with its error."""
+
+    POINTS = (0.5, 3.0 - 4.0j, -1e3, 1e60j, 1e-8)
+
+    @pytest.mark.parametrize("q", [0.3, 0.9, 0.99])
+    def test_gaussian_families_and_theta(self, q):
+        for prepared in (*(make() for _, make, _ in _gaussian_families(q)), ThetaSeries(QBase(q))):
+            slots = [slot for slot in type(prepared).__slots__ if slot != "_table"]
+            before = [getattr(prepared, slot) for slot in slots]
+            outcomes = []
+            for z in self.POINTS:
+                got, state = _ring_step(prepared, z, 1e-14, None)
+                assert state is None and _outcome(prepared.evaluate, z, 1e-14) == got, z
+                outcomes.append(got)
+            assert all(getattr(prepared, slot) is kept for slot, kept in zip(slots, before))
+            assert 0 < sum(len(got) == 2 for got in outcomes) < len(outcomes)
+
+
 def test_shared_targets_under_thread_contention():
     """Four threads share one prepared target per family at interleaved points.
 
     Each round starts from fresh targets, so the threads race to grow the
-    same tables, and to replace and hit the Gaussian and theta memos: each
-    thread takes two angles per modulus, and theta, on its transformed and
-    its direct path, two tols.  They also race to publish the Gaussian
-    series' overflow radius (its sum overflows from |z| of about 2e3 on) and
-    the zero-tail start of a Laurent stream that underflows from k = 273 on.
-    Every result must equal a fresh evaluation, and some Gaussian
-    evaluations must have hit its memo.
+    same tables.  Each thread takes two angles per modulus as one ring, and
+    theta, on its transformed and its direct path, two tols; the Gaussian
+    and theta rings thread their own states through _step.  The threads also
+    race to publish the Gaussian series' overflow radius (its sum overflows
+    from |z| of about 2e3 on) and the zero-tail start of a Laurent stream
+    that underflows from k = 273 on.  Every result must equal a fresh
+    evaluation, and some Gaussian steps must have hit their ring's floor.
     """
     gaussian_params = ConfluentParams(a_list=(0.5 + 0.5j,), b_list=(0.3,), l=0.5, q=QBase(0.95))
     theta_base = QBase(0.97)
@@ -1230,11 +1329,14 @@ def test_shared_targets_under_thread_contention():
         for mod in moduli[index::4] + moduli[::-1]:
             for (name, _, tols), prepared in zip(families, shared):
                 for tol in tols:
+                    state = ()
                     for phase in (index + mod, index - mod):
                         z = mod * complex(math.cos(phase), math.sin(phase))
                         if name == "gaussian":
-                            got, hit = _gaussian_hit(prepared, z, tol)
+                            got, state, hit = _gaussian_step(prepared, z, tol, state)
                             hits.append(hit)
+                        elif name.startswith("theta"):
+                            got, state = _ring_step(prepared, z, tol, state)
                         else:
                             got = _outcome(prepared.evaluate, z, tol)
                         results.append((name, z, tol, got))
@@ -1261,7 +1363,6 @@ def test_shared_targets_under_thread_contention():
             assert r_ovf < math.inf and 0 < len(column) <= len(rows)
             rows, z0 = zero_tail._table
             assert z0 == 273 < len(rows)
-            assert gaussian._memo[0] is not None
     finally:
         sys.setswitchinterval(old)
     assert any(hits)

@@ -12,6 +12,7 @@ from qineq import (
     ConfluentParams,
     InvalidArgumentError,
     LaurentSpec,
+    NonConvergentError,
     PhiParams,
     QBase,
     SweepPlan,
@@ -228,6 +229,64 @@ class TestAuditEnvelope:
             audit_target("bessel", QBase(0.5))
 
 
+class TestRingStateHandedOn:
+    """_records_at hands a step's state on only within one modulus: the
+    first angle gets (), each later angle the state that the step before
+    returned or handed on with its error, and a single unit gets None."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Make audit_target's targets log (|z|, state) at each step, and
+        hand on a fresh marker, raised with an error at every third step."""
+        calls = []
+        build = verify.audit_target
+
+        def spied(tag, params):
+            target = build(tag, params)
+
+            def step(z, tol, state):
+                calls.append((abs(z), state))
+                marker = ("handed", len(calls))
+                if len(calls) % 3 == 0:
+                    error = NonConvergentError("spy")
+                    error._ring_state = marker
+                    raise error
+                return target.step(z, tol, None)[0], marker
+
+            return target._replace(step=step)
+
+        monkeypatch.setattr(verify, "audit_target", spied)
+        return calls
+
+    @staticmethod
+    def _check_rings(calls, size):
+        for i, (abs_z, state) in enumerate(calls):
+            if i % size:
+                assert abs_z == pytest.approx(calls[i - 1][0]) and state == ("handed", i), i
+            else:
+                assert state == (), i
+
+    def test_lattice_sweep(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        records = audit_envelope(SweepPlan(log_grid(0.5, 2.0, 3), 4), "aq", QBase(0.5))
+        assert len(calls) == len(records) == 12
+        assert [r.error for r in records[2::3]] == ["spy"] * 4
+        self._check_rings(calls, 4)
+
+    def test_draws_are_one_shot(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        audit_envelope(SweepPlan((1e-3, 1e3), 1, parameter_draws=6, seed=3), "confluent_f")
+        assert [state for _, state in calls] == [None] * 6
+
+    def test_tightness_search_rings_then_probes(self, monkeypatch):
+        # Budget 40: 11 radii at 2 angles, then 18 golden-section probes.
+        calls = self._spy(monkeypatch)
+        tightness_search("aq", QBase(0.5), (1e-2, 1e2), 40)
+        assert len(calls) == 40
+        self._check_rings(calls[:22], 2)
+        assert [state for _, state in calls[22:]] == [None] * 18
+
+
 class TestSharedEnvelopeConstants:
     def test_targets_read_cached_constants(self, monkeypatch):
         base = QBase(0.5)
@@ -398,7 +457,7 @@ class TestTightnessSearch:
         for r in radii:
             for ang in angles:
                 z = r * complex(math.cos(ang), math.sin(ang))
-                value = abs(target.evaluate(z, 1e-14).value)
+                value = abs(target.step(z, 1e-14, None)[0].value)
                 ratio = 0.0 if value == 0.0 else math.exp(
                     math.log(value) - target.envelope_log(r)
                 )
